@@ -44,6 +44,7 @@ from .kicks import (
     char_function_quadrature,
     evolve_iid,
     evolve_iid_mc,
+    evolve_iid_mc_curve,
     gaussian_for_target,
     gaussian_from_clock,
     is_decoherence_free,
@@ -56,6 +57,7 @@ from .memory import (
     coherence_recursion,
     effective_decay,
     evolve_memory_mc,
+    evolve_memory_mc_curve,
     kernel,
 )
 from .parrondo import (
@@ -69,7 +71,6 @@ from .parrondo import (
     exact_rate,
     general_rates,
     is_winning,
-    play_round,
     simulate,
     stationary_distribution,
 )

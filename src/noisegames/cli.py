@@ -111,6 +111,16 @@ def _initial_state(res: _Resolver) -> DensityMatrix2:
     return DensityMatrix2(a0, complex(b_re, b_im), 1.0 - a0)
 
 
+def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
+    """Curve rows n = 0, 1, ... (Monte Carlo where estimated) and their CSV form."""
+    curve = [{"n": n, "analytic_coherence": a, "coherence": a} for n, a in enumerate(analytic)]
+    for row, est in zip(curve, estimates):
+        if est is not None:
+            row["coherence"], row["mc_stderr"] = coherence(est.rho_est), est.stderr
+    rows = [[r["n"], r["coherence"], r["analytic_coherence"]] for r in curve]
+    return curve, (["n", "coherence", "analytic_coherence"], rows)
+
+
 def _cmd_iid(res: _Resolver):
     seed, trials, threads = _common(res)
     dist_name = str(res.get("dist", "gaussian"))
@@ -158,20 +168,17 @@ def _cmd_iid(res: _Resolver):
 
     factor = kicks.char_function(dist)
     run_mc = trials > 0 and not exact_only
-    curve = []
-    for k in range(steps + 1):
-        plan = kicks.EvolutionPlan(k, tau0)
-        analytic = coherence(kicks.evolve_iid(rho0, dist, plan))
-        row = {"n": k, "analytic_coherence": analytic}
-        if run_mc:
-            est = kicks.evolve_iid_mc(rho0, dist, plan, trials, seed, threads)
-            row["coherence"] = coherence(est.rho_est)
-            row["mc_stderr"] = est.stderr
-        else:
-            row["coherence"] = analytic
-        curve.append(row)
+    plan = kicks.EvolutionPlan(steps, tau0)
+    # evolve_iid applies its factor step by step, so state k is its k-step result
+    states = [rho0]
+    for _ in range(steps):
+        states.append(kicks.evolve_iid(states[-1], dist, kicks.EvolutionPlan(1, tau0)))
+    estimates = []
+    if run_mc:
+        estimates = kicks.evolve_iid_mc_curve(rho0, dist, plan, trials, seed, threads)
+    curve, csv_data = _curve([coherence(s) for s in states], estimates)
 
-    final = kicks.evolve_iid(rho0, dist, kicks.EvolutionPlan(steps, tau0))
+    final = states[-1]
     results = {
         "gamma": factor.gamma,
         "phi": factor.phi,
@@ -179,9 +186,7 @@ def _cmd_iid(res: _Resolver):
                   "coherence": coherence(final)},
         "curve": curve,
     }
-    diagnostics = {"mc": run_mc}
-    rows = [[r["n"], r["coherence"], r["analytic_coherence"]] for r in curve]
-    return inputs, results, diagnostics, (["n", "coherence", "analytic_coherence"], rows)
+    return inputs, results, {"mc": run_mc}, csv_data
 
 
 def _cmd_memory(res: _Resolver):
@@ -214,17 +219,13 @@ def _cmd_memory(res: _Resolver):
 
     trace = memory.coherence_recursion(kern, steps)
     run_mc = trials > 0 and not exact_only
-    curve = [{"n": 0, "analytic_coherence": coherence(rho0), "coherence": coherence(rho0)}]
-    for k in range(1, steps + 1):
-        analytic = coherence(rho0) * abs(trace.values[k - 1][0])
-        row = {"n": k, "analytic_coherence": analytic}
-        if run_mc:
-            est = memory.evolve_memory_mc(rho0, kern, k, trials, seed, threads)
-            row["coherence"] = coherence(est.rho_est)
-            row["mc_stderr"] = est.stderr
-        else:
-            row["coherence"] = analytic
-        curve.append(row)
+    estimates = []
+    if run_mc:
+        # n = 0 is the initial state, reported without a Monte Carlo error
+        estimates = memory.evolve_memory_mc_curve(rho0, kern, steps, trials, seed, threads)
+        estimates[0] = None
+    analytic = [coherence(rho0)] + [coherence(rho0) * abs(fa) for fa, _ in trace.values]
+    curve, csv_data = _curve(analytic, estimates)
 
     results = {
         "decay_per_step": memory.effective_decay(kern, steps) if steps >= 2 else None,
@@ -234,9 +235,7 @@ def _cmd_memory(res: _Resolver):
         "final_feps_im": trace.final_b.imag,
         "curve": curve,
     }
-    diagnostics = {"mc": run_mc}
-    rows = [[r["n"], r["coherence"], r["analytic_coherence"]] for r in curve]
-    return inputs, results, diagnostics, (["n", "coherence", "analytic_coherence"], rows)
+    return inputs, results, {"mc": run_mc}, csv_data
 
 
 def _cmd_dissipative(res: _Resolver):
@@ -309,8 +308,8 @@ def _cmd_parrondo(res: _Resolver):
         "exact": exact_only,
     }
 
-    stats = parrondo.exact_rate(combined)
     stationary = parrondo.stationary_distribution(combined)
+    stats = parrondo.GameStats.from_stationary(stationary)
     per_game = []
     for g in games:
         s = parrondo.exact_rate(parrondo.CombinedGame((g,)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import montecarlo, rng
 from .qubit import DensityMatrix2, KrausChannel
 
 FIRST_ORDER_LIMIT = 0.01  # default lambda_ad ceiling for first-order formulas
@@ -128,40 +128,26 @@ def averaged_channel_mc(
 
     def worker(start: int, count: int):
         a_out, b_out, clamped = channel_outputs(rng.stream_keys(seed, start, count))
-        da = a_out - a_ref
-        db = b_out - b_ref
-        re, im = db.real, db.imag
         return (
-            float(np.sum(da)),
-            float(np.sum(da * da)),
-            float(np.sum(re)),
-            float(np.sum(im)),
-            float(np.sum(re * re)),
-            float(np.sum(im * im)),
+            montecarlo.block_moments(a_out, a_ref),
+            montecarlo.block_moments(b_out, b_ref),
             clamped,
         )
 
     partials = rng.run_blocks(trials, worker, threads=threads)
-    sum_a = math.fsum(p_[0] for p_ in partials)
-    sum_a2 = math.fsum(p_[1] for p_ in partials)
-    sum_re = math.fsum(p_[2] for p_ in partials)
-    sum_im = math.fsum(p_[3] for p_ in partials)
-    sum_re2 = math.fsum(p_[4] for p_ in partials)
-    sum_im2 = math.fsum(p_[5] for p_ in partials)
-    clamps = sum(p_[6] for p_ in partials)
-
-    mean_a = a_ref + sum_a / trials
-    mean_b = b_ref + complex(sum_re / trials, sum_im / trials)
-    if trials > 1:
-        var_a = max(sum_a2 - sum_a * sum_a / trials, 0.0) / (trials - 1)
-        var_re = max(sum_re2 - sum_re * sum_re / trials, 0.0) / (trials - 1)
-        var_im = max(sum_im2 - sum_im * sum_im / trials, 0.0) / (trials - 1)
-        stderr_pop = math.sqrt(var_a / trials)
-        stderr_coh = math.sqrt(max(var_re, var_im) / trials)
-    else:
-        stderr_pop = stderr_coh = 0.0
-    rho = DensityMatrix2(mean_a, mean_b, 1.0 - mean_a)
+    mean_a, stderr_pop = montecarlo.estimate(a_ref, [p_[0] for p_ in partials], trials)
+    mean_b, stderr_coh = montecarlo.estimate(b_ref, [p_[1] for p_ in partials], trials)
+    clamps = sum(p_[2] for p_ in partials)
+    rho = DensityMatrix2(mean_a.real, mean_b, 1.0 - mean_a.real)
     return AveragedChannelResult(rho, stderr_pop, stderr_coh, clamps / trials, trials)
+
+
+def _step_factors(p: float, scales: NoiseScales) -> tuple[float, float]:
+    """First-order per-step population factor g1 and coherence factor g2."""
+    g1 = 1.0 - p * math.sqrt(4.0 * scales.lambda_ad / math.pi)
+    g2 = p * (1.0 - math.sqrt(scales.lambda_ad / math.pi))
+    g2 += (1.0 - p) * math.exp(-scales.lambda_pd)
+    return g1, g2
 
 
 def averaged_channel_first_order(
@@ -184,10 +170,7 @@ def averaged_channel_first_order(
             f"lambda_ad={scales.lambda_ad!r} outside first-order regime "
             f"(limit {first_order_limit!r})"
         )
-    relax = 1.0 - p * math.sqrt(4.0 * scales.lambda_ad / math.pi)
-    coh = p * (1.0 - math.sqrt(scales.lambda_ad / math.pi)) + (1.0 - p) * math.exp(
-        -scales.lambda_pd
-    )
+    relax, coh = _step_factors(p, scales)
     # a + (1-relax)(1-a) == 1 - relax*(1-a), exact when relax == 1
     a = rho0.a + (1.0 - relax) * (1.0 - rho0.a)
     return DensityMatrix2(a, rho0.b * coh, rho0.c * relax)
@@ -230,10 +213,7 @@ def relaxation_times(
         raise ValueError("p must lie in [0, 1]")
     if tau0 <= 0.0 or not math.isfinite(tau0):
         raise ValueError("tau0 must be positive")
-    g1 = 1.0 - p * math.sqrt(4.0 * scales.lambda_ad / math.pi)
-    g2 = p * (1.0 - math.sqrt(scales.lambda_ad / math.pi)) + (1.0 - p) * math.exp(
-        -scales.lambda_pd
-    )
+    g1, g2 = _step_factors(p, scales)
     for g in (g1, g2):
         if g <= 0.0:
             raise ValueError("per-step factor is not positive; out of regime")

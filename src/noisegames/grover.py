@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from . import rng
+from . import montecarlo, rng
 
 FULL_MODE_MAX_QUBITS = 24  # 16M amplitudes; desk-scale memory guard
 TWO_D_MAX_QUBITS = 60
@@ -126,10 +126,6 @@ def apply_B_2d(state: TwoDState, config: GameConfig) -> TwoDState:
         (2.0 * s * s - 1.0) * ct + 2.0 * s * c * cr,
         2.0 * s * c * ct + (2.0 * c * c - 1.0) * cr,
     )
-
-
-def grover_iterate_2d(state: TwoDState, config: GameConfig) -> TwoDState:
-    return apply_B_2d(apply_A_2d(state, config), config)
 
 
 def embed_2d(state: TwoDState, config: GameConfig) -> np.ndarray:
@@ -328,29 +324,24 @@ def evaluate_strategy(
     if isinstance(strategy, FixedHorizon):
         m = strategy.m
 
+        # Shift by the start state's payoff, which every length-0 or -1 word keeps.
+        ref = float(_success_from_lengths(np.zeros(1, dtype=np.int64), config)[0])
+
         def worker(start: int, count: int):
             keys = rng.stream_keys(seed, start, count)
             s = np.zeros(count, dtype=np.int64)
             for step in range(m):
                 s = _walk_reduced_length(s, _letters_bit(keys, step))
             succ = _success_from_lengths(s, config)
-            hist = np.bincount(s, minlength=m + 1)
-            return float(np.sum(succ)), float(np.sum(succ * succ)), hist
+            return montecarlo.block_moments(succ, ref), np.bincount(s, minlength=m + 1)
 
         partials = rng.run_blocks(trials, worker, threads=threads)
-        total = math.fsum(p[0] for p in partials)
-        total2 = math.fsum(p[1] for p in partials)
+        mean, stderr = montecarlo.estimate(ref, [p[0] for p in partials], trials)
         hist = np.zeros(m + 1, dtype=np.int64)
         for p in partials:
-            hist += p[2]
-        mean = total / trials
-        if trials > 1:
-            var = max(total2 - total * total / trials, 0.0) / (trials - 1)
-            stderr = math.sqrt(var / trials)
-        else:
-            stderr = 0.0
+            hist += p[1]
         histogram = {int(s): int(c) for s, c in enumerate(hist) if c}
-        return StrategyOutcome(mean, stderr, histogram)
+        return StrategyOutcome(mean.real, stderr, histogram)
 
     if isinstance(strategy, AdaptiveTracking):
         target_len = 2 * strategy.k_star

@@ -13,20 +13,23 @@ picks up a factor ``gamma^n e^{-i n phi}``.  Three laws are supported:
   ``gamma = e^{-sigma2/2}`` and ``phi = mu``.
 
 Every closed form is cross-checkable against adaptive quadrature of the
-defining integral via :func:`char_function_quadrature`.
+defining integral via :func:`char_function_quadrature`.  Trajectories are
+averaged by the shared block-moment reducer of :mod:`noisegames.montecarlo`;
+trajectory t reads slot k at kick k, so a curve over 0..n kicks is one pass.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 from scipy.integrate import quad
 
-from . import rng
+from . import montecarlo, rng
 from .qubit import DensityMatrix2
 
 TWO_PI = 2.0 * math.pi
@@ -150,10 +153,6 @@ class EvolutionPlan:
         if not math.isfinite(self.tau0) or self.tau0 <= 0.0:
             raise ValueError("tau0 must be positive")
 
-    @property
-    def total_time(self) -> float:
-        return self.steps * self.tau0
-
 
 def char_function(dist: KickDistribution) -> DecayFactor:
     """Characteristic value E[e^{i theta}] of a kick law, in polar form.
@@ -239,52 +238,40 @@ class McEstimate:
     stderr: float
     trials: int
 
+    @classmethod
+    def from_phases(
+        cls, rho0: DensityMatrix2, phases, trials: int, seed: int, threads: int
+    ) -> list["McEstimate"]:
+        """Kicked-state estimates, one per phase array that ``phases(keys)`` yields."""
+        coherences = lambda keys: (rho0.b * np.exp(-1j * t) for t in phases(keys))
+        points = montecarlo.curve(coherences, trials, seed, threads)
+        return [cls(DensityMatrix2(rho0.a, b, rho0.c), se, trials) for b, se in points]
 
-def _moments_to_estimate(
-    rho0: DensityMatrix2, ref: complex, partials, trials: int
-) -> McEstimate:
-    """Combine per-block moments of (sample - ref) into mean and stderr.
 
-    Shifting by the deterministic trajectory-0 value keeps the variance
-    formula exact for constant samples and well conditioned otherwise.
+def _kick_phases(dist: KickDistribution, keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """Cumulative kick phase per trajectory after 0, 1, ..., ``steps`` kicks.
+
+    Trajectory t reads its own slot k at kick k, so one pass yields every
+    prefix; the same array is updated in place after each kick.
     """
-    sum_re = math.fsum(p[0] for p in partials)
-    sum_im = math.fsum(p[1] for p in partials)
-    sum_re2 = math.fsum(p[2] for p in partials)
-    sum_im2 = math.fsum(p[3] for p in partials)
-    mean = ref + complex(sum_re / trials, sum_im / trials)
-    if trials > 1:
-        var_re = max(sum_re2 - sum_re * sum_re / trials, 0.0) / (trials - 1)
-        var_im = max(sum_im2 - sum_im * sum_im / trials, 0.0) / (trials - 1)
-        stderr = math.sqrt(max(var_re, var_im) / trials)
-    else:
-        stderr = 0.0
-    return McEstimate(DensityMatrix2(rho0.a, mean, rho0.c), stderr, trials)
-
-
-def _sample_angles(
-    dist: KickDistribution, keys: np.ndarray, steps: int
-) -> np.ndarray:
-    """Cumulative kick phase per trajectory; trajectory t reads its own slots."""
-    total = np.zeros(len(keys), dtype=np.float64)
     if isinstance(dist, DeltaMixture):
         cum = np.cumsum(np.asarray(dist.weights, dtype=np.float64))
         cum[-1] = 1.0
         angles = np.asarray(dist.angles, dtype=np.float64)
-        for s in range(steps):
-            u = rng.slot_uniform(keys, s)
-            total += angles[np.searchsorted(cum, u, side="right")]
+        kick = lambda s: angles[np.searchsorted(cum, rng.slot_uniform(keys, s), side="right")]
     elif isinstance(dist, GaussianKicks):
         sigma = math.sqrt(dist.sigma2)
-        for s in range(steps):
-            total += dist.mu + sigma * rng.slot_normal(keys, s)
+        kick = lambda s: dist.mu + sigma * rng.slot_normal(keys, s)
     elif isinstance(dist, ExponentialKicks):
         scale = dist.scale
-        for s in range(steps):
-            total += -scale * np.log(rng.slot_uniform_open(keys, s))
+        kick = lambda s: -scale * np.log(rng.slot_uniform_open(keys, s))
     else:
         raise TypeError(f"unsupported kick distribution: {type(dist).__name__}")
-    return total
+    total = np.zeros(len(keys), dtype=np.float64)
+    yield total
+    for s in range(steps):
+        total += kick(s)
+        yield total
 
 
 def evolve_iid_mc(
@@ -299,29 +286,25 @@ def evolve_iid_mc(
 
     Deterministic for fixed (seed, trials) under any thread count:
     trajectory t draws from the stream keyed by (seed, t) and block sums
-    are combined in a fixed order.
+    are combined in a fixed order.  Equals the last point of
+    :func:`evolve_iid_mc_curve` bit for bit.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    b0 = rho0.b
-    ref = complex(
-        b0 * np.exp(-1j * _sample_angles(dist, rng.stream_keys(seed, 0, 1), plan.steps))[0]
-    )
+    # keep only the last phase array, so no earlier step is reduced
+    final = lambda keys: deque(_kick_phases(dist, keys, plan.steps), maxlen=1)
+    return McEstimate.from_phases(rho0, final, trials, seed, threads)[0]
 
-    def worker(start: int, count: int):
-        keys = rng.stream_keys(seed, start, count)
-        total = _sample_angles(dist, keys, plan.steps)
-        w = b0 * np.exp(-1j * total) - ref
-        re, im = w.real, w.imag
-        return (
-            float(np.sum(re)),
-            float(np.sum(im)),
-            float(np.sum(re * re)),
-            float(np.sum(im * im)),
-        )
 
-    partials = rng.run_blocks(trials, worker, threads=threads)
-    return _moments_to_estimate(rho0, ref, partials, trials)
+def evolve_iid_mc_curve(
+    rho0: DensityMatrix2,
+    dist: KickDistribution,
+    plan: EvolutionPlan,
+    trials: int,
+    seed: int,
+    threads: int = 1,
+) -> list[McEstimate]:
+    """Monte Carlo estimates after 0, 1, ..., ``plan.steps`` kicks, in one pass."""
+    phases = lambda keys: _kick_phases(dist, keys, plan.steps)
+    return McEstimate.from_phases(rho0, phases, trials, seed, threads)
 
 
 def gaussian_from_clock(omega: float, clock_rate: float) -> GaussianKicks:

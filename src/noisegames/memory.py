@@ -10,7 +10,8 @@ either source alone.
 
 Every kernel branch lands back inside the two classes (closure), so the
 infinite-dimensional kick recursion collapses exactly to two complex
-numbers per step, tracked by :func:`coherence_recursion`.
+numbers per step, tracked by :func:`coherence_recursion`.  Sampled chains
+go through the same block-moment reducer as IID kicks, one pass per curve.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import rng
-from .kicks import DeltaMixture, McEstimate, _moments_to_estimate
+from .kicks import DeltaMixture, McEstimate
 from .qubit import DensityMatrix2
 
 _ANGLE_TOL = 1e-9  # tolerance for matching an angle to a class support
@@ -156,29 +159,31 @@ class CoherenceTrace:
         return self.values[-1][1]
 
 
-def coherence_recursion(kern: MemoryKernel, n: int) -> CoherenceTrace:
-    """Exact expectation E[e^{i(theta_1+...+theta_k)} | starting class].
+def _recursion_step(kern: MemoryKernel) -> Callable[[dict], dict]:
+    """The linear map f_k -> f_{k+1} of the kick recursion.
 
     Step k+1 averages ``e^{i theta} * f_k(destination)`` over the kernel
     branches; phase cancellations inside each class emerge from the full
     branch sums rather than being assumed.
     """
+    weighted = {
+        label: [(b.weight * cmath.exp(1j * b.angle), b.to_label) for b in kern.branches(label)]
+        for label in SetLabel
+    }
+    return lambda f: {
+        label: sum(coef * f[dest] for coef, dest in weighted[label]) for label in SetLabel
+    }
+
+
+def coherence_recursion(kern: MemoryKernel, n: int) -> CoherenceTrace:
+    """Exact expectation E[e^{i(theta_1+...+theta_k)} | starting class]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    weighted = {
-        label: tuple(
-            (br.weight * cmath.exp(1j * br.angle), br.to_label)
-            for br in kern.branches(label)
-        )
-        for label in (SetLabel.SET_A, SetLabel.SET_B)
-    }
+    step = _recursion_step(kern)
     f = {SetLabel.SET_A: 1.0 + 0.0j, SetLabel.SET_B: 1.0 + 0.0j}
     out = []
     for _ in range(n):
-        f = {
-            label: sum(coef * f[dest] for coef, dest in weighted[label])
-            for label in (SetLabel.SET_A, SetLabel.SET_B)
-        }
+        f = step(f)
         out.append((f[SetLabel.SET_A], f[SetLabel.SET_B]))
     return CoherenceTrace(tuple(out))
 
@@ -191,15 +196,58 @@ def effective_decay(kern: MemoryKernel, n: int) -> float:
     angle 0.  The first kick only enters the kernel's recurrent class (a
     deterministic, decay-free move for the pure-B kernel), so including it
     would understate the sustained rate.
+
+    f_n underflows in long runs (near n = 1750 at rate 2/3), so the
+    recursion is rescaled by an exact power of two whenever it falls below
+    2**-512 and the rate is rebuilt from the exponents taken out; shorter
+    runs are never rescaled.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    trace = coherence_recursion(kern, n)
-    first = abs(trace.values[0][0])
-    last = abs(trace.final_a)
+    step = _recursion_step(kern)
+    f = step({SetLabel.SET_A: 1.0 + 0.0j, SetLabel.SET_B: 1.0 + 0.0j})
+    first = abs(f[SetLabel.SET_A])
     if first == 0.0:
         raise ValueError("recursion vanished at the first step")
-    return (last / first) ** (1.0 / (n - 1))
+    exponent = 0  # the true f_k is f * 2**exponent
+    for _ in range(n - 1):
+        f = step(f)
+        top = max(abs(v) for v in f.values())
+        if 0.0 < top < 2.0**-512:
+            e = math.frexp(top)[1]
+            f = {label: v * math.ldexp(1.0, -e) for label, v in f.items()}
+            exponent += e
+    last = abs(f[SetLabel.SET_A])
+    return (last / first) ** (1.0 / (n - 1)) * 2.0 ** (exponent / (n - 1))
+
+
+def _chain_phases(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Cumulative kick phase per chain after 0, 1, ..., n kicks.
+
+    Chains start in class A (initial angle 0); kick s reads the chain's own
+    slot s, so one pass yields every prefix, updating one array in place.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+
+    def table(label: SetLabel):
+        branches = kern.branches(label)
+        cum = np.cumsum([br.weight for br in branches])
+        cum[-1] = 1.0
+        to_a = [br.to_label is SetLabel.SET_A for br in branches]
+        return cum, np.array([br.angle for br in branches]), np.array(to_a)
+
+    (cum_a, ang_a, next_a_from_a), (cum_b, ang_b, next_a_from_b) = map(table, SetLabel)
+    in_a = np.ones(len(keys), dtype=bool)
+    total = np.zeros(len(keys), dtype=np.float64)
+    yield total
+    for s in range(n):
+        u = rng.slot_uniform(keys, s)
+        ia = np.searchsorted(cum_a, u, side="right")
+        ib = np.searchsorted(cum_b, u, side="right")
+        total += np.where(in_a, ang_a[ia], ang_b[ib])
+        in_a = np.where(in_a, next_a_from_a[ia], next_a_from_b[ib])
+        yield total
 
 
 def evolve_memory_mc(
@@ -215,48 +263,22 @@ def evolve_memory_mc(
     The chain starts in class A; each step draws a kernel branch for the
     current class, rotates the coherence by e^{-i theta}, and moves to the
     branch's destination class.  The estimate converges to
-    ``b * conj(f_n at class A)`` from :func:`coherence_recursion`.
+    ``b * conj(f_n at class A)`` from :func:`coherence_recursion`, and
+    equals the last point of :func:`evolve_memory_mc_curve` bit for bit.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    b0 = rho0.b
+    # keep only the last phase array, so no earlier step is reduced
+    final = lambda keys: deque(_chain_phases(kern, keys, n), maxlen=1)
+    return McEstimate.from_phases(rho0, final, trials, seed, threads)[0]
 
-    tables = {}
-    for label in (SetLabel.SET_A, SetLabel.SET_B):
-        branches = kern.branches(label)
-        cum = np.cumsum([br.weight for br in branches])
-        cum[-1] = 1.0
-        angles = np.array([br.angle for br in branches])
-        to_a = np.array([br.to_label is SetLabel.SET_A for br in branches])
-        tables[label] = (cum, angles, to_a)
-    cum_a, ang_a, next_a_from_a = tables[SetLabel.SET_A]
-    cum_b, ang_b, next_a_from_b = tables[SetLabel.SET_B]
 
-    def chain_phases(keys: np.ndarray) -> np.ndarray:
-        in_a = np.ones(len(keys), dtype=bool)
-        total = np.zeros(len(keys), dtype=np.float64)
-        for s in range(n):
-            u = rng.slot_uniform(keys, s)
-            ia = np.searchsorted(cum_a, u, side="right")
-            ib = np.searchsorted(cum_b, u, side="right")
-            total += np.where(in_a, ang_a[ia], ang_b[ib])
-            in_a = np.where(in_a, next_a_from_a[ia], next_a_from_b[ib])
-        return total
-
-    ref = complex(b0 * np.exp(-1j * chain_phases(rng.stream_keys(seed, 0, 1)))[0])
-
-    def worker(start: int, count: int):
-        keys = rng.stream_keys(seed, start, count)
-        w = b0 * np.exp(-1j * chain_phases(keys)) - ref
-        re, im = w.real, w.imag
-        return (
-            float(np.sum(re)),
-            float(np.sum(im)),
-            float(np.sum(re * re)),
-            float(np.sum(im * im)),
-        )
-
-    partials = rng.run_blocks(trials, worker, threads=threads)
-    return _moments_to_estimate(rho0, ref, partials, trials)
+def evolve_memory_mc_curve(
+    rho0: DensityMatrix2,
+    kern: MemoryKernel,
+    n: int,
+    trials: int,
+    seed: int,
+    threads: int = 1,
+) -> list[McEstimate]:
+    """Monte Carlo estimates after 0, 1, ..., n kicks, in one pass."""
+    phases = lambda keys: _chain_phases(kern, keys, n)
+    return McEstimate.from_phases(rho0, phases, trials, seed, threads)

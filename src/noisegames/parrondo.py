@@ -22,9 +22,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .rng import Stream
-
-_DENSE_CHECK_LIMIT = 512  # largest cycle given the full dense rational check
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,16 +115,6 @@ class CombinedGame:
         return out
 
 
-def play_round(pos: WheelPosition, game: RotationGame, stream: Stream) -> WheelPosition:
-    """One rotation by the game's robot, drawn from ``stream``."""
-    if pos.L % game.m != 0:
-        raise ValueError(
-            f"position cycle {pos.L} is not a multiple of game modulus {game.m}"
-        )
-    j = stream.randint(game.m)
-    return WheelPosition((pos.k + j * (pos.L // game.m)) % pos.L, pos.L)
-
-
 @dataclass(frozen=True, slots=True)
 class StationaryDistribution:
     """Exact stationary law of a combined game on its cycle.
@@ -147,13 +134,13 @@ class StationaryDistribution:
 
 
 def stationary_distribution(combined: CombinedGame) -> StationaryDistribution:
-    """Exact stationary distribution, verified two independent ways.
+    """Exact stationary distribution, cross-checked by power iteration.
 
-    Double stochasticity of the transition matrix is checked exactly in
-    rational arithmetic (densely for cycles up to 512 positions, on the
-    circulant generator beyond), which forces the uniform law on the
-    reachable subgroup; float power iteration from a point mass must then
-    reproduce it to 1e-12.
+    The step law is translation invariant on Z_L, so once its weights are
+    checked to be nonnegative and to sum exactly to 1 the transition matrix
+    is doubly stochastic by construction, and the uniform law on the
+    reachable subgroup is stationary.  Float power iteration from a point
+    mass must reproduce it to 1e-12.
     """
     L = combined.modulus
     weights = combined.step_weights()
@@ -162,19 +149,6 @@ def stationary_distribution(combined: CombinedGame) -> StationaryDistribution:
         raise RuntimeError("transition law does not sum to 1")
     if any(w < 0 for w in weights.values()):
         raise RuntimeError("negative transition probability")
-
-    if L <= _DENSE_CHECK_LIMIT:
-        dense = [[Fraction(0)] * L for _ in range(L)]
-        for k in range(L):
-            for off, w in weights.items():
-                dense[k][(k + off) % L] += w
-        one = Fraction(1)
-        for k in range(L):
-            if sum(dense[k]) != one:
-                raise RuntimeError("row sums are not exactly 1")
-        for j in range(L):
-            if sum(dense[k][j] for k in range(L)) != one:
-                raise RuntimeError("column sums are not exactly 1")
 
     # Reachable subgroup from 0 is generated by the step offsets.
     d = L
@@ -224,14 +198,18 @@ class GameStats:
         if self.net_rate != 2 * self.win_prob - 1:
             raise ValueError("net rate must equal 2*win_prob - 1")
 
+    @classmethod
+    def from_stationary(cls, stat: StationaryDistribution) -> "GameStats":
+        """Winning probability and net rate under a stationary law."""
+        L = len(stat.weights)
+        wins = sum(1 for k in stat.support if is_winning(WheelPosition(k, L)))
+        win_prob = Fraction(wins, len(stat.support))
+        return cls(win_prob, 2 * win_prob - 1, len(stat.support))
+
 
 def exact_rate(combined: CombinedGame) -> GameStats:
     """Exact stationary winning probability and net win/loss rate."""
-    stat = stationary_distribution(combined)
-    L = combined.modulus
-    wins = sum(1 for k in stat.support if is_winning(WheelPosition(k, L)))
-    win_prob = Fraction(wins, len(stat.support))
-    return GameStats(win_prob, 2 * win_prob - 1, len(stat.support))
+    return GameStats.from_stationary(stationary_distribution(combined))
 
 
 @dataclass(frozen=True, slots=True)

@@ -70,11 +70,6 @@ class DensityMatrix2:
         if abs(self.b) ** 2 > self.a * self.c + ATOL_STATE:
             raise ValueError("positivity violated: |b|^2 > a*c")
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.a, self.b], [self.b.conjugate(), self.c]], dtype=complex
-        )
-
 
 def plus_state() -> DensityMatrix2:
     """The pure state with maximal coherence, a = c = 1/2, b = 1/2."""
@@ -110,9 +105,6 @@ class Unitary2:
         g01 = self.u00.conjugate() * self.u01 + self.u10.conjugate() * self.u11
         if abs(g00 - 1.0) > ATOL_STATE or abs(g11 - 1.0) > ATOL_STATE or abs(g01) > ATOL_STATE:
             raise ValueError("matrix is not unitary within 1e-12")
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.u00, self.u01], [self.u10, self.u11]], dtype=complex)
 
 
 def rz(theta: float) -> Unitary2:
@@ -269,20 +261,6 @@ class QubitMapSpec:
         return cls(
             ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))
         )
-
-    def is_hermiticity_preserving(self, tol: float = ATOL_STATE) -> bool:
-        for img in (self.img00, self.img11):
-            if (
-                abs(img[0][0].imag) > tol
-                or abs(img[1][1].imag) > tol
-                or abs(img[0][1] - img[1][0].conjugate()) > tol
-            ):
-                return False
-        for i in range(2):
-            for j in range(2):
-                if abs(self.img10[i][j] - self.img01[j][i].conjugate()) > tol:
-                    return False
-        return True
 
 
 def choi_matrix(spec: QubitMapSpec) -> np.ndarray:

@@ -2,13 +2,19 @@
 
 Everything here is deliberately written from first principles (dense
 matrices, exact rational dynamic programming, float trigonometry) so that
-it shares no code path with the implementations it checks.
+it shares no code path with the implementations it checks.  The exception
+is the per-point Monte Carlo estimators at the end: they keep the package's
+random streams and kick laws and fix the reduction the engine must match.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from noisegames import rng
+from noisegames.kicks import DeltaMixture, ExponentialKicks, GaussianKicks
+from noisegames.memory import SetLabel
 
 
 def textbook_grover_matrix(n_qubits: int, target: int) -> np.ndarray:
@@ -68,3 +74,105 @@ def alternating_word(length: int) -> str:
     if length % 2 == 0:
         return "BA" * (length // 2)
     return "A" + "BA" * (length // 2)
+
+
+# --- Per-point Monte Carlo estimators as written before the shared engine ---
+#
+# Each call reruns every trajectory from scratch for a single step count and
+# folds the block moments by hand.  Curves from noisegames.montecarlo must
+# match these point for point, bit for bit.
+
+
+def _moments_to_mean_stderr(ref: complex, partials, trials: int):
+    sum_re = math.fsum(p[0] for p in partials)
+    sum_im = math.fsum(p[1] for p in partials)
+    sum_re2 = math.fsum(p[2] for p in partials)
+    sum_im2 = math.fsum(p[3] for p in partials)
+    mean = ref + complex(sum_re / trials, sum_im / trials)
+    if trials > 1:
+        var_re = max(sum_re2 - sum_re * sum_re / trials, 0.0) / (trials - 1)
+        var_im = max(sum_im2 - sum_im * sum_im / trials, 0.0) / (trials - 1)
+        stderr = math.sqrt(max(var_re, var_im) / trials)
+    else:
+        stderr = 0.0
+    return mean, stderr
+
+
+def _block_sums(w: np.ndarray):
+    re, im = w.real, w.imag
+    return (
+        float(np.sum(re)),
+        float(np.sum(im)),
+        float(np.sum(re * re)),
+        float(np.sum(im * im)),
+    )
+
+
+def _iid_angles(dist, keys: np.ndarray, steps: int) -> np.ndarray:
+    total = np.zeros(len(keys), dtype=np.float64)
+    if isinstance(dist, DeltaMixture):
+        cum = np.cumsum(np.asarray(dist.weights, dtype=np.float64))
+        cum[-1] = 1.0
+        angles = np.asarray(dist.angles, dtype=np.float64)
+        for s in range(steps):
+            u = rng.slot_uniform(keys, s)
+            total += angles[np.searchsorted(cum, u, side="right")]
+    elif isinstance(dist, GaussianKicks):
+        sigma = math.sqrt(dist.sigma2)
+        for s in range(steps):
+            total += dist.mu + sigma * rng.slot_normal(keys, s)
+    elif isinstance(dist, ExponentialKicks):
+        scale = dist.scale
+        for s in range(steps):
+            total += -scale * np.log(rng.slot_uniform_open(keys, s))
+    else:
+        raise TypeError(type(dist).__name__)
+    return total
+
+
+def iid_mc_point(b0: complex, dist, steps: int, trials: int, seed: int, threads: int):
+    """(mean coherence, stderr) after ``steps`` IID kicks."""
+    ref = complex(
+        b0 * np.exp(-1j * _iid_angles(dist, rng.stream_keys(seed, 0, 1), steps))[0]
+    )
+
+    def worker(start: int, count: int):
+        keys = rng.stream_keys(seed, start, count)
+        return _block_sums(b0 * np.exp(-1j * _iid_angles(dist, keys, steps)) - ref)
+
+    partials = rng.run_blocks(trials, worker, threads=threads)
+    return _moments_to_mean_stderr(ref, partials, trials)
+
+
+def memory_mc_point(b0: complex, kern, n: int, trials: int, seed: int, threads: int):
+    """(mean coherence, stderr) after n kicks of a memory kernel from class A."""
+    tables = {}
+    for label in (SetLabel.SET_A, SetLabel.SET_B):
+        branches = kern.branches(label)
+        cum = np.cumsum([br.weight for br in branches])
+        cum[-1] = 1.0
+        angles = np.array([br.angle for br in branches])
+        to_a = np.array([br.to_label is SetLabel.SET_A for br in branches])
+        tables[label] = (cum, angles, to_a)
+    cum_a, ang_a, next_a_from_a = tables[SetLabel.SET_A]
+    cum_b, ang_b, next_a_from_b = tables[SetLabel.SET_B]
+
+    def chain_phases(keys: np.ndarray) -> np.ndarray:
+        in_a = np.ones(len(keys), dtype=bool)
+        total = np.zeros(len(keys), dtype=np.float64)
+        for s in range(n):
+            u = rng.slot_uniform(keys, s)
+            ia = np.searchsorted(cum_a, u, side="right")
+            ib = np.searchsorted(cum_b, u, side="right")
+            total += np.where(in_a, ang_a[ia], ang_b[ib])
+            in_a = np.where(in_a, next_a_from_a[ia], next_a_from_b[ib])
+        return total
+
+    ref = complex(b0 * np.exp(-1j * chain_phases(rng.stream_keys(seed, 0, 1)))[0])
+
+    def worker(start: int, count: int):
+        keys = rng.stream_keys(seed, start, count)
+        return _block_sums(b0 * np.exp(-1j * chain_phases(keys)) - ref)
+
+    partials = rng.run_blocks(trials, worker, threads=threads)
+    return _moments_to_mean_stderr(ref, partials, trials)

@@ -49,6 +49,10 @@ class TestExitCodes:
         code, _ = run_cli(["iid", "--dist", "gaussian", "--seed", "-1"])
         assert code == 2
 
+    def test_negative_steps(self):
+        code, _ = run_cli(["iid", "--steps", "-1", "--exact"])
+        assert code == 2
+
     def test_csv_unavailable_for_dissipative(self):
         code, _ = run_cli(["dissipative", "--format", "csv"])
         assert code == 2
@@ -151,3 +155,20 @@ def test_envelope_structure():
     assert set(env) == {"inputs", "results", "diagnostics", "provenance"}
     assert env["provenance"]["version"]
     assert env["provenance"]["seed"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iid", "--dist", "gaussian", "--mu", "0.2", "--sigma2", "0.5", "--steps", "4"],
+        ["memory", "--variant", "combined", "--epsilon", "0.001", "--steps", "4"],
+    ],
+    ids=["iid", "memory"],
+)
+def test_multi_block_curve_thread_invariant(argv):
+    # 140_000 trials are three trajectory blocks, so the curve's merge crosses blocks
+    argv = argv + ["--trials", "140000", "--seed", "3"]
+    _, one = run_cli(argv + ["--threads", "1"])
+    _, two = run_cli(argv + ["--threads", "2"])
+    assert one == two
+    assert len(json.loads(one)["results"]["curve"]) == 5

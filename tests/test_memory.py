@@ -121,6 +121,14 @@ class TestEffectiveDecay:
         with pytest.raises(ValueError):
             effective_decay(kernel(KernelVariant.COMBINED, 0.0), 1)
 
+    def test_long_runs_past_float_underflow(self):
+        # f_n itself underflows near n = 1750 at rate 2/3 and n = 680 at 1/3
+        n = 3000
+        assert abs(effective_decay(kernel(KernelVariant.COMBINED, 0.0), n) - 2 / 3) < 1e-12
+        assert abs(effective_decay(kernel(KernelVariant.COMBINED, EPS), n) - 2 / 3) < 5e-3
+        assert abs(effective_decay(kernel(KernelVariant.PURE_A, EPS), n) - 1 / 3) < 1e-12
+        assert abs(effective_decay(kernel(KernelVariant.PURE_B, EPS), n) - 1 / 3) < 1e-12
+
 
 class TestMonteCarlo:
     @pytest.mark.parametrize("variant", list(KernelVariant))

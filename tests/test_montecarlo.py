@@ -1,0 +1,105 @@
+"""The shared Monte Carlo engine against the per-point estimators it replaced.
+
+140_000 trials span three blocks of ``rng.BLOCK_SIZE`` (the last one
+partial), so every curve point exercises the cross-block merge.  The
+initial coherence is real: there the per-point estimators' trajectory-0
+reference (a scalar re-multiply) equals trajectory 0's own sample, which
+the engine shifts by.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from _oracles import iid_mc_point, memory_mc_point
+from noisegames import montecarlo, rng
+from noisegames.kicks import (
+    DeltaMixture,
+    EvolutionPlan,
+    ExponentialKicks,
+    GaussianKicks,
+    evolve_iid_mc,
+    evolve_iid_mc_curve,
+)
+from noisegames.memory import KernelVariant, evolve_memory_mc, evolve_memory_mc_curve, kernel
+from noisegames.qubit import DensityMatrix2
+
+TRIALS = 140_000
+STEPS = 4
+SEED = 2024
+RHO0 = DensityMatrix2(0.6, 0.45, 0.4)
+
+assert 2 * rng.BLOCK_SIZE < TRIALS < 3 * rng.BLOCK_SIZE
+
+DISTS = {
+    "gaussian": GaussianKicks(0.3, 0.5),
+    "exponential": ExponentialKicks(1.0, 0.7),
+    "delta": DeltaMixture(((0.2, -math.pi / 2), (0.5, 0.0), (0.3, math.pi / 2))),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("name", list(DISTS))
+def test_iid_curve_matches_per_point_estimator(name, threads):
+    dist = DISTS[name]
+    curve = evolve_iid_mc_curve(RHO0, dist, EvolutionPlan(STEPS), TRIALS, SEED, threads)
+    assert len(curve) == STEPS + 1
+    for k, est in enumerate(curve):
+        mean, stderr = iid_mc_point(RHO0.b, dist, k, TRIALS, SEED, threads)
+        assert (est.rho_est.b, est.stderr) == (mean, stderr), k
+    point = evolve_iid_mc(RHO0, dist, EvolutionPlan(STEPS), TRIALS, SEED, threads)
+    assert point == curve[-1]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("variant", list(KernelVariant))
+def test_memory_curve_matches_per_point_estimator(variant, threads):
+    kern = kernel(variant, 1e-3)
+    curve = evolve_memory_mc_curve(RHO0, kern, STEPS, TRIALS, SEED, threads)
+    assert len(curve) == STEPS + 1
+    for k, est in enumerate(curve):
+        mean, stderr = memory_mc_point(RHO0.b, kern, k, TRIALS, SEED, threads)
+        assert (est.rho_est.b, est.stderr) == (mean, stderr), k
+    assert evolve_memory_mc(RHO0, kern, STEPS, TRIALS, SEED, threads) == curve[-1]
+
+
+def test_constant_samples_have_zero_stderr():
+    def sampler(keys):
+        yield np.full(len(keys), 0.1 + 0.2j)
+        yield np.full(len(keys), 0.3)
+
+    complex_point, real_point = montecarlo.curve(sampler, TRIALS, SEED)
+    assert complex_point == (0.1 + 0.2j, 0.0)
+    assert real_point == (0.3, 0.0)
+
+
+def test_estimate_is_independent_of_block_split():
+    values = np.linspace(-1.0, 2.0, 1000) + 1j * np.linspace(0.5, -0.5, 1000) ** 2
+    ref = complex(values[0])
+    mean, stderr = montecarlo.estimate(ref, [montecarlo.block_moments(values, ref)], 1000)
+    split_mean, split_stderr = montecarlo.estimate(
+        ref, [montecarlo.block_moments(v, ref) for v in np.split(values, [10, 500])], 1000
+    )
+    assert mean == pytest.approx(np.mean(values), abs=1e-15)
+    assert stderr == pytest.approx(
+        max(np.std(values.real, ddof=1), np.std(values.imag, ddof=1)) / math.sqrt(1000)
+    )
+    assert split_mean == pytest.approx(mean, abs=1e-15)
+    assert split_stderr == pytest.approx(stderr, rel=1e-12)
+
+
+def test_rejects_empty_run():
+    with pytest.raises(ValueError):
+        montecarlo.curve(lambda keys: iter([keys.astype(float)]), 0, SEED)
+
+
+def test_curve_points_equal_single_point_runs():
+    # complex initial coherence: both routes shift by trajectory 0's own sample
+    rho = DensityMatrix2(0.3, 0.2 + 0.25j, 0.7)
+    dist, kern = DISTS["gaussian"], kernel(KernelVariant.COMBINED, 1e-3)
+    iid = evolve_iid_mc_curve(rho, dist, EvolutionPlan(3), 3000, SEED)
+    chains = evolve_memory_mc_curve(rho, kern, 3, 3000, SEED)
+    for k in range(4):
+        assert iid[k] == evolve_iid_mc(rho, dist, EvolutionPlan(k), 3000, SEED)
+        assert chains[k] == evolve_memory_mc(rho, kern, k, 3000, SEED)

@@ -15,11 +15,9 @@ from noisegames.parrondo import (
     exact_rate,
     general_rates,
     is_winning,
-    play_round,
     simulate,
     stationary_distribution,
 )
-from noisegames.rng import derive_stream
 
 
 class TestWinning:
@@ -52,33 +50,31 @@ class TestWinning:
 
 
 class TestPlayRound:
-    def test_all_outcomes_reachable(self):
-        stream = derive_stream(1, 0)
-        seen = {
-            play_round(WheelPosition(0, 3), GAME_A, stream).k for _ in range(200)
-        }
-        assert seen == {0, 1, 2}
-
-    def test_deterministic(self):
-        a = play_round(WheelPosition(0, 21), GAME_B, derive_stream(4, 0))
-        b = play_round(WheelPosition(0, 21), GAME_B, derive_stream(4, 0))
-        assert a == b
-
-    def test_trivial_game_never_moves(self):
-        stream = derive_stream(2, 0)
-        pos = WheelPosition(5, 21)
-        assert play_round(pos, RotationGame(1), stream) == pos
-
-    def test_incompatible_modulus(self):
-        with pytest.raises(ValueError):
-            play_round(WheelPosition(0, 10), GAME_A, derive_stream(0, 0))
-
     def test_even_modulus_rejected(self):
         with pytest.raises(ValueError):
             RotationGame(4)
 
 
+def _assert_doubly_stochastic(combined: CombinedGame) -> None:
+    """Dense exact check that every row and column of the L x L transition
+    matrix sums to 1 (the property that makes the uniform law stationary)."""
+    L = combined.modulus
+    weights = combined.step_weights()
+    dense = [[Fraction(0)] * L for _ in range(L)]
+    for k in range(L):
+        for off, w in weights.items():
+            dense[k][(k + off) % L] += w
+    assert all(sum(row) == 1 for row in dense)
+    assert all(sum(dense[k][j] for k in range(L)) == 1 for j in range(L))
+
+
 class TestStationary:
+    @pytest.mark.parametrize(
+        "moduli", [(3,), (7,), (3, 7), (3, 9), (3, 3), (5, 9), (3, 7, 11)]
+    )
+    def test_transition_matrix_doubly_stochastic(self, moduli):
+        _assert_doubly_stochastic(CombinedGame(tuple(RotationGame(m) for m in moduli)))
+
     def test_single_game_uniform(self):
         stat = stationary_distribution(CombinedGame((GAME_A,)))
         assert stat.weights == (Fraction(1, 3),) * 3
