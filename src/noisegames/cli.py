@@ -9,6 +9,10 @@ JSON result envelope::
 Re-running with the same inputs yields a byte-identical envelope at any
 thread count.  ``--format csv`` emits the subcommand's curve data instead.
 Exit codes: 0 success, 2 invalid parameters or usage, 1 runtime failure.
+
+Every subcommand parameter is declared once, as a :class:`_Param` in that
+subcommand's table: the table builds its flag, reads it from ``--config``
+and writes it into the ``inputs`` echo, so the echo is a valid config.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__, dissipative, grover, kicks, memory, parrondo
 from .qubit import DensityMatrix2, coherence
-
-SUBCOMMANDS = ("iid", "memory", "dissipative", "parrondo", "grover")
 
 
 def _jsonable(value):
@@ -54,61 +57,97 @@ def _envelope(inputs: dict, results: dict, diagnostics: dict) -> str:
     return json.dumps(env, indent=2, sort_keys=True)
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> str:
+def _csv_lines(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(str(_jsonable(x)) for x in row))
     return "\n".join(lines)
 
 
-def _float_list(value) -> list[float]:
+class _Param(NamedTuple):
+    """One subcommand parameter: flag ``--key`` (dashed), config key and echo key.
+
+    ``type`` is int, float, str or bool (a flag that sets True); with
+    ``many`` the value is a list of ``type``, written on the command line
+    as comma-separated text.  A parameter with ``when = (key, value)`` is
+    echoed only while parameter ``key`` has that value.  ``lo``/``hi``
+    bound an int inclusively.
+    """
+
+    key: str
+    type: type
+    default: object = None
+    choices: tuple = ()
+    when: tuple | None = None
+    many: bool = False
+    lo: int | None = None
+    hi: int | None = None
+    help: str | None = None
+
+
+_COMMON = (
+    _Param("seed", int, 0, lo=0, hi=2**64 - 1, help="master seed (u64)"),
+    _Param("trials", int, 0, lo=0, help="Monte Carlo trials"),
+)
+_STATE = (
+    _Param("a0", float, 0.5, help="initial population of |0>"),
+    _Param("b0_re", float, 0.5, help="initial coherence, real part"),
+    _Param("b0_im", float, 0.0, help="initial coherence, imaginary part"),
+)
+_EXACT = _Param("exact", bool, False, help="exact route only, no Monte Carlo")
+
+
+def _coerce(p: _Param, value):
+    """``value`` as the parameter's type, refusing any other JSON type."""
+    if value is None and p.default is None:
+        return None
+    if not p.many:
+        return _scalar(p, value)
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        return [float(p) for p in parts]
-    return [float(v) for v in value]
+        return [_scalar(p, p.type(x)) for x in value.split(",") if x.strip()]
+    if not isinstance(value, list):
+        raise TypeError(f"{p.key} must be a list or comma-separated text, got {value!r}")
+    return [_scalar(p, x) for x in value]
 
 
-def _int_list(value) -> list[int]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        return [int(p) for p in parts]
-    return [int(v) for v in value]
+def _scalar(p: _Param, x):
+    if p.type is float and type(x) is int:
+        return float(x)
+    if type(x) is not p.type:
+        raise TypeError(f"{p.key} must be of type {p.type.__name__}, got {x!r}")
+    if p.choices and x not in p.choices:
+        raise ValueError(f"{p.key} must be one of {p.choices}, got {x!r}")
+    if (p.lo is not None and x < p.lo) or (p.hi is not None and x > p.hi):
+        raise ValueError(f"{p.key} must lie in [{p.lo}, {p.hi or 'inf'}], got {x!r}")
+    return x
 
 
-class _Resolver:
-    """Parameter lookup: explicit flag, then config file, then default."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self.args = args
-        self.config = config
-
-    def get(self, name: str, default):
-        v = getattr(self.args, name, None)
-        if v is not None:
-            return v
-        if name in self.config:
-            return self.config[name]
-        return default
+def _resolve(command: str, table: tuple, args: argparse.Namespace, config: dict) -> dict:
+    """Each parameter from its flag, else the config file, else its default."""
+    unknown = sorted(set(config) - {p.key for p in table} - {"command"})
+    if unknown:
+        raise ValueError(f"unknown config keys for {command!r}: {', '.join(unknown)}")
+    if config.get("command", command) != command:
+        raise ValueError(f"config is for {config['command']!r}, not {command!r}")
+    values = {}
+    for p in table:
+        flag = getattr(args, p.key)
+        values[p.key] = _coerce(p, flag if flag is not None else config.get(p.key, p.default))
+    return values
 
 
-def _common(res: _Resolver) -> tuple[int, int, int]:
-    seed = int(res.get("seed", 0))
-    if not (0 <= seed < 2**64):
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    trials = int(res.get("trials", 0))
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    threads = int(getattr(res.args, "threads", None) or 1)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return seed, trials, threads
+def _echo(command: str, table: tuple, values: dict, derived: dict) -> dict:
+    """The ``inputs`` block: every parameter in force, then the handler's derived values."""
+    inputs = {"command": command}
+    for p in table:
+        if p.when is None or values[p.when[0]] == p.when[1]:
+            inputs[p.key] = values[p.key]
+    inputs.update(derived)
+    return inputs
 
 
-def _initial_state(res: _Resolver) -> DensityMatrix2:
-    a0 = float(res.get("a0", 0.5))
-    b_re = float(res.get("b0_re", 0.5))
-    b_im = float(res.get("b0_im", 0.0))
-    return DensityMatrix2(a0, complex(b_re, b_im), 1.0 - a0)
+def _initial_state(v: dict) -> DensityMatrix2:
+    return DensityMatrix2(v["a0"], complex(v["b0_re"], v["b0_im"]), 1.0 - v["a0"])
 
 
 def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
@@ -121,61 +160,37 @@ def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
     return curve, (["n", "coherence", "analytic_coherence"], rows)
 
 
-def _cmd_iid(res: _Resolver):
-    seed, trials, threads = _common(res)
-    dist_name = str(res.get("dist", "gaussian"))
-    steps = int(res.get("steps", 1))
-    tau0 = float(res.get("tau0", 1.0))
-    exact_only = bool(res.get("exact", False))
-    rho0 = _initial_state(res)
+# Each handler takes the resolved parameters and the thread count and returns
+# (values the echo must show instead of the resolved ones, results,
+# diagnostics, CSV header and rows or None).
 
-    inputs = {
-        "command": "iid",
-        "seed": seed,
-        "trials": trials,
-        "dist": dist_name,
-        "steps": steps,
-        "tau0": tau0,
-        "exact": exact_only,
-        "a0": rho0.a,
-        "b0_re": rho0.b.real,
-        "b0_im": rho0.b.imag,
-    }
-    if dist_name == "delta":
-        angles = _float_list(res.get("angles", ""))
-        if not angles:
+
+def _cmd_iid(v: dict, threads: int):
+    rho0 = _initial_state(v)
+    derived = {}
+    if v["dist"] == "delta":
+        if not v["angles"]:
             raise ValueError("delta mixture needs --angles")
-        weights = res.get("weights", None)
-        if weights is None:
-            dist = kicks.DeltaMixture.uniform(angles)
+        if v["weights"] is None:
+            dist = kicks.DeltaMixture.uniform(v["angles"])
         else:
-            weights = _float_list(weights)
-            dist = kicks.DeltaMixture(tuple(zip(weights, angles)))
-        inputs["angles"] = list(dist.angles)
-        inputs["weights"] = list(dist.weights)
-    elif dist_name == "gaussian":
-        mu = float(res.get("mu", 0.0))
-        sigma2 = float(res.get("sigma2", 0.0))
-        dist = kicks.GaussianKicks(mu, sigma2)
-        inputs["mu"], inputs["sigma2"] = mu, sigma2
-    elif dist_name == "exponential":
-        omega = float(res.get("omega", 1.0))
-        tau1 = float(res.get("tau1", 1.0))
-        dist = kicks.ExponentialKicks(omega, tau1)
-        inputs["omega"], inputs["tau1"] = omega, tau1
+            dist = kicks.DeltaMixture(tuple(zip(v["weights"], v["angles"])))
+        derived = {"angles": list(dist.angles), "weights": list(dist.weights)}
+    elif v["dist"] == "gaussian":
+        dist = kicks.GaussianKicks(v["mu"], v["sigma2"])
     else:
-        raise ValueError(f"unknown distribution {dist_name!r}")
+        dist = kicks.ExponentialKicks(v["omega"], v["tau1"])
 
     factor = kicks.char_function(dist)
-    run_mc = trials > 0 and not exact_only
-    plan = kicks.EvolutionPlan(steps, tau0)
+    run_mc = v["trials"] > 0 and not v["exact"]
+    plan = kicks.EvolutionPlan(v["steps"], v["tau0"])
     # evolve_iid applies its factor step by step, so state k is its k-step result
     states = [rho0]
-    for _ in range(steps):
-        states.append(kicks.evolve_iid(states[-1], dist, kicks.EvolutionPlan(1, tau0)))
+    for _ in range(plan.steps):
+        states.append(kicks.evolve_iid(states[-1], dist, kicks.EvolutionPlan(1, plan.tau0)))
     estimates = []
     if run_mc:
-        estimates = kicks.evolve_iid_mc_curve(rho0, dist, plan, trials, seed, threads)
+        estimates = kicks.evolve_iid_mc_curve(rho0, dist, plan, v["trials"], v["seed"], threads)
     curve, csv_data = _curve([coherence(s) for s in states], estimates)
 
     final = states[-1]
@@ -186,43 +201,21 @@ def _cmd_iid(res: _Resolver):
                   "coherence": coherence(final)},
         "curve": curve,
     }
-    return inputs, results, {"mc": run_mc}, csv_data
+    return derived, results, {"mc": run_mc}, csv_data
 
 
-def _cmd_memory(res: _Resolver):
-    seed, trials, threads = _common(res)
-    variant_name = str(res.get("variant", "combined"))
-    epsilon = float(res.get("epsilon", 1e-3))
-    steps = int(res.get("steps", 20))
-    exact_only = bool(res.get("exact", False))
-    rho0 = _initial_state(res)
-    try:
-        variant = memory.KernelVariant(variant_name)
-    except ValueError:
-        raise ValueError(f"unknown kernel variant {variant_name!r}") from None
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    kern = memory.kernel(variant, epsilon)
-
-    inputs = {
-        "command": "memory",
-        "seed": seed,
-        "trials": trials,
-        "variant": variant.value,
-        "epsilon": epsilon,
-        "steps": steps,
-        "exact": exact_only,
-        "a0": rho0.a,
-        "b0_re": rho0.b.real,
-        "b0_im": rho0.b.imag,
-    }
-
+def _cmd_memory(v: dict, threads: int):
+    rho0 = _initial_state(v)
+    steps = v["steps"]
+    kern = memory.kernel(memory.KernelVariant(v["variant"]), v["epsilon"])
     trace = memory.coherence_recursion(kern, steps)
-    run_mc = trials > 0 and not exact_only
+    run_mc = v["trials"] > 0 and not v["exact"]
     estimates = []
     if run_mc:
         # n = 0 is the initial state, reported without a Monte Carlo error
-        estimates = memory.evolve_memory_mc_curve(rho0, kern, steps, trials, seed, threads)
+        estimates = memory.evolve_memory_mc_curve(
+            rho0, kern, steps, v["trials"], v["seed"], threads
+        )
         estimates[0] = None
     analytic = [coherence(rho0)] + [coherence(rho0) * abs(fa) for fa, _ in trace.values]
     curve, csv_data = _curve(analytic, estimates)
@@ -235,33 +228,15 @@ def _cmd_memory(res: _Resolver):
         "final_feps_im": trace.final_b.imag,
         "curve": curve,
     }
-    return inputs, results, {"mc": run_mc}, csv_data
+    return {}, results, {"mc": run_mc}, csv_data
 
 
-def _cmd_dissipative(res: _Resolver):
-    seed, trials, threads = _common(res)
-    p = float(res.get("p", 0.5))
-    lambda_ad = float(res.get("lambda_ad", 1e-4))
-    lambda_pd = float(res.get("lambda_pd", 1e-2))
-    tau0 = float(res.get("tau0", 1.0))
-    rho0 = _initial_state(res)
-    scales = dissipative.NoiseScales(lambda_ad, lambda_pd)
-
-    inputs = {
-        "command": "dissipative",
-        "seed": seed,
-        "trials": trials,
-        "p": p,
-        "lambda_ad": lambda_ad,
-        "lambda_pd": lambda_pd,
-        "tau0": tau0,
-        "a0": rho0.a,
-        "b0_re": rho0.b.real,
-        "b0_im": rho0.b.imag,
-    }
-
+def _cmd_dissipative(v: dict, threads: int):
+    rho0 = _initial_state(v)
+    p, trials = v["p"], v["trials"]
+    scales = dissipative.NoiseScales(v["lambda_ad"], v["lambda_pd"])
     first = dissipative.averaged_channel_first_order(rho0, p, scales)
-    times = dissipative.relaxation_times(p, scales, tau0)
+    times = dissipative.relaxation_times(p, scales, v["tau0"])
     p_max = dissipative.max_mixing_probability(scales)
     results = {
         "first_order": {
@@ -278,7 +253,7 @@ def _cmd_dissipative(res: _Resolver):
     }
     diagnostics: dict = {"mc": trials > 0}
     if trials > 0:
-        mc = dissipative.averaged_channel_mc(rho0, p, scales, trials, seed, threads)
+        mc = dissipative.averaged_channel_mc(rho0, p, scales, trials, v["seed"], threads)
         results["mc"] = {
             "a": mc.rho_avg.a,
             "b_re": mc.rho_avg.b.real,
@@ -288,26 +263,14 @@ def _cmd_dissipative(res: _Resolver):
         diagnostics["stderr_pop"] = mc.stderr_pop
         diagnostics["stderr_coh"] = mc.stderr_coh
         diagnostics["clamp_fraction"] = mc.clamp_fraction
-    return inputs, results, diagnostics, None
+    return {}, results, diagnostics, None
 
 
-def _cmd_parrondo(res: _Resolver):
-    seed, trials, threads = _common(res)
-    moduli = _int_list(res.get("moduli", "3,7"))
-    if not moduli:
+def _cmd_parrondo(v: dict, threads: int):
+    if not v["moduli"]:
         raise ValueError("need at least one modulus")
-    exact_only = bool(res.get("exact", False))
-    games = [parrondo.RotationGame(m) for m in moduli]
+    games = [parrondo.RotationGame(m) for m in v["moduli"]]
     combined = parrondo.CombinedGame(tuple(games))
-
-    inputs = {
-        "command": "parrondo",
-        "seed": seed,
-        "trials": trials,
-        "moduli": moduli,
-        "exact": exact_only,
-    }
-
     stationary = parrondo.stationary_distribution(combined)
     stats = parrondo.GameStats.from_stationary(stationary)
     per_game = []
@@ -334,8 +297,8 @@ def _cmd_parrondo(res: _Resolver):
         "reducible_warning": stationary.reducible_warning,
         "power_iteration_residual": stationary.power_iteration_residual,
     }
-    if trials > 0 and not exact_only:
-        sim = parrondo.simulate(combined, trials, seed, threads)
+    if v["trials"] > 0 and not v["exact"]:
+        sim = parrondo.simulate(combined, v["trials"], v["seed"], threads)
         results["simulation"] = {
             "rounds": sim.rounds,
             "wins": sim.wins,
@@ -347,25 +310,11 @@ def _cmd_parrondo(res: _Resolver):
         [k, stationary.weights[k], int(parrondo.is_winning(parrondo.WheelPosition(k, L)))]
         for k in range(L)
     ]
-    return inputs, results, diagnostics, (["position", "probability", "winning"], rows)
+    return {}, results, diagnostics, (["position", "probability", "winning"], rows)
 
 
-def _cmd_grover(res: _Resolver):
-    seed, trials, threads = _common(res)
-    n_qubits = int(res.get("n_qubits", 4))
-    target = int(res.get("target", 0))
-    strategy_name = str(res.get("strategy", "quarter-pi"))
-    config = grover.GameConfig(n_qubits, target)
-
-    inputs = {
-        "command": "grover",
-        "seed": seed,
-        "trials": trials,
-        "n_qubits": n_qubits,
-        "target": target,
-        "strategy": strategy_name,
-    }
-
+def _cmd_grover(v: dict, threads: int):
+    config = grover.GameConfig(v["n_qubits"], v["target"])
     best_k = grover.optimal_k(config)
     rule_k = grover.quarter_pi_k(config)
     results = {
@@ -376,50 +325,89 @@ def _cmd_grover(res: _Resolver):
         "quarter_pi_k": rule_k,
         "quarter_pi_success": grover.success_closed_form(rule_k, config),
     }
-    diagnostics: dict = {"mc": trials > 0}
+    diagnostics: dict = {"mc": v["trials"] > 0}
 
-    if strategy_name == "fixed":
-        m = res.get("m", None)
-        if m is None:
+    derived = {}
+    if v["strategy"] == "fixed":
+        if v["m"] is None:
             raise ValueError("fixed strategy needs --m")
-        strategy: grover.Strategy = grover.FixedHorizon(int(m))
-        inputs["m"] = int(m)
-    elif strategy_name == "quarter-pi":
-        strategy = grover.QuarterPiHorizon()
-    elif strategy_name == "adaptive":
-        k_star = res.get("k_star", None)
-        k_star = best_k if k_star is None else int(k_star)
-        strategy = grover.AdaptiveTracking(k_star)
-        inputs["k_star"] = k_star
+        strategy: grover.Strategy = grover.FixedHorizon(v["m"])
+    elif v["strategy"] == "adaptive":
+        derived["k_star"] = best_k if v["k_star"] is None else v["k_star"]
+        strategy = grover.AdaptiveTracking(derived["k_star"])
     else:
-        raise ValueError(f"unknown strategy {strategy_name!r}")
+        strategy = grover.QuarterPiHorizon()
 
-    if trials > 0:
-        outcome = grover.evaluate_strategy(strategy, config, trials, seed, threads)
+    if v["trials"] > 0:
+        outcome = grover.evaluate_strategy(strategy, config, v["trials"], v["seed"], threads)
         results["strategy_eval"] = {
             "win_prob": outcome.win_prob,
             "stderr": outcome.stderr,
             "reduced_length_histogram": {
-                str(k): v for k, v in sorted(outcome.reduced_length_histogram.items())
+                str(k): n for k, n in sorted(outcome.reduced_length_histogram.items())
             },
         }
         if outcome.stopping_time_histogram is not None:
             results["strategy_eval"]["stopping_time_histogram"] = {
-                str(k): v for k, v in sorted(outcome.stopping_time_histogram.items())
+                str(k): n for k, n in sorted(outcome.stopping_time_histogram.items())
             }
             diagnostics["censored"] = outcome.censored
 
+    # O(sqrt N) rows, so they are generated only when the CSV is written
     k_max = math.ceil(math.pi * math.sqrt(config.size) / 2.0)
-    rows = [[k, grover.success_closed_form(k, config)] for k in range(k_max + 1)]
-    return inputs, results, diagnostics, (["k", "success_prob"], rows)
+    rows = ([k, grover.success_closed_form(k, config)] for k in range(k_max + 1))
+    return derived, results, diagnostics, (["k", "success_prob"], rows)
 
 
-_HANDLERS = {
-    "iid": _cmd_iid,
-    "memory": _cmd_memory,
-    "dissipative": _cmd_dissipative,
-    "parrondo": _cmd_parrondo,
-    "grover": _cmd_grover,
+# subcommand -> (handler, help, parameter table)
+_COMMANDS = {
+    "iid": (_cmd_iid, "independent identically distributed phase kicks", (
+        *_COMMON,
+        _Param("dist", str, "gaussian", choices=("delta", "gaussian", "exponential")),
+        _Param("angles", float, many=True, when=("dist", "delta"),
+               help="comma-separated angles"),
+        _Param("weights", float, many=True, when=("dist", "delta"),
+               help="comma-separated weights (default uniform)"),
+        _Param("mu", float, 0.0, when=("dist", "gaussian")),
+        _Param("sigma2", float, 0.0, when=("dist", "gaussian")),
+        _Param("omega", float, 1.0, when=("dist", "exponential")),
+        _Param("tau1", float, 1.0, when=("dist", "exponential")),
+        _Param("steps", int, 1),
+        _Param("tau0", float, 1.0),
+        *_STATE,
+        _EXACT,
+    )),
+    "memory": (_cmd_memory, "correlated phase kicks over two angle classes", (
+        *_COMMON,
+        _Param("variant", str, "combined",
+               choices=tuple(k.value for k in memory.KernelVariant)),
+        _Param("epsilon", float, 1e-3),
+        _Param("steps", int, 20),
+        *_STATE,
+        _EXACT,
+    )),
+    "dissipative": (_cmd_dissipative, "damping/dephasing channel with noisy parameters", (
+        *_COMMON,
+        _Param("p", float, 0.5),
+        _Param("lambda_ad", float, 1e-4),
+        _Param("lambda_pd", float, 1e-2),
+        _Param("tau0", float, 1.0),
+        *_STATE,
+    )),
+    "parrondo": (_cmd_parrondo, "wheel-rotation games and their combination", (
+        *_COMMON,
+        _Param("moduli", int, "3,7", many=True, help="comma-separated odd moduli"),
+        _EXACT,
+    )),
+    "grover": (_cmd_grover, "random-operator search game", (
+        *_COMMON,
+        _Param("n_qubits", int, 4),
+        _Param("target", int, 0),
+        _Param("strategy", str, "quarter-pi", choices=("fixed", "quarter-pi", "adaptive")),
+        _Param("m", int, when=("strategy", "fixed"), help="fixed horizon length"),
+        _Param("k_star", int, when=("strategy", "adaptive"),
+               help="target iterate count (default optimal_k)"),
+    )),
 }
 
 
@@ -429,64 +417,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stochastic qubit decoherence and randomness-driven games.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="master seed (u64)")
-        p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
+    for name, (_, help_text, table) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        # run control: never read from a config file and never echoed
         p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument("--config", type=str, default=None, help="JSON parameter file")
         p.add_argument("--format", dest="format", choices=("json", "csv"), default="json")
         p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-
-    p = sub.add_parser("iid", help="independent identically distributed phase kicks")
-    add_common(p)
-    p.add_argument("--dist", choices=("delta", "gaussian", "exponential"), default=None)
-    p.add_argument("--angles", type=str, default=None, help="comma-separated angles")
-    p.add_argument("--weights", type=str, default=None, help="comma-separated weights")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--sigma2", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--tau1", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--tau0", type=float, default=None)
-    p.add_argument("--a0", type=float, default=None)
-    p.add_argument("--b0-re", dest="b0_re", type=float, default=None)
-    p.add_argument("--b0-im", dest="b0_im", type=float, default=None)
-    p.add_argument("--exact", action="store_const", const=True, default=None)
-
-    p = sub.add_parser("memory", help="correlated phase kicks over two angle classes")
-    add_common(p)
-    p.add_argument("--variant", choices=("pure-a", "pure-b", "combined"), default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--a0", type=float, default=None)
-    p.add_argument("--b0-re", dest="b0_re", type=float, default=None)
-    p.add_argument("--b0-im", dest="b0_im", type=float, default=None)
-    p.add_argument("--exact", action="store_const", const=True, default=None)
-
-    p = sub.add_parser("dissipative", help="damping/dephasing channel with noisy parameters")
-    add_common(p)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--lambda-ad", dest="lambda_ad", type=float, default=None)
-    p.add_argument("--lambda-pd", dest="lambda_pd", type=float, default=None)
-    p.add_argument("--tau0", type=float, default=None)
-    p.add_argument("--a0", type=float, default=None)
-    p.add_argument("--b0-re", dest="b0_re", type=float, default=None)
-    p.add_argument("--b0-im", dest="b0_im", type=float, default=None)
-
-    p = sub.add_parser("parrondo", help="wheel-rotation games and their combination")
-    add_common(p)
-    p.add_argument("--moduli", type=str, default=None, help="comma-separated odd moduli")
-    p.add_argument("--exact", action="store_const", const=True, default=None)
-
-    p = sub.add_parser("grover", help="random-operator search game")
-    add_common(p)
-    p.add_argument("--n-qubits", dest="n_qubits", type=int, default=None)
-    p.add_argument("--target", type=int, default=None)
-    p.add_argument("--strategy", choices=("fixed", "quarter-pi", "adaptive"), default=None)
-    p.add_argument("--m", type=int, default=None, help="fixed horizon length")
-    p.add_argument("--k-star", dest="k_star", type=int, default=None)
-
+        for q in table:
+            flag = "--" + q.key.replace("_", "-")
+            if q.type is bool:
+                p.add_argument(flag, dest=q.key, action="store_const", const=True,
+                               default=None, help=q.help)
+            else:
+                p.add_argument(flag, dest=q.key, type=str if q.many else q.type,
+                               choices=q.choices or None, default=None, help=q.help)
     return parser
 
 
@@ -499,6 +444,7 @@ def run(argv: list[str], stdout=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    handler, _, table = _COMMANDS[args.command]
     try:
         config = {}
         if args.config:
@@ -506,15 +452,18 @@ def run(argv: list[str], stdout=None) -> int:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise ValueError("config file must contain a JSON object")
-        res = _Resolver(args, config)
-        inputs, results, diagnostics, csv_data = _HANDLERS[args.command](res)
+        threads = 1 if args.threads is None else args.threads
+        if threads < 1:
+            raise ValueError("threads must be >= 1")
+        values = _resolve(args.command, table, args, config)
+        derived, results, diagnostics, csv_data = handler(values, threads)
         if args.format == "csv":
             if csv_data is None:
                 raise ValueError(f"no CSV curve defined for {args.command!r}")
             text = _csv_lines(*csv_data)
         else:
-            text = _envelope(inputs, results, diagnostics)
-    except (ValueError, TypeError) as exc:
+            text = _envelope(_echo(args.command, table, values, derived), results, diagnostics)
+    except (ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

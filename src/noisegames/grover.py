@@ -210,14 +210,23 @@ def quarter_pi_k(config: GameConfig) -> int:
 
 
 def optimal_k(config: GameConfig) -> int:
-    """Iterate count maximizing the closed-form success (ties to smaller k)."""
+    """Iterate count in 0..ceil(pi*sqrt(N)/2) maximizing the closed-form success.
+
+    Ties go to the smaller k.  The success sin^2((2k+1)*theta) peaks where
+    (2k+1)*theta = pi/2 + j*pi, so only the integers next to each such peak
+    and the two ends of the range can hold the maximum; checking those
+    gives the same k as scanning the whole range, in O(1).
+    """
     k_max = math.ceil(math.pi * math.sqrt(config.size) / 2.0)
-    best_k, best = 0, success_closed_form(0, config)
-    for k in range(1, k_max + 1):
-        val = success_closed_form(k, config)
-        if val > best:
-            best_k, best = k, val
-    return best_k
+    theta = math.asin(1.0 / math.sqrt(config.size))
+    candidates = {0, k_max}
+    j = 0
+    while (peak := (math.pi / 2.0 + j * math.pi) / (2.0 * theta) - 0.5) < k_max + 1:
+        near = math.floor(peak)
+        candidates.update(k for k in range(near - 1, near + 3) if 0 <= k <= k_max)
+        j += 1
+    # max keeps the first of equal values, so ties go to the smaller k
+    return max(sorted(candidates), key=lambda k: success_closed_form(k, config))
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,7 +269,7 @@ class StrategyOutcome:
     length s at the stop (fixed horizons), or ``stopping_time_histogram[t]``
     counts trials stopped after t operations (adaptive tracking, where the
     win probability is exact and ``censored`` counts trials that hit the
-    step cap before reaching the target word).
+    step cap before reaching the target word; they have no stopping time).
     """
 
     win_prob: float
@@ -363,7 +372,8 @@ def evaluate_strategy(
                 hit = s_act == target_len
                 stop_at[active[hit]] = step
                 active = active[~hit]
-            return stop_at, int(active.size)
+            # censored trials never stopped, so they have no stopping time
+            return np.delete(stop_at, active), int(active.size)
 
         partials = rng.run_blocks(trials, worker, threads=threads)
         censored = sum(p[1] for p in partials)

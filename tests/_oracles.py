@@ -67,6 +67,23 @@ def winning_positions_by_cosine(modulus: int) -> int:
     )
 
 
+def optimal_k_by_scan(n_qubits: int) -> int:
+    """Best iterate count by scanning every k in 0..ceil(pi*sqrt(N)/2).
+
+    Ties go to the smaller k, so float noise between equal peaks decides
+    as it does for the package's closed form.
+    """
+    size = 2**n_qubits
+    theta = math.asin(1.0 / math.sqrt(size))
+    k_max = math.ceil(math.pi * math.sqrt(size) / 2.0)
+    best_k, best = 0, math.sin(theta) ** 2
+    for k in range(1, k_max + 1):
+        val = math.sin((2 * k + 1) * theta) ** 2
+        if val > best:
+            best_k, best = k, val
+    return best_k
+
+
 def alternating_word(length: int) -> str:
     """The unique reduced word of a given length (alternates, ends in A)."""
     if length == 0:

@@ -53,6 +53,10 @@ class TestExitCodes:
         code, _ = run_cli(["iid", "--steps", "-1", "--exact"])
         assert code == 2
 
+    def test_zero_threads(self):
+        code, _ = run_cli(["parrondo", "--exact", "--threads", "0"])
+        assert code == 2
+
     def test_csv_unavailable_for_dissipative(self):
         code, _ = run_cli(["dissipative", "--format", "csv"])
         assert code == 2
@@ -132,8 +136,24 @@ class TestConfigRoundTrip:
             ["parrondo", "--moduli", "7,11", "--trials", "5000", "--seed", "7"],
             ["grover", "--n-qubits", "4", "--strategy", "adaptive", "--trials", "500",
              "--seed", "7"],
+            ["iid", "--dist", "gaussian", "--mu", "0.1", "--sigma2", "0.3", "--a0", "0.6",
+             "--b0-re", "0.2", "--b0-im", "0.3", "--steps", "3", "--trials", "3000",
+             "--seed", "7"],
+            ["iid", "--dist", "exponential", "--omega", "2", "--tau1", "0.5", "--tau0", "0.5",
+             "--steps", "3", "--trials", "3000", "--seed", "7"],
+            ["iid", "--dist", "delta", "--angles", "0.3,1.1", "--weights", "0.25,0.75",
+             "--steps", "3", "--trials", "3000", "--seed", "7"],
+            ["memory", "--variant", "pure-a", "--steps", "5", "--exact", "--seed", "7"],
+            ["dissipative", "--p", "0.3", "--tau0", "2", "--a0", "0.8", "--b0-re", "0.1",
+             "--trials", "5000", "--seed", "7"],
+            ["grover", "--n-qubits", "5", "--strategy", "fixed", "--m", "12", "--trials",
+             "500", "--seed", "7"],
+            ["grover", "--n-qubits", "4", "--strategy", "adaptive", "--k-star", "2",
+             "--trials", "500", "--seed", "7"],
         ],
-        ids=["iid", "memory", "dissipative", "parrondo", "grover"],
+        ids=["iid", "memory", "dissipative", "parrondo", "grover", "iid-gaussian-b0",
+             "iid-exponential", "iid-delta-weights", "memory-exact", "dissipative-a0",
+             "grover-fixed", "grover-k-star"],
     )
     def test_inputs_echo_reproduces_run(self, argv, tmp_path):
         env = run_json(argv)
@@ -141,6 +161,30 @@ class TestConfigRoundTrip:
         cfg.write_text(json.dumps(env["inputs"]))
         echoed = run_json([argv[0], "--config", str(cfg)])
         assert echoed == env
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("iid", {"exakt": True}),
+        ("iid", {"trials": 2.7}),
+        ("iid", {"exact": "false"}),
+        ("grover", {"n_qubits": True}),
+        ("dissipative", {"a0": 10**400}),
+        ("parrondo", {"moduli": [3, 7.5]}),
+        ("memory", {"variant": "pure-c"}),
+        ("memory", {"threads": 2}),
+        ("iid", {"command": "memory"}),
+    ],
+    ids=["unknown-key", "float-for-int", "string-for-flag", "bool-for-int",
+         "int-beyond-float", "float-in-int-list", "outside-choices", "run-control-key",
+         "other-command"],
+)
+def test_config_values_are_strict(command, config, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code, text = run_cli([command, "--config", str(cfg)])
+    assert code == 2 and text == ""
 
 
 def test_out_writes_file(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from _oracles import (
     alternating_word,
     expected_fixed_horizon_win,
+    optimal_k_by_scan,
     textbook_grover_matrix,
 )
 from noisegames.grover import (
@@ -205,6 +206,11 @@ class TestKChoices:
         assert optimal_k(GameConfig(10)) == 25
         assert success_closed_form(25, GameConfig(10)) > 0.999
 
+    def test_optimal_k_matches_full_scan(self):
+        # includes n = 1, where every k ties at 1/2 and float noise picks k = 3
+        for n in range(1, 25):
+            assert optimal_k(GameConfig(n)) == optimal_k_by_scan(n)
+
     def test_quarter_pi_values(self):
         assert quarter_pi_k(GameConfig(2)) == 2
         assert quarter_pi_k(GameConfig(4)) == 4
@@ -256,6 +262,15 @@ class TestEvaluateStrategy:
         assert out.win_prob >= success_closed_form(k, c) - 1e-10
         assert out.censored == 0
         assert min(out.stopping_time_histogram) >= 2 * k
+
+    def test_censored_trials_have_no_stopping_time(self):
+        # E[T] = 24 * 25 = 600 letters, so a 100-letter cap censors most trials
+        out = evaluate_strategy(
+            AdaptiveTracking(12), GameConfig(8), 200, seed=0, max_adaptive_steps=100
+        )
+        assert 0 < out.censored < 200
+        assert sum(out.stopping_time_histogram.values()) == 200 - out.censored
+        assert all(24 <= t <= 100 for t in out.stopping_time_histogram)
 
     def test_adaptive_deterministic(self):
         c = GameConfig(4, 1)
