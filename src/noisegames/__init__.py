@@ -25,6 +25,8 @@ from .grover import (
     TwoDState,
     apply_word,
     evaluate_strategy,
+    fixed_horizon_length_law,
+    fixed_horizon_win_prob,
     grover_iterate,
     optimal_k,
     pure_game_payoff,

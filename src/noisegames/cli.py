@@ -69,9 +69,9 @@ class _Param(NamedTuple):
 
     ``type`` is int, float, str or bool (a flag that sets True); with
     ``many`` the value is a list of ``type``, written on the command line
-    as comma-separated text.  A parameter with ``when = (key, value)`` is
-    echoed only while parameter ``key`` has that value.  ``lo``/``hi``
-    bound an int inclusively.
+    as comma-separated text.  A parameter with ``when = (key, value)`` may
+    be given, and is echoed, only while parameter ``key`` has that value.
+    ``lo``/``hi`` bound an int inclusively.
     """
 
     key: str
@@ -123,7 +123,10 @@ def _scalar(p: _Param, x):
 
 
 def _resolve(command: str, table: tuple, args: argparse.Namespace, config: dict) -> dict:
-    """Each parameter from its flag, else the config file, else its default."""
+    """Each parameter from its flag, else the config file, else its default.
+
+    A conditional parameter given while its condition fails is refused.
+    """
     unknown = sorted(set(config) - {p.key for p in table} - {"command"})
     if unknown:
         raise ValueError(f"unknown config keys for {command!r}: {', '.join(unknown)}")
@@ -133,6 +136,10 @@ def _resolve(command: str, table: tuple, args: argparse.Namespace, config: dict)
     for p in table:
         flag = getattr(args, p.key)
         values[p.key] = _coerce(p, flag if flag is not None else config.get(p.key, p.default))
+    for p in table:
+        given = getattr(args, p.key) is not None or p.key in config
+        if given and p.when is not None and values[p.when[0]] != p.when[1]:
+            raise ValueError(f"{p.key} applies only when {p.when[0]} is {p.when[1]!r}")
     return values
 
 

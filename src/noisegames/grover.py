@@ -9,6 +9,14 @@ and B fixes the start state -- to an alternating word, and each surviving
 right reduced word measures the marked item with probability
 ``sin^2((2k+1) * asin(1/sqrt(N)))``.
 
+A and B generate the infinite dihedral group, which acts faithfully on
+the odd integers: A is y -> -y, B is y -> 2 - y, and the start state is
+y = 1 (B fixes it).  A word carries 1 to y, and its reduced length is
+y - 1 for y > 0 and -y for y < 0.  After t random letters
+y = 1 + 2 * (-1)^t * d, where d counts the A's at even slots minus those
+at odd slots, so the Monte Carlo needs only that count, and the length
+law after m fair letters is binomial (:func:`fixed_horizon_length_law`).
+
 States are simulated both as full 2^n statevectors and in the invariant
 two-dimensional span of the marked state and the uniform rest
 (:class:`TwoDState`), which has no practical size limit.
@@ -17,7 +25,9 @@ two-dimensional span of the marked state and the uniform rest
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -266,10 +276,10 @@ class StrategyOutcome:
     """Evaluation of a stopping strategy.
 
     ``reduced_length_histogram[s]`` counts trials whose reduced word had
-    length s at the stop (fixed horizons), or ``stopping_time_histogram[t]``
-    counts trials stopped after t operations (adaptive tracking, where the
-    win probability is exact and ``censored`` counts trials that hit the
-    step cap before reaching the target word; they have no stopping time).
+    length s when play ended.  Adaptive tracking also fills
+    ``stopping_time_histogram[t]``, the trials stopped after t operations,
+    and ``censored``, the trials that hit the step cap first: they have no
+    stopping time and are scored by the length they hold at the cap.
     """
 
     win_prob: float
@@ -279,22 +289,19 @@ class StrategyOutcome:
     censored: int = 0
 
 
-def _letters_bit(keys: np.ndarray, slot: int) -> np.ndarray:
-    """True for letter A, False for letter B (one fair bit per slot)."""
-    return (rng.slot_u64(keys, slot) >> np.uint64(63)).astype(bool)
+_TOP = np.uint64(63)  # the top bit of a draw is its letter: 1 for A, 0 for B
+_GRID_ELEMENTS = 1 << 16  # letters per adaptive-tracking chunk (steps x active trials)
 
 
-def _walk_reduced_length(s: np.ndarray, is_a: np.ndarray) -> np.ndarray:
-    """Advance reduced-word lengths by one random letter (vectorized).
+def _reduced_length(d: np.ndarray, t: int) -> np.ndarray:
+    """Reduced-word lengths after t letters with signed A-counts ``d``.
 
-    The reduced word is determined by its length: it alternates and ends
-    in A, so its leftmost letter is A when the length is odd and B when it
-    is even.  A new letter cancels iff it equals that leftmost letter; at
-    length 0 the letter B is absorbed by the start state.
+    ``d`` is (A's at even slots) - (A's at odd slots).  The start point 1
+    is carried to y = 1 + 2 * (-1)^t * d, and the length is y - 1 for
+    y > 0 and -y for y < 0.
     """
-    odd = (s % 2) == 1
-    cancels = (s > 0) & (odd == is_a)
-    return np.where(cancels, s - 1, np.where((s == 0) & ~is_a, s, s + 1))
+    e = -d if t % 2 else d
+    return np.where(e >= 0, 2 * e, -2 * e - 1)
 
 
 def _success_from_lengths(s: np.ndarray, config: GameConfig) -> np.ndarray:
@@ -308,6 +315,30 @@ def _success_from_lengths(s: np.ndarray, config: GameConfig) -> np.ndarray:
     return np.sin((2.0 * (s // 2) + 1.0) * theta) ** 2
 
 
+def fixed_horizon_length_law(m: int) -> dict[int, Fraction]:
+    """Exact law of the reduced-word length after m fair letters, in O(m).
+
+    K = (A's at even slots) + (B's at odd slots) is Bin(m, 1/2), and the
+    word carries the start point 1 to y = (-1)^m * (1 + 2(K - ceil(m/2))),
+    so length y - 1 (y > 0) or -y (y < 0) has probability C(m, K) / 2^m.
+    """
+    m = FixedHorizon(m).m
+    law = {}
+    c = 1
+    for k in range(m + 1):
+        y = (-1) ** m * (1 + 2 * (k - (m + 1) // 2))
+        law[y - 1 if y > 0 else -y] = Fraction(c, 2**m)
+        c = c * (m - k) // (k + 1)
+    return law
+
+
+def fixed_horizon_win_prob(m: int, config: GameConfig) -> float:
+    """Exact win probability of stopping after m random letters."""
+    law = fixed_horizon_length_law(m)
+    payoff = _success_from_lengths(np.fromiter(law, dtype=np.int64, count=len(law)), config)
+    return math.fsum(float(p) * w for p, w in zip(law.values(), payoff))
+
+
 def evaluate_strategy(
     strategy: Strategy,
     config: GameConfig,
@@ -318,11 +349,13 @@ def evaluate_strategy(
 ) -> StrategyOutcome:
     """Evaluate a stopping strategy for the random-operator game.
 
-    Fixed horizons sample the player's m coin flips, reduce the word
-    incrementally, and score it in closed form.  Adaptive tracking wins
-    with exactly the closed-form probability of its target word (the
-    reduced word hits (BA)^k_star with probability one); its Monte Carlo
-    part only samples the stopping-time distribution.
+    Letter t of trial i is the top bit of its slot-t draw.  The reduced
+    length after t letters depends only on the signed A-count d (see
+    :func:`_reduced_length`), so fixed horizons keep two counters per
+    trial, and adaptive tracking takes cumulative sums of d over chunks of
+    steps.  A stopped adaptive trial wins with exactly the closed-form
+    probability of its target word; a censored one scores the length it
+    holds at ``max_adaptive_steps``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -338,9 +371,10 @@ def evaluate_strategy(
 
         def worker(start: int, count: int):
             keys = rng.stream_keys(seed, start, count)
-            s = np.zeros(count, dtype=np.int64)
+            a = np.zeros((2, count), dtype=np.uint64)  # A's at even, odd slots
             for step in range(m):
-                s = _walk_reduced_length(s, _letters_bit(keys, step))
+                np.add(a[step % 2], rng.slot_u64(keys, step) >> _TOP, out=a[step % 2])
+            s = _reduced_length(a[0].astype(np.int64) - a[1].astype(np.int64), m)
             succ = _success_from_lengths(s, config)
             return montecarlo.block_moments(succ, ref), np.bincount(s, minlength=m + 1)
 
@@ -353,36 +387,45 @@ def evaluate_strategy(
         return StrategyOutcome(mean.real, stderr, histogram)
 
     if isinstance(strategy, AdaptiveTracking):
-        target_len = 2 * strategy.k_star
+        k = strategy.k_star
+        ref = success_closed_form(k, config)
 
         def worker(start: int, count: int):
             keys = rng.stream_keys(seed, start, count)
-            s = np.zeros(count, dtype=np.int64)
+            d = np.zeros(count, dtype=np.int64)
             stop_at = np.zeros(count, dtype=np.int64)
-            active = np.arange(count)
+            active = np.arange(count) if k else np.arange(0)
             step = 0
-            if target_len == 0:
-                return np.zeros(count, dtype=np.int64), 0
             while active.size and step < max_adaptive_steps:
-                s_act = _walk_reduced_length(
-                    s[active], _letters_bit(keys[active], step)
-                )
-                s[active] = s_act
-                step += 1
-                hit = s_act == target_len
-                stop_at[active[hit]] = step
-                active = active[~hit]
+                n = min(max(_GRID_ELEMENTS // active.size, 1), max_adaptive_steps - step)
+                w = rng.slot_u64(keys[active], np.arange(step, step + n))
+                w >>= _TOP
+                w = w.view(np.int64)
+                np.negative(w[1 - step % 2 :: 2], out=w[1 - step % 2 :: 2])  # odd slots
+                np.cumsum(w, axis=0, out=w)
+                w += d[active]
+                # the length after slot t is 2k iff d = (-1)^(t+1) * k
+                goal = np.where(np.arange(step, step + n) % 2, k, -k)
+                hit = w == goal[:, None]
+                first = hit.argmax(axis=0)
+                done = hit[first, np.arange(active.size)]
+                stop_at[active[done]] = step + 1 + first[done]
+                d[active] = w[-1]
+                active = active[~done]
+                step += n
             # censored trials never stopped, so they have no stopping time
-            return np.delete(stop_at, active), int(active.size)
+            held = _reduced_length(d[active], step)
+            moments = montecarlo.block_moments(_success_from_lengths(held, config), ref)
+            return np.delete(stop_at, active), held, moments
 
         partials = rng.run_blocks(trials, worker, threads=threads)
-        censored = sum(p[1] for p in partials)
-        times: dict[int, int] = {}
-        for stop_at, _ in partials:
-            for t, c in zip(*np.unique(stop_at, return_counts=True)):
-                times[int(t)] = times.get(int(t), 0) + int(c)
-        win = success_closed_form(strategy.k_star, config)
-        length_hist = {target_len: trials - censored}
-        return StrategyOutcome(win, 0.0, length_hist, times, censored)
+        win, stderr = montecarlo.estimate(ref, [p[2] for p in partials], trials)
+        stops = np.concatenate([p[0] for p in partials])
+        held = np.concatenate([p[1] for p in partials])
+        lengths = Counter(held.tolist())
+        if stops.size:
+            lengths[2 * k] = stops.size
+        times = Counter(stops.tolist())
+        return StrategyOutcome(win.real, stderr, dict(lengths), dict(times), held.size)
 
     raise TypeError(f"unknown strategy: {strategy!r}")

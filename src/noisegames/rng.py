@@ -72,10 +72,18 @@ def stream_keys(seed: int, start: int, count: int) -> np.ndarray:
     return _mix(k ^ np.uint64(s1))
 
 
-def slot_u64(keys: np.ndarray, slot: int) -> np.ndarray:
-    """Raw 64-bit draw at ``slot`` for every stream key in ``keys``."""
-    offset = np.uint64((_GOLDEN * (slot + 1)) & _MASK64)
+def slot_u64(keys: np.ndarray, slot: int | np.ndarray) -> np.ndarray:
+    """Raw 64-bit draw at ``slot`` for every stream key in ``keys``.
+
+    ``slot`` may be a 1-D integer array instead: the result then has shape
+    ``(len(slot), len(keys))`` and row i equals ``slot_u64(keys, slot[i])``.
+    """
     with np.errstate(over="ignore"):
+        if np.ndim(slot) == 0:
+            offset = np.uint64((_GOLDEN * (slot + 1)) & _MASK64)
+        else:
+            slots = np.asarray(slot, dtype=np.uint64)[:, None]
+            offset = (slots + np.uint64(1)) * np.uint64(_GOLDEN)  # wraps mod 2^64
         return _mix(keys + offset)
 
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from first principles (dense
 matrices, exact rational dynamic programming, float trigonometry) so that
-it shares no code path with the implementations it checks.  The exception
-is the per-point Monte Carlo estimators at the end: they keep the package's
-random streams and kick laws and fix the reduction the engine must match.
+it shares no code path with the implementations it checks.  The exceptions
+are the search-game letter walks and the per-point Monte Carlo estimators
+at the end: they keep the package's random streams (and kick laws) and fix
+the results the vectorized routes must match.
 """
 
 import math
@@ -92,6 +93,59 @@ def alternating_word(length: int) -> str:
         return "BA" * (length // 2)
     return "A" + "BA" * (length // 2)
 
+
+
+# --- The search game walked letter by letter ---
+#
+# The reduced word of a random word is determined by its length, so playing
+# one letter moves the length by -1, 0 or +1.  These walks replay every
+# trial's letters one step at a time; evaluate_strategy must match them.
+
+
+def walk_reduced_length(s: np.ndarray, is_a: np.ndarray) -> np.ndarray:
+    """Advance reduced-word lengths by one random letter (vectorized).
+
+    The reduced word is determined by its length: it alternates and ends
+    in A, so its leftmost letter is A when the length is odd and B when it
+    is even.  A new letter cancels iff it equals that leftmost letter; at
+    length 0 the letter B is absorbed by the start state.
+    """
+    odd = (s % 2) == 1
+    cancels = (s > 0) & (odd == is_a)
+    return np.where(cancels, s - 1, np.where((s == 0) & ~is_a, s, s + 1))
+
+
+def _letters_are_a(keys: np.ndarray, slot: int) -> np.ndarray:
+    return (rng.slot_u64(keys, slot) >> np.uint64(63)).astype(bool)
+
+
+def walk_fixed_horizon(m: int, trials: int, seed: int) -> np.ndarray:
+    """Reduced length of every trial after m letters."""
+    keys = rng.stream_keys(seed, 0, trials)
+    s = np.zeros(trials, dtype=np.int64)
+    for step in range(m):
+        s = walk_reduced_length(s, _letters_are_a(keys, step))
+    return s
+
+
+def walk_adaptive(k_star: int, trials: int, seed: int, cap: int):
+    """Stop each trial when its length reaches 2*k_star, or at ``cap`` letters.
+
+    Returns (stopping times, 0 for censored trials; lengths held at the
+    stop or the cap; indices of the censored trials).
+    """
+    keys = rng.stream_keys(seed, 0, trials)
+    s = np.zeros(trials, dtype=np.int64)
+    stop_at = np.zeros(trials, dtype=np.int64)
+    active = np.arange(trials) if k_star else np.arange(0)
+    step = 0
+    while active.size and step < cap:
+        s[active] = walk_reduced_length(s[active], _letters_are_a(keys[active], step))
+        step += 1
+        hit = s[active] == 2 * k_star
+        stop_at[active[hit]] = step
+        active = active[~hit]
+    return stop_at, s, active
 
 # --- Per-point Monte Carlo estimators as written before the shared engine ---
 #

@@ -216,3 +216,25 @@ def test_multi_block_curve_thread_invariant(argv):
     _, two = run_cli(argv + ["--threads", "2"])
     assert one == two
     assert len(json.loads(one)["results"]["curve"]) == 5
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["iid", "--omega", "2"], {}),
+        (["iid", "--dist", "delta", "--angles", "0,1", "--sigma2", "0.5"], {}),
+        (["iid", "--dist", "gaussian", "--weights", "1"], {}),
+        (["grover", "--strategy", "quarter-pi", "--m", "5"], {}),
+        (["grover", "--strategy", "fixed", "--m", "4", "--k-star", "1"], {}),
+        (["iid", "--dist", "exponential"], {"mu": 0.0}),
+        (["grover"], {"strategy": "adaptive", "m": 5}),
+    ],
+    ids=["omega-gaussian", "sigma2-delta", "weights-gaussian", "m-quarter-pi",
+         "k-star-fixed", "config-mu-exponential", "config-m-adaptive"],
+)
+def test_inapplicable_parameters_are_refused(argv, config, tmp_path):
+    # a parameter whose `when` condition fails would be silently dropped
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code, text = run_cli(argv + ["--config", str(cfg)])
+    assert code == 2 and text == ""

@@ -1,13 +1,20 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _oracles import (
     alternating_word,
     expected_fixed_horizon_win,
     optimal_k_by_scan,
+    reduced_length_distribution,
     textbook_grover_matrix,
+    walk_adaptive,
+    walk_fixed_horizon,
+    walk_reduced_length,
 )
 from noisegames.grover import (
     AdaptiveTracking,
@@ -15,11 +22,14 @@ from noisegames.grover import (
     GameConfig,
     QuarterPiHorizon,
     TwoDState,
+    _reduced_length,
     apply_A,
     apply_B,
     apply_word,
     embed_2d,
     evaluate_strategy,
+    fixed_horizon_length_law,
+    fixed_horizon_win_prob,
     grover_iterate,
     optimal_k,
     pure_game_payoff,
@@ -247,12 +257,10 @@ class TestEvaluateStrategy:
     def test_walk_agrees_with_string_reduction(self):
         # the walk consumes letters in playing order, i.e. the word string
         # right to left
-        from noisegames.grover import _walk_reduced_length
-
         for word in random_words(200, 30, 13):
             s = np.zeros(1, dtype=np.int64)
             for letter in reversed(word):
-                s = _walk_reduced_length(s, np.array([letter == "A"]))
+                s = walk_reduced_length(s, np.array([letter == "A"]))
             assert int(s[0]) == len(reduce_word(word))
 
     def test_adaptive_exact_win(self):
@@ -271,6 +279,28 @@ class TestEvaluateStrategy:
         assert 0 < out.censored < 200
         assert sum(out.stopping_time_histogram.values()) == 200 - out.censored
         assert all(24 <= t <= 100 for t in out.stopping_time_histogram)
+
+    def test_censored_trials_score_the_length_they_hold(self):
+        # k_star = 50 needs E[T] = 100 * 101 letters, so a 100-letter cap censors all
+        c = GameConfig(12)
+        out = evaluate_strategy(
+            AdaptiveTracking(optimal_k(c)), c, 500, seed=0, max_adaptive_steps=100
+        )
+        assert out.censored == 500
+        held = out.reduced_length_histogram
+        assert sum(held.values()) == 500 and max(held) <= 100
+        want = math.fsum(n * success_closed_form(s // 2, c) for s, n in held.items()) / 500
+        assert out.win_prob == pytest.approx(want, rel=1e-12)
+        assert out.win_prob < 0.5 < success_closed_form(optimal_k(c), c)
+        assert out.stderr > 0.0
+
+    def test_uncensored_adaptive_is_the_closed_form(self):
+        c = GameConfig(5, 3)
+        out = evaluate_strategy(AdaptiveTracking(3), c, 3000, seed=8)
+        assert out.censored == 0
+        assert out.win_prob == success_closed_form(3, c)
+        assert out.stderr == 0.0
+        assert out.reduced_length_histogram == {6: 3000}
 
     def test_adaptive_deterministic(self):
         c = GameConfig(4, 1)
@@ -295,3 +325,62 @@ class TestConfigValidation:
             GameConfig(0)
         with pytest.raises(ValueError):
             GameConfig(61)
+
+
+class TestSignedLetterCount:
+    """The reduced length as a function of the signed count of A letters."""
+
+    @given(st.text(alphabet="AB", max_size=80))
+    def test_closed_form_length_is_word_reduction(self, word):
+        played = word[::-1]  # the rightmost letter is played first
+        d = sum((-1) ** t for t, letter in enumerate(played) if letter == "A")
+        closed = int(_reduced_length(np.array([d]), len(played))[0])
+        walk = np.zeros(1, dtype=np.int64)
+        for letter in played:
+            walk = walk_reduced_length(walk, np.array([letter == "A"]))
+        assert closed == len(reduce_word(word)) == int(walk[0])
+
+    def test_length_law_is_the_rational_dp(self):
+        for m in range(80):
+            assert fixed_horizon_length_law(m) == reduced_length_distribution(m)
+
+    def test_win_prob_is_the_dp_expectation(self):
+        for m, n in ((0, 3), (1, 3), (17, 4), (28, 6), (101, 8)):
+            assert fixed_horizon_win_prob(m, GameConfig(n)) == pytest.approx(
+                expected_fixed_horizon_win(m, n), rel=1e-12, abs=1e-15
+            )
+
+    @pytest.mark.parametrize("n, trials", [(6, 100_000), (16, 20_000)])
+    def test_monte_carlo_agrees_with_exact_at_quarter_pi(self, n, trials):
+        c = GameConfig(n)
+        out = evaluate_strategy(QuarterPiHorizon(), c, trials, seed=21)
+        exact = fixed_horizon_win_prob(4 * quarter_pi_k(c), c)
+        assert abs(out.win_prob - exact) < 5 * out.stderr
+
+    @pytest.mark.parametrize("m", range(40))
+    def test_fixed_horizon_lengths_are_the_walk(self, m):
+        out = evaluate_strategy(FixedHorizon(m), GameConfig(5), 2000, seed=m)
+        assert out.reduced_length_histogram == Counter(walk_fixed_horizon(m, 2000, m).tolist())
+
+    @staticmethod
+    def assert_adaptive_is_the_walk(k_star, trials, seed, cap, threads=1):
+        out = evaluate_strategy(
+            AdaptiveTracking(k_star), GameConfig(7), trials, seed, threads, cap
+        )
+        stop_at, s, censored = walk_adaptive(k_star, trials, seed, cap)
+        assert out.censored == censored.size
+        assert out.stopping_time_histogram == Counter(np.delete(stop_at, censored).tolist())
+        assert out.reduced_length_histogram == Counter(s.tolist())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lengths_and_stopping_times_across_blocks(self, threads):
+        # 70,000 trials are two trajectory blocks
+        out = evaluate_strategy(FixedHorizon(37), GameConfig(6), 70_000, seed=5, threads=threads)
+        assert out.reduced_length_histogram == Counter(walk_fixed_horizon(37, 70_000, 5).tolist())
+        for cap in (37, 100, 10**6):
+            self.assert_adaptive_is_the_walk(3, 70_000, 5, cap, threads)
+
+    @pytest.mark.parametrize("k_star", [0, 1, 2, 5])
+    @pytest.mark.parametrize("cap", [0, 1, 37, 100])
+    def test_adaptive_is_the_walk_under_caps(self, k_star, cap):
+        self.assert_adaptive_is_the_walk(k_star, 3000, k_star, cap)

@@ -74,3 +74,15 @@ def test_run_blocks_order_and_thread_invariance():
 def test_uniform_open_never_zero():
     u = rng.derive_stream(1, 1).uniform_open(10_000)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
+
+
+def test_slot_array_rows_equal_scalar_slots():
+    # the last slots wrap (slot + 1) * GOLDEN modulo 2^64
+    keys = rng.stream_keys(3, 10, 40)
+    slots = [0, 1, 2, 7, 1000, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+    grid = rng.slot_u64(keys, np.array(slots, dtype=np.uint64))
+    assert grid.shape == (len(slots), len(keys))
+    for row, slot in zip(grid, slots):
+        assert np.array_equal(row, rng.slot_u64(keys, slot))
+    rows = rng.slot_u64(keys, np.arange(5, 9))
+    assert all(np.array_equal(rows[i], rng.slot_u64(keys, 5 + i)) for i in range(4))
