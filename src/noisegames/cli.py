@@ -125,7 +125,8 @@ def _scalar(p: _Param, x):
 def _resolve(command: str, table: tuple, args: argparse.Namespace, config: dict) -> dict:
     """Each parameter from its flag, else the config file, else its default.
 
-    A conditional parameter given while its condition fails is refused.
+    A conditional parameter given while its condition fails is refused,
+    unless it comes from the config and a flag switched its condition away.
     """
     unknown = sorted(set(config) - {p.key for p in table} - {"command"})
     if unknown:
@@ -137,8 +138,11 @@ def _resolve(command: str, table: tuple, args: argparse.Namespace, config: dict)
         flag = getattr(args, p.key)
         values[p.key] = _coerce(p, flag if flag is not None else config.get(p.key, p.default))
     for p in table:
-        given = getattr(args, p.key) is not None or p.key in config
-        if given and p.when is not None and values[p.when[0]] != p.when[1]:
+        if p.when is None or values[p.when[0]] == p.when[1]:
+            continue
+        from_flag = getattr(args, p.key) is not None
+        from_config = p.key in config and getattr(args, p.when[0]) is None
+        if from_flag or from_config:
             raise ValueError(f"{p.key} applies only when {p.when[0]} is {p.when[1]!r}")
     return values
 

@@ -78,13 +78,9 @@ def slot_u64(keys: np.ndarray, slot: int | np.ndarray) -> np.ndarray:
     ``slot`` may be a 1-D integer array instead: the result then has shape
     ``(len(slot), len(keys))`` and row i equals ``slot_u64(keys, slot[i])``.
     """
-    with np.errstate(over="ignore"):
-        if np.ndim(slot) == 0:
-            offset = np.uint64((_GOLDEN * (slot + 1)) & _MASK64)
-        else:
-            slots = np.asarray(slot, dtype=np.uint64)[:, None]
-            offset = (slots + np.uint64(1)) * np.uint64(_GOLDEN)  # wraps mod 2^64
-        return _mix(keys + offset)
+    # shape (1,) for a scalar slot, (S, 1) for an array; wraps mod 2^64
+    offset = (np.asarray(slot, dtype=np.uint64)[..., None] + np.uint64(1)) * np.uint64(_GOLDEN)
+    return _mix(keys + offset)
 
 
 def slot_uniform(keys: np.ndarray, slot: int) -> np.ndarray:

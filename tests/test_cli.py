@@ -219,22 +219,31 @@ def test_multi_block_curve_thread_invariant(argv):
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, want",
     [
-        (["iid", "--omega", "2"], {}),
-        (["iid", "--dist", "delta", "--angles", "0,1", "--sigma2", "0.5"], {}),
-        (["iid", "--dist", "gaussian", "--weights", "1"], {}),
-        (["grover", "--strategy", "quarter-pi", "--m", "5"], {}),
-        (["grover", "--strategy", "fixed", "--m", "4", "--k-star", "1"], {}),
-        (["iid", "--dist", "exponential"], {"mu": 0.0}),
-        (["grover"], {"strategy": "adaptive", "m": 5}),
+        (["iid", "--omega", "2"], {}, 2),
+        (["iid", "--dist", "delta", "--angles", "0,1", "--sigma2", "0.5"], {}, 2),
+        (["iid", "--dist", "gaussian", "--weights", "1"], {}, 2),
+        (["grover", "--strategy", "quarter-pi", "--m", "5"], {}, 2),
+        (["grover", "--strategy", "fixed", "--m", "4", "--k-star", "1"], {}, 2),
+        (["iid"], {"dist": "exponential", "mu": 0.0}, 2),
+        (["grover"], {"strategy": "adaptive", "m": 5}, 2),
+        # a flag overrides the config's choice and drops the keys of the old one
+        (["grover", "--strategy", "adaptive", "--trials", "200"],
+         {"strategy": "fixed", "m": 12}, 0),
     ],
     ids=["omega-gaussian", "sigma2-delta", "weights-gaussian", "m-quarter-pi",
-         "k-star-fixed", "config-mu-exponential", "config-m-adaptive"],
+         "k-star-fixed", "config-mu-exponential", "config-m-adaptive",
+         "flag-switches-config-fixed"],
 )
-def test_inapplicable_parameters_are_refused(argv, config, tmp_path):
-    # a parameter whose `when` condition fails would be silently dropped
+def test_inapplicable_parameters_are_refused_or_dropped(argv, config, want, tmp_path):
+    # a parameter given while its `when` condition fails exits 2, unless it
+    # comes from the config and a flag switched the condition away
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
     code, text = run_cli(argv + ["--config", str(cfg)])
-    assert code == 2 and text == ""
+    assert code == want
+    if want == 2:
+        assert text == ""
+    else:
+        assert set(config) - set(json.loads(text)["inputs"]) == {"m"}

@@ -84,5 +84,8 @@ def test_slot_array_rows_equal_scalar_slots():
     assert grid.shape == (len(slots), len(keys))
     for row, slot in zip(grid, slots):
         assert np.array_equal(row, rng.slot_u64(keys, slot))
+        # Python integers as the independent reference for the scalar draw
+        want = [rng._mix_int(int(k) + rng._GOLDEN * (slot + 1)) for k in keys]
+        assert row.tolist() == want
     rows = rng.slot_u64(keys, np.arange(5, 9))
     assert all(np.array_equal(rows[i], rng.slot_u64(keys, 5 + i)) for i in range(4))
