@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import montecarlo, rng
 from .qubit import DensityMatrix2
@@ -204,6 +203,9 @@ def char_function_quadrature(dist: KickDistribution) -> complex:
         lo, hi = 0.0, 40.0 * s
     else:
         raise TypeError(f"unsupported kick distribution: {type(dist).__name__}")
+    # scipy is imported only here, so the package and the CLI load without it.
+    from scipy.integrate import quad
+
     re, _ = quad(lambda t: math.cos(t) * pdf(t), lo, hi, epsabs=1e-11, limit=400)
     im, _ = quad(lambda t: math.sin(t) * pdf(t), lo, hi, epsabs=1e-11, limit=400)
     return complex(re, im)

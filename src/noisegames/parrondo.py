@@ -285,7 +285,9 @@ def simulate(
     """Play ``rounds`` rounds from k = 0 and tally wins.
 
     Round r draws its game choice and rotation from the stream keyed by
-    (seed, r); increments are combined in fixed block order, so tallies are
+    (seed, r).  Each block keeps only the histogram of its positions
+    relative to its own start and its last relative position, so memory is
+    O(L) per block; the blocks are merged in fixed order, so tallies are
     bit-identical under any thread count.
     """
     if rounds < 1:
@@ -294,6 +296,8 @@ def simulate(
     n_games = len(combined.games)
     moduli = np.array(combined.moduli, dtype=np.int64)
     strides = np.array([L // g.m for g in combined.games], dtype=np.int64)
+    k = np.arange(L, dtype=np.int64)
+    winning = ((4 * k <= L) | (4 * k >= 3 * L)).astype(np.int64)
 
     def worker(start: int, count: int):
         keys = rng.stream_keys(seed, start, count)
@@ -303,15 +307,13 @@ def simulate(
         j = np.minimum(
             (rng.slot_uniform(keys, 1) * moduli[g]).astype(np.int64), moduli[g] - 1
         )
-        inc = j * strides[g]
-        rel = np.cumsum(inc) % L
-        return rel
+        rel = np.cumsum(j * strides[g]) % L
+        return np.bincount(rel, minlength=L), int(rel[-1])
 
-    blocks = rng.run_blocks(rounds, worker, threads=threads)
     wins = 0
     carry = 0
-    for rel in blocks:
-        pos = (rel + carry) % L
-        wins += int(np.count_nonzero((4 * pos <= L) | (4 * pos >= 3 * L)))
-        carry = int(pos[-1])
+    for hist, last in rng.run_blocks(rounds, worker, threads=threads):
+        # A block started at position ``carry`` visits (rel + carry) % L.
+        wins += int(hist @ np.roll(winning, -carry))
+        carry = (carry + last) % L
     return SimulatedStats(wins, rounds)

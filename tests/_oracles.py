@@ -3,9 +3,9 @@
 Everything here is deliberately written from first principles (dense
 matrices, exact rational dynamic programming, float trigonometry) so that
 it shares no code path with the implementations it checks.  The exceptions
-are the search-game letter walks and the per-point Monte Carlo estimators
-at the end: they keep the package's random streams (and kick laws) and fix
-the results the vectorized routes must match.
+are the search-game letter walks, the per-point Monte Carlo estimators and
+the wheel-game position merge at the end: they keep the package's random
+streams (and kick laws) and fix the results the faster routes must match.
 """
 
 import math
@@ -247,3 +247,37 @@ def memory_mc_point(b0: complex, kern, n: int, trials: int, seed: int, threads: 
 
     partials = rng.run_blocks(trials, worker, threads=threads)
     return _moments_to_mean_stderr(ref, partials, trials)
+
+
+# --- The wheel-game simulation as written before residue histograms ---
+
+
+def simulate_by_positions(combined, rounds: int, seed: int, threads: int = 1) -> int:
+    """Wins of ``parrondo.simulate`` by its position-array merge.
+
+    Every block keeps the whole array of its positions relative to its
+    start (8 bytes per round); the merge shifts each array by the carried
+    position and tests every round for a win.
+    """
+    L = combined.modulus
+    n_games = len(combined.games)
+    moduli = np.array(combined.moduli, dtype=np.int64)
+    strides = np.array([L // g.m for g in combined.games], dtype=np.int64)
+
+    def worker(start: int, count: int):
+        keys = rng.stream_keys(seed, start, count)
+        g = np.minimum(
+            (rng.slot_uniform(keys, 0) * n_games).astype(np.int64), n_games - 1
+        )
+        j = np.minimum(
+            (rng.slot_uniform(keys, 1) * moduli[g]).astype(np.int64), moduli[g] - 1
+        )
+        return np.cumsum(j * strides[g]) % L
+
+    wins = 0
+    carry = 0
+    for rel in rng.run_blocks(rounds, worker, threads=threads):
+        pos = (rel + carry) % L
+        wins += int(np.count_nonzero((4 * pos <= L) | (4 * pos >= 3 * L)))
+        carry = int(pos[-1])
+    return wins

@@ -64,9 +64,10 @@ from noisegames.parrondo import (
     simulate,
 )
 from noisegames.qubit import (
+    ATOL_STATE,
     DensityMatrix2,
+    QubitMapSpec,
     apply_channel,
-    coherence,
     coherence_gain_witness,
     off_diagonal_gain_spec,
     plus_state,
@@ -170,22 +171,45 @@ def test_criterion_4_wheel_games():
             assert abs(sim.win_prob - p) < 3.0 * sigma
 
 
+def _assert_states(a, b, c):
+    """The checks DensityMatrix2 enforces, on arrays of states (a, b, c)."""
+    assert np.all(np.isfinite(a) & np.isfinite(b) & np.isfinite(c))
+    assert np.all(np.abs(a + c - 1.0) <= ATOL_STATE)
+    assert np.all((a >= -ATOL_STATE) & (c >= -ATOL_STATE))
+    assert np.all(np.abs(b) ** 2 <= a * c + ATOL_STATE)
+
+
 def test_criterion_5_no_coherence_gain():
     with criterion(5, "no coherence booster", budget=60.0):
         gen = derive_stream(505, 0)
-        worst = -math.inf
-        for _ in range(10_000):
+        n_channels, n_states = 10_000, 100
+        channels, images = [], []
+        u = np.empty((n_channels, 3 * n_states))
+        for i in range(n_channels):
             ch = random_diagonal_channel(gen)
-            u = gen.uniform(300)
-            for j in range(100):
-                a = float(u[3 * j])
-                r = float(u[3 * j + 1]) * math.sqrt(max(a * (1.0 - a), 0.0))
-                chi = (float(u[3 * j + 2]) * 2.0 - 1.0) * math.pi
-                rho = DensityMatrix2(a, r * cmath.exp(1j * chi), 1.0 - a)
-                gain = coherence(apply_channel(ch, rho)) - coherence(rho)
-                if gain > worst:
-                    worst = gain
-        assert worst <= 1e-10
+            u[i] = gen.uniform(3 * n_states)
+            spec = QubitMapSpec.from_kraus(ch)
+            channels.append(ch)
+            images.append((spec.img00, spec.img01, spec.img10, spec.img11))
+        img = np.array(images)  # (channel, unit 00/01/10/11, row, column)
+        # each channel's states, drawn as (a, r, chi) triples
+        a = u[:, 0::3]
+        r = u[:, 1::3] * np.sqrt(np.maximum(a * (1.0 - a), 0.0))
+        b = r * np.exp(1j * ((u[:, 2::3] * 2.0 - 1.0) * math.pi))
+        c = 1.0 - a
+        _assert_states(a, b, c)
+        # rho = a|0><0| + b|0><1| + conj(b)|1><0| + c|1><1|, mapped linearly
+        coeffs = np.stack([a, b, b.conj(), c], axis=-1)
+        out = np.einsum("csu,curk->csrk", coeffs, img)
+        a_out, b_out, c_out = out[..., 0, 0].real, out[..., 0, 1], out[..., 1, 1].real
+        _assert_states(a_out, b_out, c_out)
+        assert np.max(np.abs(b_out) - np.abs(b)) <= 1e-10
+        # scalar cross-check on the first state of every channel
+        for i, ch in enumerate(channels):
+            rho = apply_channel(ch, DensityMatrix2(a[i, 0], b[i, 0], c[i, 0]))
+            assert abs(rho.a - a_out[i, 0]) <= 1e-12
+            assert abs(rho.b - b_out[i, 0]) <= 1e-12
+            assert abs(rho.c - c_out[i, 0]) <= 1e-12
 
         witness = coherence_gain_witness(off_diagonal_gain_spec(1.2, 0.0))
         assert witness.violated

@@ -1,5 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +252,29 @@ def test_inapplicable_parameters_are_refused_or_dropped(argv, config, want, tmp_
         assert text == ""
     else:
         assert set(config) - set(json.loads(text)["inputs"]) == {"m"}
+
+
+def test_cli_runs_without_scipy():
+    # scipy is imported only by the quadrature oracle, so a fresh
+    # interpreter runs every subcommand without loading it
+    child = textwrap.dedent(
+        """
+        import io, sys
+        from noisegames import cli
+        for argv in (
+            ["iid", "--dist", "exponential", "--steps", "3", "--trials", "200"],
+            ["memory", "--steps", "3", "--trials", "200"],
+            ["dissipative", "--trials", "200"],
+            ["parrondo", "--trials", "200"],
+            ["grover", "--n-qubits", "3", "--trials", "200"],
+        ):
+            assert cli.run(argv, stdout=io.StringIO()) == 0, argv
+        assert "scipy" not in sys.modules
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import winning_positions_by_cosine
+from _oracles import simulate_by_positions, winning_positions_by_cosine
+from noisegames import rng
 from noisegames.parrondo import (
     GAME_A,
     GAME_B,
@@ -200,3 +201,20 @@ class TestSimulate:
     def test_round_validation(self):
         with pytest.raises(ValueError):
             simulate(CombinedGame((GAME_A,)), 0, seed=0)
+
+    @pytest.mark.parametrize("moduli", [(3, 7), (19, 23), (3, 5, 7), (3, 3)])
+    @pytest.mark.parametrize(
+        "rounds",
+        [
+            1,
+            rng.BLOCK_SIZE - 1,
+            rng.BLOCK_SIZE,
+            rng.BLOCK_SIZE + 1,
+            3 * rng.BLOCK_SIZE + 12_345,
+        ],
+    )
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_histogram_merge_matches_positions(self, moduli, rounds, threads):
+        g = CombinedGame(tuple(RotationGame(m) for m in moduli))
+        sim = simulate(g, rounds, seed=11, threads=threads)
+        assert sim.wins == simulate_by_positions(g, rounds, seed=11, threads=threads)
