@@ -22,18 +22,14 @@ from .grover import (
     GameConfig,
     QuarterPiHorizon,
     StrategyOutcome,
-    TwoDState,
-    apply_word,
     evaluate_strategy,
     fixed_horizon_length_law,
     fixed_horizon_win_prob,
-    grover_iterate,
     optimal_k,
     pure_game_payoff,
     quarter_pi_k,
     reduce_word,
     success_closed_form,
-    uniform_state,
 )
 from .kicks import (
     DecayFactor,
@@ -43,7 +39,6 @@ from .kicks import (
     GaussianKicks,
     McEstimate,
     char_function,
-    char_function_quadrature,
     evolve_iid,
     evolve_iid_mc,
     evolve_iid_mc_curve,
@@ -93,6 +88,5 @@ from .qubit import (
     plus_state,
     rz,
 )
-from .rng import Stream, derive_stream
 
 __version__ = "0.1.0"

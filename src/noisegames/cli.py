@@ -185,7 +185,7 @@ def _cmd_iid(v: dict, threads: int):
         if v["weights"] is None:
             dist = kicks.DeltaMixture.uniform(v["angles"])
         else:
-            dist = kicks.DeltaMixture(tuple(zip(v["weights"], v["angles"])))
+            dist = kicks.DeltaMixture(tuple(zip(v["weights"], v["angles"], strict=True)))
         derived = {"angles": list(dist.angles), "weights": list(dist.weights)}
     elif v["dist"] == "gaussian":
         dist = kicks.GaussianKicks(v["mu"], v["sigma2"])

@@ -16,10 +16,8 @@ y - 1 for y > 0 and -y for y < 0.  After t random letters
 y = 1 + 2 * (-1)^t * d, where d counts the A's at even slots minus those
 at odd slots, so the Monte Carlo needs only that count, and the length
 law after m fair letters is binomial (:func:`fixed_horizon_length_law`).
-
-States are simulated both as full 2^n statevectors and in the invariant
-two-dimensional span of the marked state and the uniform rest
-(:class:`TwoDState`), which has no practical size limit.
+No state vector is ever formed: the payoff of a word is the closed form of
+its reduced length.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import numpy as np
 
 from . import montecarlo, rng
 
-FULL_MODE_MAX_QUBITS = 24  # 16M amplitudes; desk-scale memory guard
 TWO_D_MAX_QUBITS = 60
 
 
@@ -58,93 +55,6 @@ class GameConfig:
     @property
     def size(self) -> int:
         return 2**self.n_qubits
-
-
-def _require_full_mode(config: GameConfig) -> None:
-    if config.n_qubits > FULL_MODE_MAX_QUBITS:
-        raise ValueError(
-            f"full statevector mode is capped at {FULL_MODE_MAX_QUBITS} qubits; "
-            "use 2d mode"
-        )
-
-
-def uniform_state(config: GameConfig) -> np.ndarray:
-    """The uniform superposition as a full statevector."""
-    _require_full_mode(config)
-    n = config.size
-    return np.full(n, 1.0 / math.sqrt(n), dtype=complex)
-
-
-def apply_A(state: np.ndarray, config: GameConfig) -> np.ndarray:
-    """Sign flip of the marked amplitude (full mode)."""
-    out = np.array(state, dtype=complex)
-    out[config.target] = -out[config.target]
-    return out
-
-
-def apply_B(state: np.ndarray, config: GameConfig) -> np.ndarray:
-    """Reflection about the uniform state: amp -> 2*mean - amp (full mode)."""
-    out = np.asarray(state, dtype=complex)
-    return 2.0 * out.mean() - out
-
-
-def grover_iterate(state: np.ndarray, config: GameConfig) -> np.ndarray:
-    """One step of the composed game operator: A then B."""
-    return apply_B(apply_A(state, config), config)
-
-
-@dataclass(frozen=True, slots=True)
-class TwoDState:
-    """State in the invariant plane span{marked, uniform-rest}.
-
-    ``c_target`` multiplies the marked basis state; ``c_rest`` multiplies
-    the normalized uniform superposition of the other N-1 states.  Both
-    game operators preserve this plane, so it simulates any word at any n.
-    """
-
-    c_target: complex
-    c_rest: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "c_target", complex(self.c_target))
-        object.__setattr__(self, "c_rest", complex(self.c_rest))
-        norm = abs(self.c_target) ** 2 + abs(self.c_rest) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("two-dimensional state must be normalized")
-
-    @property
-    def success(self) -> float:
-        """Probability of measuring the marked state."""
-        return abs(self.c_target) ** 2
-
-
-def uniform_2d(config: GameConfig) -> TwoDState:
-    n = config.size
-    return TwoDState(1.0 / math.sqrt(n), math.sqrt((n - 1.0) / n))
-
-
-def apply_A_2d(state: TwoDState, config: GameConfig) -> TwoDState:
-    return TwoDState(-state.c_target, state.c_rest)
-
-
-def apply_B_2d(state: TwoDState, config: GameConfig) -> TwoDState:
-    n = config.size
-    s = 1.0 / math.sqrt(n)
-    c = math.sqrt((n - 1.0) / n)
-    ct, cr = state.c_target, state.c_rest
-    return TwoDState(
-        (2.0 * s * s - 1.0) * ct + 2.0 * s * c * cr,
-        2.0 * s * c * ct + (2.0 * c * c - 1.0) * cr,
-    )
-
-
-def embed_2d(state: TwoDState, config: GameConfig) -> np.ndarray:
-    """Full statevector carried by a two-dimensional state."""
-    _require_full_mode(config)
-    n = config.size
-    out = np.full(n, state.c_rest / math.sqrt(n - 1.0), dtype=complex)
-    out[config.target] = state.c_target
-    return out
 
 
 def success_closed_form(k: int, config: GameConfig) -> float:
@@ -177,32 +87,6 @@ def reduce_word(word: str) -> str:
     if reduced and reduced[-1] == "B":
         reduced.pop()
     return "".join(reduced)
-
-
-State = Union[np.ndarray, TwoDState]
-
-
-def apply_word(word: str, config: GameConfig, mode: str = "full") -> State:
-    """Apply an operator word (rightmost letter first) to the uniform state."""
-    if mode == "full":
-        state: State = uniform_state(config)
-        ops = {"A": apply_A, "B": apply_B}
-    elif mode == "2d":
-        state = uniform_2d(config)
-        ops = {"A": apply_A_2d, "B": apply_B_2d}
-    else:
-        raise ValueError(f"mode must be 'full' or '2d', got {mode!r}")
-    for letter in reversed(word):
-        if letter not in ops:
-            raise ValueError(f"letters must be 'A' or 'B', got {letter!r}")
-        state = ops[letter](state, config)
-    return state
-
-
-def word_success(word: str, config: GameConfig) -> float:
-    """Probability of measuring the marked state after applying ``word``."""
-    state = apply_word(word, config, mode="2d")
-    return state.success
 
 
 def pure_game_payoff(config: GameConfig) -> float:

@@ -12,10 +12,11 @@ picks up a factor ``gamma^n e^{-i n phi}``.  Three laws are supported:
 * :class:`GaussianKicks` -- mean mu, variance sigma2, giving
   ``gamma = e^{-sigma2/2}`` and ``phi = mu``.
 
-Every closed form is cross-checkable against adaptive quadrature of the
-defining integral via :func:`char_function_quadrature`.  Trajectories are
-averaged by the shared block-moment reducer of :mod:`noisegames.montecarlo`;
-trajectory t reads slot k at kick k, so a curve over 0..n kicks is one pass.
+The closed forms in :func:`char_function` are the only route to these
+values here; the tests hold them against quadrature of the defining
+integrals.  Trajectories are averaged by the shared block-moment reducer
+of :mod:`noisegames.montecarlo`; trajectory t reads slot k at kick k, so a
+curve over 0..n kicks is one pass.
 """
 
 from __future__ import annotations
@@ -170,45 +171,6 @@ def char_function(dist: KickDistribution) -> DecayFactor:
         s = dist.scale
         return DecayFactor(1.0 / math.sqrt(1.0 + s * s), math.atan(s))
     raise TypeError(f"unsupported kick distribution: {type(dist).__name__}")
-
-
-def char_function_quadrature(dist: KickDistribution) -> complex:
-    """E[e^{i theta}] by adaptive quadrature of the defining integral.
-
-    Independent oracle for :func:`char_function`: Gaussian laws are
-    integrated over [mu - 10 sigma, mu + 10 sigma] and exponential laws
-    over [0, 40 * omega * tau1] (tail mass below 1e-12), absolute
-    tolerance 1e-11.  Point masses have no density and are summed exactly.
-    """
-    if isinstance(dist, DeltaMixture):
-        re = math.fsum(w * math.cos(a) for w, a in dist.pairs)
-        im = math.fsum(w * math.sin(a) for w, a in dist.pairs)
-        return complex(re, im)
-    if isinstance(dist, GaussianKicks):
-        if dist.sigma2 == 0.0:
-            return cmath.exp(1j * dist.mu)
-        sigma = math.sqrt(dist.sigma2)
-        norm = 1.0 / (sigma * math.sqrt(TWO_PI))
-
-        def pdf(t: float) -> float:
-            return norm * math.exp(-0.5 * ((t - dist.mu) / sigma) ** 2)
-
-        lo, hi = dist.mu - 10.0 * sigma, dist.mu + 10.0 * sigma
-    elif isinstance(dist, ExponentialKicks):
-        s = dist.scale
-
-        def pdf(t: float) -> float:
-            return math.exp(-t / s) / s
-
-        lo, hi = 0.0, 40.0 * s
-    else:
-        raise TypeError(f"unsupported kick distribution: {type(dist).__name__}")
-    # scipy is imported only here, so the package and the CLI load without it.
-    from scipy.integrate import quad
-
-    re, _ = quad(lambda t: math.cos(t) * pdf(t), lo, hi, epsabs=1e-11, limit=400)
-    im, _ = quad(lambda t: math.sin(t) * pdf(t), lo, hi, epsabs=1e-11, limit=400)
-    return complex(re, im)
 
 
 def evolve_iid(

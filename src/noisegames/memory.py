@@ -145,11 +145,6 @@ class CoherenceTrace:
 
     values: tuple[tuple[complex, complex], ...]
 
-    def __post_init__(self):
-        for fa, fb in self.values:
-            if abs(fa) > 1.0 + 1e-12 or abs(fb) > 1.0 + 1e-12:
-                raise ValueError("recursion values cannot exceed unit magnitude")
-
     @property
     def final_a(self) -> complex:
         return self.values[-1][0]

@@ -5,7 +5,8 @@ The state carrier is :class:`DensityMatrix2`, the 2x2 Hermitian matrix
 Physical channels are :class:`KrausChannel`; arbitrary (possibly
 unphysical) linear maps are described by :class:`QubitMapSpec`, which
 fixes the images of the four matrix units and supports a Choi-matrix
-positivity test.
+positivity test.  Everything here is deterministic; the module draws no
+random numbers.
 
 :func:`coherence_gain_witness` demonstrates why no non-dissipative map can
 increase coherence: any diagonal-fixing map whose off-diagonal images have
@@ -20,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import Stream
 
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
@@ -115,22 +114,6 @@ def rz(theta: float) -> Unitary2:
     return Unitary2(cmath.exp(-0.5j * theta), 0.0j, 0.0j, cmath.exp(0.5j * theta))
 
 
-def apply_unitary(u: Unitary2, rho: DensityMatrix2) -> DensityMatrix2:
-    """Conjugation U rho U+; preserves trace and both eigenvalues."""
-    a, b, c = rho.a, rho.b, rho.c
-    bc = b.conjugate()
-    # t = U rho
-    t00 = u.u00 * a + u.u01 * bc
-    t01 = u.u00 * b + u.u01 * c
-    t10 = u.u10 * a + u.u11 * bc
-    t11 = u.u10 * b + u.u11 * c
-    # out = t U+
-    o00 = t00 * u.u00.conjugate() + t01 * u.u01.conjugate()
-    o01 = t00 * u.u10.conjugate() + t01 * u.u11.conjugate()
-    o11 = t10 * u.u10.conjugate() + t11 * u.u11.conjugate()
-    return DensityMatrix2(o00.real, o01, o11.real)
-
-
 def _sandwich(k: Matrix2, rho: DensityMatrix2) -> tuple[float, complex, float]:
     """Entries (00, 01, 11) of K rho K+ for a 2x2 operator K."""
     a, b, c = rho.a, rho.b, rho.c
@@ -144,6 +127,11 @@ def _sandwich(k: Matrix2, rho: DensityMatrix2) -> tuple[float, complex, float]:
     s01 = t00 * k10.conjugate() + t01 * k11.conjugate()
     s11 = t10 * k10.conjugate() + t11 * k11.conjugate()
     return s00.real, s01, s11.real
+
+
+def apply_unitary(u: Unitary2, rho: DensityMatrix2) -> DensityMatrix2:
+    """Conjugation U rho U+; preserves trace and both eigenvalues."""
+    return DensityMatrix2(*_sandwich(((u.u00, u.u01), (u.u10, u.u11)), rho))
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,15 +251,19 @@ class QubitMapSpec:
         )
 
 
+def _unit_images(spec: QubitMapSpec) -> dict[tuple[int, int], Matrix2]:
+    """Image of each matrix unit |i><j|, keyed by (i, j)."""
+    return {(0, 0): spec.img00, (0, 1): spec.img01, (1, 0): spec.img10, (1, 1): spec.img11}
+
+
 def choi_matrix(spec: QubitMapSpec) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) F(|i><j|), a 4x4 complex array.
 
     Hermitian iff the map preserves Hermiticity; positive semidefinite iff
     the map is completely positive.
     """
-    images = {(0, 0): spec.img00, (0, 1): spec.img01, (1, 0): spec.img10, (1, 1): spec.img11}
     c = np.zeros((4, 4), dtype=complex)
-    for (i, j), img in images.items():
+    for (i, j), img in _unit_images(spec).items():
         for k in range(2):
             for l in range(2):
                 c[2 * i + k, 2 * j + l] = img[k][l]
@@ -291,8 +283,7 @@ def is_cptp(spec: QubitMapSpec, tol: float = ATOL_CHANNEL) -> bool:
     eigs = np.linalg.eigvalsh((c + c.conj().T) / 2.0)
     if eigs[0] < -tol:
         return False
-    images = {(0, 0): spec.img00, (0, 1): spec.img01, (1, 0): spec.img10, (1, 1): spec.img11}
-    for (i, j), img in images.items():
+    for (i, j), img in _unit_images(spec).items():
         want = 1.0 if i == j else 0.0
         if abs(img[0][0] + img[1][1] - want) > tol:
             return False
@@ -379,38 +370,3 @@ def coherence_gain_witness(spec: QubitMapSpec, tol: float = ATOL_STATE) -> GainW
     low = min_eigenvalue(herm)
     output: Matrix2 = (tuple(out[0]), tuple(out[1]))  # type: ignore[assignment]
     return GainWitness(gain > 1.0 + tol, theta, rho0, output, low)
-
-
-def random_diagonal_channel(stream: Stream, max_terms: int = 4) -> KrausChannel:
-    """Random diagonal-Kraus (dephasing-type) channel; always CPTP.
-
-    Diagonal Kraus operators fix both populations, so these channels are
-    exactly the random diagonal-fixing maps used to probe the no-gain
-    property.
-    """
-    if max_terms < 2:
-        raise ValueError("need at least two terms")
-    n = 2 + stream.randint(max_terms - 1)
-    w = stream.uniform_open(n)
-    w = w / w.sum()
-    re1, im1 = stream.normal(n), stream.normal(n)
-    re2, im2 = stream.normal(n), stream.normal(n)
-    d1 = re1 + 1j * im1
-    d2 = re2 + 1j * im2
-    d1 = d1 / math.sqrt(float(np.sum(w * np.abs(d1) ** 2)))
-    d2 = d2 / math.sqrt(float(np.sum(w * np.abs(d2) ** 2)))
-    terms = tuple(
-        (float(w[i]), ((complex(d1[i]), 0.0j), (0.0j, complex(d2[i]))))
-        for i in range(n)
-    )
-    return KrausChannel(terms)
-
-
-def random_state(stream: Stream) -> DensityMatrix2:
-    """Random valid qubit state (uniform populations, coherence in the disc)."""
-    u = stream.uniform(3)
-    a = float(u[0])
-    c = 1.0 - a
-    r = float(u[1]) * math.sqrt(max(a * c, 0.0))
-    chi = (float(u[2]) * 2.0 - 1.0) * math.pi
-    return DensityMatrix2(a, r * cmath.exp(1j * chi), c)

@@ -4,9 +4,10 @@ All randomness in this package reduces to a single pure function of
 ``(seed, stream index, draw slot)`` built on the SplitMix64 finalizer.
 Stream ``i`` under master seed ``s`` is the SplitMix64 sequence started at
 ``stream_key(s, i)``; draw slot ``d`` of that stream is
-``mix(key + (d + 1) * GOLDEN)``.  Because no stream carries hidden state,
-any partition of trajectories into blocks or threads reproduces results
-bit for bit.
+``mix(key + (d + 1) * GOLDEN)``.  Every draw is addressed by its slot
+(:func:`slot_u64` and the uniform and normal maps built on it); no stream
+carries a cursor or other hidden state, so any partition of trajectories
+into blocks or threads reproduces results bit for bit.
 
 Key derivation is injective in the index for a fixed seed (odd multiplier
 followed by bijective mixing), so distinct trajectories can never collide
@@ -103,56 +104,6 @@ def slot_normal(keys: np.ndarray, slot: int) -> np.ndarray:
     u1 = slot_uniform_open(keys, 2 * slot)
     u2 = slot_uniform(keys, 2 * slot + 1)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-
-class Stream:
-    """Sequential view of one derived stream (draws advance a slot cursor)."""
-
-    __slots__ = ("key", "_slot")
-
-    def __init__(self, key: int):
-        self.key = key & _MASK64
-        self._slot = 0
-
-    def _take(self, n: int) -> np.ndarray:
-        keys = np.full(n, self.key, dtype=np.uint64)
-        slots = (np.arange(self._slot, self._slot + n, dtype=np.uint64) + np.uint64(1))
-        with np.errstate(over="ignore"):
-            out = _mix(keys + slots * np.uint64(_GOLDEN))
-        self._slot += n
-        return out
-
-    def u64(self, n: int = 1) -> np.ndarray:
-        return self._take(n)
-
-    def uniform(self, n: int = 1) -> np.ndarray:
-        return (self._take(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-    def uniform_open(self, n: int = 1) -> np.ndarray:
-        x = (self._take(n) >> np.uint64(11)).astype(np.float64)
-        return (x + 1.0) * 2.0**-53
-
-    def normal(self, n: int = 1) -> np.ndarray:
-        u1 = self.uniform_open(n)
-        u2 = self.uniform(n)
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-    def randint(self, bound: int) -> int:
-        """Integer in [0, bound) from one draw (bias below bound * 2**-53)."""
-        if bound <= 0:
-            raise ValueError("randint bound must be positive")
-        x = int(self._take(1)[0]) >> 11
-        return (x * bound) >> 53
-
-
-def derive_stream(master_seed: int, index: int) -> Stream:
-    """Independent stream for ``(master_seed, index)``.
-
-    Deterministic and platform-independent; streams for distinct indices
-    under the same seed have distinct keys (and in particular distinct
-    first outputs).
-    """
-    return Stream(stream_key(master_seed, index))
 
 
 def run_blocks(

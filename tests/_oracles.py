@@ -1,21 +1,34 @@
 """Independent oracles used to pin expected values in the tests.
 
 Everything here is deliberately written from first principles (dense
-matrices, exact rational dynamic programming, float trigonometry) so that
-it shares no code path with the implementations it checks.  The exceptions
-are the search-game letter walks, the per-point Monte Carlo estimators and
-the wheel-game position merge at the end: they keep the package's random
-streams (and kick laws) and fix the results the faster routes must match.
+matrices, exact rational dynamic programming, float trigonometry,
+adaptive quadrature) so that it shares no arithmetic with the
+implementations it checks.  These parts take something from the package:
+
+* ``Stream`` is a sequential cursor over the package's slot-addressed
+  draws (``rng.stream_keys`` and ``rng.slot_u64``);
+* ``random_diagonal_channel`` and ``random_state`` return the package's
+  ``KrausChannel`` and ``DensityMatrix2``, whose constructors validate them;
+* the state simulators of the search game take its ``GameConfig``, and
+  ``char_function_quadrature`` takes the package's kick laws;
+* the search-game letter walks, the per-point Monte Carlo estimators and
+  the wheel-game position merge keep the package's random streams (and
+  kick laws) and fix the results the faster routes must match.
 """
 
+import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Union
 
 import numpy as np
 
 from noisegames import rng
-from noisegames.kicks import DeltaMixture, ExponentialKicks, GaussianKicks
+from noisegames.grover import GameConfig
+from noisegames.kicks import TWO_PI, DeltaMixture, ExponentialKicks, GaussianKicks
 from noisegames.memory import SetLabel
+from noisegames.qubit import DensityMatrix2, KrausChannel
 
 
 def textbook_grover_matrix(n_qubits: int, target: int) -> np.ndarray:
@@ -93,6 +106,257 @@ def alternating_word(length: int) -> str:
         return "BA" * (length // 2)
     return "A" + "BA" * (length // 2)
 
+
+
+# --- A sequential view of the counter-based streams ---
+
+
+class Stream:
+    """Sequential view of one derived stream (draws advance a slot cursor)."""
+
+    __slots__ = ("keys", "_slot")
+
+    def __init__(self, keys: np.ndarray):
+        self.keys = keys
+        self._slot = 0
+
+    def _take(self, n: int) -> np.ndarray:
+        out = rng.slot_u64(self.keys, np.arange(self._slot, self._slot + n))[:, 0]
+        self._slot += n
+        return out
+
+    def u64(self, n: int = 1) -> np.ndarray:
+        return self._take(n)
+
+    def uniform(self, n: int = 1) -> np.ndarray:
+        return (self._take(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def uniform_open(self, n: int = 1) -> np.ndarray:
+        x = (self._take(n) >> np.uint64(11)).astype(np.float64)
+        return (x + 1.0) * 2.0**-53
+
+    def normal(self, n: int = 1) -> np.ndarray:
+        u1 = self.uniform_open(n)
+        u2 = self.uniform(n)
+        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+    def randint(self, bound: int) -> int:
+        """Integer in [0, bound) from one draw (bias below bound * 2**-53)."""
+        if bound <= 0:
+            raise ValueError("randint bound must be positive")
+        x = int(self._take(1)[0]) >> 11
+        return (x * bound) >> 53
+
+
+def derive_stream(master_seed: int, index: int) -> Stream:
+    """Independent stream for ``(master_seed, index)``.
+
+    Deterministic and platform-independent; streams for distinct indices
+    under the same seed have distinct keys (and in particular distinct
+    first outputs).
+    """
+    return Stream(rng.stream_keys(master_seed, index, 1))
+
+
+# --- Random channels and states for property tests ---
+
+
+def random_diagonal_channel(stream: Stream, max_terms: int = 4) -> KrausChannel:
+    """Random diagonal-Kraus (dephasing-type) channel; always CPTP.
+
+    Diagonal Kraus operators fix both populations, so these channels are
+    exactly the random diagonal-fixing maps used to probe the no-gain
+    property.
+    """
+    if max_terms < 2:
+        raise ValueError("need at least two terms")
+    n = 2 + stream.randint(max_terms - 1)
+    w = stream.uniform_open(n)
+    w = w / w.sum()
+    re1, im1 = stream.normal(n), stream.normal(n)
+    re2, im2 = stream.normal(n), stream.normal(n)
+    d1 = re1 + 1j * im1
+    d2 = re2 + 1j * im2
+    d1 = d1 / math.sqrt(float(np.sum(w * np.abs(d1) ** 2)))
+    d2 = d2 / math.sqrt(float(np.sum(w * np.abs(d2) ** 2)))
+    terms = tuple(
+        (float(w[i]), ((complex(d1[i]), 0.0j), (0.0j, complex(d2[i]))))
+        for i in range(n)
+    )
+    return KrausChannel(terms)
+
+
+def random_state(stream: Stream) -> DensityMatrix2:
+    """Random valid qubit state (uniform populations, coherence in the disc)."""
+    u = stream.uniform(3)
+    a = float(u[0])
+    c = 1.0 - a
+    r = float(u[1]) * math.sqrt(max(a * c, 0.0))
+    chi = (float(u[2]) * 2.0 - 1.0) * math.pi
+    return DensityMatrix2(a, r * cmath.exp(1j * chi), c)
+
+
+# --- Characteristic values by quadrature ---
+
+
+def char_function_quadrature(dist) -> complex:
+    """E[e^{i theta}] by adaptive quadrature of the defining integral.
+
+    Independent oracle for ``kicks.char_function``: Gaussian laws are
+    integrated over [mu - 10 sigma, mu + 10 sigma] and exponential laws
+    over [0, 40 * omega * tau1] (tail mass below 1e-12), absolute
+    tolerance 1e-11.  Point masses have no density and are summed exactly.
+    """
+    if isinstance(dist, DeltaMixture):
+        re = math.fsum(w * math.cos(a) for w, a in dist.pairs)
+        im = math.fsum(w * math.sin(a) for w, a in dist.pairs)
+        return complex(re, im)
+    if isinstance(dist, GaussianKicks):
+        if dist.sigma2 == 0.0:
+            return cmath.exp(1j * dist.mu)
+        sigma = math.sqrt(dist.sigma2)
+        norm = 1.0 / (sigma * math.sqrt(TWO_PI))
+
+        def pdf(t: float) -> float:
+            return norm * math.exp(-0.5 * ((t - dist.mu) / sigma) ** 2)
+
+        lo, hi = dist.mu - 10.0 * sigma, dist.mu + 10.0 * sigma
+    elif isinstance(dist, ExponentialKicks):
+        s = dist.scale
+
+        def pdf(t: float) -> float:
+            return math.exp(-t / s) / s
+
+        lo, hi = 0.0, 40.0 * s
+    else:
+        raise TypeError(f"unsupported kick distribution: {type(dist).__name__}")
+    from scipy.integrate import quad
+
+    re, _ = quad(lambda t: math.cos(t) * pdf(t), lo, hi, epsabs=1e-11, limit=400)
+    im, _ = quad(lambda t: math.sin(t) * pdf(t), lo, hi, epsabs=1e-11, limit=400)
+    return complex(re, im)
+
+
+# --- The search game simulated as a state ---
+#
+# Both operators act on the full 2^n statevector, and on the invariant
+# two-dimensional span of the marked state and the uniform rest, which has
+# no practical size limit.  The package scores words by closed forms only.
+
+FULL_MODE_MAX_QUBITS = 24  # 16M amplitudes; desk-scale memory guard
+
+
+def _require_full_mode(config: GameConfig) -> None:
+    if config.n_qubits > FULL_MODE_MAX_QUBITS:
+        raise ValueError(
+            f"full statevector mode is capped at {FULL_MODE_MAX_QUBITS} qubits; "
+            "use 2d mode"
+        )
+
+
+def uniform_state(config: GameConfig) -> np.ndarray:
+    """The uniform superposition as a full statevector."""
+    _require_full_mode(config)
+    n = config.size
+    return np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+
+
+def apply_A(state: np.ndarray, config: GameConfig) -> np.ndarray:
+    """Sign flip of the marked amplitude (full mode)."""
+    out = np.array(state, dtype=complex)
+    out[config.target] = -out[config.target]
+    return out
+
+
+def apply_B(state: np.ndarray, config: GameConfig) -> np.ndarray:
+    """Reflection about the uniform state: amp -> 2*mean - amp (full mode)."""
+    out = np.asarray(state, dtype=complex)
+    return 2.0 * out.mean() - out
+
+
+def grover_iterate(state: np.ndarray, config: GameConfig) -> np.ndarray:
+    """One step of the composed game operator: A then B."""
+    return apply_B(apply_A(state, config), config)
+
+
+@dataclass(frozen=True, slots=True)
+class TwoDState:
+    """State in the invariant plane span{marked, uniform-rest}.
+
+    ``c_target`` multiplies the marked basis state; ``c_rest`` multiplies
+    the normalized uniform superposition of the other N-1 states.  Both
+    game operators preserve this plane, so it simulates any word at any n.
+    """
+
+    c_target: complex
+    c_rest: complex
+
+    def __post_init__(self):
+        object.__setattr__(self, "c_target", complex(self.c_target))
+        object.__setattr__(self, "c_rest", complex(self.c_rest))
+        norm = abs(self.c_target) ** 2 + abs(self.c_rest) ** 2
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError("two-dimensional state must be normalized")
+
+    @property
+    def success(self) -> float:
+        """Probability of measuring the marked state."""
+        return abs(self.c_target) ** 2
+
+
+def uniform_2d(config: GameConfig) -> TwoDState:
+    n = config.size
+    return TwoDState(1.0 / math.sqrt(n), math.sqrt((n - 1.0) / n))
+
+
+def apply_A_2d(state: TwoDState, config: GameConfig) -> TwoDState:
+    return TwoDState(-state.c_target, state.c_rest)
+
+
+def apply_B_2d(state: TwoDState, config: GameConfig) -> TwoDState:
+    n = config.size
+    s = 1.0 / math.sqrt(n)
+    c = math.sqrt((n - 1.0) / n)
+    ct, cr = state.c_target, state.c_rest
+    return TwoDState(
+        (2.0 * s * s - 1.0) * ct + 2.0 * s * c * cr,
+        2.0 * s * c * ct + (2.0 * c * c - 1.0) * cr,
+    )
+
+
+def embed_2d(state: TwoDState, config: GameConfig) -> np.ndarray:
+    """Full statevector carried by a two-dimensional state."""
+    _require_full_mode(config)
+    n = config.size
+    out = np.full(n, state.c_rest / math.sqrt(n - 1.0), dtype=complex)
+    out[config.target] = state.c_target
+    return out
+
+
+State = Union[np.ndarray, TwoDState]
+
+
+def apply_word(word: str, config: GameConfig, mode: str = "full") -> State:
+    """Apply an operator word (rightmost letter first) to the uniform state."""
+    if mode == "full":
+        state: State = uniform_state(config)
+        ops = {"A": apply_A, "B": apply_B}
+    elif mode == "2d":
+        state = uniform_2d(config)
+        ops = {"A": apply_A_2d, "B": apply_B_2d}
+    else:
+        raise ValueError(f"mode must be 'full' or '2d', got {mode!r}")
+    for letter in reversed(word):
+        if letter not in ops:
+            raise ValueError(f"letters must be 'A' or 'B', got {letter!r}")
+        state = ops[letter](state, config)
+    return state
+
+
+def word_success(word: str, config: GameConfig) -> float:
+    """Probability of measuring the marked state after applying ``word``."""
+    state = apply_word(word, config, mode="2d")
+    return state.success
 
 
 # --- The search game walked letter by letter ---

@@ -14,7 +14,17 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from _oracles import expected_fixed_horizon_win, textbook_grover_matrix
+from _oracles import (
+    apply_word,
+    char_function_quadrature,
+    derive_stream,
+    embed_2d,
+    expected_fixed_horizon_win,
+    grover_iterate,
+    random_diagonal_channel,
+    textbook_grover_matrix,
+    uniform_state,
+)
 from noisegames import cli
 from noisegames.dissipative import (
     NoiseScales,
@@ -27,23 +37,18 @@ from noisegames.grover import (
     AdaptiveTracking,
     GameConfig,
     QuarterPiHorizon,
-    apply_word,
-    embed_2d,
     evaluate_strategy,
-    grover_iterate,
     optimal_k,
     pure_game_payoff,
     quarter_pi_k,
     reduce_word,
     success_closed_form,
-    uniform_state,
 )
 from noisegames.kicks import (
     DeltaMixture,
     ExponentialKicks,
     GaussianKicks,
     char_function,
-    char_function_quadrature,
     gaussian_for_target,
 )
 from noisegames.memory import (
@@ -59,6 +64,7 @@ from noisegames.parrondo import (
     GAME_A,
     GAME_B,
     CombinedGame,
+    RotationGame,
     exact_rate,
     general_rates,
     simulate,
@@ -71,9 +77,7 @@ from noisegames.qubit import (
     coherence_gain_witness,
     off_diagonal_gain_spec,
     plus_state,
-    random_diagonal_channel,
 )
-from noisegames.rng import derive_stream
 
 
 @contextmanager
@@ -158,6 +162,11 @@ def test_criterion_4_wheel_games():
             Fraction(-1, 11),
             Fraction(1, 77),
         )
+        # the closed forms agree with exhaustive residue counting
+        game_7, game_11 = RotationGame(7), RotationGame(11)
+        assert rates.rate_m == exact_rate(CombinedGame((game_7,))).net_rate
+        assert rates.rate_n == exact_rate(CombinedGame((game_11,))).net_rate
+        assert rates.rate_combined == exact_rate(CombinedGame((game_7, game_11))).net_rate
 
         rounds = 1_000_000
         for games, exact in (

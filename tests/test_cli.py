@@ -231,6 +231,8 @@ def test_multi_block_curve_thread_invariant(argv):
         (["iid", "--dist", "gaussian", "--weights", "1"], {}, 2),
         (["grover", "--strategy", "quarter-pi", "--m", "5"], {}, 2),
         (["grover", "--strategy", "fixed", "--m", "4", "--k-star", "1"], {}, 2),
+        # weights that do not pair up with the angles one to one
+        (["iid", "--dist", "delta", "--angles=1,2,3", "--weights=0.5,0.5"], {}, 2),
         (["iid"], {"dist": "exponential", "mu": 0.0}, 2),
         (["grover"], {"strategy": "adaptive", "m": 5}, 2),
         # a flag overrides the config's choice and drops the keys of the old one
@@ -238,7 +240,7 @@ def test_multi_block_curve_thread_invariant(argv):
          {"strategy": "fixed", "m": 12}, 0),
     ],
     ids=["omega-gaussian", "sigma2-delta", "weights-gaussian", "m-quarter-pi",
-         "k-star-fixed", "config-mu-exponential", "config-m-adaptive",
+         "k-star-fixed", "weights-angles-mismatch", "config-mu-exponential", "config-m-adaptive",
          "flag-switches-config-fixed"],
 )
 def test_inapplicable_parameters_are_refused_or_dropped(argv, config, want, tmp_path):
@@ -255,11 +257,22 @@ def test_inapplicable_parameters_are_refused_or_dropped(argv, config, want, tmp_
 
 
 def test_cli_runs_without_scipy():
-    # scipy is imported only by the quadrature oracle, so a fresh
-    # interpreter runs every subcommand without loading it
+    # numpy is the only runtime dependency: with every scipy import made to
+    # fail, a fresh interpreter imports each module and runs each subcommand
     child = textwrap.dedent(
         """
-        import io, sys
+        import importlib, io, pkgutil, sys
+
+        class NoScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] == "scipy":
+                    raise ImportError(f"{name} is blocked")
+                return None
+
+        sys.meta_path.insert(0, NoScipy())
+        import noisegames
+        for module in pkgutil.iter_modules(noisegames.__path__):
+            importlib.import_module(f"noisegames.{module.name}")
         from noisegames import cli
         for argv in (
             ["iid", "--dist", "exponential", "--steps", "3", "--trials", "200"],

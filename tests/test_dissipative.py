@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from _oracles import derive_stream, random_state
 from noisegames.dissipative import (
     DampingPhaseParams,
     NoiseScales,
@@ -17,10 +18,8 @@ from noisegames.qubit import (
     apply_channel,
     apply_unitary,
     plus_state,
-    random_state,
     rz,
 )
-from noisegames.rng import derive_stream
 
 
 class TestChannel:

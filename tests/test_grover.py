@@ -7,40 +7,40 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _oracles import (
+    TwoDState,
     alternating_word,
+    apply_A,
+    apply_B,
+    apply_word,
+    derive_stream,
+    embed_2d,
     expected_fixed_horizon_win,
+    grover_iterate,
     optimal_k_by_scan,
     reduced_length_distribution,
     textbook_grover_matrix,
+    uniform_2d,
+    uniform_state,
     walk_adaptive,
     walk_fixed_horizon,
     walk_reduced_length,
+    word_success,
 )
 from noisegames.grover import (
     AdaptiveTracking,
     FixedHorizon,
     GameConfig,
     QuarterPiHorizon,
-    TwoDState,
     _reduced_length,
-    apply_A,
-    apply_B,
-    apply_word,
-    embed_2d,
     evaluate_strategy,
     fixed_horizon_length_law,
     fixed_horizon_win_prob,
-    grover_iterate,
     optimal_k,
     pure_game_payoff,
     quarter_pi_k,
     reduce_word,
     success_closed_form,
-    uniform_2d,
-    uniform_state,
-    word_success,
 )
-from noisegames.rng import derive_stream
 
 
 def random_words(count, max_len, seed):

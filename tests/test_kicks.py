@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from _oracles import char_function_quadrature, derive_stream
 from noisegames.kicks import (
     DecayFactor,
     DeltaMixture,
@@ -10,7 +11,6 @@ from noisegames.kicks import (
     ExponentialKicks,
     GaussianKicks,
     char_function,
-    char_function_quadrature,
     evolve_iid,
     evolve_iid_mc,
     gaussian_for_target,
@@ -18,7 +18,6 @@ from noisegames.kicks import (
     is_decoherence_free,
 )
 from noisegames.qubit import DensityMatrix2, plus_state
-from noisegames.rng import derive_stream
 
 UNIFORM_TRIPLE = DeltaMixture.uniform([-math.pi / 2, 0.0, math.pi / 2])
 

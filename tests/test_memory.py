@@ -95,8 +95,11 @@ class TestRecursion:
             prev = max(abs(fa), abs(fb))
 
     def test_magnitude_bounded(self):
-        tr = coherence_recursion(kernel(KernelVariant.COMBINED, 0.3), 40)
-        assert all(abs(fa) <= 1 + 1e-12 and abs(fb) <= 1 + 1e-12 for fa, fb in tr.values)
+        # every kernel's recursion is an average of unit phases, so it never
+        # leaves the unit disc, however long it runs
+        for variant in KernelVariant:
+            tr = coherence_recursion(kernel(variant, 0.3), 3000)
+            assert all(abs(fa) <= 1 + 1e-12 and abs(fb) <= 1 + 1e-12 for fa, fb in tr.values)
 
 
 class TestEffectiveDecay:

@@ -9,7 +9,6 @@ from noisegames.parrondo import (
     GAME_A,
     GAME_B,
     CombinedGame,
-    GameStats,
     RotationGame,
     WheelPosition,
     combine_even,
@@ -113,10 +112,6 @@ class TestExactRates:
         assert s.net_rate == Fraction(1, 21)
         assert s.support_size == 21
 
-    def test_stats_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            GameStats(Fraction(1, 3), Fraction(1, 3), 3)
-
 
 class TestGeneralRates:
     def test_three_seven(self):
@@ -134,6 +129,14 @@ class TestGeneralRates:
             Fraction(-1, 11),
             Fraction(1, 77),
         )
+
+    @pytest.mark.parametrize("m, n", [(3, 7), (7, 11), (3, 11), (11, 19), (19, 23)])
+    def test_closed_forms_match_residue_counting(self, m, n):
+        r = general_rates(m, n)
+        game_m, game_n = RotationGame(m), RotationGame(n)
+        assert r.rate_m == exact_rate(CombinedGame((game_m,))).net_rate
+        assert r.rate_n == exact_rate(CombinedGame((game_n,))).net_rate
+        assert r.rate_combined == exact_rate(CombinedGame((game_m, game_n))).net_rate
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):

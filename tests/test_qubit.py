@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import derive_stream, random_diagonal_channel, random_state
 from noisegames.qubit import (
     DensityMatrix2,
     KrausChannel,
@@ -19,11 +20,8 @@ from noisegames.qubit import (
     min_eigenvalue,
     off_diagonal_gain_spec,
     plus_state,
-    random_diagonal_channel,
-    random_state,
     rz,
 )
-from noisegames.rng import derive_stream
 
 
 def random_unitary2(stream) -> Unitary2:
