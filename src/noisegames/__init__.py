@@ -40,6 +40,7 @@ from .kicks import (
     McEstimate,
     char_function,
     evolve_iid,
+    evolve_iid_curve,
     evolve_iid_mc,
     evolve_iid_mc_curve,
     gaussian_for_target,

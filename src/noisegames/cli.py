@@ -28,40 +28,65 @@ from . import __version__, dissipative, grover, kicks, memory, parrondo
 from .qubit import DensityMatrix2, coherence
 
 
-def _jsonable(value):
-    """Deterministic JSON-safe rendering (fractions as 'p/q', inf as 'inf')."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+# A CSV's rows are built and joined in memory, about 25 bytes and 1.8 us
+# each, so a longer one is refused before its first row is built.
+CSV_MAX_ROWS = 1 << 22
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad: str = "\n") -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it.
+
+    Keys become strings and are sorted; floats are ``float.__repr__`` (nan
+    as ``NaN``, infinities as the strings ``"inf"``/``"-inf"``) and
+    fractions the strings ``"p/q"``.  ``pad`` is the newline and indent of
+    the enclosing level.  Any other type is a ``TypeError``.
+    """
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
+        if value - value == 0.0:  # finite
+            return float.__repr__(value)
+        if value != value:
+            return "NaN"
+        return '"inf"' if value > 0 else '"-inf"'
+    inner = pad + "  "
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = {str(k): v for k, v in value.items()}
+        parts = [f"{_encode_str(k)}: {_json(items[k], inner)}" for k in sorted(items)]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        parts = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, Fraction):
+        return f'"{value.numerator}/{value.denominator}"'
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _envelope(inputs: dict, results: dict, diagnostics: dict) -> str:
-    env = {
-        "inputs": _jsonable(inputs),
-        "results": _jsonable(results),
-        "diagnostics": _jsonable(diagnostics),
+    return _json({
+        "inputs": inputs,
+        "results": results,
+        "diagnostics": diagnostics,
         "provenance": {
             "seed": inputs.get("seed"),
             "trials": inputs.get("trials"),
             "version": __version__,
         },
-    }
-    return json.dumps(env, indent=2, sort_keys=True)
-
-
-def _csv_lines(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(_jsonable(x)) for x in row))
-    return "\n".join(lines)
+    })
 
 
 class _Param(NamedTuple):
@@ -167,13 +192,14 @@ def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
     for row, est in zip(curve, estimates):
         if est is not None:
             row["coherence"], row["mc_stderr"] = coherence(est.rho_est), est.stderr
-    rows = [[r["n"], r["coherence"], r["analytic_coherence"]] for r in curve]
-    return curve, (["n", "coherence", "analytic_coherence"], rows)
+    lines = lambda: (f"{r['n']},{r['coherence']!r},{r['analytic_coherence']!r}" for r in curve)
+    return curve, ("n,coherence,analytic_coherence", lines)
 
 
 # Each handler takes the resolved parameters and the thread count and returns
 # (values the echo must show instead of the resolved ones, results,
-# diagnostics, CSV header and rows or None).
+# diagnostics, and the CSV header with a function returning the row lines, or
+# None).  The rows are formatted only when the CSV is written.
 
 
 def _cmd_iid(v: dict, threads: int):
@@ -184,8 +210,12 @@ def _cmd_iid(v: dict, threads: int):
             raise ValueError("delta mixture needs --angles")
         if v["weights"] is None:
             dist = kicks.DeltaMixture.uniform(v["angles"])
+        elif len(v["weights"]) != len(v["angles"]):
+            raise ValueError(
+                f"--weights has {len(v['weights'])} values but --angles has {len(v['angles'])}"
+            )
         else:
-            dist = kicks.DeltaMixture(tuple(zip(v["weights"], v["angles"], strict=True)))
+            dist = kicks.DeltaMixture(tuple(zip(v["weights"], v["angles"])))
         derived = {"angles": list(dist.angles), "weights": list(dist.weights)}
     elif v["dist"] == "gaussian":
         dist = kicks.GaussianKicks(v["mu"], v["sigma2"])
@@ -195,16 +225,13 @@ def _cmd_iid(v: dict, threads: int):
     factor = kicks.char_function(dist)
     run_mc = v["trials"] > 0 and not v["exact"]
     plan = kicks.EvolutionPlan(v["steps"], v["tau0"])
-    # evolve_iid applies its factor step by step, so state k is its k-step result
-    states = [rho0]
-    for _ in range(plan.steps):
-        states.append(kicks.evolve_iid(states[-1], dist, kicks.EvolutionPlan(1, plan.tau0)))
+    bs = kicks.evolve_iid_curve(rho0, dist, plan)
     estimates = []
     if run_mc:
         estimates = kicks.evolve_iid_mc_curve(rho0, dist, plan, v["trials"], v["seed"], threads)
-    curve, csv_data = _curve([coherence(s) for s in states], estimates)
+    curve, csv_data = _curve([abs(b) for b in bs], estimates)
 
-    final = states[-1]
+    final = DensityMatrix2(rho0.a, bs[-1], rho0.c)
     results = {
         "gamma": factor.gamma,
         "phi": factor.phi,
@@ -228,7 +255,8 @@ def _cmd_memory(v: dict, threads: int):
             rho0, kern, steps, v["trials"], v["seed"], threads
         )
         estimates[0] = None
-    analytic = [coherence(rho0)] + [coherence(rho0) * abs(fa) for fa, _ in trace.values]
+    c0 = coherence(rho0)
+    analytic = [c0] + [c0 * abs(fa) for fa, _ in trace.values]
     curve, csv_data = _curve(analytic, estimates)
 
     results = {
@@ -317,11 +345,12 @@ def _cmd_parrondo(v: dict, threads: int):
             "net_rate": sim.net_rate,
         }
     L = combined.modulus
-    rows = [
-        [k, stationary.weights[k], int(parrondo.is_winning(parrondo.WheelPosition(k, L)))]
-        for k in range(L)
-    ]
-    return {}, results, diagnostics, (["position", "probability", "winning"], rows)
+    winning = lambda k: parrondo.is_winning(parrondo.WheelPosition(k, L))
+    lines = lambda: (
+        f"{k},{w.numerator}/{w.denominator},{winning(k):d}"
+        for k, w in enumerate(stationary.weights)
+    )
+    return {}, results, diagnostics, ("position,probability,winning", lines)
 
 
 def _cmd_grover(v: dict, threads: int):
@@ -364,10 +393,17 @@ def _cmd_grover(v: dict, threads: int):
             }
             diagnostics["censored"] = outcome.censored
 
-    # O(sqrt N) rows, so they are generated only when the CSV is written
-    k_max = math.ceil(math.pi * math.sqrt(config.size) / 2.0)
-    rows = ([k, grover.success_closed_form(k, config)] for k in range(k_max + 1))
-    return derived, results, diagnostics, (["k", "success_prob"], rows)
+    ks = range(math.ceil(math.pi * math.sqrt(config.size) / 2.0) + 1)
+
+    def lines():
+        if len(ks) > CSV_MAX_ROWS:
+            raise ValueError(
+                f"the success curve at n_qubits = {config.n_qubits} has {len(ks)} rows; "
+                f"CSV output is limited to {CSV_MAX_ROWS} (n_qubits <= 42)"
+            )
+        return (f"{k},{p!r}" for k, p in zip(ks, grover.success_curve(ks, config)))
+
+    return derived, results, diagnostics, ("k,success_prob", lines)
 
 
 # subcommand -> (handler, help, parameter table)
@@ -471,7 +507,8 @@ def run(argv: list[str], stdout=None) -> int:
         if args.format == "csv":
             if csv_data is None:
                 raise ValueError(f"no CSV curve defined for {args.command!r}")
-            text = _csv_lines(*csv_data)
+            header, lines = csv_data
+            text = "\n".join((header, *lines()))
         else:
             text = _envelope(_echo(args.command, table, values, derived), results, diagnostics)
     except (ValueError, TypeError, OverflowError) as exc:

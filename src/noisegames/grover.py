@@ -26,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -65,8 +65,16 @@ def success_closed_form(k: int, config: GameConfig) -> float:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    return next(success_curve((k,), config))
+
+
+def success_curve(ks: Iterable[int], config: GameConfig) -> Iterator[float]:
+    """:func:`success_closed_form` at each k of ``ks``, bit for bit.
+
+    The angle asin(1/sqrt(N)) is computed once for the whole curve.
+    """
     theta = math.asin(1.0 / math.sqrt(config.size))
-    return math.sin((2 * k + 1) * theta) ** 2
+    return (math.sin((2 * k + 1) * theta) ** 2 for k in ks)
 
 
 def reduce_word(word: str) -> str:

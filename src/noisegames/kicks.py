@@ -182,12 +182,29 @@ def evolve_iid(
     ``gamma * e^{-i phi}``.  The per-step factor is applied sequentially,
     so evolving n1 + n2 steps equals evolving n1 then n2 steps bit for bit.
     """
+    (b,) = deque(_kicked_coherences(rho0.b, dist, plan.steps), maxlen=1)
+    return DensityMatrix2(rho0.a, b, rho0.c)
+
+
+def evolve_iid_curve(
+    rho0: DensityMatrix2, dist: KickDistribution, plan: EvolutionPlan
+) -> list[complex]:
+    """Exact coherence after 0, 1, ..., ``plan.steps`` IID kicks.
+
+    Entry k is the off-diagonal entry of ``evolve_iid`` over k steps, bit
+    for bit; no intermediate state is built.
+    """
+    return list(_kicked_coherences(rho0.b, dist, plan.steps))
+
+
+def _kicked_coherences(b: complex, dist: KickDistribution, steps: int) -> Iterator[complex]:
+    """``b`` multiplied by the per-step factor 0, 1, ..., ``steps`` times in turn."""
     df = char_function(dist)
     step = df.gamma * cmath.exp(-1j * df.phi)
-    b = rho0.b
-    for _ in range(plan.steps):
+    yield b
+    for _ in range(steps):
         b = b * step
-    return DensityMatrix2(rho0.a, b, rho0.c)
+        yield b
 
 
 @dataclass(frozen=True, slots=True)

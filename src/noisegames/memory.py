@@ -154,20 +154,22 @@ class CoherenceTrace:
         return self.values[-1][1]
 
 
-def _recursion_step(kern: MemoryKernel) -> Callable[[dict], dict]:
-    """The linear map f_k -> f_{k+1} of the kick recursion.
+def _recursion_step(kern: MemoryKernel) -> Callable[[tuple], tuple]:
+    """The linear map (f_k at A, f_k at B) -> (f_{k+1} at A, f_{k+1} at B).
 
     Step k+1 averages ``e^{i theta} * f_k(destination)`` over the kernel
-    branches; phase cancellations inside each class emerge from the full
-    branch sums rather than being assumed.
+    branches, in branch order; phase cancellations inside each class emerge
+    from the full branch sums rather than being assumed.
     """
-    weighted = {
-        label: [(b.weight * cmath.exp(1j * b.angle), b.to_label) for b in kern.branches(label)]
-        for label in SetLabel
-    }
-    return lambda f: {
-        label: sum(coef * f[dest] for coef, dest in weighted[label]) for label in SetLabel
-    }
+    index = {SetLabel.SET_A: 0, SetLabel.SET_B: 1}  # position in the pair f
+    from_a, from_b = (
+        [(b.weight * cmath.exp(1j * b.angle), index[b.to_label]) for b in kern.branches(label)]
+        for label in index
+    )
+    return lambda f: (
+        sum(coef * f[dest] for coef, dest in from_a),
+        sum(coef * f[dest] for coef, dest in from_b),
+    )
 
 
 def coherence_recursion(kern: MemoryKernel, n: int) -> CoherenceTrace:
@@ -175,11 +177,11 @@ def coherence_recursion(kern: MemoryKernel, n: int) -> CoherenceTrace:
     if n < 1:
         raise ValueError("n must be >= 1")
     step = _recursion_step(kern)
-    f = {SetLabel.SET_A: 1.0 + 0.0j, SetLabel.SET_B: 1.0 + 0.0j}
+    f = (1.0 + 0.0j, 1.0 + 0.0j)
     out = []
     for _ in range(n):
         f = step(f)
-        out.append((f[SetLabel.SET_A], f[SetLabel.SET_B]))
+        out.append(f)
     return CoherenceTrace(tuple(out))
 
 
@@ -200,19 +202,20 @@ def effective_decay(kern: MemoryKernel, n: int) -> float:
     if n < 2:
         raise ValueError("n must be >= 2")
     step = _recursion_step(kern)
-    f = step({SetLabel.SET_A: 1.0 + 0.0j, SetLabel.SET_B: 1.0 + 0.0j})
-    first = abs(f[SetLabel.SET_A])
+    f = step((1.0 + 0.0j, 1.0 + 0.0j))
+    first = abs(f[0])
     if first == 0.0:
         raise ValueError("recursion vanished at the first step")
     exponent = 0  # the true f_k is f * 2**exponent
     for _ in range(n - 1):
         f = step(f)
-        top = max(abs(v) for v in f.values())
+        top = max(abs(f[0]), abs(f[1]))
         if 0.0 < top < 2.0**-512:
             e = math.frexp(top)[1]
-            f = {label: v * math.ldexp(1.0, -e) for label, v in f.items()}
+            scale = math.ldexp(1.0, -e)
+            f = (f[0] * scale, f[1] * scale)
             exponent += e
-    last = abs(f[SetLabel.SET_A])
+    last = abs(f[0])
     return (last / first) ** (1.0 / (n - 1)) * 2.0 ** (exponent / (n - 1))
 
 

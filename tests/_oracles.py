@@ -13,10 +13,13 @@ implementations it checks.  These parts take something from the package:
   ``char_function_quadrature`` takes the package's kick laws;
 * the search-game letter walks, the per-point Monte Carlo estimators and
   the wheel-game position merge keep the package's random streams (and
-  kick laws) and fix the results the faster routes must match.
+  kick laws) and fix the results the faster routes must match;
+* the memory-kernel recursion keyed by ``SetLabel`` takes the package's
+  kernels, and the JSON/CSV writers take the values the CLI prints.
 """
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -545,3 +548,75 @@ def simulate_by_positions(combined, rounds: int, seed: int, threads: int = 1) ->
         wins += int(np.count_nonzero((4 * pos <= L) | (4 * pos >= 3 * L)))
         carry = int(pos[-1])
     return wins
+
+
+# --- The memory-kernel recursion as written with class-keyed dicts ---
+
+
+def _recursion_step_by_label(kern):
+    weighted = {
+        label: [(b.weight * cmath.exp(1j * b.angle), b.to_label) for b in kern.branches(label)]
+        for label in SetLabel
+    }
+    return lambda f: {
+        label: sum(coef * f[dest] for coef, dest in weighted[label]) for label in SetLabel
+    }
+
+
+def coherence_recursion_by_label(kern, n: int) -> list[tuple[complex, complex]]:
+    """(f_k at class A, f_k at class B) for k = 1..n, one dict per step."""
+    step = _recursion_step_by_label(kern)
+    f = {SetLabel.SET_A: 1.0 + 0.0j, SetLabel.SET_B: 1.0 + 0.0j}
+    out = []
+    for _ in range(n):
+        f = step(f)
+        out.append((f[SetLabel.SET_A], f[SetLabel.SET_B]))
+    return out
+
+
+def effective_decay_by_label(kern, n: int) -> float:
+    """``memory.effective_decay`` with the dict-keyed recursion and rescaling."""
+    step = _recursion_step_by_label(kern)
+    f = step({SetLabel.SET_A: 1.0 + 0.0j, SetLabel.SET_B: 1.0 + 0.0j})
+    first = abs(f[SetLabel.SET_A])
+    exponent = 0
+    for _ in range(n - 1):
+        f = step(f)
+        top = max(abs(v) for v in f.values())
+        if 0.0 < top < 2.0**-512:
+            e = math.frexp(top)[1]
+            f = {label: v * math.ldexp(1.0, -e) for label, v in f.items()}
+            exponent += e
+    last = abs(f[SetLabel.SET_A])
+    return (last / first) ** (1.0 / (n - 1)) * 2.0 ** (exponent / (n - 1))
+
+
+# --- The CLI's writers as first written, on the stdlib encoder ---
+
+
+def jsonable(value):
+    """Deterministic JSON-safe rendering (fractions as 'p/q', inf as 'inf')."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value
+
+
+def json_text(value) -> str:
+    """``value`` as the CLI wrote it: ``jsonable`` then the stdlib encoder."""
+    return json.dumps(jsonable(value), indent=2, sort_keys=True)
+
+
+def csv_lines(header: list[str], rows) -> str:
+    """A CSV as the CLI wrote it: each cell ``str`` of its ``jsonable`` form."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(str(jsonable(x)) for x in row))
+    return "\n".join(lines)

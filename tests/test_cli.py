@@ -1,14 +1,20 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisegames import cli
+import _oracles
+from noisegames import cli, grover, parrondo
 
 
 def run_cli(argv):
@@ -69,6 +75,22 @@ class TestExitCodes:
     def test_success(self):
         code, _ = run_cli(["grover", "--n-qubits", "3"])
         assert code == 0
+
+    @pytest.mark.parametrize("n", [43, 60])
+    def test_csv_beyond_row_bound(self, n, capsys):
+        # n = 43 has 4,658,702 rows, n = 60 about 1.7e9: refused before any row
+        code, text = run_cli(["grover", "--n-qubits", str(n), "--format", "csv"])
+        assert code == 2 and text == ""
+        assert f"limited to {cli.CSV_MAX_ROWS}" in capsys.readouterr().err
+        assert run_cli(["grover", "--n-qubits", str(n)])[0] == 0
+
+    def test_csv_row_bound_admits_42(self):
+        # the check runs when the row lines are asked for; n = 42 has 3,294,200
+        values = {"n_qubits": 42, "target": 0, "strategy": "quarter-pi", "m": None,
+                  "k_star": None, "trials": 0, "seed": 0}
+        _, _, _, (header, lines) = cli._cmd_grover(values, 1)
+        rows = lines()
+        assert next(rows) == f"0,{2.0**-42!r}" and header == "k,success_prob"
 
 
 class TestCsvSchemas:
@@ -224,26 +246,29 @@ def test_multi_block_curve_thread_invariant(argv):
 
 
 @pytest.mark.parametrize(
-    "argv, config, want",
+    "argv, config, want, error",
     [
-        (["iid", "--omega", "2"], {}, 2),
-        (["iid", "--dist", "delta", "--angles", "0,1", "--sigma2", "0.5"], {}, 2),
-        (["iid", "--dist", "gaussian", "--weights", "1"], {}, 2),
-        (["grover", "--strategy", "quarter-pi", "--m", "5"], {}, 2),
-        (["grover", "--strategy", "fixed", "--m", "4", "--k-star", "1"], {}, 2),
+        (["iid", "--omega", "2"], {}, 2, None),
+        (["iid", "--dist", "delta", "--angles", "0,1", "--sigma2", "0.5"], {}, 2, None),
+        (["iid", "--dist", "gaussian", "--weights", "1"], {}, 2, None),
+        (["grover", "--strategy", "quarter-pi", "--m", "5"], {}, 2, None),
+        (["grover", "--strategy", "fixed", "--m", "4", "--k-star", "1"], {}, 2, None),
         # weights that do not pair up with the angles one to one
-        (["iid", "--dist", "delta", "--angles=1,2,3", "--weights=0.5,0.5"], {}, 2),
-        (["iid"], {"dist": "exponential", "mu": 0.0}, 2),
-        (["grover"], {"strategy": "adaptive", "m": 5}, 2),
+        (["iid", "--dist", "delta", "--angles=1,2,3", "--weights=0.5,0.5"], {}, 2,
+         "error: --weights has 2 values but --angles has 3\n"),
+        (["iid"], {"dist": "exponential", "mu": 0.0}, 2, None),
+        (["grover"], {"strategy": "adaptive", "m": 5}, 2, None),
         # a flag overrides the config's choice and drops the keys of the old one
         (["grover", "--strategy", "adaptive", "--trials", "200"],
-         {"strategy": "fixed", "m": 12}, 0),
+         {"strategy": "fixed", "m": 12}, 0, None),
     ],
     ids=["omega-gaussian", "sigma2-delta", "weights-gaussian", "m-quarter-pi",
          "k-star-fixed", "weights-angles-mismatch", "config-mu-exponential", "config-m-adaptive",
          "flag-switches-config-fixed"],
 )
-def test_inapplicable_parameters_are_refused_or_dropped(argv, config, want, tmp_path):
+def test_inapplicable_parameters_are_refused_or_dropped(
+    argv, config, want, error, tmp_path, capsys
+):
     # a parameter given while its `when` condition fails exits 2, unless it
     # comes from the config and a flag switched the condition away
     cfg = tmp_path / "config.json"
@@ -254,6 +279,106 @@ def test_inapplicable_parameters_are_refused_or_dropped(argv, config, want, tmp_
         assert text == ""
     else:
         assert set(config) - set(json.loads(text)["inputs"]) == {"m"}
+    if error is not None:
+        assert capsys.readouterr().err == error
+
+
+# --- the JSON and CSV writers against the stdlib-based oracles ---
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e-5, math.inf, -math.inf, math.nan]
+_ESCAPES = ['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "\u2028\u2029", "é", "\U0001f600"]
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.text(),
+    st.lists(st.sampled_from(_ESCAPES)).map("".join),
+    st.fractions(),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers()), inner),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values)
+def test_json_writer_matches_stdlib_encoder(value):
+    assert cli._json(value) == _oracles.json_text(value)
+
+
+@pytest.mark.parametrize(
+    "value", [1j, {1, 2}, np.int64(3), np.bool_(True), b"x", [Fraction(1, 2), object()]]
+)
+def test_json_writer_refuses_what_the_encoder_refuses(value):
+    with pytest.raises(TypeError):
+        _oracles.json_text(value)
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+# The exact workload's invocations and a run that prints "inf" and null.
+_EXACT_RUNS = [
+    ["parrondo", "--moduli=19,23", "--exact", "--seed=5"],
+    ["grover", "--n-qubits=37", "--trials=0", "--seed=5"],
+    ["iid", "--dist=exponential", "--exact", "--steps=3000", "--seed=5"],
+    ["memory", "--exact", "--steps=3000", "--seed=5"],
+    ["dissipative", "--lambda-ad", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", _EXACT_RUNS, ids=[a[0] for a in _EXACT_RUNS])
+def test_envelope_bytes_match_oracle_writer(argv, monkeypatch):
+    _, text = run_cli(argv)
+    monkeypatch.setattr(cli, "_json", _oracles.json_text)
+    assert run_cli(argv) == (0, text)
+    if argv[0] == "dissipative":
+        assert '"t1": "inf"' in text and '"t1_over_half_t2": null' in text
+
+
+def test_grover_csv_bytes_match_oracle_writer():
+    code, text = run_cli(["grover", "--n-qubits=32", "--format=csv", "--seed=5"])
+    config = grover.GameConfig(32)
+    rows = [[k, grover.success_closed_form(k, config)]
+            for k in range(math.ceil(math.pi * math.sqrt(config.size) / 2.0) + 1)]
+    assert code == 0 and len(rows) == 102_945
+    assert text == _oracles.csv_lines(["k", "success_prob"], rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iid", "--dist", "delta", "--angles", "0.3,2", "--steps", "30", "--trials", "2000"],
+        ["memory", "--variant", "pure-b", "--steps", "30", "--trials", "2000"],
+        ["memory", "--steps", "1200", "--exact"],
+    ],
+    ids=["iid", "memory", "memory-exact"],
+)
+def test_curve_csv_bytes_match_oracle_writer(argv):
+    env = run_json(argv)
+    rows = [[r["n"], r["coherence"], r["analytic_coherence"]] for r in env["results"]["curve"]]
+    code, text = run_cli(argv + ["--format", "csv"])
+    assert code == 0
+    assert text == _oracles.csv_lines(["n", "coherence", "analytic_coherence"], rows) + "\n"
+
+
+def test_parrondo_csv_bytes_match_oracle_writer():
+    combined = parrondo.CombinedGame((parrondo.RotationGame(3), parrondo.RotationGame(7)))
+    weights = parrondo.stationary_distribution(combined).weights
+    rows = [[k, w, int(parrondo.is_winning(parrondo.WheelPosition(k, 21)))]
+            for k, w in enumerate(weights)]
+    code, text = run_cli(["parrondo", "--moduli", "3,7", "--exact", "--format", "csv"])
+    assert code == 0
+    assert text == _oracles.csv_lines(["position", "probability", "winning"], rows) + "\n"
 
 
 def test_cli_runs_without_scipy():

@@ -12,6 +12,7 @@ from noisegames.kicks import (
     GaussianKicks,
     char_function,
     evolve_iid,
+    evolve_iid_curve,
     evolve_iid_mc,
     gaussian_for_target,
     gaussian_from_clock,
@@ -95,6 +96,23 @@ class TestEvolveIid:
             once = evolve_iid(rho, dist, EvolutionPlan(13))
             split = evolve_iid(evolve_iid(rho, dist, EvolutionPlan(5)), dist, EvolutionPlan(8))
             assert once == split  # bitwise: same multiplication sequence
+
+    @pytest.mark.parametrize(
+        "dist",
+        [GaussianKicks(0.3, 0.5), ExponentialKicks(1.0, 0.7), UNIFORM_TRIPLE],
+        ids=["gaussian", "exponential", "delta"],
+    )
+    def test_curve_matches_chained_steps(self, dist):
+        # the curve steps b in one loop; one-step evolve_iid calls each rebuild
+        # the factor and a state, and must agree with it bit for bit
+        rho = DensityMatrix2(0.4, 0.25 + 0.1j, 0.6)
+        curve = evolve_iid_curve(rho, dist, EvolutionPlan(300))
+        states = [rho]
+        for _ in range(300):
+            states.append(evolve_iid(states[-1], dist, EvolutionPlan(1)))
+        hexes = lambda bs: [(b.real.hex(), b.imag.hex()) for b in bs]
+        assert hexes(curve) == hexes(s.b for s in states)
+        assert evolve_iid(rho, dist, EvolutionPlan(300)) == states[-1]
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

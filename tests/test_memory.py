@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from _oracles import coherence_recursion_by_label, effective_decay_by_label
 from noisegames.kicks import char_function
 from noisegames.memory import (
     KernelVariant,
@@ -172,3 +173,16 @@ class TestMonteCarlo:
         rho = DensityMatrix2(0.3, 0.2j, 0.7)
         est = evolve_memory_mc(rho, kernel(KernelVariant.PURE_B, EPS), 6, 500, seed=1)
         assert est.rho_est.a == rho.a and est.rho_est.c == rho.c
+
+
+@pytest.mark.parametrize("variant", list(KernelVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3000])
+def test_recursion_matches_label_keyed_oracle(variant, eps, n):
+    # positional coefficients sum the same terms in the same order as the
+    # class-keyed dicts, so every bit agrees, the sign of zero included
+    k = kernel(variant, eps)
+    hexes = lambda pairs: [(z.real.hex(), z.imag.hex()) for pair in pairs for z in pair]
+    assert hexes(coherence_recursion(k, n).values) == hexes(coherence_recursion_by_label(k, n))
+    if n >= 2:
+        assert effective_decay(k, n).hex() == effective_decay_by_label(k, n).hex()
