@@ -32,6 +32,17 @@ from .qubit import DensityMatrix2, coherence
 # each, so a longer one is refused before its first row is built.
 CSV_MAX_ROWS = 1 << 22
 
+# A fixed-horizon search run of m letters costs trials * ceil(m / 64) draws
+# (64 letters each), about 8 ns a draw on one core of a 2-core Xeon VM, so
+# this bound is about 35 s on one thread.  A run that needs more draws is
+# refused before the first one.
+MC_MAX_DRAWS = 1 << 32
+
+# The version of the map from (seed, trajectory, slot) draws to a family's
+# random inputs.  Layout 1 read each search letter from the top bit of its own
+# draw; layout 2 reads letter t from bit t % 64 of draw t // 64.
+STREAM_LAYOUT = 2
+
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -83,6 +94,7 @@ def _envelope(inputs: dict, results: dict, diagnostics: dict) -> str:
         "diagnostics": diagnostics,
         "provenance": {
             "seed": inputs.get("seed"),
+            "stream_layout": STREAM_LAYOUT,
             "trials": inputs.get("trials"),
             "version": __version__,
         },
@@ -376,9 +388,16 @@ def _cmd_grover(v: dict, threads: int):
         derived["k_star"] = best_k if v["k_star"] is None else v["k_star"]
         strategy = grover.AdaptiveTracking(derived["k_star"])
     else:
-        strategy = grover.QuarterPiHorizon()
+        strategy = grover.FixedHorizon(4 * rule_k)  # the quarter-pi horizon
 
     if v["trials"] > 0:
+        if isinstance(strategy, grover.FixedHorizon):
+            draws = v["trials"] * grover.fixed_horizon_draws(strategy.m)
+            if draws > MC_MAX_DRAWS:
+                raise ValueError(
+                    f"{v['trials']} trials of {strategy.m} letters need {draws} draws; "
+                    f"a run is limited to {MC_MAX_DRAWS} (trials * ceil(m / 64))"
+                )
         outcome = grover.evaluate_strategy(strategy, config, v["trials"], v["seed"], threads)
         results["strategy_eval"] = {
             "win_prob": outcome.win_prob,

@@ -16,6 +16,10 @@ y - 1 for y > 0 and -y for y < 0.  After t random letters
 y = 1 + 2 * (-1)^t * d, where d counts the A's at even slots minus those
 at odd slots, so the Monte Carlo needs only that count, and the length
 law after m fair letters is binomial (:func:`fixed_horizon_length_law`).
+Letter t of a trial is bit ``t % 64`` of its raw draw at slot ``t // 64``
+(1 for A): one 64-bit draw carries 64 letters, and a bit's position has
+the parity of its letter's slot, so the binomial count behind that law is
+one popcount per draw.
 No state vector is ever formed: the payoff of a word is the closed form of
 its reduced length.
 """
@@ -181,8 +185,9 @@ class StrategyOutcome:
     censored: int = 0
 
 
-_TOP = np.uint64(63)  # the top bit of a draw is its letter: 1 for A, 0 for B
-_GRID_ELEMENTS = 1 << 16  # letters per adaptive-tracking chunk (steps x active trials)
+_LETTERS = 64  # letter t of a trial is bit t % 64 of its draw at slot t // 64
+_ODD = np.uint64(0xAAAAAAAAAAAAAAAA)  # bits at odd positions: letters at odd slots
+_GRID_ELEMENTS = 1 << 16  # draws per fixed-horizon call, letters per adaptive chunk
 
 
 def _reduced_length(d: np.ndarray, t: int) -> np.ndarray:
@@ -231,6 +236,11 @@ def fixed_horizon_win_prob(m: int, config: GameConfig) -> float:
     return math.fsum(float(p) * w for p, w in zip(law.values(), payoff))
 
 
+def fixed_horizon_draws(m: int) -> int:
+    """Raw 64-bit draws one trial of an m-letter horizon reads: ceil(m / 64)."""
+    return -(-m // _LETTERS)
+
+
 def evaluate_strategy(
     strategy: Strategy,
     config: GameConfig,
@@ -241,13 +251,16 @@ def evaluate_strategy(
 ) -> StrategyOutcome:
     """Evaluate a stopping strategy for the random-operator game.
 
-    Letter t of trial i is the top bit of its slot-t draw.  The reduced
-    length after t letters depends only on the signed A-count d (see
-    :func:`_reduced_length`), so fixed horizons keep two counters per
-    trial, and adaptive tracking takes cumulative sums of d over chunks of
-    steps.  A stopped adaptive trial wins with exactly the closed-form
-    probability of its target word; a censored one scores the length it
-    holds at ``max_adaptive_steps``.
+    Letter t of trial i is bit ``t % 64`` of its draw at slot ``t // 64``
+    (1 for A), so one draw carries 64 letters.  The reduced length after t
+    letters depends only on the signed A-count d (see
+    :func:`_reduced_length`).  A bit's position has the parity of its
+    letter's slot, so a fixed horizon of m letters counts
+    K = d + floor(m/2) as the popcount of each draw XOR 0xAAAA...AA, and
+    adaptive tracking unpacks the draws in order into cumulative sums of d
+    over word-aligned chunks of steps.  A stopped adaptive trial wins
+    with exactly the closed-form probability of its target word; a
+    censored one scores the length it holds at ``max_adaptive_steps``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -257,58 +270,79 @@ def evaluate_strategy(
 
     if isinstance(strategy, FixedHorizon):
         m = strategy.m
+        words = fixed_horizon_draws(m)
+        # letters past m in the last draw are not played
+        tail = np.uint64((1 << (m % _LETTERS or _LETTERS)) - 1)
 
         # Shift by the start state's payoff, which every length-0 or -1 word keeps.
         ref = float(_success_from_lengths(np.zeros(1, dtype=np.int64), config)[0])
 
         def worker(start: int, count: int):
             keys = rng.stream_keys(seed, start, count)
-            a = np.zeros((2, count), dtype=np.uint64)  # A's at even, odd slots
-            for step in range(m):
-                np.add(a[step % 2], rng.slot_u64(keys, step) >> _TOP, out=a[step % 2])
-            s = _reduced_length(a[0].astype(np.int64) - a[1].astype(np.int64), m)
-            succ = _success_from_lengths(s, config)
-            return montecarlo.block_moments(succ, ref), np.bincount(s, minlength=m + 1)
+            # K = (A's at even slots) + (B's at odd slots) = d + floor(m/2)
+            big_k = np.zeros(count, dtype=np.int64)
+            per_call = max(_GRID_ELEMENTS // count, 1)
+            for first in range(0, words, per_call):
+                w = rng.slot_u64(keys, np.arange(first, min(first + per_call, words)))
+                w ^= _ODD  # a set bit is now an A at an even slot or a B at an odd one
+                if first + per_call >= words:
+                    w[-1] &= tail
+                big_k += np.bitwise_count(w).sum(axis=0, dtype=np.int64)
+            s = _reduced_length(big_k - m // 2, m)
+            moments = montecarlo.block_moments(_success_from_lengths(s, config), ref)
+            return moments, np.unique(s, return_counts=True)
 
         partials = rng.run_blocks(trials, worker, threads=threads)
         mean, stderr = montecarlo.estimate(ref, [p[0] for p in partials], trials)
-        hist = np.zeros(m + 1, dtype=np.int64)
-        for p in partials:
-            hist += p[1]
-        histogram = {int(s): int(c) for s, c in enumerate(hist) if c}
-        return StrategyOutcome(mean.real, stderr, histogram)
+        hist: Counter = Counter()
+        for _, (lengths, counts) in partials:
+            hist.update(dict(zip(lengths.tolist(), counts.tolist())))
+        return StrategyOutcome(mean.real, stderr, dict(sorted(hist.items())))
 
     if isinstance(strategy, AdaptiveTracking):
         k = strategy.k_star
+        cap = max_adaptive_steps
         ref = success_closed_form(k, config)
+        # the length after slot t is 2k iff d = (-1)^(t+1) * k; chunks start at even t
+        goal = np.where(np.arange(_GRID_ELEMENTS) % 2, k, -k)
+
+        def track(keys: np.ndarray):
+            """Stopping times (0 while unstopped), final counts d, unstopped trials."""
+            d = np.zeros(keys.size, dtype=np.int64)
+            stop_at = np.zeros(keys.size, dtype=np.int64)
+            active = np.arange(keys.size) if k else np.arange(0)
+            step = 0  # a multiple of 64 until the cap
+            while active.size and step < cap:
+                per_trial = _GRID_ELEMENTS // (_LETTERS * active.size)
+                n = min(_LETTERS * per_trial, cap - step)
+                slots = np.arange(step, step + n, _LETTERS) // _LETTERS
+                w = rng.slot_u64(keys[active], slots)
+                # row i is letters step .. step+n-1 of trial active[i], in order
+                bytes_ = np.ascontiguousarray(w.T).astype("<u8", copy=False).view(np.uint8)
+                x = np.unpackbits(bytes_, axis=1, count=n, bitorder="little")
+                c = x.astype(np.int64)
+                np.negative(c[:, 1::2], out=c[:, 1::2])  # A's at odd slots count -1
+                c[:, 0] += d[active]
+                np.cumsum(c, axis=1, out=c)
+                hit = c == goal[:n]
+                first = hit.argmax(axis=1)
+                done = hit[np.arange(active.size), first]
+                stop_at[active[done]] = step + 1 + first[done]
+                d[active] = c[:, -1]
+                active = active[~done]
+                step += n
+            return stop_at, d, active
 
         def worker(start: int, count: int):
             keys = rng.stream_keys(seed, start, count)
-            d = np.zeros(count, dtype=np.int64)
-            stop_at = np.zeros(count, dtype=np.int64)
-            active = np.arange(count) if k else np.arange(0)
-            step = 0
-            while active.size and step < max_adaptive_steps:
-                n = min(max(_GRID_ELEMENTS // active.size, 1), max_adaptive_steps - step)
-                w = rng.slot_u64(keys[active], np.arange(step, step + n))
-                w >>= _TOP
-                w = w.view(np.int64)
-                np.negative(w[1 - step % 2 :: 2], out=w[1 - step % 2 :: 2])  # odd slots
-                np.cumsum(w, axis=0, out=w)
-                w += d[active]
-                # the length after slot t is 2k iff d = (-1)^(t+1) * k
-                goal = np.where(np.arange(step, step + n) % 2, k, -k)
-                hit = w == goal[:, None]
-                first = hit.argmax(axis=0)
-                done = hit[first, np.arange(active.size)]
-                stop_at[active[done]] = step + 1 + first[done]
-                d[active] = w[-1]
-                active = active[~done]
-                step += n
+            # a chunk holds at least one draw per trial, so trials go in groups
+            group = _GRID_ELEMENTS // _LETTERS
+            parts = [track(keys[i : i + group]) for i in range(0, count, group)]
+            stops = np.concatenate([np.delete(stop_at, active) for stop_at, _, active in parts])
             # censored trials never stopped, so they have no stopping time
-            held = _reduced_length(d[active], step)
+            held = np.concatenate([_reduced_length(d[active], cap) for _, d, active in parts])
             moments = montecarlo.block_moments(_success_from_lengths(held, config), ref)
-            return np.delete(stop_at, active), held, moments
+            return stops, held, moments
 
         partials = rng.run_blocks(trials, worker, threads=threads)
         win, stderr = montecarlo.estimate(ref, [p[2] for p in partials], trials)

@@ -382,8 +382,9 @@ def walk_reduced_length(s: np.ndarray, is_a: np.ndarray) -> np.ndarray:
     return np.where(cancels, s - 1, np.where((s == 0) & ~is_a, s, s + 1))
 
 
-def _letters_are_a(keys: np.ndarray, slot: int) -> np.ndarray:
-    return (rng.slot_u64(keys, slot) >> np.uint64(63)).astype(bool)
+def _letters_are_a(keys: np.ndarray, t: int) -> np.ndarray:
+    """Letter t of each trial: bit t % 64 of its draw at slot t // 64 (1 for A)."""
+    return ((rng.slot_u64(keys, t // 64) >> np.uint64(t % 64)) & np.uint64(1)).astype(bool)
 
 
 def walk_fixed_horizon(m: int, trials: int, seed: int) -> np.ndarray:

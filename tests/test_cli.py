@@ -84,6 +84,24 @@ class TestExitCodes:
         assert f"limited to {cli.CSV_MAX_ROWS}" in capsys.readouterr().err
         assert run_cli(["grover", "--n-qubits", str(n)])[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # quarter-pi at n = 40 plays 3,294,200 letters: 51,472 draws a trial
+            ["--n-qubits", "40", "--trials", "100000"],
+            ["--strategy", "fixed", "--m", str(10**12), "--trials", "1"],
+        ],
+        ids=["quarter-pi-n40", "fixed-m1e12"],
+    )
+    def test_draw_bound_refuses_before_drawing(self, argv, capsys):
+        code, text = run_cli(["grover", *argv])
+        assert code == 2 and text == ""
+        assert f"limited to {cli.MC_MAX_DRAWS}" in capsys.readouterr().err
+
+    def test_draw_bound_admits_n40_at_1k_trials(self):
+        env = json.loads(run_cli(["grover", "--n-qubits", "40", "--trials", "1000"])[1])
+        assert sum(env["results"]["strategy_eval"]["reduced_length_histogram"].values()) == 1000
+
     def test_csv_row_bound_admits_42(self):
         # the check runs when the row lines are asked for; n = 42 has 3,294,200
         values = {"n_qubits": 42, "target": 0, "strategy": "quarter-pi", "m": None,
@@ -226,6 +244,7 @@ def test_envelope_structure():
     assert set(env) == {"inputs", "results", "diagnostics", "provenance"}
     assert env["provenance"]["version"]
     assert env["provenance"]["seed"] == 1
+    assert env["provenance"]["stream_layout"] == cli.STREAM_LAYOUT == 2
 
 
 @pytest.mark.parametrize(

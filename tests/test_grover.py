@@ -26,6 +26,7 @@ from _oracles import (
     walk_reduced_length,
     word_success,
 )
+from noisegames import grover
 from noisegames.grover import (
     AdaptiveTracking,
     FixedHorizon,
@@ -350,17 +351,46 @@ class TestSignedLetterCount:
                 expected_fixed_horizon_win(m, n), rel=1e-12, abs=1e-15
             )
 
-    @pytest.mark.parametrize("n, trials", [(6, 100_000), (16, 20_000)])
-    def test_monte_carlo_agrees_with_exact_at_quarter_pi(self, n, trials):
+    @pytest.mark.parametrize(
+        "n, trials, seed",
+        [
+            # seed 21 keeps the ids these cases had before the seed was a parameter
+            pytest.param(n, trials, seed, id=f"{n}-{trials}" + (seed != 21) * f"-seed{seed}")
+            for seed in (21, 5, 77, 1234)
+            for n, trials in ((6, 100_000), (16, 20_000))
+        ],
+    )
+    def test_monte_carlo_agrees_with_exact_at_quarter_pi(self, n, trials, seed):
         c = GameConfig(n)
-        out = evaluate_strategy(QuarterPiHorizon(), c, trials, seed=21)
+        out = evaluate_strategy(QuarterPiHorizon(), c, trials, seed=seed)
         exact = fixed_horizon_win_prob(4 * quarter_pi_k(c), c)
         assert abs(out.win_prob - exact) < 5 * out.stderr
 
-    @pytest.mark.parametrize("m", range(40))
+    @pytest.mark.parametrize("k_star", [1, 2, 3, 5, 8])
+    def test_adaptive_mean_stopping_time_is_L_times_L_plus_1(self, k_star):
+        # the reduced length is a +-1 walk from 0, lazy at 0, stopped when it
+        # first reaches L = 2 k_star; that takes L (L + 1) letters on average
+        trials, big_l = 4000, 2 * k_star
+        out = evaluate_strategy(AdaptiveTracking(k_star), GameConfig(8), trials, seed=k_star)
+        assert out.censored == 0
+        hist = out.stopping_time_histogram
+        t = np.repeat(np.fromiter(hist, dtype=np.int64), list(hist.values()))
+        assert abs(t.mean() - big_l * (big_l + 1)) < 5 * t.std(ddof=1) / math.sqrt(trials)
+
+    # 63..129 put the horizon on both sides of one and two 64-letter draws
+    @pytest.mark.parametrize("m", [*range(40), 63, 64, 65, 127, 128, 129])
     def test_fixed_horizon_lengths_are_the_walk(self, m):
         out = evaluate_strategy(FixedHorizon(m), GameConfig(5), 2000, seed=m)
         assert out.reduced_length_histogram == Counter(walk_fixed_horizon(m, 2000, m).tolist())
+
+    @pytest.mark.parametrize("grid", [None, 40])
+    def test_few_trials_read_many_draws_per_call(self, grid, monkeypatch):
+        # 3 trials of 5,000 letters are 79 draws each: one call holds all of
+        # them, or 13 at a time when the grid is 40 draws
+        if grid is not None:
+            monkeypatch.setattr(grover, "_GRID_ELEMENTS", grid)
+        out = evaluate_strategy(FixedHorizon(5000), GameConfig(5), 3, seed=9)
+        assert out.reduced_length_histogram == Counter(walk_fixed_horizon(5000, 3, 9).tolist())
 
     @staticmethod
     def assert_adaptive_is_the_walk(k_star, trials, seed, cap, threads=1):
@@ -372,7 +402,7 @@ class TestSignedLetterCount:
         assert out.stopping_time_histogram == Counter(np.delete(stop_at, censored).tolist())
         assert out.reduced_length_histogram == Counter(s.tolist())
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_lengths_and_stopping_times_across_blocks(self, threads):
         # 70,000 trials are two trajectory blocks
         out = evaluate_strategy(FixedHorizon(37), GameConfig(6), 70_000, seed=5, threads=threads)
@@ -381,6 +411,6 @@ class TestSignedLetterCount:
             self.assert_adaptive_is_the_walk(3, 70_000, 5, cap, threads)
 
     @pytest.mark.parametrize("k_star", [0, 1, 2, 5])
-    @pytest.mark.parametrize("cap", [0, 1, 37, 100])
+    @pytest.mark.parametrize("cap", [0, 1, 37, 63, 64, 65, 100, 129])
     def test_adaptive_is_the_walk_under_caps(self, k_star, cap):
         self.assert_adaptive_is_the_walk(k_star, 3000, k_star, cap)
