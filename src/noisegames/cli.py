@@ -32,6 +32,21 @@ from .qubit import DensityMatrix2, coherence
 # each, so a longer one is refused before its first row is built.
 CSV_MAX_ROWS = 1 << 22
 
+# An iid or memory curve has one row per step.  The rows are built in Python
+# at about 11 us (iid) to 21 us (memory, with its recursion and decay rate)
+# and 100 bytes of JSON each, so a longer curve is refused before its first
+# step: at the bound, `memory --exact` takes about 1.7 s and 75 MiB.
+CURVE_MAX_STEPS = 1 << 16
+
+# A Monte Carlo curve costs steps * (trials + MC_KICK_OVERHEAD) kicks.  A
+# trajectory's kick, with its share of the point's reduction, takes about
+# 100 ns for the gaussian law (the slowest) on one core of a 2-core Xeon VM;
+# each step also costs about 200 us of Python whatever the trials, which is
+# MC_KICK_OVERHEAD kicks.  A run of more than MC_MAX_KICKS (about 30 s on
+# one thread) is refused before its first draw.
+MC_KICK_OVERHEAD = 1 << 11
+MC_MAX_KICKS = 1 << 28
+
 # A fixed-horizon search run of m letters costs trials * ceil(m / 64) draws
 # (64 letters each), about 8 ns a draw on one core of a 2-core Xeon VM, so
 # this bound is about 35 s on one thread.  A run that needs more draws is
@@ -214,6 +229,19 @@ def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
 # None).  The rows are formatted only when the CSV is written.
 
 
+def _curve_mc(v: dict) -> bool:
+    """Whether a curve's Monte Carlo pass runs; one over ``MC_MAX_KICKS`` is refused."""
+    if v["trials"] == 0 or v["exact"]:
+        return False
+    cost = v["steps"] * (v["trials"] + MC_KICK_OVERHEAD)
+    if cost > MC_MAX_KICKS:
+        raise ValueError(
+            f"{v['trials']} trials of {v['steps']} kicks cost {cost} kicks; a run is "
+            f"limited to {MC_MAX_KICKS} (steps * (trials + {MC_KICK_OVERHEAD}))"
+        )
+    return True
+
+
 def _cmd_iid(v: dict, threads: int):
     rho0 = _initial_state(v)
     derived = {}
@@ -234,8 +262,8 @@ def _cmd_iid(v: dict, threads: int):
     else:
         dist = kicks.ExponentialKicks(v["omega"], v["tau1"])
 
+    run_mc = _curve_mc(v)
     factor = kicks.char_function(dist)
-    run_mc = v["trials"] > 0 and not v["exact"]
     plan = kicks.EvolutionPlan(v["steps"], v["tau0"])
     bs = kicks.evolve_iid_curve(rho0, dist, plan)
     estimates = []
@@ -258,8 +286,8 @@ def _cmd_memory(v: dict, threads: int):
     rho0 = _initial_state(v)
     steps = v["steps"]
     kern = memory.kernel(memory.KernelVariant(v["variant"]), v["epsilon"])
+    run_mc = _curve_mc(v)
     trace = memory.coherence_recursion(kern, steps)
-    run_mc = v["trials"] > 0 and not v["exact"]
     estimates = []
     if run_mc:
         # n = 0 is the initial state, reported without a Monte Carlo error
@@ -438,7 +466,7 @@ _COMMANDS = {
         _Param("sigma2", float, 0.0, when=("dist", "gaussian")),
         _Param("omega", float, 1.0, when=("dist", "exponential")),
         _Param("tau1", float, 1.0, when=("dist", "exponential")),
-        _Param("steps", int, 1),
+        _Param("steps", int, 1, lo=0, hi=CURVE_MAX_STEPS),
         _Param("tau0", float, 1.0),
         *_STATE,
         _EXACT,
@@ -448,7 +476,7 @@ _COMMANDS = {
         _Param("variant", str, "combined",
                choices=tuple(k.value for k in memory.KernelVariant)),
         _Param("epsilon", float, 1e-3),
-        _Param("steps", int, 20),
+        _Param("steps", int, 20, lo=1, hi=CURVE_MAX_STEPS),
         *_STATE,
         _EXACT,
     )),

@@ -16,7 +16,10 @@ The closed forms in :func:`char_function` are the only route to these
 values here; the tests hold them against quadrature of the defining
 integrals.  Trajectories are averaged by the shared block-moment reducer
 of :mod:`noisegames.montecarlo`; trajectory t reads slot k at kick k, so a
-curve over 0..n kicks is one pass.
+curve over 0..n kicks is one pass.  A trajectory's coherence after k kicks
+is b times the running product of its kicks' phasors e^{-i theta}, one
+complex multiply per kick: a delta mixture looks each phasor up in a table
+built once, and the continuous laws take one complex exponential per kick.
 """
 
 from __future__ import annotations
@@ -220,39 +223,64 @@ class McEstimate:
     trials: int
 
     @classmethod
-    def from_phases(
-        cls, rho0: DensityMatrix2, phases, trials: int, seed: int, threads: int
+    def from_phasors(
+        cls, rho0: DensityMatrix2, phasors, trials: int, seed: int, threads: int,
+        last_only: bool = False,
     ) -> list["McEstimate"]:
-        """Kicked-state estimates, one per phase array that ``phases(keys)`` yields."""
-        coherences = lambda keys: (rho0.b * np.exp(-1j * t) for t in phases(keys))
-        points = montecarlo.curve(coherences, trials, seed, threads)
+        """Kicked-state estimates after 0, 1, ... kicks, or after the last one only.
+
+        ``phasors(keys)`` yields each kick's factor e^{-i theta} per
+        trajectory, in kick order; a trajectory's coherence is ``rho0.b``
+        times their running product.
+        """
+        coherences = lambda keys: _running_products(rho0.b, len(keys), phasors(keys))
+        if last_only:  # keep only the last array, so no earlier point is reduced
+            sampler = lambda keys: deque(coherences(keys), maxlen=1)
+        else:
+            sampler = coherences
+        points = montecarlo.curve(sampler, trials, seed, threads)
         return [cls(DensityMatrix2(rho0.a, b, rho0.c), se, trials) for b, se in points]
 
 
-def _kick_phases(dist: KickDistribution, keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """Cumulative kick phase per trajectory after 0, 1, ..., ``steps`` kicks.
+def _running_products(b: complex, count: int, factors) -> Iterator[np.ndarray]:
+    """``b`` for each of ``count`` trajectories, then times each factor in turn.
 
-    Trajectory t reads its own slot k at kick k, so one pass yields every
-    prefix; the same array is updated in place after each kick.
+    The same array is updated in place after each factor.
+    """
+    z = np.full(count, b, dtype=np.complex128)
+    yield z
+    for f in factors:
+        z *= f
+        yield z
+
+
+def _phasors(theta: np.ndarray) -> np.ndarray:
+    """e^{-i theta} per entry: one complex exponential, in place."""
+    w = -1j * theta
+    return np.exp(w, out=w)
+
+
+def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """Phasor e^{-i theta} of kicks 1, ..., ``steps`` of each trajectory, in turn.
+
+    Trajectory t reads its own slot k at kick k.  A delta mixture looks the
+    phasor of its drawn angle up in a table built once; the continuous laws
+    take one complex exponential per kick.
     """
     if isinstance(dist, DeltaMixture):
         cum = np.cumsum(np.asarray(dist.weights, dtype=np.float64))
         cum[-1] = 1.0
-        angles = np.asarray(dist.angles, dtype=np.float64)
-        kick = lambda s: angles[np.searchsorted(cum, rng.slot_uniform(keys, s), side="right")]
+        table = _phasors(np.asarray(dist.angles, dtype=np.float64))
+        kick = lambda s: table[np.searchsorted(cum, rng.slot_uniform(keys, s), side="right")]
     elif isinstance(dist, GaussianKicks):
         sigma = math.sqrt(dist.sigma2)
-        kick = lambda s: dist.mu + sigma * rng.slot_normal(keys, s)
+        kick = lambda s: _phasors(dist.mu + sigma * rng.slot_normal(keys, s))
     elif isinstance(dist, ExponentialKicks):
         scale = dist.scale
-        kick = lambda s: -scale * np.log(rng.slot_uniform_open(keys, s))
+        kick = lambda s: _phasors(-scale * np.log(rng.slot_uniform_open(keys, s)))
     else:
         raise TypeError(f"unsupported kick distribution: {type(dist).__name__}")
-    total = np.zeros(len(keys), dtype=np.float64)
-    yield total
-    for s in range(steps):
-        total += kick(s)
-        yield total
+    return map(kick, range(steps))
 
 
 def evolve_iid_mc(
@@ -270,9 +298,8 @@ def evolve_iid_mc(
     are combined in a fixed order.  Equals the last point of
     :func:`evolve_iid_mc_curve` bit for bit.
     """
-    # keep only the last phase array, so no earlier step is reduced
-    final = lambda keys: deque(_kick_phases(dist, keys, plan.steps), maxlen=1)
-    return McEstimate.from_phases(rho0, final, trials, seed, threads)[0]
+    phasors = lambda keys: _kick_phasors(dist, keys, plan.steps)
+    return McEstimate.from_phasors(rho0, phasors, trials, seed, threads, last_only=True)[0]
 
 
 def evolve_iid_mc_curve(
@@ -284,8 +311,8 @@ def evolve_iid_mc_curve(
     threads: int = 1,
 ) -> list[McEstimate]:
     """Monte Carlo estimates after 0, 1, ..., ``plan.steps`` kicks, in one pass."""
-    phases = lambda keys: _kick_phases(dist, keys, plan.steps)
-    return McEstimate.from_phases(rho0, phases, trials, seed, threads)
+    phasors = lambda keys: _kick_phasors(dist, keys, plan.steps)
+    return McEstimate.from_phasors(rho0, phasors, trials, seed, threads)
 
 
 def gaussian_from_clock(omega: float, clock_rate: float) -> GaussianKicks:

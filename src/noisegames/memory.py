@@ -11,7 +11,9 @@ either source alone.
 Every kernel branch lands back inside the two classes (closure), so the
 infinite-dimensional kick recursion collapses exactly to two complex
 numbers per step, tracked by :func:`coherence_recursion`.  Sampled chains
-go through the same block-moment reducer as IID kicks, one pass per curve.
+go through the same block-moment reducer as IID kicks, one pass per curve,
+and carry their coherence as the same running product of kick phasors,
+looked up in a per-branch table.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -219,33 +220,30 @@ def effective_decay(kern: MemoryKernel, n: int) -> float:
     return (last / first) ** (1.0 / (n - 1)) * 2.0 ** (exponent / (n - 1))
 
 
-def _chain_phases(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """Cumulative kick phase per chain after 0, 1, ..., n kicks.
+def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """Phasor e^{-i theta} of kicks 1, ..., n of each chain, in turn.
 
     Chains start in class A (initial angle 0); kick s reads the chain's own
-    slot s, so one pass yields every prefix, updating one array in place.
+    slot s.  Both classes' branches share one table, class B's after class
+    A's: a kick picks its branch index first, then gathers the branch's
+    phasor, built once, and its destination class.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def table(label: SetLabel):
-        branches = kern.branches(label)
-        cum = np.cumsum([br.weight for br in branches])
-        cum[-1] = 1.0
-        to_a = [br.to_label is SetLabel.SET_A for br in branches]
-        return cum, np.array([br.angle for br in branches]), np.array(to_a)
-
-    (cum_a, ang_a, next_a_from_a), (cum_b, ang_b, next_a_from_b) = map(table, SetLabel)
+    branches = kern.from_a + kern.from_b
+    cum_a, cum_b = (np.cumsum([br.weight for br in kern.branches(label)]) for label in SetLabel)
+    cum_a[-1] = cum_b[-1] = 1.0
+    offset_b = len(kern.from_a)
+    phasors = np.exp(-1j * np.array([br.angle for br in branches]))
+    to_a = np.array([br.to_label is SetLabel.SET_A for br in branches])
     in_a = np.ones(len(keys), dtype=bool)
-    total = np.zeros(len(keys), dtype=np.float64)
-    yield total
     for s in range(n):
         u = rng.slot_uniform(keys, s)
         ia = np.searchsorted(cum_a, u, side="right")
         ib = np.searchsorted(cum_b, u, side="right")
-        total += np.where(in_a, ang_a[ia], ang_b[ib])
-        in_a = np.where(in_a, next_a_from_a[ia], next_a_from_b[ib])
-        yield total
+        branch = np.where(in_a, ia, ib + offset_b)
+        in_a = to_a[branch]
+        yield phasors[branch]
 
 
 def evolve_memory_mc(
@@ -264,9 +262,8 @@ def evolve_memory_mc(
     ``b * conj(f_n at class A)`` from :func:`coherence_recursion`, and
     equals the last point of :func:`evolve_memory_mc_curve` bit for bit.
     """
-    # keep only the last phase array, so no earlier step is reduced
-    final = lambda keys: deque(_chain_phases(kern, keys, n), maxlen=1)
-    return McEstimate.from_phases(rho0, final, trials, seed, threads)[0]
+    phasors = lambda keys: _chain_phasors(kern, keys, n)
+    return McEstimate.from_phasors(rho0, phasors, trials, seed, threads, last_only=True)[0]
 
 
 def evolve_memory_mc_curve(
@@ -278,5 +275,5 @@ def evolve_memory_mc_curve(
     threads: int = 1,
 ) -> list[McEstimate]:
     """Monte Carlo estimates after 0, 1, ..., n kicks, in one pass."""
-    phases = lambda keys: _chain_phases(kern, keys, n)
-    return McEstimate.from_phases(rho0, phases, trials, seed, threads)
+    phasors = lambda keys: _chain_phasors(kern, keys, n)
+    return McEstimate.from_phasors(rho0, phasors, trials, seed, threads)

@@ -11,9 +11,10 @@ implementations it checks.  These parts take something from the package:
   ``KrausChannel`` and ``DensityMatrix2``, whose constructors validate them;
 * the state simulators of the search game take its ``GameConfig``, and
   ``char_function_quadrature`` takes the package's kick laws;
-* the search-game letter walks, the per-point Monte Carlo estimators and
-  the wheel-game position merge keep the package's random streams (and
-  kick laws) and fix the results the faster routes must match;
+* the search-game letter walks, the per-point Monte Carlo estimators, the
+  exp-of-sum kicked coherences and the wheel-game position merge keep the
+  package's random streams (and kick laws) and fix the results the faster
+  routes must match;
 * the memory-kernel recursion keyed by ``SetLabel`` takes the package's
   kernels, and the JSON/CSV writers take the values the CLI prints.
 """
@@ -417,9 +418,10 @@ def walk_adaptive(k_star: int, trials: int, seed: int, cap: int):
 
 # --- Per-point Monte Carlo estimators as written before the shared engine ---
 #
-# Each call reruns every trajectory from scratch for a single step count and
-# folds the block moments by hand.  Curves from noisegames.montecarlo must
-# match these point for point, bit for bit.
+# Each call reruns every trajectory from scratch for a single step count,
+# multiplies b by each kick's phasor e^{-i theta} in kick order, and folds the
+# block moments by hand.  Curves from noisegames.montecarlo must match these
+# point for point, bit for bit.
 
 
 def _moments_to_mean_stderr(ref: complex, partials, trials: int):
@@ -447,44 +449,51 @@ def _block_sums(w: np.ndarray):
     )
 
 
-def _iid_angles(dist, keys: np.ndarray, steps: int) -> np.ndarray:
-    total = np.zeros(len(keys), dtype=np.float64)
+def _delta_branch(dist, keys: np.ndarray, s: int) -> np.ndarray:
+    cum = np.cumsum(np.asarray(dist.weights, dtype=np.float64))
+    cum[-1] = 1.0
+    return np.searchsorted(cum, rng.slot_uniform(keys, s), side="right")
+
+
+def _iid_angle(dist, keys: np.ndarray, s: int) -> np.ndarray:
+    """theta of kick s + 1 of every trajectory."""
     if isinstance(dist, DeltaMixture):
-        cum = np.cumsum(np.asarray(dist.weights, dtype=np.float64))
-        cum[-1] = 1.0
-        angles = np.asarray(dist.angles, dtype=np.float64)
-        for s in range(steps):
-            u = rng.slot_uniform(keys, s)
-            total += angles[np.searchsorted(cum, u, side="right")]
-    elif isinstance(dist, GaussianKicks):
-        sigma = math.sqrt(dist.sigma2)
-        for s in range(steps):
-            total += dist.mu + sigma * rng.slot_normal(keys, s)
-    elif isinstance(dist, ExponentialKicks):
-        scale = dist.scale
-        for s in range(steps):
-            total += -scale * np.log(rng.slot_uniform_open(keys, s))
-    else:
-        raise TypeError(type(dist).__name__)
-    return total
+        return np.asarray(dist.angles, dtype=np.float64)[_delta_branch(dist, keys, s)]
+    if isinstance(dist, GaussianKicks):
+        return dist.mu + math.sqrt(dist.sigma2) * rng.slot_normal(keys, s)
+    if isinstance(dist, ExponentialKicks):
+        return -dist.scale * np.log(rng.slot_uniform_open(keys, s))
+    raise TypeError(type(dist).__name__)
+
+
+def _iid_phasor(dist, keys: np.ndarray, s: int) -> np.ndarray:
+    """e^{-i theta} of kick s + 1 of every trajectory; a delta mixture's from a table."""
+    if isinstance(dist, DeltaMixture):
+        table = np.exp(-1j * np.asarray(dist.angles, dtype=np.float64))
+        return table[_delta_branch(dist, keys, s)]
+    return np.exp(-1j * _iid_angle(dist, keys, s))
+
+
+def _iid_coherences(b0: complex, dist, keys: np.ndarray, steps: int) -> np.ndarray:
+    z = np.full(len(keys), b0, dtype=np.complex128)
+    for s in range(steps):
+        z *= _iid_phasor(dist, keys, s)
+    return z
 
 
 def iid_mc_point(b0: complex, dist, steps: int, trials: int, seed: int, threads: int):
     """(mean coherence, stderr) after ``steps`` IID kicks."""
-    ref = complex(
-        b0 * np.exp(-1j * _iid_angles(dist, rng.stream_keys(seed, 0, 1), steps))[0]
-    )
+    ref = complex(_iid_coherences(b0, dist, rng.stream_keys(seed, 0, 1), steps)[0])
 
     def worker(start: int, count: int):
         keys = rng.stream_keys(seed, start, count)
-        return _block_sums(b0 * np.exp(-1j * _iid_angles(dist, keys, steps)) - ref)
+        return _block_sums(_iid_coherences(b0, dist, keys, steps) - ref)
 
     partials = rng.run_blocks(trials, worker, threads=threads)
     return _moments_to_mean_stderr(ref, partials, trials)
 
 
-def memory_mc_point(b0: complex, kern, n: int, trials: int, seed: int, threads: int):
-    """(mean coherence, stderr) after n kicks of a memory kernel from class A."""
+def _chain_tables(kern):
     tables = {}
     for label in (SetLabel.SET_A, SetLabel.SET_B):
         branches = kern.branches(label)
@@ -493,28 +502,65 @@ def memory_mc_point(b0: complex, kern, n: int, trials: int, seed: int, threads: 
         angles = np.array([br.angle for br in branches])
         to_a = np.array([br.to_label is SetLabel.SET_A for br in branches])
         tables[label] = (cum, angles, to_a)
-    cum_a, ang_a, next_a_from_a = tables[SetLabel.SET_A]
-    cum_b, ang_b, next_a_from_b = tables[SetLabel.SET_B]
+    return tables[SetLabel.SET_A], tables[SetLabel.SET_B]
 
-    def chain_phases(keys: np.ndarray) -> np.ndarray:
-        in_a = np.ones(len(keys), dtype=bool)
-        total = np.zeros(len(keys), dtype=np.float64)
-        for s in range(n):
-            u = rng.slot_uniform(keys, s)
-            ia = np.searchsorted(cum_a, u, side="right")
-            ib = np.searchsorted(cum_b, u, side="right")
-            total += np.where(in_a, ang_a[ia], ang_b[ib])
-            in_a = np.where(in_a, next_a_from_a[ia], next_a_from_b[ib])
-        return total
 
-    ref = complex(b0 * np.exp(-1j * chain_phases(rng.stream_keys(seed, 0, 1)))[0])
+def _chain_draws(kern, keys: np.ndarray, n: int):
+    """(in class A, branch drawn from A, branch drawn from B) per chain at each kick."""
+    (cum_a, _, next_a_from_a), (cum_b, _, next_a_from_b) = _chain_tables(kern)
+    in_a = np.ones(len(keys), dtype=bool)
+    for s in range(n):
+        u = rng.slot_uniform(keys, s)
+        ia = np.searchsorted(cum_a, u, side="right")
+        ib = np.searchsorted(cum_b, u, side="right")
+        yield in_a, ia, ib
+        in_a = np.where(in_a, next_a_from_a[ia], next_a_from_b[ib])
+
+
+def memory_mc_point(b0: complex, kern, n: int, trials: int, seed: int, threads: int):
+    """(mean coherence, stderr) after n kicks of a memory kernel from class A."""
+    (_, ang_a, _), (_, ang_b, _) = _chain_tables(kern)
+    phasor_a, phasor_b = np.exp(-1j * ang_a), np.exp(-1j * ang_b)
+
+    def chain_coherences(keys: np.ndarray) -> np.ndarray:
+        z = np.full(len(keys), b0, dtype=np.complex128)
+        for in_a, ia, ib in _chain_draws(kern, keys, n):
+            z *= np.where(in_a, phasor_a[ia], phasor_b[ib])
+        return z
+
+    ref = complex(chain_coherences(rng.stream_keys(seed, 0, 1))[0])
 
     def worker(start: int, count: int):
         keys = rng.stream_keys(seed, start, count)
-        return _block_sums(b0 * np.exp(-1j * chain_phases(keys)) - ref)
+        return _block_sums(chain_coherences(keys) - ref)
 
     partials = rng.run_blocks(trials, worker, threads=threads)
     return _moments_to_mean_stderr(ref, partials, trials)
+
+
+# --- Kicked coherences as written before running phasor products ---
+#
+# Each trajectory's kick angles are summed, and the coherence after k kicks
+# is b * e^{-i (theta_1 + ... + theta_k)}, one complex exponential per point.
+
+
+def iid_phase_sums(dist, keys: np.ndarray, steps: int):
+    """Cumulative kick phase per trajectory after 0, 1, ..., ``steps`` kicks."""
+    total = np.zeros(len(keys), dtype=np.float64)
+    yield total.copy()
+    for s in range(steps):
+        total += _iid_angle(dist, keys, s)
+        yield total.copy()
+
+
+def chain_phase_sums(kern, keys: np.ndarray, n: int):
+    """Cumulative kick phase per chain (from class A) after 0, 1, ..., n kicks."""
+    (_, ang_a, _), (_, ang_b, _) = _chain_tables(kern)
+    total = np.zeros(len(keys), dtype=np.float64)
+    yield total.copy()
+    for in_a, ia, ib in _chain_draws(kern, keys, n):
+        total += np.where(in_a, ang_a[ia], ang_b[ib])
+        yield total.copy()
 
 
 # --- The wheel-game simulation as written before residue histograms ---

@@ -102,6 +102,58 @@ class TestExitCodes:
         env = json.loads(run_cli(["grover", "--n-qubits", "40", "--trials", "1000"])[1])
         assert sum(env["results"]["strategy_eval"]["reduced_length_histogram"].values()) == 1000
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["iid", "--exact", "--steps", "1000000"],
+            ["memory", "--exact", "--steps", "1000000"],
+            ["iid", "--steps", "100000", "--trials", "10"],
+            ["memory", "--steps", str(cli.CURVE_MAX_STEPS + 1), "--exact"],
+        ],
+        ids=["iid-exact-1e6", "memory-exact-1e6", "iid-mc-1e5", "memory-one-over"],
+    )
+    def test_curve_length_bound_refuses_before_work(self, argv, capsys):
+        code, text = run_cli(argv)
+        assert code == 2 and text == ""
+        assert f"{cli.CURVE_MAX_STEPS}], got" in capsys.readouterr().err
+
+    def test_curve_length_bound_holds_for_config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"steps": cli.CURVE_MAX_STEPS + 1, "exact": True}))
+        assert run_cli(["iid", "--config", str(path)])[0] == 2
+
+    def test_curve_length_bound_admits_its_limit(self):
+        env = run_json(["iid", "--exact", "--steps", str(cli.CURVE_MAX_STEPS)])
+        assert len(env["results"]["curve"]) == cli.CURVE_MAX_STEPS + 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["iid", "--steps", "2000", "--trials", "200000"],
+            ["memory", "--steps", "20", "--trials", "20000000"],
+        ],
+        ids=["iid-2000x2e5", "memory-20x2e7"],
+    )
+    def test_kick_bound_refuses_before_drawing(self, argv, capsys):
+        code, text = run_cli(argv)
+        assert code == 2 and text == ""
+        assert f"limited to {cli.MC_MAX_KICKS}" in capsys.readouterr().err
+        # the same curve on the exact route alone is admitted
+        assert run_cli([*argv, "--exact"])[0] == 0
+
+    def test_kick_bound_admits_its_limit(self):
+        steps = 1 << 10
+        trials = cli.MC_MAX_KICKS // steps - cli.MC_KICK_OVERHEAD
+        values = {"steps": steps, "trials": trials, "exact": False}
+        assert cli._curve_mc(values)
+        with pytest.raises(ValueError, match=f"limited to {cli.MC_MAX_KICKS}"):
+            cli._curve_mc({**values, "trials": trials + 1})
+        assert not cli._curve_mc({**values, "trials": trials + 1, "exact": True})
+
+    def test_kick_bound_admits_the_benchmark_curve(self):
+        env = run_json(["memory", "--steps", "20", "--trials", "100000"])
+        assert env["diagnostics"]["mc"] and len(env["results"]["curve"]) == 21
+
     def test_csv_row_bound_admits_42(self):
         # the check runs when the row lines are asked for; n = 42 has 3,294,200
         values = {"n_qubits": 42, "target": 0, "strategy": "quarter-pi", "m": None,
