@@ -20,7 +20,6 @@ from .grover import (
     AdaptiveTracking,
     FixedHorizon,
     GameConfig,
-    QuarterPiHorizon,
     StrategyOutcome,
     evaluate_strategy,
     fixed_horizon_length_law,
@@ -40,9 +39,7 @@ from .kicks import (
     McEstimate,
     char_function,
     evolve_iid,
-    evolve_iid_curve,
     evolve_iid_mc,
-    evolve_iid_mc_curve,
     gaussian_for_target,
     gaussian_from_clock,
     is_decoherence_free,
@@ -53,9 +50,7 @@ from .memory import (
     MemoryKernel,
     SetLabel,
     coherence_recursion,
-    effective_decay,
     evolve_memory_mc,
-    evolve_memory_mc_curve,
     kernel,
 )
 from .parrondo import (

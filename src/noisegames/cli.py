@@ -264,11 +264,11 @@ def _cmd_iid(v: dict, threads: int):
 
     run_mc = _curve_mc(v)
     factor = kicks.char_function(dist)
-    plan = kicks.EvolutionPlan(v["steps"], v["tau0"])
-    bs = kicks.evolve_iid_curve(rho0, dist, plan)
+    plan = kicks.EvolutionPlan(v["steps"])
+    bs = kicks.evolve_iid(rho0, dist, plan)
     estimates = []
     if run_mc:
-        estimates = kicks.evolve_iid_mc_curve(rho0, dist, plan, v["trials"], v["seed"], threads)
+        estimates = kicks.evolve_iid_mc(rho0, dist, plan, v["trials"], v["seed"], threads)
     curve, csv_data = _curve([abs(b) for b in bs], estimates)
 
     final = DensityMatrix2(rho0.a, bs[-1], rho0.c)
@@ -291,16 +291,14 @@ def _cmd_memory(v: dict, threads: int):
     estimates = []
     if run_mc:
         # n = 0 is the initial state, reported without a Monte Carlo error
-        estimates = memory.evolve_memory_mc_curve(
-            rho0, kern, steps, v["trials"], v["seed"], threads
-        )
+        estimates = memory.evolve_memory_mc(rho0, kern, steps, v["trials"], v["seed"], threads)
         estimates[0] = None
     c0 = coherence(rho0)
     analytic = [c0] + [c0 * abs(fa) for fa, _ in trace.values]
     curve, csv_data = _curve(analytic, estimates)
 
     results = {
-        "decay_per_step": memory.effective_decay(kern, steps) if steps >= 2 else None,
+        "decay_per_step": trace.decay_per_step,
         "final_f0_re": trace.final_a.real,
         "final_f0_im": trace.final_a.imag,
         "final_feps_re": trace.final_b.real,
@@ -467,7 +465,6 @@ _COMMANDS = {
         _Param("omega", float, 1.0, when=("dist", "exponential")),
         _Param("tau1", float, 1.0, when=("dist", "exponential")),
         _Param("steps", int, 1, lo=0, hi=CURVE_MAX_STEPS),
-        _Param("tau0", float, 1.0),
         *_STATE,
         _EXACT,
     )),

@@ -148,11 +148,6 @@ class FixedHorizon:
 
 
 @dataclass(frozen=True, slots=True)
-class QuarterPiHorizon:
-    """Stop after 4k random operations, k = ceil(pi*sqrt(N)/4)."""
-
-
-@dataclass(frozen=True, slots=True)
 class AdaptiveTracking:
     """Track the reduced word and stop when it equals (BA)^k_star."""
 
@@ -164,7 +159,7 @@ class AdaptiveTracking:
         object.__setattr__(self, "k_star", int(self.k_star))
 
 
-Strategy = Union[FixedHorizon, QuarterPiHorizon, AdaptiveTracking]
+Strategy = Union[FixedHorizon, AdaptiveTracking]
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,9 +259,6 @@ def evaluate_strategy(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-    if isinstance(strategy, QuarterPiHorizon):
-        strategy = FixedHorizon(4 * quarter_pi_k(config))
 
     if isinstance(strategy, FixedHorizon):
         m = strategy.m

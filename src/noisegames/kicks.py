@@ -14,9 +14,11 @@ picks up a factor ``gamma^n e^{-i n phi}``.  Three laws are supported:
 
 The closed forms in :func:`char_function` are the only route to these
 values here; the tests hold them against quadrature of the defining
-integrals.  Trajectories are averaged by the shared block-moment reducer
-of :mod:`noisegames.montecarlo`; trajectory t reads slot k at kick k, so a
-curve over 0..n kicks is one pass.  A trajectory's coherence after k kicks
+integrals.  Each route returns the whole coherence curve over 0..n kicks:
+:func:`evolve_iid` exactly, :func:`evolve_iid_mc` by Monte Carlo.
+Trajectories are averaged by the shared block-moment reducer of
+:mod:`noisegames.montecarlo`; trajectory t reads slot k at kick k, so a
+curve is one pass.  A trajectory's coherence after k kicks
 is b times the running product of its kicks' phasors e^{-i theta}, one
 complex multiply per kick: a delta mixture looks each phasor up in a table
 built once, and the continuous laws take one complex exponential per kick.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -143,18 +144,14 @@ class DecayFactor:
 
 @dataclass(frozen=True, slots=True)
 class EvolutionPlan:
-    """Discrete evolution: ``steps`` kicks, one every ``tau0`` time units."""
+    """Discrete evolution of ``steps`` kicks."""
 
     steps: int
-    tau0: float = 1.0
 
     def __post_init__(self):
         if int(self.steps) != self.steps or self.steps < 0:
             raise ValueError("steps must be a nonnegative integer")
         object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "tau0", float(self.tau0))
-        if not math.isfinite(self.tau0) or self.tau0 <= 0.0:
-            raise ValueError("tau0 must be positive")
 
 
 def char_function(dist: KickDistribution) -> DecayFactor:
@@ -178,36 +175,20 @@ def char_function(dist: KickDistribution) -> DecayFactor:
 
 def evolve_iid(
     rho0: DensityMatrix2, dist: KickDistribution, plan: EvolutionPlan
-) -> DensityMatrix2:
-    """Exact state after ``plan.steps`` IID kicks.
-
-    Populations are unchanged; the coherence is multiplied once per step by
-    ``gamma * e^{-i phi}``.  The per-step factor is applied sequentially,
-    so evolving n1 + n2 steps equals evolving n1 then n2 steps bit for bit.
-    """
-    (b,) = deque(_kicked_coherences(rho0.b, dist, plan.steps), maxlen=1)
-    return DensityMatrix2(rho0.a, b, rho0.c)
-
-
-def evolve_iid_curve(
-    rho0: DensityMatrix2, dist: KickDistribution, plan: EvolutionPlan
 ) -> list[complex]:
     """Exact coherence after 0, 1, ..., ``plan.steps`` IID kicks.
 
-    Entry k is the off-diagonal entry of ``evolve_iid`` over k steps, bit
-    for bit; no intermediate state is built.
+    Populations are unchanged; the coherence is multiplied once per step by
+    ``gamma * e^{-i phi}``.  The per-step factor is applied sequentially,
+    so entry n1 + n2 equals entry n2 of the curve started from entry n1,
+    bit for bit.
     """
-    return list(_kicked_coherences(rho0.b, dist, plan.steps))
-
-
-def _kicked_coherences(b: complex, dist: KickDistribution, steps: int) -> Iterator[complex]:
-    """``b`` multiplied by the per-step factor 0, 1, ..., ``steps`` times in turn."""
     df = char_function(dist)
     step = df.gamma * cmath.exp(-1j * df.phi)
-    yield b
-    for _ in range(steps):
-        b = b * step
-        yield b
+    out = [rho0.b]
+    for _ in range(plan.steps):
+        out.append(out[-1] * step)
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,20 +205,15 @@ class McEstimate:
 
     @classmethod
     def from_phasors(
-        cls, rho0: DensityMatrix2, phasors, trials: int, seed: int, threads: int,
-        last_only: bool = False,
+        cls, rho0: DensityMatrix2, phasors, trials: int, seed: int, threads: int
     ) -> list["McEstimate"]:
-        """Kicked-state estimates after 0, 1, ... kicks, or after the last one only.
+        """Kicked-state estimates after 0, 1, ... kicks.
 
         ``phasors(keys)`` yields each kick's factor e^{-i theta} per
         trajectory, in kick order; a trajectory's coherence is ``rho0.b``
         times their running product.
         """
-        coherences = lambda keys: _running_products(rho0.b, len(keys), phasors(keys))
-        if last_only:  # keep only the last array, so no earlier point is reduced
-            sampler = lambda keys: deque(coherences(keys), maxlen=1)
-        else:
-            sampler = coherences
+        sampler = lambda keys: _running_products(rho0.b, len(keys), phasors(keys))
         points = montecarlo.curve(sampler, trials, seed, threads)
         return [cls(DensityMatrix2(rho0.a, b, rho0.c), se, trials) for b, se in points]
 
@@ -290,27 +266,13 @@ def evolve_iid_mc(
     trials: int,
     seed: int,
     threads: int = 1,
-) -> McEstimate:
-    """Monte Carlo average of the kicked state over sampled trajectories.
+) -> list[McEstimate]:
+    """Monte Carlo estimates after 0, 1, ..., ``plan.steps`` kicks, in one pass.
 
     Deterministic for fixed (seed, trials) under any thread count:
     trajectory t draws from the stream keyed by (seed, t) and block sums
-    are combined in a fixed order.  Equals the last point of
-    :func:`evolve_iid_mc_curve` bit for bit.
+    are combined in a fixed order.
     """
-    phasors = lambda keys: _kick_phasors(dist, keys, plan.steps)
-    return McEstimate.from_phasors(rho0, phasors, trials, seed, threads, last_only=True)[0]
-
-
-def evolve_iid_mc_curve(
-    rho0: DensityMatrix2,
-    dist: KickDistribution,
-    plan: EvolutionPlan,
-    trials: int,
-    seed: int,
-    threads: int = 1,
-) -> list[McEstimate]:
-    """Monte Carlo estimates after 0, 1, ..., ``plan.steps`` kicks, in one pass."""
     phasors = lambda keys: _kick_phasors(dist, keys, plan.steps)
     return McEstimate.from_phasors(rho0, phasors, trials, seed, threads)
 

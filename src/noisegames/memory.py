@@ -10,10 +10,11 @@ either source alone.
 
 Every kernel branch lands back inside the two classes (closure), so the
 infinite-dimensional kick recursion collapses exactly to two complex
-numbers per step, tracked by :func:`coherence_recursion`.  Sampled chains
-go through the same block-moment reducer as IID kicks, one pass per curve,
-and carry their coherence as the same running product of kick phasors,
-looked up in a per-branch table.
+numbers per step, tracked by :func:`coherence_recursion` in one pass that
+also yields the sustained decay rate.  Sampled chains go through the same
+block-moment reducer as IID kicks: :func:`evolve_memory_mc` returns the
+whole curve in one pass, and carries each chain's coherence as the same
+running product of kick phasors, looked up in a per-branch table.
 """
 
 from __future__ import annotations
@@ -142,9 +143,13 @@ class CoherenceTrace:
 
     ``values[k-1]`` is ``(f_k at class A, f_k at class B)``; class A is the
     class of the initial angle 0 and class B the class of eps.
+    ``decay_per_step`` is the sustained per-step decay factor (see
+    :func:`coherence_recursion`), ``None`` when n = 1 or f_1 at class A
+    is zero.
     """
 
     values: tuple[tuple[complex, complex], ...]
+    decay_per_step: float | None
 
     @property
     def final_a(self) -> complex:
@@ -174,50 +179,42 @@ def _recursion_step(kern: MemoryKernel) -> Callable[[tuple], tuple]:
 
 
 def coherence_recursion(kern: MemoryKernel, n: int) -> CoherenceTrace:
-    """Exact expectation E[e^{i(theta_1+...+theta_k)} | starting class]."""
+    """Exact expectation E[e^{i(theta_1+...+theta_k)} | starting class], k = 1..n.
+
+    f_k underflows in long runs (near n = 1750 at rate 2/3), so the pair is
+    carried scaled: whenever its larger magnitude falls below 2**-512 it is
+    multiplied by an exact power of two.  Each value is the scaled pair
+    rebuilt with ``math.ldexp`` per component, so it is rounded once, not
+    carried through subnormal arithmetic; shorter runs are never rescaled.
+
+    ``decay_per_step`` is the geometric mean of the step factors after the
+    first kick, ``(abs(f_n) / abs(f_1)) ** (1 / (n - 1))`` at the class of
+    the initial angle 0, taken from the scaled pair and the exponents
+    taken out.  The first kick only enters the kernel's recurrent class (a
+    deterministic, decay-free move for the pure-B kernel), so including it
+    would understate the sustained rate.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     step = _recursion_step(kern)
-    f = (1.0 + 0.0j, 1.0 + 0.0j)
-    out = []
-    for _ in range(n):
-        f = step(f)
-        out.append(f)
-    return CoherenceTrace(tuple(out))
-
-
-def effective_decay(kern: MemoryKernel, n: int) -> float:
-    """Per-step coherence decay factor sustained by the kernel.
-
-    Geometric mean of the step factors after the first kick,
-    ``(abs(f_n) / abs(f_1)) ** (1 / (n - 1))`` at the class of the initial
-    angle 0.  The first kick only enters the kernel's recurrent class (a
-    deterministic, decay-free move for the pure-B kernel), so including it
-    would understate the sustained rate.
-
-    f_n underflows in long runs (near n = 1750 at rate 2/3), so the
-    recursion is rescaled by an exact power of two whenever it falls below
-    2**-512 and the rate is rebuilt from the exponents taken out; shorter
-    runs are never rescaled.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    step = _recursion_step(kern)
     f = step((1.0 + 0.0j, 1.0 + 0.0j))
     first = abs(f[0])
-    if first == 0.0:
-        raise ValueError("recursion vanished at the first step")
+    out = [f]
     exponent = 0  # the true f_k is f * 2**exponent
+    rebuilt = lambda z: complex(math.ldexp(z.real, exponent), math.ldexp(z.imag, exponent))
     for _ in range(n - 1):
         f = step(f)
+        out.append((rebuilt(f[0]), rebuilt(f[1])) if exponent else f)
         top = max(abs(f[0]), abs(f[1]))
         if 0.0 < top < 2.0**-512:
             e = math.frexp(top)[1]
             scale = math.ldexp(1.0, -e)
             f = (f[0] * scale, f[1] * scale)
             exponent += e
-    last = abs(f[0])
-    return (last / first) ** (1.0 / (n - 1)) * 2.0 ** (exponent / (n - 1))
+    decay = None
+    if n >= 2 and first > 0.0:
+        decay = (abs(f[0]) / first) ** (1.0 / (n - 1)) * 2.0 ** (exponent / (n - 1))
+    return CoherenceTrace(tuple(out), decay)
 
 
 def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.ndarray]:
@@ -253,27 +250,14 @@ def evolve_memory_mc(
     trials: int,
     seed: int,
     threads: int = 1,
-) -> McEstimate:
-    """Monte Carlo average over sampled kick chains (initial angle 0).
-
-    The chain starts in class A; each step draws a kernel branch for the
-    current class, rotates the coherence by e^{-i theta}, and moves to the
-    branch's destination class.  The estimate converges to
-    ``b * conj(f_n at class A)`` from :func:`coherence_recursion`, and
-    equals the last point of :func:`evolve_memory_mc_curve` bit for bit.
-    """
-    phasors = lambda keys: _chain_phasors(kern, keys, n)
-    return McEstimate.from_phasors(rho0, phasors, trials, seed, threads, last_only=True)[0]
-
-
-def evolve_memory_mc_curve(
-    rho0: DensityMatrix2,
-    kern: MemoryKernel,
-    n: int,
-    trials: int,
-    seed: int,
-    threads: int = 1,
 ) -> list[McEstimate]:
-    """Monte Carlo estimates after 0, 1, ..., n kicks, in one pass."""
+    """Monte Carlo estimates after 0, 1, ..., n kicks over sampled chains, in one pass.
+
+    Each chain starts in class A (initial angle 0); each step draws a
+    kernel branch for the current class, rotates the coherence by
+    e^{-i theta}, and moves to the branch's destination class.  Point k
+    converges to ``b * conj(f_k at class A)`` from
+    :func:`coherence_recursion`.
+    """
     phasors = lambda keys: _chain_phasors(kern, keys, n)
     return McEstimate.from_phasors(rho0, phasors, trials, seed, threads)

@@ -611,9 +611,34 @@ def _recursion_step_by_label(kern):
 
 
 def coherence_recursion_by_label(kern, n: int) -> list[tuple[complex, complex]]:
-    """(f_k at class A, f_k at class B) for k = 1..n, one dict per step."""
+    """(f_k at class A, f_k at class B) for k = 1..n, one dict per step.
+
+    Carried scaled by an exact power of two whenever its larger magnitude
+    falls below 2**-512, each value rebuilt per component with
+    ``math.ldexp``, as ``memory.coherence_recursion`` does.
+    """
     step = _recursion_step_by_label(kern)
     f = {SetLabel.SET_A: 1.0 + 0.0j, SetLabel.SET_B: 1.0 + 0.0j}
+    exponent = 0
+    out = []
+    for _ in range(n):
+        f = step(f)
+        out.append(tuple(
+            complex(math.ldexp(f[label].real, exponent), math.ldexp(f[label].imag, exponent))
+            for label in SetLabel
+        ))
+        top = max(abs(v) for v in f.values())
+        if 0.0 < top < 2.0**-512:
+            e = math.frexp(top)[1]
+            f = {label: v * math.ldexp(1.0, -e) for label, v in f.items()}
+            exponent += e
+    return out
+
+
+def coherence_recursion_from(kern, n: int, start: float) -> list[tuple[complex, complex]]:
+    """The class-keyed recursion for k = 1..n from f_0 = ``start`` at both classes, unscaled."""
+    step = _recursion_step_by_label(kern)
+    f = {SetLabel.SET_A: complex(start), SetLabel.SET_B: complex(start)}
     out = []
     for _ in range(n):
         f = step(f)
@@ -622,7 +647,11 @@ def coherence_recursion_by_label(kern, n: int) -> list[tuple[complex, complex]]:
 
 
 def effective_decay_by_label(kern, n: int) -> float:
-    """``memory.effective_decay`` with the dict-keyed recursion and rescaling."""
+    """The decay rate of ``memory.coherence_recursion``, in a pass of its own.
+
+    The dict-keyed recursion and rescaling of the two-pass route the package
+    first had.
+    """
     step = _recursion_step_by_label(kern)
     f = step({SetLabel.SET_A: 1.0 + 0.0j, SetLabel.SET_B: 1.0 + 0.0j})
     first = abs(f[SetLabel.SET_A])

@@ -35,8 +35,8 @@ from noisegames.dissipative import (
 )
 from noisegames.grover import (
     AdaptiveTracking,
+    FixedHorizon,
     GameConfig,
-    QuarterPiHorizon,
     evaluate_strategy,
     optimal_k,
     pure_game_payoff,
@@ -54,7 +54,6 @@ from noisegames.kicks import (
 from noisegames.memory import (
     KernelVariant,
     coherence_recursion,
-    effective_decay,
     evolve_memory_mc,
     kernel,
     set_a_support,
@@ -133,15 +132,16 @@ def test_criterion_2_inverse_construction():
 def test_criterion_3_memory_parrondo_effect():
     with criterion(3, "memory-channel switching gain", budget=10.0):
         eps = 1e-3
-        assert abs(effective_decay(kernel(KernelVariant.COMBINED, 0.0), 50) - 2 / 3) < 1e-12
-        assert abs(effective_decay(kernel(KernelVariant.COMBINED, eps), 50) - 2 / 3) < 5e-3
-        assert abs(effective_decay(kernel(KernelVariant.PURE_A, eps), 50) - 1 / 3) < 1e-12
-        assert abs(effective_decay(kernel(KernelVariant.PURE_B, eps), 50) - 1 / 3) < 1e-12
+        decay = lambda variant, e: coherence_recursion(kernel(variant, e), 50).decay_per_step
+        assert abs(decay(KernelVariant.COMBINED, 0.0) - 2 / 3) < 1e-12
+        assert abs(decay(KernelVariant.COMBINED, eps) - 2 / 3) < 5e-3
+        assert abs(decay(KernelVariant.PURE_A, eps) - 1 / 3) < 1e-12
+        assert abs(decay(KernelVariant.PURE_B, eps) - 1 / 3) < 1e-12
 
         for variant in KernelVariant:
             kern = kernel(variant, eps)
             expected = 0.5 * coherence_recursion(kern, 20).final_a.conjugate()
-            est = evolve_memory_mc(plus_state(), kern, 20, 100_000, seed=303)
+            est = evolve_memory_mc(plus_state(), kern, 20, 100_000, seed=303)[-1]
             tol = 3.0 * max(est.stderr, 1e-12)
             assert abs(est.rho_est.b.real - expected.real) < tol
             assert abs(est.rho_est.b.imag - expected.imag) < tol
@@ -319,8 +319,9 @@ def test_criterion_8_strategies():
         # Monte Carlo agrees with the exact random-walk expectation
         for n in (4, 10):
             config = GameConfig(n, target=1)
-            out = evaluate_strategy(QuarterPiHorizon(), config, 100_000, seed=809)
-            want = expected_fixed_horizon_win(4 * quarter_pi_k(config), n)
+            m = 4 * quarter_pi_k(config)
+            out = evaluate_strategy(FixedHorizon(m), config, 100_000, seed=809)
+            want = expected_fixed_horizon_win(m, n)
             assert abs(out.win_prob - want) < 3.0 * out.stderr
 
 

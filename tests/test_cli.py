@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -47,6 +48,31 @@ class TestSpecExamples:
         assert env["results"]["final"]["coherence"] == 0.5
 
 
+def readme_examples() -> list[str]:
+    """The command lines of the ``sh`` block under README's ``## CLI``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", readme_examples())
+def test_readme_example_runs(line, tmp_path):
+    prog, *argv = shlex.split(line)
+    assert prog == "noisegames"
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / Path(argv[at]).name)
+    code, text = run_cli(argv)
+    assert code == 0, line
+    if "--out" in argv:
+        text = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+    if "csv" not in argv:
+        env = json.loads(text)
+        assert list(env) == ["diagnostics", "inputs", "provenance", "results"]
+    else:
+        assert text.count("\n") > 1
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self):
         code, _ = run_cli(["frobnicate"])
@@ -75,6 +101,17 @@ class TestExitCodes:
     def test_success(self):
         code, _ = run_cli(["grover", "--n-qubits", "3"])
         assert code == 0
+
+    def test_iid_has_no_tau0_flag(self):
+        # dissipative keeps --tau0; iid kicks carry no time scale
+        code, text = run_cli(["iid", "--exact", "--tau0", "0.5"])
+        assert code == 2 and text == ""
+
+    def test_iid_has_no_tau0_config_key(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"command": "iid", "steps": 3, "tau0": 1.0}))
+        code, text = run_cli(["iid", "--exact", "--config", str(cfg)])
+        assert code == 2 and text == ""
 
     @pytest.mark.parametrize("n", [43, 60])
     def test_csv_beyond_row_bound(self, n, capsys):
@@ -236,7 +273,7 @@ class TestConfigRoundTrip:
             ["iid", "--dist", "gaussian", "--mu", "0.1", "--sigma2", "0.3", "--a0", "0.6",
              "--b0-re", "0.2", "--b0-im", "0.3", "--steps", "3", "--trials", "3000",
              "--seed", "7"],
-            ["iid", "--dist", "exponential", "--omega", "2", "--tau1", "0.5", "--tau0", "0.5",
+            ["iid", "--dist", "exponential", "--omega", "2", "--tau1", "0.5",
              "--steps", "3", "--trials", "3000", "--seed", "7"],
             ["iid", "--dist", "delta", "--angles", "0.3,1.1", "--weights", "0.25,0.75",
              "--steps", "3", "--trials", "3000", "--seed", "7"],

@@ -31,7 +31,6 @@ from noisegames.grover import (
     AdaptiveTracking,
     FixedHorizon,
     GameConfig,
-    QuarterPiHorizon,
     _reduced_length,
     evaluate_strategy,
     fixed_horizon_length_law,
@@ -245,7 +244,7 @@ class TestEvaluateStrategy:
     def test_fixed_horizon_matches_dp_oracle(self):
         c = GameConfig(6, 5)
         m = 4 * quarter_pi_k(c)
-        out = evaluate_strategy(QuarterPiHorizon(), c, 100_000, seed=2)
+        out = evaluate_strategy(FixedHorizon(m), c, 100_000, seed=2)
         want = expected_fixed_horizon_win(m, 6)
         assert abs(out.win_prob - want) < 3 * out.stderr
 
@@ -311,8 +310,9 @@ class TestEvaluateStrategy:
 
     def test_thread_invariance(self):
         c = GameConfig(8, 100)
-        a = evaluate_strategy(QuarterPiHorizon(), c, 150_000, seed=6, threads=1)
-        b = evaluate_strategy(QuarterPiHorizon(), c, 150_000, seed=6, threads=8)
+        quarter_pi = FixedHorizon(4 * quarter_pi_k(c))
+        a = evaluate_strategy(quarter_pi, c, 150_000, seed=6, threads=1)
+        b = evaluate_strategy(quarter_pi, c, 150_000, seed=6, threads=8)
         assert a == b
 
 
@@ -362,8 +362,9 @@ class TestSignedLetterCount:
     )
     def test_monte_carlo_agrees_with_exact_at_quarter_pi(self, n, trials, seed):
         c = GameConfig(n)
-        out = evaluate_strategy(QuarterPiHorizon(), c, trials, seed=seed)
-        exact = fixed_horizon_win_prob(4 * quarter_pi_k(c), c)
+        m = 4 * quarter_pi_k(c)
+        out = evaluate_strategy(FixedHorizon(m), c, trials, seed=seed)
+        exact = fixed_horizon_win_prob(m, c)
         assert abs(out.win_prob - exact) < 5 * out.stderr
 
     @pytest.mark.parametrize("k_star", [1, 2, 3, 5, 8])

@@ -84,15 +84,15 @@ def assert_within_5_sigma(estimates, exact):
 @pytest.mark.parametrize("name", list(LAWS))
 def test_iid_curve_within_5_sigma(name, seed):
     dist, plan = LAWS[name], EvolutionPlan(STEPS)
-    estimates = kicks.evolve_iid_mc_curve(RHO0, dist, plan, TRIALS, seed)
-    assert_within_5_sigma(estimates, kicks.evolve_iid_curve(RHO0, dist, plan))
+    estimates = kicks.evolve_iid_mc(RHO0, dist, plan, TRIALS, seed)
+    assert_within_5_sigma(estimates, kicks.evolve_iid(RHO0, dist, plan))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("variant", list(KernelVariant))
 def test_memory_curve_within_5_sigma(variant, seed):
     kern = kernel(variant, 1e-3)
-    estimates = memory.evolve_memory_mc_curve(RHO0, kern, STEPS, TRIALS, seed)
+    estimates = memory.evolve_memory_mc(RHO0, kern, STEPS, TRIALS, seed)
     trace = memory.coherence_recursion(kern, STEPS)
     exact = [RHO0.b] + [RHO0.b * fa.conjugate() for fa, _ in trace.values]
     assert_within_5_sigma(estimates, exact)

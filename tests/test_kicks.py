@@ -12,7 +12,6 @@ from noisegames.kicks import (
     GaussianKicks,
     char_function,
     evolve_iid,
-    evolve_iid_curve,
     evolve_iid_mc,
     gaussian_for_target,
     gaussian_from_clock,
@@ -78,23 +77,24 @@ class TestCharFunction:
 class TestEvolveIid:
     def test_zero_steps_unchanged(self):
         rho = DensityMatrix2(0.3, 0.2 - 0.1j, 0.7)
-        assert evolve_iid(rho, UNIFORM_TRIPLE, EvolutionPlan(0)) == rho
+        assert evolve_iid(rho, UNIFORM_TRIPLE, EvolutionPlan(0)) == [rho.b]
 
     def test_uniform_triple_two_steps(self):
         out = evolve_iid(plus_state(), UNIFORM_TRIPLE, EvolutionPlan(2))
-        assert abs(out.b - 1.0 / 18.0) < 1e-12
-        assert out.a == 0.5 and out.c == 0.5
+        assert len(out) == 3
+        assert abs(out[-1] - 1.0 / 18.0) < 1e-12
 
     def test_inverse_construction_one_step(self):
         dist = gaussian_for_target(0.9, 0.1)
         out = evolve_iid(plus_state(), dist, EvolutionPlan(1))
-        assert abs(out.b - 0.5 * 0.9 * cmath.exp(-0.1j)) < 1e-12
+        assert abs(out[-1] - 0.5 * 0.9 * cmath.exp(-0.1j)) < 1e-12
 
     def test_semigroup_exact(self):
         rho = DensityMatrix2(0.4, 0.25 + 0.1j, 0.6)
         for dist in (UNIFORM_TRIPLE, GaussianKicks(0.3, 0.5), ExponentialKicks(1.0, 0.7)):
-            once = evolve_iid(rho, dist, EvolutionPlan(13))
-            split = evolve_iid(evolve_iid(rho, dist, EvolutionPlan(5)), dist, EvolutionPlan(8))
+            once = evolve_iid(rho, dist, EvolutionPlan(13))[-1]
+            mid = DensityMatrix2(rho.a, evolve_iid(rho, dist, EvolutionPlan(5))[-1], rho.c)
+            split = evolve_iid(mid, dist, EvolutionPlan(8))[-1]
             assert once == split  # bitwise: same multiplication sequence
 
     @pytest.mark.parametrize(
@@ -106,30 +106,30 @@ class TestEvolveIid:
         # the curve steps b in one loop; one-step evolve_iid calls each rebuild
         # the factor and a state, and must agree with it bit for bit
         rho = DensityMatrix2(0.4, 0.25 + 0.1j, 0.6)
-        curve = evolve_iid_curve(rho, dist, EvolutionPlan(300))
+        curve = evolve_iid(rho, dist, EvolutionPlan(300))
         states = [rho]
         for _ in range(300):
-            states.append(evolve_iid(states[-1], dist, EvolutionPlan(1)))
+            b = evolve_iid(states[-1], dist, EvolutionPlan(1))[-1]
+            states.append(DensityMatrix2(rho.a, b, rho.c))
         hexes = lambda bs: [(b.real.hex(), b.imag.hex()) for b in bs]
         assert hexes(curve) == hexes(s.b for s in states)
-        assert evolve_iid(rho, dist, EvolutionPlan(300)) == states[-1]
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             EvolutionPlan(-1)
         with pytest.raises(ValueError):
-            EvolutionPlan(3, 0.0)
+            EvolutionPlan(2.5)
 
 
 class TestEvolveIidMc:
     def test_point_mass_exact(self):
         dist = DeltaMixture.point(0.8)
-        est = evolve_iid_mc(plus_state(), dist, EvolutionPlan(3), 1000, seed=1)
+        est = evolve_iid_mc(plus_state(), dist, EvolutionPlan(3), 1000, seed=1)[-1]
         assert est.stderr < 1e-12
         assert abs(est.rho_est.b - 0.5 * cmath.exp(-3 * 0.8j)) < 1e-12
 
     def test_uniform_triple_one_step(self):
-        est = evolve_iid_mc(plus_state(), UNIFORM_TRIPLE, EvolutionPlan(1), 100_000, seed=2)
+        est = evolve_iid_mc(plus_state(), UNIFORM_TRIPLE, EvolutionPlan(1), 100_000, seed=2)[-1]
         exact = 0.5 / 3.0
         assert abs(est.rho_est.b.real - exact) < 3 * est.stderr
         assert abs(est.rho_est.b.imag) < 3 * est.stderr
@@ -137,27 +137,27 @@ class TestEvolveIidMc:
     def test_gaussian_ten_steps(self):
         est = evolve_iid_mc(
             plus_state(), GaussianKicks(0.0, 0.5), EvolutionPlan(10), 100_000, seed=3
-        )
+        )[-1]
         assert abs(abs(est.rho_est.b) - 0.5 * math.exp(-2.5)) < 3 * est.stderr
 
     def test_populations_untouched(self):
         rho = DensityMatrix2(0.2, 0.1j, 0.8)
-        est = evolve_iid_mc(rho, GaussianKicks(0.1, 0.2), EvolutionPlan(4), 100, seed=4)
-        assert est.rho_est.a == rho.a and est.rho_est.c == rho.c
+        for est in evolve_iid_mc(rho, GaussianKicks(0.1, 0.2), EvolutionPlan(4), 100, seed=4):
+            assert est.rho_est.a == rho.a and est.rho_est.c == rho.c
 
     def test_deterministic_and_thread_invariant(self):
         args = (plus_state(), GaussianKicks(0.2, 0.3), EvolutionPlan(5), 200_000)
         a = evolve_iid_mc(*args, seed=9, threads=1)
         b = evolve_iid_mc(*args, seed=9, threads=8)
-        assert a.rho_est == b.rho_est and a.stderr == b.stderr
+        assert [(e.rho_est, e.stderr) for e in a] == [(e.rho_est, e.stderr) for e in b]
 
     def test_error_shrinks_like_root_k(self):
         # 3-sigma bands at trials = 40000 * k for k in {1, 4, 16}.
-        exact = evolve_iid(plus_state(), GaussianKicks(0.0, 0.8), EvolutionPlan(3)).b
+        exact = evolve_iid(plus_state(), GaussianKicks(0.0, 0.8), EvolutionPlan(3))[-1]
         for k in (1, 4, 16):
             est = evolve_iid_mc(
                 plus_state(), GaussianKicks(0.0, 0.8), EvolutionPlan(3), 40_000 * k, seed=5
-            )
+            )[-1]
             assert abs(est.rho_est.b.real - exact.real) < 3 * est.stderr
             assert abs(est.rho_est.b.imag - exact.imag) < 3 * est.stderr
             assert est.stderr < 1.1 * 0.7 / math.sqrt(40_000 * k)

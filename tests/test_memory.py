@@ -3,13 +3,16 @@ import math
 
 import pytest
 
-from _oracles import coherence_recursion_by_label, effective_decay_by_label
+from _oracles import (
+    coherence_recursion_by_label,
+    coherence_recursion_from,
+    effective_decay_by_label,
+)
 from noisegames.kicks import char_function
 from noisegames.memory import (
     KernelVariant,
     SetLabel,
     coherence_recursion,
-    effective_decay,
     evolve_memory_mc,
     kernel,
     set_a_support,
@@ -103,35 +106,38 @@ class TestRecursion:
             assert all(abs(fa) <= 1 + 1e-12 and abs(fb) <= 1 + 1e-12 for fa, fb in tr.values)
 
 
+def decay(variant, eps, n):
+    return coherence_recursion(kernel(variant, eps), n).decay_per_step
+
+
 class TestEffectiveDecay:
     def test_combined_exact_at_zero_eps(self):
         for n in (2, 5, 20, 50):
-            assert abs(effective_decay(kernel(KernelVariant.COMBINED, 0.0), n) - 2 / 3) < 1e-12
+            assert abs(decay(KernelVariant.COMBINED, 0.0, n) - 2 / 3) < 1e-12
 
     def test_combined_near_two_thirds_at_small_eps(self):
-        assert abs(effective_decay(kernel(KernelVariant.COMBINED, EPS), 50) - 2 / 3) < 5e-3
+        assert abs(decay(KernelVariant.COMBINED, EPS, 50) - 2 / 3) < 5e-3
 
     def test_pure_variants_exact_one_third(self):
-        assert abs(effective_decay(kernel(KernelVariant.PURE_A, EPS), 50) - 1 / 3) < 1e-12
-        assert abs(effective_decay(kernel(KernelVariant.PURE_B, EPS), 50) - 1 / 3) < 1e-12
+        assert abs(decay(KernelVariant.PURE_A, EPS, 50) - 1 / 3) < 1e-12
+        assert abs(decay(KernelVariant.PURE_B, EPS, 50) - 1 / 3) < 1e-12
 
     def test_switching_beats_both_components(self):
-        combined = effective_decay(kernel(KernelVariant.COMBINED, 1e-6), 60)
-        pure_a = effective_decay(kernel(KernelVariant.PURE_A, 1e-6), 60)
-        pure_b = effective_decay(kernel(KernelVariant.PURE_B, 1e-6), 60)
+        combined = decay(KernelVariant.COMBINED, 1e-6, 60)
+        pure_a = decay(KernelVariant.PURE_A, 1e-6, 60)
+        pure_b = decay(KernelVariant.PURE_B, 1e-6, 60)
         assert combined > max(pure_a, pure_b)
 
     def test_needs_two_steps(self):
-        with pytest.raises(ValueError):
-            effective_decay(kernel(KernelVariant.COMBINED, 0.0), 1)
+        assert decay(KernelVariant.COMBINED, 0.0, 1) is None
 
     def test_long_runs_past_float_underflow(self):
         # f_n itself underflows near n = 1750 at rate 2/3 and n = 680 at 1/3
         n = 3000
-        assert abs(effective_decay(kernel(KernelVariant.COMBINED, 0.0), n) - 2 / 3) < 1e-12
-        assert abs(effective_decay(kernel(KernelVariant.COMBINED, EPS), n) - 2 / 3) < 5e-3
-        assert abs(effective_decay(kernel(KernelVariant.PURE_A, EPS), n) - 1 / 3) < 1e-12
-        assert abs(effective_decay(kernel(KernelVariant.PURE_B, EPS), n) - 1 / 3) < 1e-12
+        assert abs(decay(KernelVariant.COMBINED, 0.0, n) - 2 / 3) < 1e-12
+        assert abs(decay(KernelVariant.COMBINED, EPS, n) - 2 / 3) < 5e-3
+        assert abs(decay(KernelVariant.PURE_A, EPS, n) - 1 / 3) < 1e-12
+        assert abs(decay(KernelVariant.PURE_B, EPS, n) - 1 / 3) < 1e-12
 
 
 class TestMonteCarlo:
@@ -140,20 +146,21 @@ class TestMonteCarlo:
     def test_matches_recursion(self, variant, n):
         k = kernel(variant, EPS)
         expected = 0.5 * coherence_recursion(k, n).final_a.conjugate()
-        est = evolve_memory_mc(plus_state(), k, n, 100_000, seed=37)
+        est = evolve_memory_mc(plus_state(), k, n, 100_000, seed=37)[-1]
         tol = 3 * max(est.stderr, 1e-12)
         assert abs(est.rho_est.b.real - expected.real) < tol
         assert abs(est.rho_est.b.imag - expected.imag) < tol
 
     def test_pure_a_single_step(self):
-        est = evolve_memory_mc(plus_state(), kernel(KernelVariant.PURE_A, EPS), 1, 100_000, seed=2)
+        kern = kernel(KernelVariant.PURE_A, EPS)
+        est = evolve_memory_mc(plus_state(), kern, 1, 100_000, seed=2)[-1]
         assert abs(est.rho_est.b.real - 1.0 / 6.0) < 3 * est.stderr
 
     def test_complex_phase_convention(self):
         # at nonzero eps the estimate converges to b * conj(f_n), not b * f_n
         k = kernel(KernelVariant.COMBINED, 0.3)
         f3 = coherence_recursion(k, 3).final_a
-        est = evolve_memory_mc(plus_state(), k, 3, 200_000, seed=5)
+        est = evolve_memory_mc(plus_state(), k, 3, 200_000, seed=5)[-1]
         assert abs(est.rho_est.b - 0.5 * f3.conjugate()) < 4 * est.stderr
         assert abs(est.rho_est.b - 0.5 * f3) > 10 * est.stderr  # wrong reading
 
@@ -167,12 +174,12 @@ class TestMonteCarlo:
         k = kernel(KernelVariant.COMBINED, EPS)
         a = evolve_memory_mc(plus_state(), k, 5, 150_000, seed=4, threads=1)
         b = evolve_memory_mc(plus_state(), k, 5, 150_000, seed=4, threads=8)
-        assert a.rho_est == b.rho_est and a.stderr == b.stderr
+        assert [(e.rho_est, e.stderr) for e in a] == [(e.rho_est, e.stderr) for e in b]
 
     def test_populations_untouched(self):
         rho = DensityMatrix2(0.3, 0.2j, 0.7)
-        est = evolve_memory_mc(rho, kernel(KernelVariant.PURE_B, EPS), 6, 500, seed=1)
-        assert est.rho_est.a == rho.a and est.rho_est.c == rho.c
+        for est in evolve_memory_mc(rho, kernel(KernelVariant.PURE_B, EPS), 6, 500, seed=1):
+            assert est.rho_est.a == rho.a and est.rho_est.c == rho.c
 
 
 @pytest.mark.parametrize("variant", list(KernelVariant), ids=lambda v: v.value)
@@ -182,7 +189,25 @@ def test_recursion_matches_label_keyed_oracle(variant, eps, n):
     # positional coefficients sum the same terms in the same order as the
     # class-keyed dicts, so every bit agrees, the sign of zero included
     k = kernel(variant, eps)
+    trace = coherence_recursion(k, n)
     hexes = lambda pairs: [(z.real.hex(), z.imag.hex()) for pair in pairs for z in pair]
-    assert hexes(coherence_recursion(k, n).values) == hexes(coherence_recursion_by_label(k, n))
+    assert hexes(trace.values) == hexes(coherence_recursion_by_label(k, n))
     if n >= 2:
-        assert effective_decay(k, n).hex() == effective_decay_by_label(k, n).hex()
+        assert trace.decay_per_step.hex() == effective_decay_by_label(k, n).hex()
+
+
+@pytest.mark.parametrize("variant", list(KernelVariant), ids=lambda v: v.value)
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.3])
+def test_tail_rounded_once_past_underflow(variant, eps):
+    # Started from (2**1000, 2**1000), the unscaled recursion stays normal
+    # wherever the true f_k is at least 2**-2022, so scaling it back by
+    # 2**-1000 rounds each component once.  The rescaled recursion must give
+    # those bits, also where f_k is subnormal.  Below 2**-2022 both flush to
+    # zero, and the sign of the reference's zero carries no information.
+    n = 3000
+    k = kernel(variant, eps)
+    high = coherence_recursion_from(k, n, 2.0**1000)
+    want = [math.ldexp(x, -1000) for pair in high for z in pair for x in (z.real, z.imag)]
+    got = [x for pair in coherence_recursion(k, n).values for z in pair for x in (z.real, z.imag)]
+    bits = lambda xs: [x.hex() if x else "0" for x in xs]
+    assert bits(got) == bits(want)

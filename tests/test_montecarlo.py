@@ -20,9 +20,8 @@ from noisegames.kicks import (
     ExponentialKicks,
     GaussianKicks,
     evolve_iid_mc,
-    evolve_iid_mc_curve,
 )
-from noisegames.memory import KernelVariant, evolve_memory_mc, evolve_memory_mc_curve, kernel
+from noisegames.memory import KernelVariant, evolve_memory_mc, kernel
 from noisegames.qubit import DensityMatrix2
 
 TRIALS = 140_000
@@ -43,25 +42,22 @@ DISTS = {
 @pytest.mark.parametrize("name", list(DISTS))
 def test_iid_curve_matches_per_point_estimator(name, threads):
     dist = DISTS[name]
-    curve = evolve_iid_mc_curve(RHO0, dist, EvolutionPlan(STEPS), TRIALS, SEED, threads)
+    curve = evolve_iid_mc(RHO0, dist, EvolutionPlan(STEPS), TRIALS, SEED, threads)
     assert len(curve) == STEPS + 1
     for k, est in enumerate(curve):
         mean, stderr = iid_mc_point(RHO0.b, dist, k, TRIALS, SEED, threads)
         assert (est.rho_est.b, est.stderr) == (mean, stderr), k
-    point = evolve_iid_mc(RHO0, dist, EvolutionPlan(STEPS), TRIALS, SEED, threads)
-    assert point == curve[-1]
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 @pytest.mark.parametrize("variant", list(KernelVariant))
 def test_memory_curve_matches_per_point_estimator(variant, threads):
     kern = kernel(variant, 1e-3)
-    curve = evolve_memory_mc_curve(RHO0, kern, STEPS, TRIALS, SEED, threads)
+    curve = evolve_memory_mc(RHO0, kern, STEPS, TRIALS, SEED, threads)
     assert len(curve) == STEPS + 1
     for k, est in enumerate(curve):
         mean, stderr = memory_mc_point(RHO0.b, kern, k, TRIALS, SEED, threads)
         assert (est.rho_est.b, est.stderr) == (mean, stderr), k
-    assert evolve_memory_mc(RHO0, kern, STEPS, TRIALS, SEED, threads) == curve[-1]
 
 
 def test_constant_samples_have_zero_stderr():
@@ -98,8 +94,8 @@ def test_curve_points_equal_single_point_runs():
     # complex initial coherence: both routes shift by trajectory 0's own sample
     rho = DensityMatrix2(0.3, 0.2 + 0.25j, 0.7)
     dist, kern = DISTS["gaussian"], kernel(KernelVariant.COMBINED, 1e-3)
-    iid = evolve_iid_mc_curve(rho, dist, EvolutionPlan(3), 3000, SEED)
-    chains = evolve_memory_mc_curve(rho, kern, 3, 3000, SEED)
+    iid = evolve_iid_mc(rho, dist, EvolutionPlan(3), 3000, SEED)
+    chains = evolve_memory_mc(rho, kern, 3, 3000, SEED)
     for k in range(4):
-        assert iid[k] == evolve_iid_mc(rho, dist, EvolutionPlan(k), 3000, SEED)
-        assert chains[k] == evolve_memory_mc(rho, kern, k, 3000, SEED)
+        assert iid[k] == evolve_iid_mc(rho, dist, EvolutionPlan(k), 3000, SEED)[-1]
+        assert chains[k] == evolve_memory_mc(rho, kern, k, 3000, SEED)[-1]
