@@ -41,9 +41,9 @@ CURVE_MAX_STEPS = 1 << 16
 # A Monte Carlo curve costs steps * (trials + MC_KICK_OVERHEAD) kicks.  A
 # trajectory's kick, with its share of the point's reduction, takes about
 # 100 ns for the gaussian law (the slowest) on one core of a 2-core Xeon VM;
-# each step also costs about 200 us of Python whatever the trials, which is
-# MC_KICK_OVERHEAD kicks.  A run of more than MC_MAX_KICKS (about 30 s on
-# one thread) is refused before its first draw.
+# each step also costs about 90 us of Python whatever the trials, about 900
+# kicks, which MC_KICK_OVERHEAD rounds up generously.  A run of more than
+# MC_MAX_KICKS (about 30 s on one thread) is refused before its first draw.
 MC_KICK_OVERHEAD = 1 << 11
 MC_MAX_KICKS = 1 << 28
 
@@ -217,8 +217,7 @@ def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
     """Curve rows n = 0, 1, ... (Monte Carlo where estimated) and their CSV form."""
     curve = [{"n": n, "analytic_coherence": a, "coherence": a} for n, a in enumerate(analytic)]
     for row, est in zip(curve, estimates):
-        if est is not None:
-            row["coherence"], row["mc_stderr"] = coherence(est.rho_est), est.stderr
+        row["coherence"], row["mc_stderr"] = coherence(est.rho_est), est.stderr
     lines = lambda: (f"{r['n']},{r['coherence']!r},{r['analytic_coherence']!r}" for r in curve)
     return curve, ("n,coherence,analytic_coherence", lines)
 
@@ -290,9 +289,7 @@ def _cmd_memory(v: dict, threads: int):
     trace = memory.coherence_recursion(kern, steps)
     estimates = []
     if run_mc:
-        # n = 0 is the initial state, reported without a Monte Carlo error
         estimates = memory.evolve_memory_mc(rho0, kern, steps, v["trials"], v["seed"], threads)
-        estimates[0] = None
     c0 = coherence(rho0)
     analytic = [c0] + [c0 * abs(fa) for fa, _ in trace.values]
     curve, csv_data = _curve(analytic, estimates)

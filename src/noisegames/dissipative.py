@@ -106,40 +106,26 @@ def averaged_channel_mc(
     E[sqrt(1-alpha)] = 1 - sqrt(lambda_ad/pi) + O(lambda_ad) and
     E[e^{-i theta}] = e^{-lambda_pd}.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     a0, b0 = rho0.a, rho0.b
     sd_theta = math.sqrt(2.0 * scales.lambda_pd)
     sd_x = math.sqrt(2.0 * scales.lambda_ad)
 
-    def channel_outputs(keys: np.ndarray):
+    def sampler(keys: np.ndarray):
         theta = sd_theta * rng.slot_normal(keys, 0)
         alpha_raw = np.abs(sd_x * rng.slot_normal(keys, 1))
         clamped = int(np.count_nonzero(alpha_raw > 1.0))
         alpha = np.minimum(alpha_raw, 1.0)
         a_out = a0 + p * alpha * (1.0 - a0)
         b_out = b0 * (p * np.sqrt(1.0 - alpha) + (1.0 - p) * np.exp(-1j * theta))
-        return a_out, b_out, clamped
+        return (a_out, b_out), clamped
 
-    a_ref_arr, b_ref_arr, _ = channel_outputs(rng.stream_keys(seed, 0, 1))
-    a_ref, b_ref = float(a_ref_arr[0]), complex(b_ref_arr[0])
-
-    def worker(start: int, count: int):
-        a_out, b_out, clamped = channel_outputs(rng.stream_keys(seed, start, count))
-        return (
-            montecarlo.block_moments(a_out, a_ref),
-            montecarlo.block_moments(b_out, b_ref),
-            clamped,
-        )
-
-    partials = rng.run_blocks(trials, worker, threads=threads)
-    mean_a, stderr_pop = montecarlo.estimate(a_ref, [p_[0] for p_ in partials], trials)
-    mean_b, stderr_coh = montecarlo.estimate(b_ref, [p_[1] for p_ in partials], trials)
-    clamps = sum(p_[2] for p_ in partials)
+    ((mean_a, stderr_pop), (mean_b, stderr_coh)), clamps = montecarlo.run(
+        sampler, trials, seed, threads
+    )
     rho = DensityMatrix2(mean_a.real, mean_b, 1.0 - mean_a.real)
-    return AveragedChannelResult(rho, stderr_pop, stderr_coh, clamps / trials, trials)
+    return AveragedChannelResult(rho, stderr_pop, stderr_coh, sum(clamps) / trials, trials)
 
 
 def _step_factors(p: float, scales: NoiseScales) -> tuple[float, float]:

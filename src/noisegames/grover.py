@@ -257,23 +257,16 @@ def evaluate_strategy(
     with exactly the closed-form probability of its target word; a
     censored one scores the length it holds at ``max_adaptive_steps``.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
     if isinstance(strategy, FixedHorizon):
         m = strategy.m
         words = fixed_horizon_draws(m)
         # letters past m in the last draw are not played
         tail = np.uint64((1 << (m % _LETTERS or _LETTERS)) - 1)
 
-        # Shift by the start state's payoff, which every length-0 or -1 word keeps.
-        ref = float(_success_from_lengths(np.zeros(1, dtype=np.int64), config)[0])
-
-        def worker(start: int, count: int):
-            keys = rng.stream_keys(seed, start, count)
+        def sampler(keys: np.ndarray):
             # K = (A's at even slots) + (B's at odd slots) = d + floor(m/2)
-            big_k = np.zeros(count, dtype=np.int64)
-            per_call = max(_GRID_ELEMENTS // count, 1)
+            big_k = np.zeros(keys.size, dtype=np.int64)
+            per_call = max(_GRID_ELEMENTS // keys.size, 1)
             for first in range(0, words, per_call):
                 w = rng.slot_u64(keys, np.arange(first, min(first + per_call, words)))
                 w ^= _ODD  # a set bit is now an A at an even slot or a B at an odd one
@@ -281,25 +274,23 @@ def evaluate_strategy(
                     w[-1] &= tail
                 big_k += np.bitwise_count(w).sum(axis=0, dtype=np.int64)
             s = _reduced_length(big_k - m // 2, m)
-            moments = montecarlo.block_moments(_success_from_lengths(s, config), ref)
-            return moments, np.unique(s, return_counts=True)
+            return [_success_from_lengths(s, config)], np.unique(s, return_counts=True)
 
-        partials = rng.run_blocks(trials, worker, threads=threads)
-        mean, stderr = montecarlo.estimate(ref, [p[0] for p in partials], trials)
+        [(mean, stderr)], tallies = montecarlo.run(sampler, trials, seed, threads)
         hist: Counter = Counter()
-        for _, (lengths, counts) in partials:
+        for lengths, counts in tallies:
             hist.update(dict(zip(lengths.tolist(), counts.tolist())))
         return StrategyOutcome(mean.real, stderr, dict(sorted(hist.items())))
 
     if isinstance(strategy, AdaptiveTracking):
         k = strategy.k_star
         cap = max_adaptive_steps
-        ref = success_closed_form(k, config)
+        stopped_win = success_closed_form(k, config)
         # the length after slot t is 2k iff d = (-1)^(t+1) * k; chunks start at even t
         goal = np.where(np.arange(_GRID_ELEMENTS) % 2, k, -k)
 
         def track(keys: np.ndarray):
-            """Stopping times (0 while unstopped), final counts d, unstopped trials."""
+            """Stopping times (0 while unstopped), final counts d, and which trials never stop."""
             d = np.zeros(keys.size, dtype=np.int64)
             stop_at = np.zeros(keys.size, dtype=np.int64)
             active = np.arange(keys.size) if k else np.arange(0)
@@ -323,23 +314,24 @@ def evaluate_strategy(
                 d[active] = c[:, -1]
                 active = active[~done]
                 step += n
-            return stop_at, d, active
+            censored = np.zeros(keys.size, dtype=bool)
+            censored[active] = True
+            return stop_at, d, censored
 
-        def worker(start: int, count: int):
-            keys = rng.stream_keys(seed, start, count)
+        def sampler(keys: np.ndarray):
             # a chunk holds at least one draw per trial, so trials go in groups
             group = _GRID_ELEMENTS // _LETTERS
-            parts = [track(keys[i : i + group]) for i in range(0, count, group)]
-            stops = np.concatenate([np.delete(stop_at, active) for stop_at, _, active in parts])
+            parts = [track(keys[i : i + group]) for i in range(0, keys.size, group)]
+            stop_at, d, censored = (np.concatenate(x) for x in zip(*parts))
+            held = _reduced_length(d[censored], cap)
+            wins = np.full(keys.size, stopped_win)
+            wins[censored] = _success_from_lengths(held, config)
             # censored trials never stopped, so they have no stopping time
-            held = np.concatenate([_reduced_length(d[active], cap) for _, d, active in parts])
-            moments = montecarlo.block_moments(_success_from_lengths(held, config), ref)
-            return stops, held, moments
+            return [wins], (stop_at[~censored], held)
 
-        partials = rng.run_blocks(trials, worker, threads=threads)
-        win, stderr = montecarlo.estimate(ref, [p[2] for p in partials], trials)
-        stops = np.concatenate([p[0] for p in partials])
-        held = np.concatenate([p[1] for p in partials])
+        [(win, stderr)], tallies = montecarlo.run(sampler, trials, seed, threads)
+        stops = np.concatenate([t[0] for t in tallies])
+        held = np.concatenate([t[1] for t in tallies])
         lengths = Counter(held.tolist())
         if stops.size:
             lengths[2 * k] = stops.size

@@ -16,9 +16,10 @@ The closed forms in :func:`char_function` are the only route to these
 values here; the tests hold them against quadrature of the defining
 integrals.  Each route returns the whole coherence curve over 0..n kicks:
 :func:`evolve_iid` exactly, :func:`evolve_iid_mc` by Monte Carlo.
-Trajectories are averaged by the shared block-moment reducer of
-:mod:`noisegames.montecarlo`; trajectory t reads slot k at kick k, so a
-curve is one pass.  A trajectory's coherence after k kicks
+Trajectories are averaged by the Monte Carlo engine of
+:mod:`noisegames.montecarlo`, which shifts each block by its own first
+trajectory; trajectory t reads slot k at kick k, so a curve is one pass
+over the trajectories and no other.  A trajectory's coherence after k kicks
 is b times the running product of its kicks' phasors e^{-i theta}, one
 complex multiply per kick: a delta mixture looks each phasor up in a table
 built once, and the continuous laws take one complex exponential per kick.
@@ -213,8 +214,8 @@ class McEstimate:
         trajectory, in kick order; a trajectory's coherence is ``rho0.b``
         times their running product.
         """
-        sampler = lambda keys: _running_products(rho0.b, len(keys), phasors(keys))
-        points = montecarlo.curve(sampler, trials, seed, threads)
+        sampler = lambda keys: (_running_products(rho0.b, len(keys), phasors(keys)), None)
+        points, _ = montecarlo.run(sampler, trials, seed, threads)
         return [cls(DensityMatrix2(rho0.a, b, rho0.c), se, trials) for b, se in points]
 
 

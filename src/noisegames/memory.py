@@ -12,7 +12,7 @@ Every kernel branch lands back inside the two classes (closure), so the
 infinite-dimensional kick recursion collapses exactly to two complex
 numbers per step, tracked by :func:`coherence_recursion` in one pass that
 also yields the sustained decay rate.  Sampled chains go through the same
-block-moment reducer as IID kicks: :func:`evolve_memory_mc` returns the
+Monte Carlo engine as IID kicks: :func:`evolve_memory_mc` returns the
 whole curve in one pass, and carries each chain's coherence as the same
 running product of kick phasors, looked up in a per-branch table.
 """

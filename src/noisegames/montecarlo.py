@@ -1,66 +1,86 @@
-"""The Monte Carlo engine shared by every family: blocks -> moments -> estimate.
+"""The Monte Carlo engine shared by every family that estimates a mean.
 
 Trajectory t under master seed s draws only from the stream keyed by (s, t),
-and :func:`rng.run_blocks` cuts the trajectories into fixed blocks.  Each
-block is reduced to the sums of ``v - ref`` and ``(v - ref)^2`` of the real
-and imaginary parts, for a fixed ``ref`` near the samples; the shift keeps
-the variance exact for constant samples and well conditioned otherwise.
-Block moments are merged in block order with ``math.fsum`` (Chan, Golub &
+and :func:`rng.run_blocks` cuts the trajectories into fixed blocks.
+:func:`run` hands each block's keys to a sampler and reduces every array of
+values it returns to the block's moments: its count, its first value r, and
+the sums of ``v - r`` and ``(v - r)^2`` of the real and imaginary parts.
+Shifting by a sample keeps the variance exact for constant samples and well
+conditioned otherwise.  :func:`estimate` moves every block onto block 0's
+shift and merges the blocks in block order with ``math.fsum`` (Chan, Golub &
 LeVeque, 1979), so estimates are bit-identical at any thread count.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import rng
 
-Moments = tuple[float, float, float, float]
-Sampler = Callable[[np.ndarray], Iterable[np.ndarray]]
+# (first value, sum of v - first, sum of (v - first)^2) of one part
+Part = tuple[float, float, float]
+# (count, real part, imaginary part)
+Moments = tuple[int, Part, Part]
+Sampler = Callable[[np.ndarray], tuple[Iterable[np.ndarray], Any]]
 
 
-def block_moments(values: np.ndarray, ref: complex) -> Moments:
-    """Sums of ``v - ref`` and ``(v - ref)^2``, real then imaginary parts."""
-    w = values - ref
+def block_moments(values: np.ndarray) -> Moments:
+    """Count of ``values`` and, per part, their first value and shifted sums."""
+    shift = values[0]
+    w = values - shift
     re, im = w.real, w.imag
-    return float(np.sum(re)), float(np.sum(im)), float(np.sum(re * re)), float(np.sum(im * im))
+    return (
+        len(values),
+        (float(shift.real), float(np.sum(re)), float(np.sum(re * re))),
+        (float(shift.imag), float(np.sum(im)), float(np.sum(im * im))),
+    )
 
 
-def estimate(ref: complex, blocks: Sequence[Moments], trials: int) -> tuple[complex, float]:
-    """Mean and standard error (the larger of the real and imaginary parts')."""
-    sum_re = math.fsum(b[0] for b in blocks)
-    sum_im = math.fsum(b[1] for b in blocks)
-    sum_re2 = math.fsum(b[2] for b in blocks)
-    sum_im2 = math.fsum(b[3] for b in blocks)
-    mean = ref + complex(sum_re / trials, sum_im / trials)
-    if trials > 1:
-        var_re = max(sum_re2 - sum_re * sum_re / trials, 0.0) / (trials - 1)
-        var_im = max(sum_im2 - sum_im * sum_im / trials, 0.0) / (trials - 1)
-        stderr = math.sqrt(max(var_re, var_im) / trials)
-    else:
-        stderr = 0.0
-    return mean, stderr
+def estimate(blocks: Sequence[Moments]) -> tuple[complex, float]:
+    """Mean and standard error (the larger of the real and imaginary parts').
+
+    Block sums on shift r move onto block 0's shift r0 exactly as the
+    samples would: with d = r - r0, ``S1 + n*d`` and ``S2 + d*(2*S1 + n*d)``.
+    """
+    trials = sum(b[0] for b in blocks)
+    means, variances = [], []
+    for part in (1, 2):
+        origin = blocks[0][part][0]
+        sums, squares = [], []
+        for b in blocks:
+            n, (shift, s1, s2) = b[0], b[part]
+            d = shift - origin
+            sums.append(s1 + n * d)
+            squares.append(s2 + d * (2.0 * s1 + n * d))
+        s1, s2 = math.fsum(sums), math.fsum(squares)
+        means.append(origin + s1 / trials)
+        if trials > 1:
+            variances.append(max(s2 - s1 * s1 / trials, 0.0) / (trials - 1))
+    stderr = math.sqrt(max(variances) / trials) if variances else 0.0
+    return complex(*means), stderr
 
 
-def curve(
+def run(
     sampler: Sampler, trials: int, seed: int, threads: int = 1
-) -> list[tuple[complex, float]]:
-    """Mean and standard error of every curve point, in one pass.
+) -> tuple[list[tuple[complex, float]], list]:
+    """Mean and standard error of each value array a sampler returns, in one pass.
 
-    ``sampler(keys)`` yields one array of per-trajectory values per point;
-    each is reduced as soon as it is yielded, so memory stays at one block.
-    Point k is shifted by trajectory 0's value, from the sampler run on it.
+    ``sampler(keys)`` takes one block's trajectory keys and returns
+    ``(points, tally)``.  ``points`` holds one array of per-trajectory
+    values per estimate; each is reduced as soon as it is yielded, so a
+    curve stays at one block of memory.  ``tally`` is whatever else the
+    block counts.  Returns the estimates and the tallies in block order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    refs = [v[0].item() for v in sampler(rng.stream_keys(seed, 0, 1))]
 
-    def worker(start: int, count: int) -> list[Moments]:
-        values = sampler(rng.stream_keys(seed, start, count))
-        return [block_moments(v, ref) for v, ref in zip(values, refs)]
+    def worker(start: int, count: int):
+        points, tally = sampler(rng.stream_keys(seed, start, count))
+        return [block_moments(v) for v in points], tally
 
     blocks = rng.run_blocks(trials, worker, threads=threads)
-    return [estimate(ref, [b[k] for b in blocks], trials) for k, ref in enumerate(refs)]
+    estimates = [estimate(point) for point in zip(*(moments for moments, _ in blocks))]
+    return estimates, [tally for _, tally in blocks]

@@ -115,19 +115,33 @@ def alternating_word(length: int) -> str:
 # --- A sequential view of the counter-based streams ---
 
 
-class Stream:
-    """Sequential view of one derived stream (draws advance a slot cursor)."""
+_STREAM_BUFFER_SLOTS = 1 << 16
 
-    __slots__ = ("keys", "_slot")
+
+class Stream:
+    """Sequential view of one derived stream (draws advance a slot cursor).
+
+    Slots are drawn ahead, 65,536 at a time, by one array-slot
+    ``rng.slot_u64`` call and served from that buffer; each value is the
+    draw at its slot, as if it were drawn alone.
+    """
+
+    __slots__ = ("keys", "_slot", "_buffer", "_buffer_start")
 
     def __init__(self, keys: np.ndarray):
         self.keys = keys
         self._slot = 0
+        self._buffer = np.empty(0, dtype=np.uint64)
+        self._buffer_start = 0
 
     def _take(self, n: int) -> np.ndarray:
-        out = rng.slot_u64(self.keys, np.arange(self._slot, self._slot + n))[:, 0]
+        lo = self._slot - self._buffer_start
+        if lo + n > self._buffer.size:
+            slots = np.arange(self._slot, self._slot + max(n, _STREAM_BUFFER_SLOTS))
+            self._buffer = rng.slot_u64(self.keys, slots)[:, 0].copy()
+            self._buffer_start, lo = self._slot, 0
         self._slot += n
-        return out
+        return self._buffer[lo : lo + n].copy()
 
     def u64(self, n: int = 1) -> np.ndarray:
         return self._take(n)
@@ -420,8 +434,10 @@ def walk_adaptive(k_star: int, trials: int, seed: int, cap: int):
 #
 # Each call reruns every trajectory from scratch for a single step count,
 # multiplies b by each kick's phasor e^{-i theta} in kick order, and folds the
-# block moments by hand.  Curves from noisegames.montecarlo must match these
-# point for point, bit for bit.
+# block moments by hand: each block is shifted by its own first value, and
+# the blocks' sums are moved onto block 0's shift before they are merged.
+# Curves from noisegames.montecarlo must match these point for point, bit
+# for bit.
 
 
 def _moments_to_mean_stderr(ref: complex, partials, trials: int):
@@ -447,6 +463,31 @@ def _block_sums(w: np.ndarray):
         float(np.sum(re * re)),
         float(np.sum(im * im)),
     )
+
+
+def _first_value_block(z: np.ndarray):
+    """(size, first value, sums of z - first) of one block of samples."""
+    return len(z), complex(z[0]), _block_sums(z - z[0])
+
+
+def _merge_on_block_zero(blocks):
+    """Mean and stderr of first-value-shifted blocks, re-centred on block 0's value.
+
+    Moving a block's sums from shift r to r0 adds d = r - r0 to every
+    sample: the sum gains n*d and the sum of squares d*(2*sum + n*d).
+    """
+    origin = blocks[0][1]
+    moved = []
+    for n, first, (s_re, s_im, q_re, q_im) in blocks:
+        d_re = first.real - origin.real
+        d_im = first.imag - origin.imag
+        moved.append((
+            s_re + n * d_re,
+            s_im + n * d_im,
+            q_re + d_re * (2.0 * s_re + n * d_re),
+            q_im + d_im * (2.0 * s_im + n * d_im),
+        ))
+    return _moments_to_mean_stderr(origin, moved, sum(b[0] for b in blocks))
 
 
 def _delta_branch(dist, keys: np.ndarray, s: int) -> np.ndarray:
@@ -483,14 +524,12 @@ def _iid_coherences(b0: complex, dist, keys: np.ndarray, steps: int) -> np.ndarr
 
 def iid_mc_point(b0: complex, dist, steps: int, trials: int, seed: int, threads: int):
     """(mean coherence, stderr) after ``steps`` IID kicks."""
-    ref = complex(_iid_coherences(b0, dist, rng.stream_keys(seed, 0, 1), steps)[0])
 
     def worker(start: int, count: int):
         keys = rng.stream_keys(seed, start, count)
-        return _block_sums(_iid_coherences(b0, dist, keys, steps) - ref)
+        return _first_value_block(_iid_coherences(b0, dist, keys, steps))
 
-    partials = rng.run_blocks(trials, worker, threads=threads)
-    return _moments_to_mean_stderr(ref, partials, trials)
+    return _merge_on_block_zero(rng.run_blocks(trials, worker, threads=threads))
 
 
 def _chain_tables(kern):
@@ -528,14 +567,11 @@ def memory_mc_point(b0: complex, kern, n: int, trials: int, seed: int, threads: 
             z *= np.where(in_a, phasor_a[ia], phasor_b[ib])
         return z
 
-    ref = complex(chain_coherences(rng.stream_keys(seed, 0, 1))[0])
-
     def worker(start: int, count: int):
         keys = rng.stream_keys(seed, start, count)
-        return _block_sums(chain_coherences(keys) - ref)
+        return _first_value_block(chain_coherences(keys))
 
-    partials = rng.run_blocks(trials, worker, threads=threads)
-    return _moments_to_mean_stderr(ref, partials, trials)
+    return _merge_on_block_zero(rng.run_blocks(trials, worker, threads=threads))
 
 
 # --- Kicked coherences as written before running phasor products ---

@@ -1,10 +1,9 @@
-"""The shared Monte Carlo engine against the per-point estimators it replaced.
+"""The shared Monte Carlo engine against per-point estimators written by hand.
 
 140_000 trials span three blocks of ``rng.BLOCK_SIZE`` (the last one
-partial), so every curve point exercises the cross-block merge.  The
-initial coherence is real: there the per-point estimators' trajectory-0
-reference (a scalar re-multiply) equals trajectory 0's own sample, which
-the engine shifts by.
+partial), so every curve point exercises the cross-block merge.  Each block
+is shifted by its own first sample, and the merge moves every block onto
+block 0's shift; the oracle estimators fold their blocks the same way.
 """
 
 import math
@@ -61,22 +60,23 @@ def test_memory_curve_matches_per_point_estimator(variant, threads):
 
 
 def test_constant_samples_have_zero_stderr():
-    def sampler(keys):
-        yield np.full(len(keys), 0.1 + 0.2j)
-        yield np.full(len(keys), 0.3)
+    def points(count):
+        yield np.full(count, 0.1 + 0.2j)
+        yield np.full(count, 0.3)
 
-    complex_point, real_point = montecarlo.curve(sampler, TRIALS, SEED)
+    estimates, _ = montecarlo.run(lambda keys: (points(len(keys)), None), TRIALS, SEED)
+    complex_point, real_point = estimates
     assert complex_point == (0.1 + 0.2j, 0.0)
     assert real_point == (0.3, 0.0)
 
 
 def test_estimate_is_independent_of_block_split():
     values = np.linspace(-1.0, 2.0, 1000) + 1j * np.linspace(0.5, -0.5, 1000) ** 2
-    ref = complex(values[0])
-    mean, stderr = montecarlo.estimate(ref, [montecarlo.block_moments(values, ref)], 1000)
-    split_mean, split_stderr = montecarlo.estimate(
-        ref, [montecarlo.block_moments(v, ref) for v in np.split(values, [10, 500])], 1000
-    )
+    mean, stderr = montecarlo.estimate([montecarlo.block_moments(values)])
+    # each part is shifted by its own first value, so the merge re-centres it
+    parts = [montecarlo.block_moments(v) for v in np.split(values, [10, 500])]
+    assert len({b[1][0] for b in parts}) == len({b[2][0] for b in parts}) == 3
+    split_mean, split_stderr = montecarlo.estimate(parts)
     assert mean == pytest.approx(np.mean(values), abs=1e-15)
     assert stderr == pytest.approx(
         max(np.std(values.real, ddof=1), np.std(values.imag, ddof=1)) / math.sqrt(1000)
@@ -87,7 +87,23 @@ def test_estimate_is_independent_of_block_split():
 
 def test_rejects_empty_run():
     with pytest.raises(ValueError):
-        montecarlo.curve(lambda keys: iter([keys.astype(float)]), 0, SEED)
+        montecarlo.run(lambda keys: ([keys.astype(float)], None), 0, SEED)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sampler_sees_each_trajectory_once(threads):
+    calls = []
+
+    def sampler(keys):
+        calls.append(len(keys))
+        return [keys.astype(float)], int(keys[0] % 1000)
+
+    estimates, tallies = montecarlo.run(sampler, TRIALS, SEED, threads)
+    assert sum(calls) == TRIALS
+    assert len(calls) == len(tallies) == -(-TRIALS // rng.BLOCK_SIZE)
+    starts = range(0, TRIALS, rng.BLOCK_SIZE)
+    assert tallies == [int(rng.stream_key(SEED, s) % 1000) for s in starts]
+    assert len(estimates) == 1
 
 
 def test_curve_points_equal_single_point_runs():
