@@ -59,10 +59,7 @@ from .parrondo import (
     CombinedGame,
     GameStats,
     RotationGame,
-    WheelPosition,
-    combine_even,
     exact_rate,
-    general_rates,
     is_winning,
     simulate,
     stationary_distribution,

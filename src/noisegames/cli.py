@@ -346,7 +346,7 @@ def _cmd_parrondo(v: dict, threads: int):
     games = [parrondo.RotationGame(m) for m in v["moduli"]]
     combined = parrondo.CombinedGame(tuple(games))
     stationary = parrondo.stationary_distribution(combined)
-    stats = parrondo.GameStats.from_stationary(stationary)
+    stats = parrondo.exact_rate(combined)
     per_game = []
     for g in games:
         s = parrondo.exact_rate(parrondo.CombinedGame((g,)))
@@ -380,11 +380,7 @@ def _cmd_parrondo(v: dict, threads: int):
             "net_rate": sim.net_rate,
         }
     L = combined.modulus
-    winning = lambda k: parrondo.is_winning(parrondo.WheelPosition(k, L))
-    lines = lambda: (
-        f"{k},{w.numerator}/{w.denominator},{winning(k):d}"
-        for k, w in enumerate(stationary.weights)
-    )
+    lines = lambda: (f"{k},1/{L},{parrondo.is_winning(k, L):d}" for k in range(L))
     return {}, results, diagnostics, ("position,probability,winning", lines)
 
 

@@ -211,15 +211,14 @@ def fixed_horizon_length_law(m: int) -> dict[int, Fraction]:
     """Exact law of the reduced-word length after m fair letters, in O(m).
 
     K = (A's at even slots) + (B's at odd slots) is Bin(m, 1/2), and the
-    word carries the start point 1 to y = (-1)^m * (1 + 2(K - ceil(m/2))),
-    so length y - 1 (y > 0) or -y (y < 0) has probability C(m, K) / 2^m.
+    signed count d = K - floor(m/2) gives the length
+    ``_reduced_length(d, m)`` with probability C(m, K) / 2^m.
     """
     m = FixedHorizon(m).m
     law = {}
     c = 1
-    for k in range(m + 1):
-        y = (-1) ** m * (1 + 2 * (k - (m + 1) // 2))
-        law[y - 1 if y > 0 else -y] = Fraction(c, 2**m)
+    for k, s in enumerate(_reduced_length(np.arange(m + 1) - m // 2, m).tolist()):
+        law[s] = Fraction(c, 2**m)
         c = c * (m - k) // (k + 1)
     return law
 

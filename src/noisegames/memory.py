@@ -31,9 +31,6 @@ from . import rng
 from .kicks import DeltaMixture, McEstimate
 from .qubit import DensityMatrix2
 
-_ANGLE_TOL = 1e-9  # tolerance for matching an angle to a class support
-
-
 class SetLabel(enum.Enum):
     SET_A = "A"
     SET_B = "B"
@@ -75,23 +72,6 @@ class MemoryKernel:
     epsilon: float
     from_a: tuple[KernelBranch, ...]
     from_b: tuple[KernelBranch, ...]
-
-    def __post_init__(self):
-        supports = {
-            SetLabel.SET_A: set_a_support(),
-            SetLabel.SET_B: set_b_support(self.epsilon),
-        }
-        for branches in (self.from_a, self.from_b):
-            total = math.fsum(br.weight for br in branches)
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError("branch weights must sum to 1 within 1e-12")
-            for br in branches:
-                if br.weight < 0.0:
-                    raise ValueError("branch weights must be nonnegative")
-                if min(abs(br.angle - s) for s in supports[br.to_label]) > _ANGLE_TOL:
-                    raise ValueError(
-                        f"angle {br.angle!r} is not in the support of {br.to_label}"
-                    )
 
     def branches(self, label: SetLabel) -> tuple[KernelBranch, ...]:
         return self.from_a if label is SetLabel.SET_A else self.from_b

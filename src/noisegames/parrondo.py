@@ -3,8 +3,9 @@
 A wheel carries a radial vector; a game with modulus m rotates it by a
 uniformly random multiple of 2*pi/m.  The player wins a round when the
 vector ends in the closed upper half-plane (angle within [-pi/2, pi/2]).
-Positions live on the cycle Z_L (angle 2*pi*k/L), so winning and all
-stationary probabilities are exact integer/rational computations.
+Positions live on the cycle Z_L (angle 2*pi*k/L).  Every mixture's
+stationary law is uniform on Z_L (see :func:`exact_rate`), so its winning
+probability is an exact count of winning positions over L.
 
 Single games with odd modulus m lose at rate 1/m when m = 3 (mod 4) and
 win at rate 1/m when m = 1 (mod 4).  Randomly mixing games with coprime
@@ -24,36 +25,15 @@ import numpy as np
 from . import rng
 
 
-@dataclass(frozen=True, slots=True)
-class WheelPosition:
-    """Position k on the L-cycle, i.e. angle 2*pi*k/L."""
+def is_winning(k, L: int):
+    """True where position k of Z_L lies in the closed interval [-pi/2, pi/2].
 
-    k: int
-    L: int
-
-    def __post_init__(self):
-        if int(self.k) != self.k or int(self.L) != self.L:
-            raise ValueError("k and L must be integers")
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "L", int(self.L))
-        if self.L < 1:
-            raise ValueError("modulus must be positive")
-        if not (0 <= self.k < self.L):
-            raise ValueError("position must satisfy 0 <= k < L")
-
-    @property
-    def angle(self) -> float:
-        return 2.0 * math.pi * self.k / self.L
-
-
-def is_winning(pos: WheelPosition) -> bool:
-    """True iff the angle lies in the closed interval [-pi/2, pi/2].
-
-    Exact integer test: cos(2*pi*k/L) >= 0 iff 4*k <= L or 4*k >= 3*L.
-    For odd L no position sits on the boundary, so the closed-interval
-    convention is never exercised by the games below.
+    Exact integer test on an int or an integer array ``k``:
+    cos(2*pi*k/L) >= 0 iff 4*k <= L or 4*k >= 3*L.  For odd L no position
+    sits on the boundary, so the closed-interval convention is never
+    exercised by the games below.
     """
-    return 4 * pos.k <= pos.L or 4 * pos.k >= 3 * pos.L
+    return (4 * k <= L) | (4 * k >= 3 * L)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,45 +97,27 @@ class CombinedGame:
 
 @dataclass(frozen=True, slots=True)
 class StationaryDistribution:
-    """Exact stationary law of a combined game on its cycle.
+    """What the envelope reports about a combined game's stationary law.
 
-    ``weights[k]`` is the stationary probability of position k (uniform on
-    the reachable subgroup from k = 0, zero elsewhere).
+    The law itself is uniform on Z_L (see :func:`exact_rate`).
     ``reducible_warning`` flags non-pairwise-coprime moduli, where the
     exact-rate results for products of games do not apply.
-    ``power_iteration_residual`` is the largest deviation of an
-    independently power-iterated distribution from the exact one.
+    ``power_iteration_residual`` is the largest deviation of a float
+    power-iterated distribution from 1/L.
     """
 
-    weights: tuple[Fraction, ...]
-    support: tuple[int, ...]
     reducible_warning: bool
     power_iteration_residual: float
 
 
 def stationary_distribution(combined: CombinedGame) -> StationaryDistribution:
-    """Exact stationary distribution, cross-checked by power iteration.
+    """Float power iteration from a point mass, measured against 1/L.
 
-    The step law is translation invariant on Z_L and its weights are
-    positive fractions summing to 1, so the transition matrix is doubly
-    stochastic and the uniform law on the reachable subgroup is
-    stationary.  Float power iteration from a point mass must reproduce it
-    to 1e-12.
+    The iterated distribution must reach the uniform law to 1e-12, or a
+    ``RuntimeError`` is raised.
     """
     L = combined.modulus
     weights = combined.step_weights()
-
-    # Reachable subgroup from 0 is generated by the step offsets.
-    d = L
-    for off in weights:
-        d = math.gcd(d, off)
-    support = tuple(range(0, L, d))
-    size = len(support)
-    exact = [Fraction(0)] * L
-    for k in support:
-        exact[k] = Fraction(1, size)
-
-    # Independent cross-check: float power iteration from a point mass.
     v = np.zeros(L)
     v[0] = 1.0
     offs = sorted(weights)
@@ -168,15 +130,12 @@ def stationary_distribution(combined: CombinedGame) -> StationaryDistribution:
             v = nxt
             break
         v = nxt
-    residual = float(np.max(np.abs(v - np.array([float(x) for x in exact]))))
+    residual = float(np.max(np.abs(v - 1 / L)))
     if residual > 1e-12:
         raise RuntimeError(
             f"power iteration disagrees with exact stationary law ({residual!r})"
         )
-
-    return StationaryDistribution(
-        tuple(exact), support, not combined.pairwise_coprime(), residual
-    )
+    return StationaryDistribution(not combined.pairwise_coprime(), residual)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,60 +149,24 @@ class GameStats:
     def net_rate(self) -> Fraction:
         return 2 * self.win_prob - 1
 
-    @classmethod
-    def from_stationary(cls, stat: StationaryDistribution) -> "GameStats":
-        """Winning probability and net rate under a stationary law."""
-        L = len(stat.weights)
-        wins = sum(1 for k in stat.support if is_winning(WheelPosition(k, L)))
-        return cls(Fraction(wins, len(stat.support)), len(stat.support))
-
 
 def exact_rate(combined: CombinedGame) -> GameStats:
-    """Exact stationary winning probability and net win/loss rate."""
-    return GameStats.from_stationary(stationary_distribution(combined))
+    """Exact stationary winning probability and net win/loss rate.
 
+    The stationary law is uniform on all of Z_L, L = lcm of the moduli, so
+    the winning probability is the count of winning positions over L:
 
-@dataclass(frozen=True, slots=True)
-class GeneralRates:
-    """Net rates of two coprime games and of their random mixture."""
-
-    rate_m: Fraction
-    rate_n: Fraction
-    rate_combined: Fraction
-
-
-def general_rates(m: int, n: int) -> GeneralRates:
-    """Rates (-1/m, -1/n, +1/(m*n)) for coprime m = n = 3 (mod 4).
-
-    The closed forms; :func:`exact_rate` reproduces them by counting
-    residues on the cycle of each game and of their mixture.
+    * Irreducible: for each prime p of L, the game whose modulus holds
+      p's full power has stride L/m prime to p, so the strides have gcd 1
+      and the step offsets generate Z_L.
+    * Doubly stochastic: the step law is the same at every position (a
+      circulant matrix) and its weights sum to 1, so columns sum to 1 as
+      well as rows, and the uniform law is stationary -- by
+      irreducibility, the only one.
     """
-    m, n = int(m), int(n)
-    for v in (m, n):
-        if v < 3 or v % 4 != 3:
-            raise ValueError("moduli must be >= 3 and congruent to 3 mod 4")
-    if math.gcd(m, n) != 1:
-        raise ValueError("moduli must be coprime")
-    return GeneralRates(Fraction(-1, m), Fraction(-1, n), Fraction(1, m * n))
-
-
-def combine_even(games) -> CombinedGame:
-    """Random mixture of an even number of losing games.
-
-    Requires pairwise-coprime moduli, each >= 3 and congruent to 3 mod 4.
-    The combined rate is computable exactly via :func:`exact_rate`; no
-    closed form is asserted beyond the two-game case.
-    """
-    games = tuple(games)
-    if len(games) == 0 or len(games) % 2 != 0:
-        raise ValueError("need an even, positive number of games")
-    for g in games:
-        if g.m < 3 or g.m % 4 != 3:
-            raise ValueError("moduli must be >= 3 and congruent to 3 mod 4")
-    combined = CombinedGame(games)
-    if not combined.pairwise_coprime():
-        raise ValueError("moduli must be pairwise coprime")
-    return combined
+    L = combined.modulus
+    wins = int(np.count_nonzero(is_winning(np.arange(L), L)))
+    return GameStats(Fraction(wins, L), L)
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,8 +202,7 @@ def simulate(
     n_games = len(combined.games)
     moduli = np.array(combined.moduli, dtype=np.int64)
     strides = np.array([L // g.m for g in combined.games], dtype=np.int64)
-    k = np.arange(L, dtype=np.int64)
-    winning = ((4 * k <= L) | (4 * k >= 3 * L)).astype(np.int64)
+    winning = is_winning(np.arange(L, dtype=np.int64), L).astype(np.int64)
 
     def worker(start: int, count: int):
         keys = rng.stream_keys(seed, start, count)

@@ -599,6 +599,33 @@ def chain_phase_sums(kern, keys: np.ndarray, n: int):
         yield total.copy()
 
 
+# --- The wheel games' closed-form rates ---
+
+
+@dataclass(frozen=True, slots=True)
+class GeneralRates:
+    """Net rates of two coprime games and of their random mixture."""
+
+    rate_m: Fraction
+    rate_n: Fraction
+    rate_combined: Fraction
+
+
+def general_rates(m: int, n: int) -> GeneralRates:
+    """Rates (-1/m, -1/n, +1/(m*n)) for coprime m = n = 3 (mod 4).
+
+    The closed forms; :func:`exact_rate` reproduces them by counting
+    residues on the cycle of each game and of their mixture.
+    """
+    m, n = int(m), int(n)
+    for v in (m, n):
+        if v < 3 or v % 4 != 3:
+            raise ValueError("moduli must be >= 3 and congruent to 3 mod 4")
+    if math.gcd(m, n) != 1:
+        raise ValueError("moduli must be coprime")
+    return GeneralRates(Fraction(-1, m), Fraction(-1, n), Fraction(1, m * n))
+
+
 # --- The wheel-game simulation as written before residue histograms ---
 
 

@@ -20,6 +20,7 @@ from _oracles import (
     derive_stream,
     embed_2d,
     expected_fixed_horizon_win,
+    general_rates,
     grover_iterate,
     random_diagonal_channel,
     textbook_grover_matrix,
@@ -65,7 +66,6 @@ from noisegames.parrondo import (
     CombinedGame,
     RotationGame,
     exact_rate,
-    general_rates,
     simulate,
 )
 from noisegames.qubit import (

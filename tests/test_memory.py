@@ -51,7 +51,8 @@ class TestKernel:
 
     def test_closure_one_step_from_every_support_angle(self):
         # Every branch angle reachable from either class lies in the union
-        # of the two supports, with a consistent destination label.
+        # of the two supports, with a consistent destination label, and
+        # each class's branch weights are a probability law.
         for variant in KernelVariant:
             k = kernel(variant, EPS)
             supports = {
@@ -59,7 +60,10 @@ class TestKernel:
                 SetLabel.SET_B: set_b_support(EPS),
             }
             for label in SetLabel:
-                for br in k.branches(label):
+                branches = k.branches(label)
+                assert all(br.weight >= 0.0 for br in branches)
+                assert abs(math.fsum(br.weight for br in branches) - 1.0) <= 1e-12
+                for br in branches:
                     assert any(
                         abs(br.angle - s) < 1e-9 for s in supports[br.to_label]
                     )

@@ -1,19 +1,18 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from _oracles import simulate_by_positions, winning_positions_by_cosine
+from _oracles import general_rates, simulate_by_positions, winning_positions_by_cosine
 from noisegames import rng
 from noisegames.parrondo import (
     GAME_A,
     GAME_B,
     CombinedGame,
     RotationGame,
-    WheelPosition,
-    combine_even,
     exact_rate,
-    general_rates,
     is_winning,
     simulate,
     stationary_distribution,
@@ -22,31 +21,26 @@ from noisegames.parrondo import (
 
 class TestWinning:
     def test_vertical_wins(self):
-        assert is_winning(WheelPosition(0, 3))
+        assert is_winning(0, 3)
 
     def test_two_thirds_turn_loses(self):
-        assert not is_winning(WheelPosition(1, 3))
+        assert not is_winning(1, 3)
 
     def test_just_inside_quarter_turn_wins(self):
-        assert is_winning(WheelPosition(5, 21))  # 10 pi / 21 < pi / 2
+        assert is_winning(5, 21)  # 10 pi / 21 < pi / 2
 
     def test_matches_cosine_oracle(self):
         for L in (3, 7, 9, 11, 21, 77, 4389):
-            ours = sum(1 for k in range(L) if is_winning(WheelPosition(k, L)))
+            ours = sum(1 for k in range(L) if is_winning(k, L))
             assert ours == winning_positions_by_cosine(L)
+            assert np.count_nonzero(is_winning(np.arange(L), L)) == ours
 
     def test_winning_count_closed_form(self):
         # (M-1)/2 winners when M = 3 (mod 4), (M+1)/2 when M = 1 (mod 4)
         for m in range(3, 120, 2):
-            count = sum(1 for k in range(m) if is_winning(WheelPosition(k, m)))
+            count = sum(1 for k in range(m) if is_winning(k, m))
             want = (m - 1) // 2 if m % 4 == 3 else (m + 1) // 2
             assert count == want
-
-    def test_position_validation(self):
-        with pytest.raises(ValueError):
-            WheelPosition(3, 3)
-        with pytest.raises(ValueError):
-            WheelPosition(-1, 3)
 
 
 class TestPlayRound:
@@ -77,24 +71,32 @@ class TestStationary:
 
     def test_single_game_uniform(self):
         stat = stationary_distribution(CombinedGame((GAME_A,)))
-        assert stat.weights == (Fraction(1, 3),) * 3
+        assert stat.power_iteration_residual < 1e-12
         assert not stat.reducible_warning
 
     def test_combined_uniform_21(self):
         stat = stationary_distribution(CombinedGame((GAME_A, GAME_B)))
-        assert len(stat.weights) == 21
-        assert all(w == Fraction(1, 21) for w in stat.weights)
         assert stat.power_iteration_residual < 1e-12
 
     def test_non_coprime_warns_but_reaches_everything(self):
         stat = stationary_distribution(CombinedGame((RotationGame(3), RotationGame(9))))
         assert stat.reducible_warning
-        assert stat.support == tuple(range(9))  # the 9-game alone reaches all
+        assert stat.power_iteration_residual < 1e-12  # the 9-game alone reaches all
 
     def test_duplicate_game_flagged(self):
         stat = stationary_distribution(CombinedGame((RotationGame(3), RotationGame(3))))
-        assert stat.support == (0, 1, 2)
+        assert stat.power_iteration_residual < 1e-12
         assert stat.reducible_warning
+
+    def test_strides_generate_the_whole_cycle(self):
+        # For each prime p of L = lcm(moduli), the game whose modulus holds
+        # p's full power has a stride L/m prime to p: the strides have
+        # gcd 1, so every mixture reaches all of Z_L.
+        odd = range(1, 40, 2)
+        for size in (1, 2, 3):
+            for moduli in itertools.combinations_with_replacement(odd, size):
+                L = math.lcm(*moduli)
+                assert math.gcd(*(L // m for m in moduli)) == 1, moduli
 
 
 class TestExactRates:
@@ -111,6 +113,15 @@ class TestExactRates:
         assert s.win_prob == Fraction(11, 21)
         assert s.net_rate == Fraction(1, 21)
         assert s.support_size == 21
+
+    @pytest.mark.parametrize(
+        "moduli", [(3,), (3, 7), (3, 9), (3, 3), (3, 7, 11, 19, 23)]
+    )
+    def test_rate_is_winning_count_over_cycle(self, moduli):
+        L = math.lcm(*moduli)
+        s = exact_rate(CombinedGame(tuple(RotationGame(m) for m in moduli)))
+        assert s.win_prob == Fraction(winning_positions_by_cosine(L), L)
+        assert s.support_size == L
 
 
 class TestGeneralRates:
@@ -148,31 +159,14 @@ class TestGeneralRates:
 
 
 class TestCombineEven:
-    def test_pair_equals_basic_combination(self):
-        assert exact_rate(combine_even([GAME_A, GAME_B])) == exact_rate(
-            CombinedGame((GAME_A, GAME_B))
-        )
-
     def test_four_games(self):
-        combined = combine_even([RotationGame(m) for m in (3, 7, 11, 19)])
+        combined = CombinedGame(tuple(RotationGame(m) for m in (3, 7, 11, 19)))
         for g in combined.games:
             assert exact_rate(CombinedGame((g,))).net_rate == Fraction(-1, g.m)
         stats = exact_rate(combined)
         assert stats.support_size == 4389
         assert stats.win_prob == Fraction(2195, 4389)
         assert stats.net_rate == Fraction(1, 4389)
-
-    def test_odd_count_rejected(self):
-        with pytest.raises(ValueError):
-            combine_even([GAME_A, GAME_B, RotationGame(11)])
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(ValueError):
-            combine_even([GAME_A, RotationGame(9)])
-
-    def test_wrong_residue_rejected(self):
-        with pytest.raises(ValueError):
-            combine_even([GAME_A, RotationGame(5)])
 
 
 class TestSimulate:
