@@ -55,8 +55,9 @@ MC_MAX_DRAWS = 1 << 32
 
 # The version of the map from (seed, trajectory, slot) draws to a family's
 # random inputs.  Layout 1 read each search letter from the top bit of its own
-# draw; layout 2 reads letter t from bit t % 64 of draw t // 64.
-STREAM_LAYOUT = 2
+# draw; layout 2 reads letter t from bit t % 64 of draw t // 64; layout 3 also
+# takes wheel round r's game and rotation from slot r of stream (seed, 0).
+STREAM_LAYOUT = 3
 
 _encode_str = json.encoder.encode_basestring_ascii
 

@@ -104,7 +104,9 @@ def averaged_channel_mc(
     clamped to [0, 1].  These laws reproduce every coefficient of the
     first-order averaged matrix: E[alpha] = sqrt(4*lambda_ad/pi),
     E[sqrt(1-alpha)] = 1 - sqrt(lambda_ad/pi) + O(lambda_ad) and
-    E[e^{-i theta}] = e^{-lambda_pd}.
+    E[e^{-i theta}] = e^{-lambda_pd}.  theta reads normal slot 0 and alpha
+    normal slot 1 of each trajectory; the phasor comes from
+    :func:`montecarlo.phasors`, and each block works in place on its draws.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
@@ -113,12 +115,25 @@ def averaged_channel_mc(
     sd_x = math.sqrt(2.0 * scales.lambda_ad)
 
     def sampler(keys: np.ndarray):
-        theta = sd_theta * rng.slot_normal(keys, 0)
-        alpha_raw = np.abs(sd_x * rng.slot_normal(keys, 1))
-        clamped = int(np.count_nonzero(alpha_raw > 1.0))
-        alpha = np.minimum(alpha_raw, 1.0)
-        a_out = a0 + p * alpha * (1.0 - a0)
-        b_out = b0 * (p * np.sqrt(1.0 - alpha) + (1.0 - p) * np.exp(-1j * theta))
+        theta = rng.slot_normal(keys, 0)
+        theta *= sd_theta
+        alpha = rng.slot_normal(keys, 1)
+        alpha *= sd_x
+        np.abs(alpha, out=alpha)
+        clamped = int(np.count_nonzero(alpha > 1.0))
+        np.minimum(alpha, 1.0, out=alpha)
+        # a0 + p * alpha * (1 - a0)
+        a_out = alpha * p
+        a_out *= 1.0 - a0
+        a_out += a0
+        # b0 * (p * sqrt(1 - alpha) + (1 - p) * e^{-i theta})
+        b_out = montecarlo.phasors(theta)
+        b_out *= 1.0 - p
+        np.subtract(1.0, alpha, out=alpha)
+        np.sqrt(alpha, out=alpha)
+        alpha *= p
+        b_out.real += alpha
+        b_out *= b0
         return (a_out, b_out), clamped
 
     ((mean_a, stderr_pop), (mean_b, stderr_coh)), clamps = montecarlo.run(

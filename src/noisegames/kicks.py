@@ -22,7 +22,8 @@ trajectory; trajectory t reads slot k at kick k, so a curve is one pass
 over the trajectories and no other.  A trajectory's coherence after k kicks
 is b times the running product of its kicks' phasors e^{-i theta}, one
 complex multiply per kick: a delta mixture looks each phasor up in a table
-built once, and the continuous laws take one complex exponential per kick.
+built once, and the continuous laws build theirs with
+:func:`montecarlo.phasors`, from one ``tan`` per kick.
 """
 
 from __future__ import annotations
@@ -231,30 +232,36 @@ def _running_products(b: complex, count: int, factors) -> Iterator[np.ndarray]:
         yield z
 
 
-def _phasors(theta: np.ndarray) -> np.ndarray:
-    """e^{-i theta} per entry: one complex exponential, in place."""
-    w = -1j * theta
-    return np.exp(w, out=w)
-
-
 def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
     """Phasor e^{-i theta} of kicks 1, ..., ``steps`` of each trajectory, in turn.
 
     Trajectory t reads its own slot k at kick k.  A delta mixture looks the
     phasor of its drawn angle up in a table built once; the continuous laws
-    take one complex exponential per kick.
+    draw theta in place and hand it to :func:`montecarlo.phasors`.
     """
     if isinstance(dist, DeltaMixture):
         cum = np.cumsum(np.asarray(dist.weights, dtype=np.float64))
         cum[-1] = 1.0
-        table = _phasors(np.asarray(dist.angles, dtype=np.float64))
-        kick = lambda s: table[np.searchsorted(cum, rng.slot_uniform(keys, s), side="right")]
+        table = np.exp(-1j * np.asarray(dist.angles, dtype=np.float64))
+        kick = lambda s: table[montecarlo.branch_index(cum, rng.slot_uniform(keys, s))]
     elif isinstance(dist, GaussianKicks):
         sigma = math.sqrt(dist.sigma2)
-        kick = lambda s: _phasors(dist.mu + sigma * rng.slot_normal(keys, s))
+
+        def kick(s: int) -> np.ndarray:
+            theta = rng.slot_normal(keys, s)
+            theta *= sigma
+            theta += dist.mu
+            return montecarlo.phasors(theta)
+
     elif isinstance(dist, ExponentialKicks):
         scale = dist.scale
-        kick = lambda s: _phasors(-scale * np.log(rng.slot_uniform_open(keys, s)))
+
+        def kick(s: int) -> np.ndarray:
+            theta = rng.slot_uniform_open(keys, s)
+            np.log(theta, out=theta)
+            theta *= -scale
+            return montecarlo.phasors(theta)
+
     else:
         raise TypeError(f"unsupported kick distribution: {type(dist).__name__}")
     return map(kick, range(steps))

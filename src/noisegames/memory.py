@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from . import rng
+from . import montecarlo, rng
 from .kicks import DeltaMixture, McEstimate
 from .qubit import DensityMatrix2
 
@@ -216,8 +216,8 @@ def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.
     in_a = np.ones(len(keys), dtype=bool)
     for s in range(n):
         u = rng.slot_uniform(keys, s)
-        ia = np.searchsorted(cum_a, u, side="right")
-        ib = np.searchsorted(cum_b, u, side="right")
+        ia = montecarlo.branch_index(cum_a, u)
+        ib = montecarlo.branch_index(cum_b, u)
         branch = np.where(in_a, ia, ib + offset_b)
         in_a = to_a[branch]
         yield phasors[branch]

@@ -9,6 +9,9 @@ Shifting by a sample keeps the variance exact for constant samples and well
 conditioned otherwise.  :func:`estimate` moves every block onto block 0's
 shift and merges the blocks in block order with ``math.fsum`` (Chan, Golub &
 LeVeque, 1979), so estimates are bit-identical at any thread count.
+
+Two per-draw kernels serve the samplers: :func:`phasors` turns kick angles
+into e^{-i theta} and :func:`branch_index` picks a branch of a finite law.
 """
 
 from __future__ import annotations
@@ -25,6 +28,53 @@ Part = tuple[float, float, float]
 # (count, real part, imaginary part)
 Moments = tuple[int, Part, Part]
 Sampler = Callable[[np.ndarray], tuple[Iterable[np.ndarray], Any]]
+
+
+# Above this many branches one binary search beats a pass per branch.
+_COUNT_MAX_BRANCHES = 32
+
+
+def phasors(theta: np.ndarray) -> np.ndarray:
+    """e^{-i theta} per entry, from t = tan(theta/2); overwrites ``theta``.
+
+    cos theta = (1 - t^2) / (1 + t^2) and sin theta = 2t / (1 + t^2).  One
+    Newton step, (c, s) *= 1.5 - 0.5 * (c^2 + s^2), brings the modulus back
+    to 1 within 2 eps.  numpy 2.4 has an AVX-512 kernel for float64 ``tan``
+    but none for ``cos``, ``sin`` or complex ``exp`` (README).
+    """
+    out = np.empty(len(theta), dtype=np.complex128)
+    c, s = out.real, out.imag
+    t = theta
+    t *= 0.5
+    np.tan(t, out=t)
+    np.multiply(t, t, out=c)
+    np.multiply(t, -2.0, out=s)
+    np.subtract(1.0, c, out=t)
+    c += 1.0
+    s /= c
+    np.divide(t, c, out=c)
+    np.multiply(c, c, out=t)
+    t += s * s
+    t *= -0.5
+    t += 1.5
+    c *= t
+    s *= t
+    return out
+
+
+def branch_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum, u, side="right")`` for uniforms ``u`` in [0, 1).
+
+    ``cum`` holds a finite law's cumulative weights with ``cum[-1] = 1``.
+    Up to 32 branches, the index is the ``uint8`` count of ``u >= cum[j]``
+    over every entry but the last.
+    """
+    if len(cum) > _COUNT_MAX_BRANCHES:
+        return np.searchsorted(cum, u, side="right")
+    index = np.zeros(len(u), dtype=np.uint8)
+    for edge in cum[:-1]:
+        index += u >= edge
+    return index
 
 
 def block_moments(values: np.ndarray) -> Moments:

@@ -185,34 +185,49 @@ class SimulatedStats:
         return 2.0 * self.wins / self.rounds - 1.0
 
 
+def _wheel_slots(combined: CombinedGame) -> np.ndarray:
+    """Rotation offset of each of the G*L equally likely (game, rotation) slots.
+
+    Slot i plays game g = i // L; its rotation is (i mod L) // (L/m_g)
+    steps of L/m_g, so every game takes L slots and each of its m_g
+    rotations L/m_g of them.
+    """
+    L = combined.modulus
+    k = np.arange(L, dtype=np.int64)
+    return np.concatenate([k // (L // m) * (L // m) for m in combined.moduli])
+
+
 def simulate(
     combined: CombinedGame, rounds: int, seed: int, threads: int = 1
 ) -> SimulatedStats:
     """Play ``rounds`` rounds from k = 0 and tally wins.
 
-    Round r draws its game choice and rotation from the stream keyed by
-    (seed, r).  Each block keeps only the histogram of its positions
-    relative to its own start and its last relative position, so memory is
-    O(L) per block; the blocks are merged in fixed order, so tallies are
-    bit-identical under any thread count.
+    The walk is one trajectory: round r reads slot r of the stream keyed by
+    (seed, 0).  The top b = 64 - bitlen(P - 1) bits of that draw map by
+    multiply-shift, ``(x * P) >> b``, onto the P = G*L slots of
+    :func:`_wheel_slots` (Lemire, ACM TOMACS 2019), so each slot's
+    probability is off 1/P by less than 2P / 2^64 and the law of a round
+    by at most 2P^2 / 2^64 in total.  Each block keeps only the histogram
+    of its positions relative to its own start and its last relative
+    position, so memory is O(L) per block; the blocks are merged in fixed
+    order, so tallies are bit-identical under any thread count.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     L = combined.modulus
-    n_games = len(combined.games)
-    moduli = np.array(combined.moduli, dtype=np.int64)
-    strides = np.array([L // g.m for g in combined.games], dtype=np.int64)
+    slots = _wheel_slots(combined)
+    bits = 64 - max((len(slots) - 1).bit_length(), 1)
+    size, top, low = np.uint64(len(slots)), np.uint64(64 - bits), np.uint64(bits)
+    key = rng.stream_keys(seed, 0, 1)
     winning = is_winning(np.arange(L, dtype=np.int64), L).astype(np.int64)
 
     def worker(start: int, count: int):
-        keys = rng.stream_keys(seed, start, count)
-        g = np.minimum(
-            (rng.slot_uniform(keys, 0) * n_games).astype(np.int64), n_games - 1
-        )
-        j = np.minimum(
-            (rng.slot_uniform(keys, 1) * moduli[g]).astype(np.int64), moduli[g] - 1
-        )
-        rel = np.cumsum(j * strides[g]) % L
+        x = rng.slot_u64(key, np.arange(start, start + count, dtype=np.uint64)).ravel()
+        x >>= top
+        x *= size
+        x >>= low
+        rel = np.cumsum(slots[x.view(np.int64)])
+        rel %= L
         return np.bincount(rel, minlength=L), int(rel[-1])
 
     wins = 0

@@ -7,7 +7,10 @@ Stream ``i`` under master seed ``s`` is the SplitMix64 sequence started at
 ``mix(key + (d + 1) * GOLDEN)``.  Every draw is addressed by its slot
 (:func:`slot_u64` and the uniform and normal maps built on it); no stream
 carries a cursor or other hidden state, so any partition of trajectories
-into blocks or threads reproduces results bit for bit.
+into blocks or threads reproduces results bit for bit.  An array of slots
+reads a run of one stream at once, as a wheel-game walk reads its rounds.
+The maps work in place on the fresh arrays they draw, so a block allocates
+few temporaries.
 
 Key derivation is injective in the index for a fixed seed (odd multiplier
 followed by bijective mixing), so distinct trajectories can never collide
@@ -34,11 +37,20 @@ _T = TypeVar("_T")
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over uint64 arrays (wrapping)."""
+    """SplitMix64 finalizer, vectorized over uint64 arrays (wrapping).
+
+    Works in place: ``z`` must be a fresh array, and is returned.
+    """
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        t = np.right_shift(z, np.uint64(30))
+        z ^= t
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= np.uint64(0x94D049BB133111EB)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        return z
 
 
 def _mix_int(z: int) -> int:
@@ -84,26 +96,49 @@ def slot_u64(keys: np.ndarray, slot: int | np.ndarray) -> np.ndarray:
     return _mix(keys + offset)
 
 
+def _top_53_bits(keys: np.ndarray, slot: int) -> np.ndarray:
+    x = slot_u64(keys, slot)
+    x >>= np.uint64(11)
+    return x.astype(np.float64)
+
+
 def slot_uniform(keys: np.ndarray, slot: int) -> np.ndarray:
     """Uniform draws in [0, 1) at ``slot`` (53-bit resolution)."""
-    return (slot_u64(keys, slot) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    x = _top_53_bits(keys, slot)
+    x *= 2.0**-53
+    return x
 
 
 def slot_uniform_open(keys: np.ndarray, slot: int) -> np.ndarray:
     """Uniform draws in (0, 1] at ``slot`` (safe under log)."""
-    x = (slot_u64(keys, slot) >> np.uint64(11)).astype(np.float64)
-    return (x + 1.0) * 2.0**-53
+    x = _top_53_bits(keys, slot)
+    x += 1.0
+    x *= 2.0**-53
+    return x
 
 
 def slot_normal(keys: np.ndarray, slot: int) -> np.ndarray:
-    """One standard normal per key via Box-Muller.
+    """One standard normal per key via Box-Muller, R * cos(2*pi*u2).
 
     Normal ``slot`` consumes raw slots ``2*slot`` and ``2*slot + 1``; keep
-    normal and uniform slot ranges disjoint within one kernel.
+    normal and uniform slot ranges disjoint within one kernel.  The cosine
+    is ``(1 - t^2) / (1 + t^2)`` with ``t = tan(pi*u2)``, since numpy 2.4
+    has an AVX-512 kernel for float64 ``tan`` but none for ``cos``
+    (README); the result stays within 4 eps * R of ``R * np.cos(2*pi*u2)``.
     """
-    u1 = slot_uniform_open(keys, 2 * slot)
-    u2 = slot_uniform(keys, 2 * slot + 1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    r = slot_uniform_open(keys, 2 * slot)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t = slot_uniform(keys, 2 * slot + 1)
+    t *= np.pi
+    np.tan(t, out=t)
+    np.multiply(t, t, out=t)
+    denominator = t + 1.0
+    np.subtract(1.0, t, out=t)
+    t /= denominator
+    r *= t
+    return r
 
 
 def run_blocks(

@@ -14,7 +14,8 @@ implementations it checks.  These parts take something from the package:
 * the search-game letter walks, the per-point Monte Carlo estimators, the
   exp-of-sum kicked coherences and the wheel-game position merge keep the
   package's random streams (and kick laws) and fix the results the faster
-  routes must match;
+  routes must match; the per-point estimators also take the package's
+  ``montecarlo.phasors`` for the continuous kick laws;
 * the memory-kernel recursion keyed by ``SetLabel`` takes the package's
   kernels, and the JSON/CSV writers take the values the CLI prints.
 """
@@ -28,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from noisegames import rng
+from noisegames import montecarlo, rng
 from noisegames.grover import GameConfig
 from noisegames.kicks import TWO_PI, DeltaMixture, ExponentialKicks, GaussianKicks
 from noisegames.memory import SetLabel
@@ -512,7 +513,7 @@ def _iid_phasor(dist, keys: np.ndarray, s: int) -> np.ndarray:
     if isinstance(dist, DeltaMixture):
         table = np.exp(-1j * np.asarray(dist.angles, dtype=np.float64))
         return table[_delta_branch(dist, keys, s)]
-    return np.exp(-1j * _iid_angle(dist, keys, s))
+    return montecarlo.phasors(_iid_angle(dist, keys, s))
 
 
 def _iid_coherences(b0: complex, dist, keys: np.ndarray, steps: int) -> np.ndarray:
@@ -632,24 +633,24 @@ def general_rates(m: int, n: int) -> GeneralRates:
 def simulate_by_positions(combined, rounds: int, seed: int, threads: int = 1) -> int:
     """Wins of ``parrondo.simulate`` by its position-array merge.
 
-    Every block keeps the whole array of its positions relative to its
-    start (8 bytes per round); the merge shifts each array by the carried
-    position and tests every round for a win.
+    Round r reads slot r of the stream keyed by (seed, 0) and takes slot
+    i = (top b bits * P) >> b of the P = G*L (game, rotation) slots, with
+    b = 64 - bitlen(P - 1); game i // L rotates by (i mod L) // stride
+    steps of stride = L / m.  Every block keeps the whole array of its
+    positions relative to its start (8 bytes per round); the merge shifts
+    each array by the carried position and tests every round for a win.
     """
     L = combined.modulus
-    n_games = len(combined.games)
-    moduli = np.array(combined.moduli, dtype=np.int64)
+    P = len(combined.games) * L
+    bits = 64 - max((P - 1).bit_length(), 1)
     strides = np.array([L // g.m for g in combined.games], dtype=np.int64)
+    key = rng.stream_keys(seed, 0, 1)
 
     def worker(start: int, count: int):
-        keys = rng.stream_keys(seed, start, count)
-        g = np.minimum(
-            (rng.slot_uniform(keys, 0) * n_games).astype(np.int64), n_games - 1
-        )
-        j = np.minimum(
-            (rng.slot_uniform(keys, 1) * moduli[g]).astype(np.int64), moduli[g] - 1
-        )
-        return np.cumsum(j * strides[g]) % L
+        x = rng.slot_u64(key, np.arange(start, start + count, dtype=np.uint64))[:, 0]
+        i = ((x >> np.uint64(64 - bits)) * np.uint64(P) >> np.uint64(bits)).astype(np.int64)
+        stride = strides[i // L]
+        return np.cumsum((i % L) // stride * stride) % L
 
     wins = 0
     carry = 0

@@ -333,7 +333,7 @@ def test_envelope_structure():
     assert set(env) == {"inputs", "results", "diagnostics", "provenance"}
     assert env["provenance"]["version"]
     assert env["provenance"]["seed"] == 1
-    assert env["provenance"]["stream_layout"] == cli.STREAM_LAYOUT == 2
+    assert env["provenance"]["stream_layout"] == cli.STREAM_LAYOUT == 3
 
 
 @pytest.mark.parametrize(

@@ -115,3 +115,30 @@ def test_curve_points_equal_single_point_runs():
     for k in range(4):
         assert iid[k] == evolve_iid_mc(rho, dist, EvolutionPlan(k), 3000, SEED)[-1]
         assert chains[k] == evolve_memory_mc(rho, kern, k, 3000, SEED)[-1]
+
+
+EPS = np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("scale", [0.1, 3.0, 100.0, 1e6])
+def test_phasors_match_complex_exponential(scale):
+    theta = scale * np.random.default_rng(5).standard_normal(1 << 16)
+    theta = np.concatenate([theta, [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi]])
+    z = montecarlo.phasors(theta.copy())
+    assert np.max(np.abs(z - np.exp(-1j * theta))) <= 2 * EPS
+    assert np.max(np.abs(np.abs(z) - 1.0)) <= 2 * EPS
+
+
+@pytest.mark.parametrize("weights", [(0.2, 0.5, 0.3), (1.0,), (0.5,) + (1 / 6,) * 3, (1 / 40,) * 40])
+def test_branch_index_matches_searchsorted(weights):
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    u = np.concatenate([
+        np.random.default_rng(6).random(10_000),
+        [0.0, np.nextafter(1.0, 0.0)],
+        cum[:-1],
+    ])
+    index = montecarlo.branch_index(cum, u)
+    assert np.array_equal(index, np.searchsorted(cum, u, side="right"))
+    if len(weights) <= 32:
+        assert index.dtype == np.uint8

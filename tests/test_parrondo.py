@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _oracles import general_rates, simulate_by_positions, winning_positions_by_cosine
-from noisegames import rng
+from noisegames import parrondo, rng
 from noisegames.parrondo import (
     GAME_A,
     GAME_B,
@@ -215,3 +215,20 @@ class TestSimulate:
         g = CombinedGame(tuple(RotationGame(m) for m in moduli))
         sim = simulate(g, rounds, seed=11, threads=threads)
         assert sim.wins == simulate_by_positions(g, rounds, seed=11, threads=threads)
+
+    @pytest.mark.parametrize("rounds", [1, rng.BLOCK_SIZE - 1, rng.BLOCK_SIZE + 1])
+    def test_tallies_identical_at_one_two_three_threads(self, rounds):
+        g = CombinedGame((GAME_A, GAME_B))
+        runs = {simulate(g, rounds, seed=12, threads=t) for t in (1, 2, 3)}
+        assert len(runs) == 1
+
+
+class TestWheelSlots:
+    @pytest.mark.parametrize("moduli", [(3, 7), (3, 3), (3, 9), (5, 7, 11)])
+    def test_slots_reproduce_step_weights(self, moduli):
+        g = CombinedGame(tuple(RotationGame(m) for m in moduli))
+        slots = parrondo._wheel_slots(g)
+        assert len(slots) == len(moduli) * g.modulus
+        offsets, counts = np.unique(slots, return_counts=True)
+        law = {int(o): Fraction(int(c), len(slots)) for o, c in zip(offsets, counts)}
+        assert law == g.step_weights()

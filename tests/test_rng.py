@@ -90,3 +90,14 @@ def test_slot_array_rows_equal_scalar_slots():
         assert row.tolist() == want
     rows = rng.slot_u64(keys, np.arange(5, 9))
     assert all(np.array_equal(rows[i], rng.slot_u64(keys, 5 + i)) for i in range(4))
+
+
+def test_normal_is_box_muller_cosine():
+    # the cosine comes from tan(pi * u2); it may differ from np.cos in the
+    # last bits only
+    keys = rng.stream_keys(8, 0, 1 << 18)
+    radius = np.sqrt(-2.0 * np.log(rng.slot_uniform_open(keys, 6)))
+    cosine = np.cos(2.0 * np.pi * rng.slot_uniform(keys, 7))
+    z = rng.slot_normal(keys, 3)
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(z - radius * cosine) <= 4 * eps * radius)
