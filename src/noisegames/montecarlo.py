@@ -30,8 +30,12 @@ Moments = tuple[int, Part, Part]
 Sampler = Callable[[np.ndarray], tuple[Iterable[np.ndarray], Any]]
 
 
-# Above this many branches one binary search beats a pass per branch.
-_COUNT_MAX_BRANCHES = 32
+# Up to 256 branches the count fits in uint8 and beats the binary search.
+# Per 65,536 draws (numpy 2.4, 2-core Xeon VM) the count takes 0.05 ms
+# against 0.94 ms at 4 branches and 3.7 ms against 4.4 ms at 256; at 320
+# branches a uint16 count takes 6.3 ms against 5.1 ms, at 512 9.7 ms
+# against 5.5 ms.
+_COUNT_MAX_BRANCHES = 256
 
 
 def phasors(theta: np.ndarray) -> np.ndarray:
@@ -66,7 +70,7 @@ def branch_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``np.searchsorted(cum, u, side="right")`` for uniforms ``u`` in [0, 1).
 
     ``cum`` holds a finite law's cumulative weights with ``cum[-1] = 1``.
-    Up to 32 branches, the index is the ``uint8`` count of ``u >= cum[j]``
+    Up to 256 branches, the index is the ``uint8`` count of ``u >= cum[j]``
     over every entry but the last.
     """
     if len(cum) > _COUNT_MAX_BRANCHES:

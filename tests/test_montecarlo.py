@@ -129,7 +129,9 @@ def test_phasors_match_complex_exponential(scale):
     assert np.max(np.abs(np.abs(z) - 1.0)) <= 2 * EPS
 
 
-@pytest.mark.parametrize("weights", [(0.2, 0.5, 0.3), (1.0,), (0.5,) + (1 / 6,) * 3, (1 / 40,) * 40])
+@pytest.mark.parametrize(
+    "weights", [(0.2, 0.5, 0.3), (1.0,), (0.5,) + (1 / 6,) * 3, (1 / 256,) * 256, (1 / 300,) * 300]
+)
 def test_branch_index_matches_searchsorted(weights):
     cum = np.cumsum(weights)
     cum[-1] = 1.0
@@ -140,5 +142,5 @@ def test_branch_index_matches_searchsorted(weights):
     ])
     index = montecarlo.branch_index(cum, u)
     assert np.array_equal(index, np.searchsorted(cum, u, side="right"))
-    if len(weights) <= 32:
+    if len(weights) <= 256:
         assert index.dtype == np.uint8
