@@ -106,13 +106,33 @@ def averaged_channel_mc(
     E[sqrt(1-alpha)] = 1 - sqrt(lambda_ad/pi) + O(lambda_ad) and
     E[e^{-i theta}] = e^{-lambda_pd}.  theta reads normal slot 0 and alpha
     normal slot 1 of each trajectory; the phasor comes from
-    :func:`montecarlo.phasors`, and each block works in place on its draws.
+    :func:`montecarlo.phasors`.  Each block works in place on its draws and
+    yields the population before it builds the coherence, so it holds at
+    most five block-sized float arrays at once (the complex coherence
+    counts as two).
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     a0, b0 = rho0.a, rho0.b
     sd_theta = math.sqrt(2.0 * scales.lambda_pd)
     sd_x = math.sqrt(2.0 * scales.lambda_ad)
+
+    def points(theta: np.ndarray, alpha: np.ndarray):
+        # a0 + p * alpha * (1 - a0)
+        a_out = np.multiply(alpha, p, out=rng._empty(len(alpha)))
+        a_out *= 1.0 - a0
+        a_out += a0
+        yield a_out
+        del a_out  # reduced: its array is free for the phasors
+        # b0 * (p * sqrt(1 - alpha) + (1 - p) * e^{-i theta})
+        b_out = montecarlo.phasors(theta)
+        b_out *= 1.0 - p
+        np.subtract(1.0, alpha, out=alpha)
+        np.sqrt(alpha, out=alpha)
+        alpha *= p
+        b_out.real += alpha
+        b_out *= b0
+        yield b_out
 
     def sampler(keys: np.ndarray):
         theta = rng.slot_normal(keys, 0)
@@ -122,19 +142,8 @@ def averaged_channel_mc(
         np.abs(alpha, out=alpha)
         clamped = int(np.count_nonzero(alpha > 1.0))
         np.minimum(alpha, 1.0, out=alpha)
-        # a0 + p * alpha * (1 - a0)
-        a_out = alpha * p
-        a_out *= 1.0 - a0
-        a_out += a0
-        # b0 * (p * sqrt(1 - alpha) + (1 - p) * e^{-i theta})
-        b_out = montecarlo.phasors(theta)
-        b_out *= 1.0 - p
-        np.subtract(1.0, alpha, out=alpha)
-        np.sqrt(alpha, out=alpha)
-        alpha *= p
-        b_out.real += alpha
-        b_out *= b0
-        return (a_out, b_out), clamped
+        # the points hold no keys, so the keys' array is free once drawn
+        return points(theta, alpha), clamped
 
     ((mean_a, stderr_pop), (mean_b, stderr_coh)), clamps = montecarlo.run(
         sampler, trials, seed, threads

@@ -186,14 +186,17 @@ _GRID_ELEMENTS = 1 << 16  # draws per fixed-horizon call, letters per adaptive c
 
 
 def _reduced_length(d: np.ndarray, t: int) -> np.ndarray:
-    """Reduced-word lengths after t letters with signed A-counts ``d``.
+    """Reduced-word lengths after t letters with signed A-counts ``d``; overwrites ``d``.
 
     ``d`` is (A's at even slots) - (A's at odd slots).  The start point 1
     is carried to y = 1 + 2 * (-1)^t * d, and the length is y - 1 for
-    y > 0 and -y for y < 0.
+    y > 0 and -y for y < 0: 2e for e = (-1)^t * d >= 0, else -1 - 2e.
     """
-    e = -d if t % 2 else d
-    return np.where(e >= 0, 2 * e, -2 * e - 1)
+    if t % 2:
+        np.negative(d, out=d)
+    negative = d < 0
+    d *= 2
+    return np.subtract(-1, d, out=d, where=negative)
 
 
 def _success_from_lengths(s: np.ndarray, config: GameConfig) -> np.ndarray:
@@ -204,7 +207,13 @@ def _success_from_lengths(s: np.ndarray, config: GameConfig) -> np.ndarray:
     marked amplitude's sign and cannot change the payoff.
     """
     theta = math.asin(1.0 / math.sqrt(config.size))
-    return np.sin((2.0 * (s // 2) + 1.0) * theta) ** 2
+    x = np.floor_divide(s, 2, out=rng._empty(s.shape))
+    x *= 2.0
+    x += 1.0
+    x *= theta
+    np.sin(x, out=x)
+    x **= 2
+    return x
 
 
 def fixed_horizon_length_law(m: int) -> dict[int, Fraction]:
@@ -264,15 +273,18 @@ def evaluate_strategy(
 
         def sampler(keys: np.ndarray):
             # K = (A's at even slots) + (B's at odd slots) = d + floor(m/2)
-            big_k = np.zeros(keys.size, dtype=np.int64)
+            big_k = rng._empty(keys.size, np.int64)
+            big_k.fill(0)
+            counts = rng._empty(keys.size, np.int64)
             per_call = max(_GRID_ELEMENTS // keys.size, 1)
             for first in range(0, words, per_call):
                 w = rng.slot_u64(keys, np.arange(first, min(first + per_call, words)))
                 w ^= _ODD  # a set bit is now an A at an even slot or a B at an odd one
                 if first + per_call >= words:
                     w[-1] &= tail
-                big_k += np.bitwise_count(w).sum(axis=0, dtype=np.int64)
-            s = _reduced_length(big_k - m // 2, m)
+                big_k += np.sum(np.bitwise_count(w), axis=0, dtype=np.int64, out=counts)
+            big_k -= m // 2
+            s = _reduced_length(big_k, m)
             return [_success_from_lengths(s, config)], np.unique(s, return_counts=True)
 
         [(mean, stderr)], tallies = montecarlo.run(sampler, trials, seed, threads)
@@ -288,10 +300,10 @@ def evaluate_strategy(
         # the length after slot t is 2k iff d = (-1)^(t+1) * k; chunks start at even t
         goal = np.where(np.arange(_GRID_ELEMENTS) % 2, k, -k)
 
-        def track(keys: np.ndarray):
-            """Stopping times (0 while unstopped), final counts d, and which trials never stop."""
-            d = np.zeros(keys.size, dtype=np.int64)
-            stop_at = np.zeros(keys.size, dtype=np.int64)
+        def track(keys: np.ndarray, stop_at: np.ndarray, d: np.ndarray, censored: np.ndarray):
+            """Fill stopping times (0 while unstopped), final counts d, and which trials never stop."""
+            d.fill(0)
+            stop_at.fill(0)
             active = np.arange(keys.size) if k else np.arange(0)
             step = 0  # a multiple of 64 until the cap
             while active.size and step < cap:
@@ -302,7 +314,8 @@ def evaluate_strategy(
                 # row i is letters step .. step+n-1 of trial active[i], in order
                 bytes_ = np.ascontiguousarray(w.T).astype("<u8", copy=False).view(np.uint8)
                 x = np.unpackbits(bytes_, axis=1, count=n, bitorder="little")
-                c = x.astype(np.int64)
+                c = rng._empty(x.shape, np.int64)
+                np.copyto(c, x)
                 np.negative(c[:, 1::2], out=c[:, 1::2])  # A's at odd slots count -1
                 c[:, 0] += d[active]
                 np.cumsum(c, axis=1, out=c)
@@ -313,17 +326,21 @@ def evaluate_strategy(
                 d[active] = c[:, -1]
                 active = active[~done]
                 step += n
-            censored = np.zeros(keys.size, dtype=bool)
+            censored.fill(False)
             censored[active] = True
-            return stop_at, d, censored
 
         def sampler(keys: np.ndarray):
+            stop_at = rng._empty(keys.size, np.int64)
+            d = rng._empty(keys.size, np.int64)
+            censored = np.empty(keys.size, dtype=bool)
             # a chunk holds at least one draw per trial, so trials go in groups
             group = _GRID_ELEMENTS // _LETTERS
-            parts = [track(keys[i : i + group]) for i in range(0, keys.size, group)]
-            stop_at, d, censored = (np.concatenate(x) for x in zip(*parts))
+            for i in range(0, keys.size, group):
+                part = slice(i, i + group)
+                track(keys[part], stop_at[part], d[part], censored[part])
             held = _reduced_length(d[censored], cap)
-            wins = np.full(keys.size, stopped_win)
+            wins = rng._empty(keys.size)
+            wins.fill(stopped_win)
             wins[censored] = _success_from_lengths(held, config)
             # censored trials never stopped, so they have no stopping time
             return [wins], (stop_at[~censored], held)

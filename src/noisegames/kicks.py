@@ -225,10 +225,12 @@ def _running_products(b: complex, count: int, factors) -> Iterator[np.ndarray]:
 
     The same array is updated in place after each factor.
     """
-    z = np.full(count, b, dtype=np.complex128)
+    z = rng._empty(count, np.complex128)
+    z.fill(b)
     yield z
     for f in factors:
         z *= f
+        del f  # its array is free for the next factor
         yield z
 
 
@@ -243,7 +245,12 @@ def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Itera
         cum = np.cumsum(np.asarray(dist.weights, dtype=np.float64))
         cum[-1] = 1.0
         table = np.exp(-1j * np.asarray(dist.angles, dtype=np.float64))
-        kick = lambda s: table[montecarlo.branch_index(cum, rng.slot_uniform(keys, s))]
+
+        def kick(s: int) -> np.ndarray:
+            index = montecarlo.branch_index(cum, rng.slot_uniform(keys, s))
+            # every index is in range; "clip" only spares numpy a buffered copy
+            return np.take(table, index, out=rng._empty(len(keys), np.complex128), mode="clip")
+
     elif isinstance(dist, GaussianKicks):
         sigma = math.sqrt(dist.sigma2)
 

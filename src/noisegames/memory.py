@@ -214,13 +214,17 @@ def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.
     phasors = np.exp(-1j * np.array([br.angle for br in branches]))
     to_a = np.array([br.to_label is SetLabel.SET_A for br in branches])
     in_a = np.ones(len(keys), dtype=bool)
+    u = rng._empty(len(keys))
+    branch = rng._empty(len(keys), np.intp)
     for s in range(n):
-        u = rng.slot_uniform(keys, s)
+        rng.slot_uniform(keys, s, out=u)
         ia = montecarlo.branch_index(cum_a, u)
-        ib = montecarlo.branch_index(cum_b, u)
-        branch = np.where(in_a, ia, ib + offset_b)
-        in_a = to_a[branch]
-        yield phasors[branch]
+        # widen before the offset: a uint8 index plus offset_b would wrap past 255
+        np.add(montecarlo.branch_index(cum_b, u), offset_b, out=branch, dtype=np.intp)
+        np.copyto(branch, ia, where=in_a)
+        # every index is in range; "clip" only spares numpy a buffered copy
+        np.take(to_a, branch, out=in_a, mode="clip")
+        yield np.take(phasors, branch, out=rng._empty(len(keys), np.complex128), mode="clip")
 
 
 def evolve_memory_mc(

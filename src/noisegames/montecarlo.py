@@ -10,6 +10,11 @@ conditioned otherwise.  :func:`estimate` moves every block onto block 0's
 shift and merges the blocks in block order with ``math.fsum`` (Chan, Golub &
 LeVeque, 1979), so estimates are bit-identical at any thread count.
 
+Every array a block needs comes from its thread's set (``rng._empty``), so
+blocks draw, compute and reduce in the same memory.  A sampler that yields
+its points one at a time lets each point's array be reused once it has
+been reduced.
+
 Two per-draw kernels serve the samplers: :func:`phasors` turns kick angles
 into e^{-i theta} and :func:`branch_index` picks a branch of a finite law.
 """
@@ -46,7 +51,7 @@ def phasors(theta: np.ndarray) -> np.ndarray:
     to 1 within 2 eps.  numpy 2.4 has an AVX-512 kernel for float64 ``tan``
     but none for ``cos``, ``sin`` or complex ``exp`` (README).
     """
-    out = np.empty(len(theta), dtype=np.complex128)
+    out = rng._empty(len(theta), np.complex128)
     c, s = out.real, out.imag
     t = theta
     t *= 0.5
@@ -58,7 +63,7 @@ def phasors(theta: np.ndarray) -> np.ndarray:
     s /= c
     np.divide(t, c, out=c)
     np.multiply(c, c, out=t)
-    t += s * s
+    t += np.multiply(s, s, out=rng._empty(len(s)))
     t *= -0.5
     t += 1.5
     c *= t
@@ -81,16 +86,24 @@ def branch_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return index
 
 
+def _part_moments(part: np.ndarray, w: np.ndarray) -> Part:
+    """First value of ``part`` and its shifted sums, with ``w`` as scratch."""
+    shift = float(part[0])
+    np.subtract(part, shift, out=w)
+    s1 = float(np.add.reduce(w))
+    np.multiply(w, w, out=w)
+    return shift, s1, float(np.add.reduce(w))
+
+
 def block_moments(values: np.ndarray) -> Moments:
-    """Count of ``values`` and, per part, their first value and shifted sums."""
-    shift = values[0]
-    w = values - shift
-    re, im = w.real, w.imag
-    return (
-        len(values),
-        (float(shift.real), float(np.sum(re)), float(np.sum(re * re))),
-        (float(shift.imag), float(np.sum(im)), float(np.sum(im * im))),
-    )
+    """Count of ``values`` and, per part, their first value and shifted sums.
+
+    A real array's imaginary part is (0.0, 0.0, 0.0), with no pass over it.
+    """
+    w = rng._empty(len(values))
+    if not np.iscomplexobj(values):
+        return len(values), _part_moments(values, w), (0.0, 0.0, 0.0)
+    return len(values), _part_moments(values.real, w), _part_moments(values.imag, w)
 
 
 def estimate(blocks: Sequence[Moments]) -> tuple[complex, float]:
@@ -125,15 +138,18 @@ def run(
     ``sampler(keys)`` takes one block's trajectory keys and returns
     ``(points, tally)``.  ``points`` holds one array of per-trajectory
     values per estimate; each is reduced as soon as it is yielded, so a
-    curve stays at one block of memory.  ``tally`` is whatever else the
-    block counts.  Returns the estimates and the tallies in block order.
+    curve stays at one block of memory.  The keys and every array the
+    sampler takes from ``rng._empty`` come from the thread's set, and
+    return to it once nothing references them.  ``tally`` is whatever else
+    the block counts.  Returns the estimates and the tallies in block order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
     def worker(start: int, count: int):
         points, tally = sampler(rng.stream_keys(seed, start, count))
-        return [block_moments(v) for v in points], tally
+        # map holds no point past its reduction, so its array is free for the next
+        return list(map(block_moments, points)), tally
 
     blocks = rng.run_blocks(trials, worker, threads=threads)
     estimates = [estimate(point) for point in zip(*(moments for moments, _ in blocks))]

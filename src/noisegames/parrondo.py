@@ -110,22 +110,45 @@ class StationaryDistribution:
     power_iteration_residual: float
 
 
+# Entries the power iteration gathers at once: offsets are taken in groups of
+# at most this many entries, so the gathered rows stay in cache.  At --moduli
+# 19,23,29 (L = 12,673) one call took a median 81 ms at 2^16, 85-107 ms at
+# 2^15, 2^17, 2^18 and 2^20 and 149 ms at 2^14, against 103-142 ms with one
+# np.roll per offset (numpy 2.4, 2-core Xeon VM).
+_GATHER_ENTRIES = 1 << 16
+
+
 def stationary_distribution(combined: CombinedGame) -> StationaryDistribution:
     """Float power iteration from a point mass, measured against 1/L.
 
-    The iterated distribution must reach the uniform law to 1e-12, or a
-    ``RuntimeError`` is raised.
+    One step adds ``w * np.roll(v, off)`` over the offsets in increasing
+    order from zero.  ``np.roll(v, off)`` is the window of length L at
+    L - off over v written twice, so each group of offsets is one gather
+    of windows, and the sum runs down the gathered rows in offset order
+    after the carry from the groups before.  The iterated distribution
+    must reach the uniform law to 1e-12, or a ``RuntimeError`` is raised.
     """
     L = combined.modulus
     weights = combined.step_weights()
+    offs = sorted(weights)
+    ws = np.array([float(weights[o]) for o in offs])[:, None]
+    starts = L - np.array(offs)
+    doubled = np.empty(2 * L)
+    windows = np.lib.stride_tricks.sliding_window_view(doubled, L)
+    per_group = max(_GATHER_ENTRIES // L, 1)
+    terms = np.empty((min(per_group, len(offs)) + 1, L))
     v = np.zeros(L)
     v[0] = 1.0
-    offs = sorted(weights)
-    ws = [float(weights[o]) for o in offs]
     for _ in range(200_000):
+        doubled[:L] = v
+        doubled[L:] = v
         nxt = np.zeros(L)
-        for off, w in zip(offs, ws):
-            nxt += w * np.roll(v, off)
+        for i in range(0, len(offs), per_group):
+            group = slice(i, i + per_group)
+            rows = terms[: len(starts[group]) + 1]
+            rows[0] = nxt
+            np.multiply(windows[starts[group]], ws[group], out=rows[1:])
+            np.add.reduce(rows, axis=0, out=nxt)
         if np.max(np.abs(nxt - v)) < 1e-14:
             v = nxt
             break

@@ -9,8 +9,15 @@ Stream ``i`` under master seed ``s`` is the SplitMix64 sequence started at
 carries a cursor or other hidden state, so any partition of trajectories
 into blocks or threads reproduces results bit for bit.  An array of slots
 reads a run of one stream at once, as a wheel-game walk reads its rounds.
-The maps work in place on the fresh arrays they draw, so a block allocates
-few temporaries.
+Each map writes into a destination the caller provides, or into one from
+:func:`_empty` when it is omitted.
+
+Inside a :func:`run_blocks` call, each worker thread holds one set of
+block-sized arrays, and :func:`_empty` hands out the arrays of that set
+that nothing references any more.  Every block of the call therefore draws
+and computes in the same memory: no block frees its arrays for the heap to
+trim and the next block to fault back in.  The set is released when the
+call returns.
 
 Key derivation is injective in the index for a fixed seed (odd multiplier
 followed by bijective mixing), so distinct trajectories can never collide
@@ -19,6 +26,9 @@ onto the same stream.
 
 from __future__ import annotations
 
+import math
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
@@ -33,24 +43,86 @@ _KEY_MULT = 0xD1342543DE82EF95  # odd multiplier: index -> key stays injective
 # never depend on the execution schedule.
 BLOCK_SIZE = 1 << 16
 
+# j * _KEY_MULT mod 2^64 for the indices j of one block
+_KEY_STEPS = np.arange(BLOCK_SIZE, dtype=np.uint64)
+_KEY_STEPS *= np.uint64(_KEY_MULT)
+
 _T = TypeVar("_T")
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
+def _free_refs() -> int:
+    """``sys.getrefcount`` of a buffer that only a list holds, seen as :meth:`_BlockArrays.empty` sees it.
+
+    Measured, not assumed: the count includes the loop variable and the
+    call's argument, which interpreters may hold differently.
+    """
+    for b in [np.empty(0, dtype=np.uint8)]:
+        return sys.getrefcount(b)
+
+
+class _BlockArrays:
+    """One thread's set of block-sized arrays for one :func:`run_blocks` call.
+
+    Each array is a byte buffer; :meth:`empty` views the smallest free one
+    that fits as the requested shape and dtype.  A buffer is free when the
+    set holds the only reference to it: every array viewing it keeps a
+    reference to it as its base, so one still in use, or handed out of the
+    block, is never given out twice.  When no free buffer fits, the largest
+    free one is replaced by a fitting one, so the set holds at most as many
+    buffers as a block holds arrays at once.
+    """
+
+    _FREE_REFS = _free_refs()
+
+    def __init__(self):
+        self._buffers: list[np.ndarray] = []
+
+    def empty(self, shape, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = (shape if isinstance(shape, int) else math.prod(shape)) * dtype.itemsize
+        best = largest = None
+        for b in self._buffers:
+            if sys.getrefcount(b) == self._FREE_REFS:
+                if nbytes <= len(b) and (best is None or len(b) < len(best)):
+                    best = b
+                if largest is None or len(b) > len(largest):
+                    largest = b
+        if best is None:
+            if largest is not None:
+                self._buffers = [b for b in self._buffers if b is not largest]
+            best = np.empty(nbytes, dtype=np.uint8)
+            self._buffers.append(best)
+        return best[:nbytes].view(dtype).reshape(shape)
+
+
+# .arrays: the set of the run_blocks call that runs a block on this thread,
+# set for the block and restored after it, so no caller sees another's set
+_thread = threading.local()
+
+
+def _empty(shape, dtype=np.float64) -> np.ndarray:
+    """``np.empty(shape, dtype)``, from the calling thread's set inside :func:`run_blocks`."""
+    arrays = getattr(_thread, "arrays", None)
+    if arrays is None:
+        return np.empty(shape, dtype)
+    return arrays.empty(shape, dtype)
+
+
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, vectorized over uint64 arrays (wrapping).
 
-    Works in place: ``z`` must be a fresh array, and is returned.
+    Works in place on ``z``, which is returned; ``t`` is scratch of the
+    same shape.  Integer array arithmetic wraps without a warning.
     """
-    with np.errstate(over="ignore"):
-        t = np.right_shift(z, np.uint64(30))
-        z ^= t
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        np.right_shift(z, np.uint64(27), out=t)
-        z ^= t
-        z *= np.uint64(0x94D049BB133111EB)
-        np.right_shift(z, np.uint64(31), out=t)
-        z ^= t
-        return z
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def _mix_int(z: int) -> int:
@@ -73,52 +145,68 @@ def stream_key(seed: int, index: int) -> int:
     return _mix_int(k ^ s1)
 
 
-def stream_keys(seed: int, start: int, count: int) -> np.ndarray:
+def stream_keys(seed: int, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """Keys of streams ``start .. start+count-1``, as a uint64 array.
 
-    Bit-identical to ``stream_key`` applied elementwise.
+    Bit-identical to ``stream_key`` applied elementwise.  Written into
+    ``out`` (uint64, length ``count``) when it is given.
     """
     s0, s1 = _seed_words(seed)
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        k = _mix(idx * np.uint64(_KEY_MULT) + np.uint64(s0))
-    return _mix(k ^ np.uint64(s1))
+    k = _empty(count, np.uint64) if out is None else out
+    # index * _KEY_MULT + s0, wrapping mod 2^64, a block of indices at a time
+    for lo in range(0, count, BLOCK_SIZE):
+        piece = k[lo : lo + BLOCK_SIZE]
+        first = np.uint64(((start + lo) * _KEY_MULT + s0) & _MASK64)
+        np.add(_KEY_STEPS[: len(piece)], first, out=piece)
+    t = _empty(count, np.uint64)
+    _mix(k, t)
+    k ^= np.uint64(s1)
+    return _mix(k, t)
 
 
-def slot_u64(keys: np.ndarray, slot: int | np.ndarray) -> np.ndarray:
+def _draw(keys: np.ndarray, slot, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`slot_u64` into ``out``, with ``t`` as the finalizer's scratch."""
+    # shape (1,) for a scalar slot, (S, 1) for an array; wraps mod 2^64
+    offset = (np.asarray(slot, dtype=np.uint64)[..., None] + np.uint64(1)) * np.uint64(_GOLDEN)
+    np.add(keys, offset, out=out)
+    return _mix(out, t)
+
+
+def slot_u64(keys: np.ndarray, slot: int | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Raw 64-bit draw at ``slot`` for every stream key in ``keys``.
 
     ``slot`` may be a 1-D integer array instead: the result then has shape
     ``(len(slot), len(keys))`` and row i equals ``slot_u64(keys, slot[i])``.
+    Written into ``out`` (uint64, of that shape) when it is given.
     """
-    # shape (1,) for a scalar slot, (S, 1) for an array; wraps mod 2^64
-    offset = (np.asarray(slot, dtype=np.uint64)[..., None] + np.uint64(1)) * np.uint64(_GOLDEN)
-    return _mix(keys + offset)
+    if out is None:
+        out = _empty(np.shape(slot) + keys.shape, np.uint64)
+    return _draw(keys, slot, out, _empty(out.shape, np.uint64))
 
 
-def _top_53_bits(keys: np.ndarray, slot: int) -> np.ndarray:
-    x = slot_u64(keys, slot)
+def _top_53_bits(keys: np.ndarray, slot: int, out: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each draw at ``slot``, using float64 ``out`` as scratch."""
+    x = _draw(keys, slot, _empty(len(keys), np.uint64), out.view(np.uint64))
     x >>= np.uint64(11)
-    return x.astype(np.float64)
-
-
-def slot_uniform(keys: np.ndarray, slot: int) -> np.ndarray:
-    """Uniform draws in [0, 1) at ``slot`` (53-bit resolution)."""
-    x = _top_53_bits(keys, slot)
-    x *= 2.0**-53
     return x
 
 
-def slot_uniform_open(keys: np.ndarray, slot: int) -> np.ndarray:
-    """Uniform draws in (0, 1] at ``slot`` (safe under log)."""
-    x = _top_53_bits(keys, slot)
-    x += 1.0
-    x *= 2.0**-53
-    return x
+def slot_uniform(keys: np.ndarray, slot: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform draws in [0, 1) at ``slot`` (53-bit resolution), into ``out`` if given."""
+    out = _empty(len(keys)) if out is None else out
+    return np.multiply(_top_53_bits(keys, slot, out), 2.0**-53, out=out)
 
 
-def slot_normal(keys: np.ndarray, slot: int) -> np.ndarray:
-    """One standard normal per key via Box-Muller, R * cos(2*pi*u2).
+def slot_uniform_open(keys: np.ndarray, slot: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform draws in (0, 1] at ``slot`` (safe under log), into ``out`` if given."""
+    out = _empty(len(keys)) if out is None else out
+    np.add(_top_53_bits(keys, slot, out), 1.0, out=out)
+    out *= 2.0**-53
+    return out
+
+
+def slot_normal(keys: np.ndarray, slot: int, out: np.ndarray | None = None) -> np.ndarray:
+    """One standard normal per key via Box-Muller, R * cos(2*pi*u2), into ``out`` if given.
 
     Normal ``slot`` consumes raw slots ``2*slot`` and ``2*slot + 1``; keep
     normal and uniform slot ranges disjoint within one kernel.  The cosine
@@ -126,7 +214,7 @@ def slot_normal(keys: np.ndarray, slot: int) -> np.ndarray:
     has an AVX-512 kernel for float64 ``tan`` but none for ``cos``
     (README); the result stays within 4 eps * R of ``R * np.cos(2*pi*u2)``.
     """
-    r = slot_uniform_open(keys, 2 * slot)
+    r = slot_uniform_open(keys, 2 * slot, out)
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
@@ -134,7 +222,7 @@ def slot_normal(keys: np.ndarray, slot: int) -> np.ndarray:
     t *= np.pi
     np.tan(t, out=t)
     np.multiply(t, t, out=t)
-    denominator = t + 1.0
+    denominator = np.add(t, 1.0, out=_empty(len(t)))
     np.subtract(1.0, t, out=t)
     t /= denominator
     r *= t
@@ -153,13 +241,27 @@ def run_blocks(
     only on ``total`` and ``block_size``, never on ``threads``; a caller
     that combines the partial results in list order therefore gets
     bit-identical totals for any thread count.  ``worker`` must be a pure
-    function of its arguments.
+    function of its arguments.  Each thread that runs blocks gets its own
+    set of arrays for :func:`_empty`, kept across its blocks and released
+    when this call returns.
     """
     if total < 0:
         raise ValueError("total must be nonnegative")
     starts = list(range(0, total, block_size))
     counts = [min(block_size, total - s) for s in starts]
+    sets = threading.local()  # .arrays: each thread's set for this call only
+
+    def block(start: int, count: int) -> _T:
+        if not hasattr(sets, "arrays"):
+            sets.arrays = _BlockArrays()
+        outer = getattr(_thread, "arrays", None)
+        _thread.arrays = sets.arrays
+        try:
+            return worker(start, count)
+        finally:
+            _thread.arrays = outer
+
     if threads <= 1 or len(starts) <= 1:
-        return [worker(s, c) for s, c in zip(starts, counts)]
+        return [block(s, c) for s, c in zip(starts, counts)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, starts, counts))
+        return list(pool.map(block, starts, counts))

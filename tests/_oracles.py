@@ -17,7 +17,8 @@ implementations it checks.  These parts take something from the package:
   routes must match; the per-point estimators also take the package's
   ``montecarlo.phasors`` for the continuous kick laws;
 * the memory-kernel recursion keyed by ``SetLabel`` takes the package's
-  kernels, and the JSON/CSV writers take the values the CLI prints.
+  kernels, the roll-per-offset power iteration takes its wheel games, and
+  the JSON/CSV writers take the values the CLI prints.
 """
 
 import cmath
@@ -659,6 +660,28 @@ def simulate_by_positions(combined, rounds: int, seed: int, threads: int = 1) ->
         wins += int(np.count_nonzero((4 * pos <= L) | (4 * pos >= 3 * L)))
         carry = int(pos[-1])
     return wins
+
+
+# --- The wheel-game power iteration as written with one roll per offset ---
+
+
+def power_iteration_residual_by_roll(combined) -> float:
+    """Largest deviation from 1/L of the power-iterated law, one ``np.roll`` per offset."""
+    L = combined.modulus
+    weights = combined.step_weights()
+    offs = sorted(weights)
+    ws = [float(weights[o]) for o in offs]
+    v = np.zeros(L)
+    v[0] = 1.0
+    for _ in range(200_000):
+        nxt = np.zeros(L)
+        for off, w in zip(offs, ws):
+            nxt += w * np.roll(v, off)
+        if np.max(np.abs(nxt - v)) < 1e-14:
+            v = nxt
+            break
+        v = nxt
+    return float(np.max(np.abs(v - 1 / L)))
 
 
 # --- The memory-kernel recursion as written with class-keyed dicts ---

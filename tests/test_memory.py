@@ -10,7 +10,9 @@ from _oracles import (
 )
 from noisegames.kicks import char_function
 from noisegames.memory import (
+    KernelBranch,
     KernelVariant,
+    MemoryKernel,
     SetLabel,
     coherence_recursion,
     evolve_memory_mc,
@@ -179,6 +181,22 @@ class TestMonteCarlo:
         a = evolve_memory_mc(plus_state(), k, 5, 150_000, seed=4, threads=1)
         b = evolve_memory_mc(plus_state(), k, 5, 150_000, seed=4, threads=8)
         assert [(e.rho_est, e.stderr) for e in a] == [(e.rho_est, e.stderr) for e in b]
+
+    def test_more_than_256_branches(self):
+        # 200 class-A branches kick 0 into B, then 100 class-B branches kick
+        # pi: class B's branch indices lie past 255 in the shared table
+        A, B = SetLabel.SET_A, SetLabel.SET_B
+        kern = MemoryKernel(
+            KernelVariant.COMBINED,
+            0.0,
+            tuple(KernelBranch(1 / 200, 0.0, B) for _ in range(200)),
+            tuple(KernelBranch(1 / 100, math.pi, A) for _ in range(100)),
+        )
+        exact = [0.5 * f.conjugate() for f, _ in coherence_recursion(kern, 2).values]
+        curve = evolve_memory_mc(plus_state(), kern, 2, 1000, seed=3)
+        for est, want in zip(curve[1:], exact):
+            assert est.stderr == 0.0
+            assert abs(est.rho_est.b - want) < 1e-15
 
     def test_populations_untouched(self):
         rho = DensityMatrix2(0.3, 0.2j, 0.7)

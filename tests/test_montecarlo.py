@@ -13,6 +13,8 @@ import pytest
 
 from _oracles import iid_mc_point, memory_mc_point
 from noisegames import montecarlo, rng
+from noisegames.dissipative import NoiseScales, averaged_channel_mc
+from noisegames.grover import AdaptiveTracking, FixedHorizon, GameConfig, evaluate_strategy
 from noisegames.kicks import (
     DeltaMixture,
     EvolutionPlan,
@@ -144,3 +146,60 @@ def test_branch_index_matches_searchsorted(weights):
     assert np.array_equal(index, np.searchsorted(cum, u, side="right"))
     if len(weights) <= 256:
         assert index.dtype == np.uint8
+
+
+def test_real_moments_equal_complex_cast():
+    values = np.random.default_rng(7).normal(1.0, 3.0, 1000)
+    moments = montecarlo.block_moments(values)
+    # repr tells the sign of a zero apart
+    assert repr(moments) == repr(montecarlo.block_moments(values.astype(np.complex128)))
+
+
+# Every family that runs on the engine, as a function of (trials, threads).
+FAMILIES = {
+    "dissipative": lambda trials, threads: averaged_channel_mc(
+        RHO0, 0.4, NoiseScales(2e-3, 1e-2), trials, SEED, threads
+    ),
+    **{
+        f"iid-{name}": lambda trials, threads, dist=dist: evolve_iid_mc(
+            RHO0, dist, EvolutionPlan(3), trials, SEED, threads
+        )
+        for name, dist in DISTS.items()
+    },
+    "memory": lambda trials, threads: evolve_memory_mc(
+        RHO0, kernel(KernelVariant.COMBINED, 1e-3), 3, trials, SEED, threads
+    ),
+    "grover-fixed": lambda trials, threads: evaluate_strategy(
+        FixedHorizon(100), GameConfig(8), trials, SEED, threads
+    ),
+    "grover-adaptive": lambda trials, threads: evaluate_strategy(
+        AdaptiveTracking(1), GameConfig(4), trials, SEED, threads
+    ),
+}
+
+
+@pytest.fixture
+def fresh_arrays(monkeypatch):
+    """Make every array request allocate, as no block reused a buffer."""
+
+    def fresh():
+        monkeypatch.setattr(rng._BlockArrays, "empty", lambda self, shape, dtype: np.empty(shape, dtype))
+
+    return fresh
+
+
+@pytest.mark.parametrize("trials", [65_537, 131_073])
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_reused_buffers_change_no_bit(family, trials, fresh_arrays):
+    # the last block is partial; at one thread it follows the full ones
+    run = FAMILIES[family]
+    reused = [repr(run(trials, threads)) for threads in (1, 2, 3)]
+    fresh_arrays()
+    assert reused == [repr(run(trials, 1))] * 3
+
+
+def test_small_run_between_large_runs_changes_nothing():
+    large = lambda: repr(FAMILIES["dissipative"](131_073, 2))
+    small = lambda: repr(FAMILIES["iid-gaussian"](1000, 1))
+    first, between, last = large(), small(), large()
+    assert first == last and between == small()

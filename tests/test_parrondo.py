@@ -5,7 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import general_rates, simulate_by_positions, winning_positions_by_cosine
+from _oracles import (
+    general_rates,
+    power_iteration_residual_by_roll,
+    simulate_by_positions,
+    winning_positions_by_cosine,
+)
 from noisegames import parrondo, rng
 from noisegames.parrondo import (
     GAME_A,
@@ -87,6 +92,13 @@ class TestStationary:
         stat = stationary_distribution(CombinedGame((RotationGame(3), RotationGame(3))))
         assert stat.power_iteration_residual < 1e-12
         assert stat.reducible_warning
+
+    @pytest.mark.parametrize("moduli", [(3, 7), (3, 9), (5, 7, 11), (19, 23), (19, 23, 29)])
+    def test_gathered_iteration_matches_roll_per_offset(self, moduli):
+        # (19, 23, 29) gathers its offsets in several groups, the rest in one
+        combined = CombinedGame(tuple(RotationGame(m) for m in moduli))
+        residual = stationary_distribution(combined).power_iteration_residual
+        assert residual == power_iteration_residual_by_roll(combined)
 
     def test_strides_generate_the_whole_cycle(self):
         # For each prime p of L = lcm(moduli), the game whose modulus holds

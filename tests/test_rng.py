@@ -1,3 +1,6 @@
+import sys
+import weakref
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -101,3 +104,53 @@ def test_normal_is_box_muller_cosine():
     z = rng.slot_normal(keys, 3)
     eps = np.finfo(np.float64).eps
     assert np.all(np.abs(z - radius * cosine) <= 4 * eps * radius)
+
+
+def test_blocks_of_a_thread_reuse_one_buffer():
+    # three full blocks, then a partial one, all in the calling thread
+    addresses = []
+
+    def worker(start, count):
+        addresses.append(rng._empty(count).__array_interface__["data"][0])
+
+    rng.run_blocks(3 * 1000 + 1, worker, block_size=1000)
+    assert len(addresses) == 4 and len(set(addresses)) == 1
+
+
+@pytest.mark.parametrize("threads", [1, 8])
+def test_arrays_handed_out_of_a_block_stay_its_own(threads):
+    def worker(start, count):
+        held = rng._empty(count, np.int64)
+        held.fill(start)
+        scratch = rng._empty(count, np.int64)  # must not share held's buffer
+        scratch.fill(-1)
+        return held
+
+    # more threads than cores, switching as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        blocks = rng.run_blocks(100_500, worker, threads=threads, block_size=1000)
+    finally:
+        sys.setswitchinterval(interval)
+    want = [[s] * min(1000, 100_500 - s) for s in range(0, 100_500, 1000)]
+    assert [b.tolist() for b in blocks] == want
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_no_arrays_kept_once_run_blocks_returns(threads):
+    refs = []
+
+    def worker(start, count):
+        refs.append(weakref.ref(rng._thread.arrays))
+        refs.append(weakref.ref(rng._empty(count).base))
+        return count
+
+    assert sum(rng.run_blocks(10_500, worker, threads=threads, block_size=1000)) == 10_500
+    assert len(refs) == 22 and all(ref() is None for ref in refs)
+    assert getattr(rng._thread, "arrays", None) is None
+
+
+def test_arrays_outside_run_blocks_are_fresh():
+    a, b = rng._empty(1000), rng._empty(1000)
+    assert a.base is None and b.base is None
