@@ -53,11 +53,19 @@ MC_MAX_KICKS = 1 << 28
 # refused before the first one.
 MC_MAX_DRAWS = 1 << 32
 
+# Each worker thread of a Monte Carlo run holds one set of block-sized arrays,
+# 3 to 4.5 MiB by family (README), and a wheel-game walk one L-entry histogram
+# per block in flight; --threads above MAX_THREADS is refused before any
+# thread starts.
+MAX_THREADS = 64
+
 # The version of the map from (seed, trajectory, slot) draws to a family's
 # random inputs.  Layout 1 read each search letter from the top bit of its own
 # draw; layout 2 reads letter t from bit t % 64 of draw t // 64; layout 3 also
-# takes wheel round r's game and rotation from slot r of stream (seed, 0).
-STREAM_LAYOUT = 3
+# takes wheel round r's game and rotation from slot r of stream (seed, 0);
+# layout 4 also takes Gaussian kicks 2j and 2j + 1 from the cosine and the
+# sine of one Box-Muller pair, normal slot j.
+STREAM_LAYOUT = 4
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -538,8 +546,8 @@ def run(argv: list[str], stdout=None) -> int:
             if not isinstance(config, dict):
                 raise ValueError("config file must contain a JSON object")
         threads = 1 if args.threads is None else args.threads
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
+        if not 1 <= threads <= MAX_THREADS:
+            raise ValueError(f"threads must be between 1 and {MAX_THREADS}")
         values = _resolve(args.command, table, args, config)
         derived, results, diagnostics, csv_data = handler(values, threads)
         if args.format == "csv":

@@ -18,12 +18,13 @@ integrals.  Each route returns the whole coherence curve over 0..n kicks:
 :func:`evolve_iid` exactly, :func:`evolve_iid_mc` by Monte Carlo.
 Trajectories are averaged by the Monte Carlo engine of
 :mod:`noisegames.montecarlo`, which shifts each block by its own first
-trajectory; trajectory t reads slot k at kick k, so a curve is one pass
-over the trajectories and no other.  A trajectory's coherence after k kicks
-is b times the running product of its kicks' phasors e^{-i theta}, one
-complex multiply per kick: a delta mixture looks each phasor up in a table
-built once, and the continuous laws build theirs with
-:func:`montecarlo.phasors`, from one ``tan`` per kick.
+trajectory; trajectory t reads slot k at kick k (a Gaussian law the
+cosine or sine of Box-Muller pair k // 2), so a curve is one pass over the
+trajectories and no other.  A trajectory's coherence after k kicks is b
+times the running product of its kicks' phasors e^{-i theta}, one complex
+multiply per kick: a delta mixture looks each phasor up in a table built
+once, and the continuous laws build theirs with :func:`montecarlo.phasors`,
+from one ``tan`` per kick.
 """
 
 from __future__ import annotations
@@ -235,11 +236,13 @@ def _running_products(b: complex, count: int, factors) -> Iterator[np.ndarray]:
 
 
 def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """Phasor e^{-i theta} of kicks 1, ..., ``steps`` of each trajectory, in turn.
+    """Phasor e^{-i theta} of kicks 0, ..., ``steps`` - 1 of each trajectory, in turn.
 
-    Trajectory t reads its own slot k at kick k.  A delta mixture looks the
-    phasor of its drawn angle up in a table built once; the continuous laws
-    draw theta in place and hand it to :func:`montecarlo.phasors`.
+    A delta mixture reads uniform slot k at kick k and looks the phasor of
+    its drawn angle up in a table built once.  The exponential law reads
+    uniform slot k, the Gaussian law the normals of
+    :func:`_box_muller_pairs`; both draw theta in place and hand it to
+    :func:`montecarlo.phasors`.
     """
     if isinstance(dist, DeltaMixture):
         cum = np.cumsum(np.asarray(dist.weights, dtype=np.float64))
@@ -254,11 +257,12 @@ def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Itera
     elif isinstance(dist, GaussianKicks):
         sigma = math.sqrt(dist.sigma2)
 
-        def kick(s: int) -> np.ndarray:
-            theta = rng.slot_normal(keys, s)
+        def kick(theta: np.ndarray) -> np.ndarray:
             theta *= sigma
             theta += dist.mu
             return montecarlo.phasors(theta)
+
+        return map(kick, _box_muller_pairs(keys, steps))
 
     elif isinstance(dist, ExponentialKicks):
         scale = dist.scale
@@ -272,6 +276,23 @@ def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Itera
     else:
         raise TypeError(f"unsupported kick distribution: {type(dist).__name__}")
     return map(kick, range(steps))
+
+
+def _box_muller_pairs(keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """Standard normals of kicks 0, ..., ``steps`` - 1 of each trajectory, in turn.
+
+    Kick k reads normal slot k // 2 (raw slots 2*(k // 2) and 2*(k // 2) + 1)
+    and takes the cosine of that Box-Muller pair for even k, its sine for
+    odd k.  An odd step count computes no sine for its last kick, which
+    leaves the cosine's bytes unchanged, so a shorter run's normals are a
+    prefix of a longer one's.
+    """
+    for k in range(0, steps, 2):
+        sine = rng._empty(len(keys)) if k + 1 < steps else None
+        yield rng.slot_normal(keys, k // 2, sine=sine)
+        if sine is not None:
+            yield sine
+        del sine  # its array is free for the next pair
 
 
 def evolve_iid_mc(

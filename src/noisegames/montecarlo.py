@@ -99,11 +99,23 @@ def block_moments(values: np.ndarray) -> Moments:
     """Count of ``values`` and, per part, their first value and shifted sums.
 
     A real array's imaginary part is (0.0, 0.0, 0.0), with no pass over it.
+    A complex array takes one complex subtraction of its first value and
+    one in-place squaring of the float view of the result; each part's
+    sums reduce the strided real or imaginary view, with the bytes of a
+    pass over that part alone.
     """
-    w = rng._empty(len(values))
     if not np.iscomplexobj(values):
-        return len(values), _part_moments(values, w), (0.0, 0.0, 0.0)
-    return len(values), _part_moments(values.real, w), _part_moments(values.imag, w)
+        return len(values), _part_moments(values, rng._empty(len(values))), (0.0, 0.0, 0.0)
+    first = complex(values[0])
+    w = np.subtract(values, first, out=rng._empty(len(values), np.complex128))
+    sums = float(np.add.reduce(w.real)), float(np.add.reduce(w.imag))
+    floats = w.view(np.float64)
+    np.multiply(floats, floats, out=floats)
+    return (
+        len(values),
+        (first.real, sums[0], float(np.add.reduce(w.real))),
+        (first.imag, sums[1], float(np.add.reduce(w.imag))),
+    )
 
 
 def estimate(blocks: Sequence[Moments]) -> tuple[complex, float]:

@@ -208,14 +208,19 @@ class SimulatedStats:
         return 2.0 * self.wins / self.rounds - 1.0
 
 
-def _block_walk(combined: CombinedGame, x: np.ndarray, bits: int) -> np.ndarray:
-    """Position after each round of a block, relative to its start; overwrites ``x``.
+# Histogram entries that a wave of simulated blocks holds at once when L is
+# small (16 MiB of int64); a wave always has at least one block per thread.
+_WAVE_ENTRIES = 1 << 21
 
-    ``x`` holds the top ``bits`` bits of each round's draw.  The round
-    plays slot i = (x * P) >> bits of the P = G*L equally likely (game,
-    rotation) slots: game g = i // L turns (i mod L) // s_g steps of
-    s_g = L/m_g, so every game takes L slots and each of its m_g rotations
-    s_g of them.  As s_g divides L, i // s_g = (x * G*m_g) >> bits with
+
+def _block_walk(combined: CombinedGame, x: np.ndarray, bits: int) -> np.ndarray:
+    """Position after each round of a block, relative to its start, in a new array.
+
+    ``x`` holds the top ``bits`` bits of each round's draw, and is
+    overwritten as scratch.  The round plays slot i = (x * P) >> bits of
+    the P = G*L equally likely (game, rotation) slots: game g = i // L
+    turns (i mod L) // s_g steps of s_g = L/m_g, so every game takes L
+    slots and each of its m_g rotations s_g of them.  As s_g divides L, i // s_g = (x * G*m_g) >> bits with
     g = (x * G) >> bits, and (i // s_g) * s_g is that turn plus g*L, which
     the walk drops modulo L; no table of slots is built.
     """
@@ -232,13 +237,15 @@ def _block_walk(combined: CombinedGame, x: np.ndarray, bits: int) -> np.ndarray:
     x >>= low
     np.take(stride, game.view(np.int64), out=factor, mode="clip")
     x *= factor
-    np.cumsum(x, out=x)
+    # An in-place accumulate holds the GIL for its whole loop; into another
+    # array it does not, and two threads' walks overlap.
+    position = np.cumsum(x, out=factor)
     # x mod L as x - (x // L) * L: numpy divides by a scalar in about 0.05
     # ms per block, and takes the remainder in about 0.28 ms.
-    np.floor_divide(x, np.uint64(L), out=factor)
-    factor *= np.uint64(L)
-    x -= factor
-    return x.view(np.int64)
+    np.floor_divide(position, np.uint64(L), out=x)
+    x *= np.uint64(L)
+    position -= x
+    return position.view(np.int64)
 
 
 def simulate(
@@ -253,7 +260,10 @@ def simulate(
     each slot's probability is off 1/P by less than 2P / 2^64 and the law
     of a round by at most 2P^2 / 2^64 in total.  Each block keeps only the histogram
     of its positions relative to its own start and its last relative
-    position, so memory is O(L) per block; the blocks are merged in fixed
+    position.  The blocks run in waves of max(threads, 2^21 // L) blocks,
+    and each wave is folded before the next one starts, so the histograms
+    held at once take O(threads * L + 2^21) entries whatever the rounds.
+    Waves start on block boundaries and the blocks are folded in block
     order, so tallies are bit-identical under any thread count.
     """
     if rounds < 1:
@@ -272,8 +282,11 @@ def simulate(
 
     wins = 0
     carry = 0
-    for hist, last in rng.run_blocks(rounds, worker, threads=threads):
-        # A block started at position ``carry`` visits (rel + carry) % L.
-        wins += int(hist @ np.roll(winning, -carry))
-        carry = (carry + last) % L
+    per_wave = rng.BLOCK_SIZE * max(threads, _WAVE_ENTRIES // L, 1)
+    for first in range(0, rounds, per_wave):
+        wave = lambda start, count: worker(first + start, count)
+        for hist, last in rng.run_blocks(min(per_wave, rounds - first), wave, threads=threads):
+            # A block started at position ``carry`` visits (rel + carry) % L.
+            wins += int(hist @ np.roll(winning, -carry))
+            carry = (carry + last) % L
     return SimulatedStats(wins, rounds)

@@ -205,7 +205,9 @@ def slot_uniform_open(keys: np.ndarray, slot: int, out: np.ndarray | None = None
     return out
 
 
-def slot_normal(keys: np.ndarray, slot: int, out: np.ndarray | None = None) -> np.ndarray:
+def slot_normal(
+    keys: np.ndarray, slot: int, out: np.ndarray | None = None, sine: np.ndarray | None = None
+) -> np.ndarray:
     """One standard normal per key via Box-Muller, R * cos(2*pi*u2), into ``out`` if given.
 
     Normal ``slot`` consumes raw slots ``2*slot`` and ``2*slot + 1``; keep
@@ -213,6 +215,9 @@ def slot_normal(keys: np.ndarray, slot: int, out: np.ndarray | None = None) -> n
     is ``(1 - t^2) / (1 + t^2)`` with ``t = tan(pi*u2)``, since numpy 2.4
     has an AVX-512 kernel for float64 ``tan`` but none for ``cos``
     (README); the result stays within 4 eps * R of ``R * np.cos(2*pi*u2)``.
+    When ``sine`` is given, the pair's other normal, R * sin(2*pi*u2) =
+    R * 2t / (1 + t^2), is written into it from the same t, R and
+    denominator; the cosine's bytes do not depend on it.
     """
     r = slot_uniform_open(keys, 2 * slot, out)
     np.log(r, out=r)
@@ -221,10 +226,15 @@ def slot_normal(keys: np.ndarray, slot: int, out: np.ndarray | None = None) -> n
     t = slot_uniform(keys, 2 * slot + 1)
     t *= np.pi
     np.tan(t, out=t)
+    if sine is not None:
+        np.multiply(t, 2.0, out=sine)
     np.multiply(t, t, out=t)
     denominator = np.add(t, 1.0, out=_empty(len(t)))
     np.subtract(1.0, t, out=t)
     t /= denominator
+    if sine is not None:
+        sine /= denominator
+        sine *= r
     r *= t
     return r
 

@@ -503,7 +503,11 @@ def _iid_angle(dist, keys: np.ndarray, s: int) -> np.ndarray:
     if isinstance(dist, DeltaMixture):
         return np.asarray(dist.angles, dtype=np.float64)[_delta_branch(dist, keys, s)]
     if isinstance(dist, GaussianKicks):
-        return dist.mu + math.sqrt(dist.sigma2) * rng.slot_normal(keys, s)
+        # stream layout 4: kick s takes the cosine (even s) or the sine (odd s)
+        # of Box-Muller pair s // 2
+        sine = np.empty(len(keys))
+        cosine = rng.slot_normal(keys, s // 2, sine=sine)
+        return dist.mu + math.sqrt(dist.sigma2) * (sine if s % 2 else cosine)
     if isinstance(dist, ExponentialKicks):
         return -dist.scale * np.log(rng.slot_uniform_open(keys, s))
     raise TypeError(type(dist).__name__)

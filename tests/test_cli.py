@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from noisegames import cli, grover, parrondo
+from noisegames import cli, grover, parrondo, rng
 
 
 def run_cli(argv):
@@ -93,6 +93,18 @@ class TestExitCodes:
     def test_zero_threads(self):
         code, _ = run_cli(["parrondo", "--exact", "--threads", "0"])
         assert code == 2
+
+    def test_threads_above_bound_refused_before_any_thread(self, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(rng, "ThreadPoolExecutor", no_pool)
+        argv = ["dissipative", "--trials", "200000", "--threads"]
+        code, text = run_cli(argv + [str(cli.MAX_THREADS + 1)])
+        assert code == 2 and text == ""
+        assert f"between 1 and {cli.MAX_THREADS}" in capsys.readouterr().err
+        # at the bound, a run of one block starts no pool either
+        assert run_cli(["dissipative", "--trials", "1000", "--threads", str(cli.MAX_THREADS)])[0] == 0
 
     def test_csv_unavailable_for_dissipative(self):
         code, _ = run_cli(["dissipative", "--format", "csv"])
@@ -333,7 +345,7 @@ def test_envelope_structure():
     assert set(env) == {"inputs", "results", "diagnostics", "provenance"}
     assert env["provenance"]["version"]
     assert env["provenance"]["seed"] == 1
-    assert env["provenance"]["stream_layout"] == cli.STREAM_LAYOUT == 3
+    assert env["provenance"]["stream_layout"] == cli.STREAM_LAYOUT == 4
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from _oracles import char_function_quadrature, derive_stream
+from noisegames import kicks, rng
 from noisegames.kicks import (
     DecayFactor,
     DeltaMixture,
@@ -161,6 +163,34 @@ class TestEvolveIidMc:
             assert abs(est.rho_est.b.real - exact.real) < 3 * est.stderr
             assert abs(est.rho_est.b.imag - exact.imag) < 3 * est.stderr
             assert est.stderr < 1.1 * 0.7 / math.sqrt(40_000 * k)
+
+
+class TestGaussianPairs:
+    """Stream layout 4: kick k takes the cosine (even k) or sine (odd k) of normal slot k // 2."""
+
+    @pytest.mark.parametrize("steps", [1, 4, 5])
+    def test_kicks_read_cosine_then_sine(self, steps):
+        keys = rng.stream_keys(21, 0, 1000)
+        got = [z.copy() for z in kicks._box_muller_pairs(keys, steps)]
+        assert len(got) == steps
+        for k, z in enumerate(got):
+            sine = np.empty(len(keys))
+            cosine = rng.slot_normal(keys, k // 2, sine=sine)
+            assert z.tobytes() == (sine if k % 2 else cosine).tobytes(), k
+
+    @pytest.mark.parametrize("steps", [6, 7])
+    def test_short_run_is_prefix_of_long_run(self, steps):
+        rho, dist = DensityMatrix2(0.6, 0.3 + 0.2j, 0.4), GaussianKicks(0.3, 0.5)
+        full = evolve_iid_mc(rho, dist, EvolutionPlan(20), 3000, seed=4)
+        assert evolve_iid_mc(rho, dist, EvolutionPlan(steps), 3000, seed=4) == full[: steps + 1]
+
+    def test_even_steps_thread_invariant_across_blocks(self):
+        # odd steps: tests/test_montecarlo.py::test_reused_buffers_change_no_bit
+        run = lambda threads: repr(
+            evolve_iid_mc(plus_state(), GaussianKicks(0.1, 0.8), EvolutionPlan(4), 65_537, 6, threads)
+        )
+        one = run(1)
+        assert run(2) == one and run(3) == one
 
 
 class TestNamedConstructions:

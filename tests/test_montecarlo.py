@@ -155,6 +155,21 @@ def test_real_moments_equal_complex_cast():
     assert repr(moments) == repr(montecarlo.block_moments(values.astype(np.complex128)))
 
 
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 127, 128, 129, 34_464, 65_536])
+def test_one_pass_complex_moments_equal_per_part_moments(size):
+    # pairwise summation changes its grouping at 8 and 128 entries
+    gen = np.random.default_rng(size)
+    values = gen.normal(0.3, 2.0, size) * 1e3 + 1j * gen.normal(-1.0, 1e-3, size)
+    values[size // 2] = complex(-0.0, 0.0)
+
+    def part(p):
+        w = np.ascontiguousarray(p) - float(p[0])
+        return float(p[0]), float(np.add.reduce(w)), float(np.add.reduce(w * w))
+
+    want = (size, part(values.real), part(values.imag))
+    assert repr(montecarlo.block_moments(values)) == repr(want)
+
+
 # Every family that runs on the engine, as a function of (trials, threads).
 FAMILIES = {
     "dissipative": lambda trials, threads: averaged_channel_mc(

@@ -208,6 +208,24 @@ class TestSimulate:
             for threads in (2, 3, 8):
                 assert simulate(g, rounds, seed=10, threads=threads) == one, (rounds, threads)
 
+    def test_waves_change_no_bit(self, monkeypatch):
+        # L = 392,863: a wave holds 2^21 // L = 5 blocks at up to 5 threads
+        g = CombinedGame(tuple(RotationGame(m) for m in (19, 23, 29, 31)))
+        rounds = 6 * rng.BLOCK_SIZE + 1
+        totals = []
+        run_blocks = rng.run_blocks
+
+        def counted(total, *args, **kwargs):
+            totals.append(total)
+            return run_blocks(total, *args, **kwargs)
+
+        monkeypatch.setattr(rng, "run_blocks", counted)
+        waves = [simulate(g, rounds, seed=12, threads=t) for t in (1, 2, 3)]
+        assert totals == [5 * rng.BLOCK_SIZE, rng.BLOCK_SIZE + 1] * 3
+        monkeypatch.setattr(parrondo, "_WAVE_ENTRIES", 1 << 30)  # one wave
+        assert waves == [simulate(g, rounds, seed=12, threads=1)] * 3
+        assert totals[-1] == rounds
+
     def test_round_validation(self):
         with pytest.raises(ValueError):
             simulate(CombinedGame((GAME_A,)), 0, seed=0)

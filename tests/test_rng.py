@@ -96,14 +96,28 @@ def test_slot_array_rows_equal_scalar_slots():
 
 
 def test_normal_is_box_muller_cosine():
-    # the cosine comes from tan(pi * u2); it may differ from np.cos in the
-    # last bits only
+    # the cosine and the sine come from tan(pi * u2); they may differ from
+    # np.cos and np.sin in the last bits only
     keys = rng.stream_keys(8, 0, 1 << 18)
     radius = np.sqrt(-2.0 * np.log(rng.slot_uniform_open(keys, 6)))
-    cosine = np.cos(2.0 * np.pi * rng.slot_uniform(keys, 7))
+    angle = 2.0 * np.pi * rng.slot_uniform(keys, 7)
     z = rng.slot_normal(keys, 3)
     eps = np.finfo(np.float64).eps
-    assert np.all(np.abs(z - radius * cosine) <= 4 * eps * radius)
+    assert np.all(np.abs(z - radius * np.cos(angle)) <= 4 * eps * radius)
+    sine = np.empty(len(keys))
+    paired = rng.slot_normal(keys, 3, sine=sine)
+    assert paired.tobytes() == z.tobytes()  # the sine leaves the cosine's bytes alone
+    assert np.all(np.abs(sine - radius * np.sin(angle)) <= 4 * eps * radius)
+
+
+def test_pair_normals_are_standard_and_uncorrelated():
+    keys = rng.stream_keys(9, 0, 200_000)
+    sine = np.empty(len(keys))
+    cosine = rng.slot_normal(keys, 5, sine=sine)
+    for z in (cosine, sine):
+        assert abs(z.mean()) < 0.01 and abs(z.var() - 1.0) < 0.02
+        assert stats.kstest(z, "norm").pvalue > 0.001
+    assert abs(np.mean(cosine * sine)) < 0.01
 
 
 def test_blocks_of_a_thread_reuse_one_buffer():
