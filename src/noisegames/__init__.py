@@ -7,12 +7,10 @@ paired throughout with seeded, bit-reproducible Monte Carlo counterparts.
 
 from .dissipative import (
     AveragedChannelResult,
-    DampingPhaseParams,
     NoiseScales,
     RelaxationTimes,
     averaged_channel_first_order,
     averaged_channel_mc,
-    build_damping_phase_channel,
     max_mixing_probability,
     relaxation_times,
 )
@@ -40,9 +38,6 @@ from .kicks import (
     char_function,
     evolve_iid,
     evolve_iid_mc,
-    gaussian_for_target,
-    gaussian_from_clock,
-    is_decoherence_free,
 )
 from .memory import (
     CoherenceTrace,
@@ -64,22 +59,6 @@ from .parrondo import (
     simulate,
     stationary_distribution,
 )
-from .qubit import (
-    DensityMatrix2,
-    GainWitness,
-    KrausChannel,
-    QubitMapSpec,
-    Unitary2,
-    apply_channel,
-    apply_unitary,
-    choi_matrix,
-    coherence,
-    coherence_gain_witness,
-    is_cptp,
-    min_eigenvalue,
-    off_diagonal_gain_spec,
-    plus_state,
-    rz,
-)
+from .qubit import DensityMatrix2, coherence, plus_state
 
 __version__ = "0.1.0"

@@ -222,6 +222,21 @@ def _initial_state(v: dict) -> DensityMatrix2:
     return DensityMatrix2(v["a0"], complex(v["b0_re"], v["b0_im"]), 1.0 - v["a0"])
 
 
+def _state_entries(rho: DensityMatrix2) -> dict:
+    """A state's entries as the envelope prints them."""
+    return {"a": rho.a, "b_re": rho.b.real, "b_im": rho.b.imag, "c": rho.c}
+
+
+def _rates(stats: parrondo.GameStats) -> dict:
+    """A wheel game's exact win probability and net rate, as fractions and floats."""
+    return {
+        "win_prob": stats.win_prob,
+        "win_prob_float": float(stats.win_prob),
+        "net_rate": stats.net_rate,
+        "net_rate_float": float(stats.net_rate),
+    }
+
+
 def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
     """Curve rows n = 0, 1, ... (Monte Carlo where estimated) and their CSV form."""
     curve = [{"n": n, "analytic_coherence": a, "coherence": a} for n, a in enumerate(analytic)]
@@ -322,9 +337,7 @@ def _cmd_dissipative(v: dict, threads: int):
     times = dissipative.relaxation_times(p, scales, v["tau0"])
     p_max = dissipative.max_mixing_probability(scales)
     results = {
-        "first_order": {
-            "a": first.a, "b_re": first.b.real, "b_im": first.b.imag, "c": first.c,
-        },
+        "first_order": _state_entries(first),
         "p_max": p_max,
         "t1": times.t1,
         "t2": times.t2,
@@ -337,12 +350,7 @@ def _cmd_dissipative(v: dict, threads: int):
     diagnostics: dict = {"mc": trials > 0}
     if trials > 0:
         mc = dissipative.averaged_channel_mc(rho0, p, scales, trials, v["seed"], threads)
-        results["mc"] = {
-            "a": mc.rho_avg.a,
-            "b_re": mc.rho_avg.b.real,
-            "b_im": mc.rho_avg.b.imag,
-            "c": mc.rho_avg.c,
-        }
+        results["mc"] = _state_entries(mc.rho_avg)
         diagnostics["stderr_pop"] = mc.stderr_pop
         diagnostics["stderr_coh"] = mc.stderr_coh
         diagnostics["clamp_fraction"] = mc.clamp_fraction
@@ -356,26 +364,11 @@ def _cmd_parrondo(v: dict, threads: int):
     combined = parrondo.CombinedGame(tuple(games))
     stationary = parrondo.stationary_distribution(combined)
     stats = parrondo.exact_rate(combined)
-    per_game = []
-    for g in games:
-        s = parrondo.exact_rate(parrondo.CombinedGame((g,)))
-        per_game.append(
-            {
-                "modulus": g.m,
-                "win_prob": s.win_prob,
-                "win_prob_float": float(s.win_prob),
-                "net_rate": s.net_rate,
-                "net_rate_float": float(s.net_rate),
-            }
-        )
-    results = {
-        "games": per_game,
-        "win_prob": stats.win_prob,
-        "win_prob_float": float(stats.win_prob),
-        "net_rate": stats.net_rate,
-        "net_rate_float": float(stats.net_rate),
-        "support_size": stats.support_size,
-    }
+    per_game = [
+        {"modulus": g.m, **_rates(parrondo.exact_rate(parrondo.CombinedGame((g,))))}
+        for g in games
+    ]
+    results = {"games": per_game, **_rates(stats), "support_size": stats.support_size}
     diagnostics = {
         "reducible_warning": stationary.reducible_warning,
         "power_iteration_residual": stationary.power_iteration_residual,

@@ -14,36 +14,15 @@ sqrt(lambda_ad/pi))``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import montecarlo, rng
-from .qubit import DensityMatrix2, KrausChannel
+from .qubit import DensityMatrix2
 
-FIRST_ORDER_LIMIT = 0.01  # default lambda_ad ceiling for first-order formulas
-
-
-@dataclass(frozen=True, slots=True)
-class DampingPhaseParams:
-    """Mixing probability p, damping strength alpha, rotation angle theta."""
-
-    p: float
-    alpha: float
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "theta", float(self.theta))
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError("p must lie in [0, 1]")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+FIRST_ORDER_LIMIT = 0.01  # lambda_ad ceiling of the first-order formulas
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,18 +40,6 @@ class NoiseScales:
                 raise ValueError("noise scales must be nonnegative")
 
 
-def build_damping_phase_channel(params: DampingPhaseParams) -> KrausChannel:
-    """Three-term Kraus channel (p, E0), (p, E1), (1-p, R_z(theta))."""
-    root = math.sqrt(1.0 - params.alpha)
-    e0 = ((1.0 + 0.0j, 0.0j), (0.0j, root + 0.0j))
-    e1 = ((0.0j, math.sqrt(params.alpha) + 0.0j), (0.0j, 0.0j))
-    rot = (
-        (cmath.exp(-0.5j * params.theta), 0.0j),
-        (0.0j, cmath.exp(0.5j * params.theta)),
-    )
-    return KrausChannel(((params.p, e0), (params.p, e1), (1.0 - params.p, rot)))
-
-
 @dataclass(frozen=True, slots=True)
 class AveragedChannelResult:
     """Noise-averaged output state with per-entry standard errors.
@@ -87,7 +54,6 @@ class AveragedChannelResult:
     stderr_pop: float
     stderr_coh: float
     clamp_fraction: float
-    trials: int
 
 
 def averaged_channel_mc(
@@ -149,7 +115,7 @@ def averaged_channel_mc(
         sampler, trials, seed, threads
     )
     rho = DensityMatrix2(mean_a.real, mean_b, 1.0 - mean_a.real)
-    return AveragedChannelResult(rho, stderr_pop, stderr_coh, sum(clamps) / trials, trials)
+    return AveragedChannelResult(rho, stderr_pop, stderr_coh, sum(clamps) / trials)
 
 
 def _step_factors(p: float, scales: NoiseScales) -> tuple[float, float]:
@@ -164,7 +130,6 @@ def averaged_channel_first_order(
     rho0: DensityMatrix2,
     p: float,
     scales: NoiseScales,
-    first_order_limit: float = FIRST_ORDER_LIMIT,
 ) -> DensityMatrix2:
     """Closed-form noise-averaged state, first order in lambda_ad.
 
@@ -175,10 +140,10 @@ def averaged_channel_first_order(
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
-    if scales.lambda_ad > first_order_limit:
+    if scales.lambda_ad > FIRST_ORDER_LIMIT:
         raise ValueError(
             f"lambda_ad={scales.lambda_ad!r} outside first-order regime "
-            f"(limit {first_order_limit!r})"
+            f"(limit {FIRST_ORDER_LIMIT!r})"
         )
     relax, coh = _step_factors(p, scales)
     # a + (1-relax)(1-a) == 1 - relax*(1-a), exact when relax == 1

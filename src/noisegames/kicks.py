@@ -76,10 +76,6 @@ class DeltaMixture:
         angles = tuple(float(a) for a in angles)
         return cls(tuple((1.0 / len(angles), a) for a in angles))
 
-    @classmethod
-    def point(cls, angle: float) -> "DeltaMixture":
-        return cls(((1.0, float(angle)),))
-
     @property
     def weights(self) -> tuple[float, ...]:
         return tuple(w for w, _ in self.pairs)
@@ -139,10 +135,6 @@ class DecayFactor:
         object.__setattr__(self, "phi", float(self.phi))
         if not (0.0 <= self.gamma <= 1.0 + 1e-12):
             raise ValueError("gamma must lie in [0, 1]")
-
-    @property
-    def as_complex(self) -> complex:
-        return self.gamma * cmath.exp(1j * self.phi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,7 +196,6 @@ class McEstimate:
 
     rho_est: DensityMatrix2
     stderr: float
-    trials: int
 
     @classmethod
     def from_phasors(
@@ -218,7 +209,7 @@ class McEstimate:
         """
         sampler = lambda keys: (_running_products(rho0.b, len(keys), phasors(keys)), None)
         points, _ = montecarlo.run(sampler, trials, seed, threads)
-        return [cls(DensityMatrix2(rho0.a, b, rho0.c), se, trials) for b, se in points]
+        return [cls(DensityMatrix2(rho0.a, b, rho0.c), se) for b, se in points]
 
 
 def _running_products(b: complex, count: int, factors) -> Iterator[np.ndarray]:
@@ -311,41 +302,3 @@ def evolve_iid_mc(
     """
     phasors = lambda keys: _kick_phasors(dist, keys, plan.steps)
     return McEstimate.from_phasors(rho0, phasors, trials, seed, threads)
-
-
-def gaussian_from_clock(omega: float, clock_rate: float) -> GaussianKicks:
-    """Gaussian kick law of precession at ``omega`` sampled by a finite clock.
-
-    A coherent rotation advanced in ticks of a clock running at
-    ``clock_rate`` dephases like a Gaussian law with
-    ``mu = sin(omega/clock_rate)`` and
-    ``sigma2 = 2 * (1 - cos(omega/clock_rate))``.
-    """
-    clock_rate = float(clock_rate)
-    if not math.isfinite(clock_rate) or clock_rate <= 0.0:
-        raise ValueError("clock_rate must be positive")
-    x = float(omega) / clock_rate
-    return GaussianKicks(math.sin(x), 2.0 * (1.0 - math.cos(x)))
-
-
-def gaussian_for_target(gamma: float, phi: float) -> GaussianKicks:
-    """Gaussian kick law realizing a prescribed per-step decay factor.
-
-    ``mu = phi`` and ``sigma2 = -2 ln gamma``; round-trips through
-    :func:`char_function` to (gamma, phi mod 2 pi) within 1e-9.
-    """
-    gamma = float(gamma)
-    if not (0.0 < gamma <= 1.0):
-        raise ValueError("gamma must lie in (0, 1]")
-    return GaussianKicks(float(phi), -2.0 * math.log(gamma))
-
-
-def is_decoherence_free(dist: DeltaMixture, tol: float = 1e-9) -> bool:
-    """True iff the mixture causes no decay (gamma = 1 within tol).
-
-    Equivalently: all angles carrying weight are congruent modulo 2 pi
-    within tolerance, the only escape from strict decay.
-    """
-    if not isinstance(dist, DeltaMixture):
-        raise TypeError("decoherence-free criterion applies to delta mixtures only")
-    return char_function(dist).gamma >= 1.0 - tol

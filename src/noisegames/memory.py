@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import montecarlo, rng
-from .kicks import DeltaMixture, McEstimate
+from .kicks import McEstimate
 from .qubit import DensityMatrix2
 
 class SetLabel(enum.Enum):
@@ -75,12 +75,6 @@ class MemoryKernel:
 
     def branches(self, label: SetLabel) -> tuple[KernelBranch, ...]:
         return self.from_a if label is SetLabel.SET_A else self.from_b
-
-    def as_mixture(self, label: SetLabel) -> DeltaMixture:
-        """The conditional kick law from ``label`` as a plain delta mixture."""
-        return DeltaMixture(
-            tuple((br.weight, br.angle) for br in self.branches(label))
-        )
 
 
 def kernel(variant: KernelVariant, epsilon: float) -> MemoryKernel:

@@ -27,6 +27,7 @@ onto the same stream.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -239,6 +240,13 @@ def slot_normal(
     return r
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_blocks(
     total: int,
     worker: Callable[[int, int], _T],
@@ -253,7 +261,8 @@ def run_blocks(
     bit-identical totals for any thread count.  ``worker`` must be a pure
     function of its arguments.  Each thread that runs blocks gets its own
     set of arrays for :func:`_empty`, kept across its blocks and released
-    when this call returns.
+    when this call returns.  The pool has at most :func:`_usable_cpus`
+    threads: more would add block sets but no parallelism.
     """
     if total < 0:
         raise ValueError("total must be nonnegative")
@@ -271,6 +280,7 @@ def run_blocks(
         finally:
             _thread.arrays = outer
 
+    threads = min(threads, _usable_cpus())
     if threads <= 1 or len(starts) <= 1:
         return [block(s, c) for s, c in zip(starts, counts)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

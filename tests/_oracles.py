@@ -7,8 +7,9 @@ implementations it checks.  These parts take something from the package:
 
 * ``Stream`` is a sequential cursor over the package's slot-addressed
   draws (``rng.stream_keys`` and ``rng.slot_u64``);
-* ``random_diagonal_channel`` and ``random_state`` return the package's
-  ``KrausChannel`` and ``DensityMatrix2``, whose constructors validate them;
+* ``random_state`` returns the package's ``DensityMatrix2``, whose
+  constructor validates it, and ``random_diagonal_channel`` a
+  ``KrausChannel`` of the qubit-channel algebra below;
 * the state simulators of the search game take its ``GameConfig``, and
   ``char_function_quadrature`` takes the package's kick laws;
 * the search-game letter walks, the per-point Monte Carlo estimators, the
@@ -19,6 +20,14 @@ implementations it checks.  These parts take something from the package:
 * the memory-kernel recursion keyed by ``SetLabel`` takes the package's
   kernels, the roll-per-offset power iteration takes its wheel games, and
   the JSON/CSV writers take the values the CLI prints.
+
+Two sections are reference implementations the package used to carry
+although no CLI run reaches them: the qubit-channel algebra (unitaries,
+Kraus channels, Choi matrices and the coherence-gain witness, which act on
+the package's ``DensityMatrix2``) and the kick-law helpers (the Gaussian
+law of a finite clock or of a target decay factor, the decoherence-free
+test, and the point-mass, complex-factor and kernel-mixture views of the
+package's kick laws).
 """
 
 import cmath
@@ -32,9 +41,16 @@ import numpy as np
 
 from noisegames import montecarlo, rng
 from noisegames.grover import GameConfig
-from noisegames.kicks import TWO_PI, DeltaMixture, ExponentialKicks, GaussianKicks
-from noisegames.memory import SetLabel
-from noisegames.qubit import DensityMatrix2, KrausChannel
+from noisegames.kicks import (
+    TWO_PI,
+    DecayFactor,
+    DeltaMixture,
+    ExponentialKicks,
+    GaussianKicks,
+    char_function,
+)
+from noisegames.memory import MemoryKernel, SetLabel
+from noisegames.qubit import ATOL_STATE, DensityMatrix2, _finite
 
 
 def textbook_grover_matrix(n_qubits: int, target: int) -> np.ndarray:
@@ -178,6 +194,362 @@ def derive_stream(master_seed: int, index: int) -> Stream:
     return Stream(rng.stream_keys(master_seed, index, 1))
 
 
+# --- The qubit-channel algebra ---
+#
+# Weighted Kraus channels, maps fixed by their images of the four matrix
+# units, the Choi-matrix test of complete positivity and the coherence-gain
+# witness.  No CLI run computes a channel: these check the claim that no
+# non-dissipative map can increase coherence, and they build the
+# damping/rotation channel whose noise average the package computes in
+# closed form.  ``coherence_gain_witness`` shows why: any diagonal-fixing map
+# whose off-diagonal images have combined gain above one sends some pure
+# state to a matrix with a negative eigenvalue.
+
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+# Channel-level tolerance (outputs of long weighted products), against the
+# package's constructor-level ATOL_STATE.
+ATOL_CHANNEL = 1e-10
+
+_I2: Matrix2 = ((1.0 + 0.0j, 0.0j), (0.0j, 1.0 + 0.0j))
+
+
+def _as_matrix2(m) -> Matrix2:
+    """Coerce a 2x2 array-like of numbers into a validated Matrix2."""
+    rows = tuple(tuple(complex(x) for x in row) for row in m)
+    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+        raise ValueError("expected a 2x2 matrix")
+    for row in rows:
+        for z in row:
+            if not _finite(z):
+                raise ValueError("matrix entries must be finite")
+    return rows  # type: ignore[return-value]
+
+
+def maximally_mixed() -> DensityMatrix2:
+    return DensityMatrix2(0.5, 0.0j, 0.5)
+
+
+@dataclass(frozen=True, slots=True)
+class Unitary2:
+    """2x2 unitary, validated to satisfy U+U = I within 1e-12 elementwise."""
+
+    u00: complex
+    u01: complex
+    u10: complex
+    u11: complex
+
+    def __post_init__(self):
+        for name in ("u00", "u01", "u10", "u11"):
+            z = complex(getattr(self, name))
+            object.__setattr__(self, name, z)
+            if not _finite(z):
+                raise ValueError("unitary entries must be finite")
+        g00 = abs(self.u00) ** 2 + abs(self.u10) ** 2
+        g11 = abs(self.u01) ** 2 + abs(self.u11) ** 2
+        g01 = self.u00.conjugate() * self.u01 + self.u10.conjugate() * self.u11
+        if abs(g00 - 1.0) > ATOL_STATE or abs(g11 - 1.0) > ATOL_STATE or abs(g01) > ATOL_STATE:
+            raise ValueError("matrix is not unitary within 1e-12")
+
+
+def rz(theta: float) -> Unitary2:
+    """Phase rotation diag(e^{-i theta/2}, e^{+i theta/2})."""
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError("rotation angle must be finite")
+    return Unitary2(cmath.exp(-0.5j * theta), 0.0j, 0.0j, cmath.exp(0.5j * theta))
+
+
+def _sandwich(k: Matrix2, rho: DensityMatrix2) -> tuple[float, complex, float]:
+    """Entries (00, 01, 11) of K rho K+ for a 2x2 operator K."""
+    a, b, c = rho.a, rho.b, rho.c
+    bc = b.conjugate()
+    (k00, k01), (k10, k11) = k
+    t00 = k00 * a + k01 * bc
+    t01 = k00 * b + k01 * c
+    t10 = k10 * a + k11 * bc
+    t11 = k10 * b + k11 * c
+    s00 = t00 * k00.conjugate() + t01 * k01.conjugate()
+    s01 = t00 * k10.conjugate() + t01 * k11.conjugate()
+    s11 = t10 * k10.conjugate() + t11 * k11.conjugate()
+    return s00.real, s01, s11.real
+
+
+def apply_unitary(u: Unitary2, rho: DensityMatrix2) -> DensityMatrix2:
+    """Conjugation U rho U+; preserves trace and both eigenvalues."""
+    return DensityMatrix2(*_sandwich(((u.u00, u.u01), (u.u10, u.u11)), rho))
+
+
+@dataclass(frozen=True, slots=True)
+class KrausChannel:
+    """Weighted Kraus decomposition rho -> sum_i w_i K_i rho K_i+.
+
+    Trace preservation (sum_i w_i K_i+ K_i = I within 1e-10) is enforced at
+    construction, so channel application cannot silently leak probability.
+    """
+
+    terms: tuple[tuple[float, Matrix2], ...]
+
+    def __post_init__(self):
+        cleaned = []
+        for w, op in self.terms:
+            w = float(w)
+            if not math.isfinite(w) or w < -ATOL_STATE or w > 1.0 + ATOL_STATE:
+                raise ValueError("Kraus weights must lie in [0, 1]")
+            cleaned.append((w, _as_matrix2(op)))
+        object.__setattr__(self, "terms", tuple(cleaned))
+        # completeness: sum w K+K = I
+        g00 = g01 = g11 = 0.0 + 0.0j
+        for w, ((k00, k01), (k10, k11)) in self.terms:
+            g00 += w * (abs(k00) ** 2 + abs(k10) ** 2)
+            g01 += w * (k00.conjugate() * k01 + k10.conjugate() * k11)
+            g11 += w * (abs(k01) ** 2 + abs(k11) ** 2)
+        if (
+            abs(g00 - 1.0) > ATOL_CHANNEL
+            or abs(g11 - 1.0) > ATOL_CHANNEL
+            or abs(g01) > ATOL_CHANNEL
+        ):
+            raise ValueError("Kraus terms do not preserve trace within 1e-10")
+
+    @classmethod
+    def identity(cls) -> "KrausChannel":
+        return cls(((1.0, _I2),))
+
+
+def apply_channel(ch: KrausChannel, rho: DensityMatrix2) -> DensityMatrix2:
+    """Apply a trace-preserving Kraus channel; output is a valid state."""
+    a = c = 0.0
+    b = 0.0 + 0.0j
+    for w, op in ch.terms:
+        if w == 0.0:
+            continue
+        s00, s01, s11 = _sandwich(op, rho)
+        a += w * s00
+        b += w * s01
+        c += w * s11
+    return DensityMatrix2(a, b, c)
+
+
+def min_eigenvalue(h) -> float:
+    """Smaller eigenvalue of a Hermitian 2x2 matrix, in closed form.
+
+    Accepts a DensityMatrix2 or any 2x2 array-like; rejects inputs that are
+    not Hermitian within 1e-12.
+    """
+    if isinstance(h, DensityMatrix2):
+        p, q, r = h.a, h.b, h.c
+    else:
+        m = _as_matrix2(h)
+        if (
+            abs(m[0][0].imag) > ATOL_STATE
+            or abs(m[1][1].imag) > ATOL_STATE
+            or abs(m[0][1] - m[1][0].conjugate()) > ATOL_STATE
+        ):
+            raise ValueError("matrix is not Hermitian within 1e-12")
+        p, q, r = m[0][0].real, m[0][1], m[1][1].real
+    half_gap = math.hypot((p - r) / 2.0, abs(q))
+    return (p + r) / 2.0 - half_gap
+
+
+@dataclass(frozen=True, slots=True)
+class QubitMapSpec:
+    """Linear qubit map fixed by its images of the four matrix units.
+
+    ``img_ij`` is the image of the matrix unit |i><j|.  No physicality is
+    assumed; use :func:`is_cptp` to test it.  A map preserves Hermiticity
+    iff ``img10 == img01+`` and the diagonal images are Hermitian.
+    """
+
+    img00: Matrix2
+    img01: Matrix2
+    img10: Matrix2
+    img11: Matrix2
+
+    def __post_init__(self):
+        for name in ("img00", "img01", "img10", "img11"):
+            object.__setattr__(self, name, _as_matrix2(getattr(self, name)))
+
+    @classmethod
+    def from_kraus(cls, ch: KrausChannel) -> "QubitMapSpec":
+        """Image-of-matrix-units description of a Kraus channel (one-way)."""
+        units = (((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1)))
+        images = []
+        for unit in units:
+            (e00, e01), (e10, e11) = _as_matrix2(unit)
+            out = [[0.0j, 0.0j], [0.0j, 0.0j]]
+            for w, ((k00, k01), (k10, k11)) in ch.terms:
+                # K E K+ written out for the 2x2 case
+                t00 = k00 * e00 + k01 * e10
+                t01 = k00 * e01 + k01 * e11
+                t10 = k10 * e00 + k11 * e10
+                t11 = k10 * e01 + k11 * e11
+                out[0][0] += w * (t00 * k00.conjugate() + t01 * k01.conjugate())
+                out[0][1] += w * (t00 * k10.conjugate() + t01 * k11.conjugate())
+                out[1][0] += w * (t10 * k00.conjugate() + t11 * k01.conjugate())
+                out[1][1] += w * (t10 * k10.conjugate() + t11 * k11.conjugate())
+            images.append((tuple(out[0]), tuple(out[1])))
+        return cls(*images)
+
+    @classmethod
+    def identity(cls) -> "QubitMapSpec":
+        return cls(
+            ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))
+        )
+
+
+def _unit_images(spec: QubitMapSpec) -> dict[tuple[int, int], Matrix2]:
+    """Image of each matrix unit |i><j|, keyed by (i, j)."""
+    return {(0, 0): spec.img00, (0, 1): spec.img01, (1, 0): spec.img10, (1, 1): spec.img11}
+
+
+def choi_matrix(spec: QubitMapSpec) -> np.ndarray:
+    """Choi matrix sum_ij |i><j| (x) F(|i><j|), a 4x4 complex array.
+
+    Hermitian iff the map preserves Hermiticity; positive semidefinite iff
+    the map is completely positive.
+    """
+    c = np.zeros((4, 4), dtype=complex)
+    for (i, j), img in _unit_images(spec).items():
+        for k in range(2):
+            for l in range(2):
+                c[2 * i + k, 2 * j + l] = img[k][l]
+    return c
+
+
+def is_cptp(spec: QubitMapSpec, tol: float = ATOL_CHANNEL) -> bool:
+    """True iff the map is completely positive and trace-preserving.
+
+    Checks that the Choi matrix is Hermitian and has eigenvalues >= -tol
+    (standard Hermitian eigensolver, ascending), and that the trace of each
+    matrix-unit image equals delta_ij within tol.
+    """
+    c = choi_matrix(spec)
+    if np.max(np.abs(c - c.conj().T)) > tol:
+        return False
+    eigs = np.linalg.eigvalsh((c + c.conj().T) / 2.0)
+    if eigs[0] < -tol:
+        return False
+    for (i, j), img in _unit_images(spec).items():
+        want = 1.0 if i == j else 0.0
+        if abs(img[0][0] + img[1][1] - want) > tol:
+            return False
+    return True
+
+
+def off_diagonal_gain_spec(beta: complex, beta_prime: complex) -> QubitMapSpec:
+    """Diagonal-fixing, Hermiticity-preserving map with prescribed gains.
+
+    Fixes both diagonal matrix units and sends the off-diagonal units to
+    matrices whose (0,1) entries are ``beta`` and ``beta_prime``.  For
+    ``abs(beta) + abs(beta_prime) > 1`` the map cannot be a channel.
+    """
+    beta = complex(beta)
+    beta_prime = complex(beta_prime)
+    return QubitMapSpec(
+        ((1, 0), (0, 0)),
+        ((0, beta), (beta_prime.conjugate(), 0)),
+        ((0, beta_prime), (beta.conjugate(), 0)),
+        ((0, 0), (0, 1)),
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class GainWitness:
+    """Outcome of the coherence-gain positivity test.
+
+    When ``violated`` is true, ``output`` is the image of ``input_state``
+    and has the reported negative minimum eigenvalue, certifying that the
+    map is not positive (hence not a channel).
+    """
+
+    violated: bool
+    theta: float
+    input_state: DensityMatrix2
+    output: Matrix2
+    min_eig: float
+
+
+def coherence_gain_witness(spec: QubitMapSpec, tol: float = ATOL_STATE) -> GainWitness:
+    """Find a pure state whose image under a diagonal-fixing map is not positive.
+
+    Requires ``spec`` to fix both diagonal matrix units.  With
+    ``beta = img01[0][1]`` and ``beta_prime = img10[0][1]``, the maximum of
+    ``abs(beta + e^{i theta} beta_prime)`` over theta is
+    ``abs(beta) + abs(beta_prime)``; if that exceeds 1 the returned state
+    ``0.5 * ((1, e^{i theta/2}), (e^{-i theta/2}, 1))`` is mapped to a
+    matrix with off-diagonal magnitude above 1/2 and hence a negative
+    eigenvalue.  The returned ``theta`` is the phase at which the state's
+    image attains that maximal magnitude.
+    """
+    identity_imgs = (((1, 0), (0, 0)), ((0, 0), (0, 1)))
+    for img, want in zip((spec.img00, spec.img11), identity_imgs):
+        ref = _as_matrix2(want)
+        for i in range(2):
+            for j in range(2):
+                if abs(img[i][j] - ref[i][j]) > tol:
+                    raise ValueError("map must fix both diagonal matrix units")
+
+    beta = spec.img01[0][1]
+    beta_prime = spec.img10[0][1]
+    gain = abs(beta) + abs(beta_prime)
+    arg_b = cmath.phase(beta) if beta != 0 else 0.0
+    arg_bp = cmath.phase(beta_prime) if beta_prime != 0 else 0.0
+    theta = math.remainder(arg_bp - arg_b, 2.0 * math.pi)
+
+    half = cmath.exp(0.5j * theta)
+    rho0 = DensityMatrix2(0.5, 0.5 * half, 0.5)
+    out = [[0.0j, 0.0j], [0.0j, 0.0j]]
+    for coeff, img in (
+        (0.5, spec.img00),
+        (0.5, spec.img11),
+        (0.5 * half, spec.img01),
+        (0.5 * half.conjugate(), spec.img10),
+    ):
+        for i in range(2):
+            for j in range(2):
+                out[i][j] += coeff * img[i][j]
+    # Hermitian part; identical to out for Hermiticity-preserving maps.
+    herm = (
+        (out[0][0].real + 0.0j, (out[0][1] + out[1][0].conjugate()) / 2.0),
+        ((out[1][0] + out[0][1].conjugate()) / 2.0, out[1][1].real + 0.0j),
+    )
+    low = min_eigenvalue(herm)
+    output: Matrix2 = (tuple(out[0]), tuple(out[1]))  # type: ignore[assignment]
+    return GainWitness(gain > 1.0 + tol, theta, rho0, output, low)
+
+
+@dataclass(frozen=True, slots=True)
+class DampingPhaseParams:
+    """Mixing probability p, damping strength alpha, rotation angle theta."""
+
+    p: float
+    alpha: float
+    theta: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "theta", float(self.theta))
+        if not (0.0 <= self.p <= 1.0):
+            raise ValueError("p must lie in [0, 1]")
+        if not (0.0 <= self.alpha <= 1.0):
+            raise ValueError("alpha must lie in [0, 1]")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
+
+
+def build_damping_phase_channel(params: DampingPhaseParams) -> KrausChannel:
+    """Three-term Kraus channel (p, E0), (p, E1), (1-p, R_z(theta))."""
+    root = math.sqrt(1.0 - params.alpha)
+    e0 = ((1.0 + 0.0j, 0.0j), (0.0j, root + 0.0j))
+    e1 = ((0.0j, math.sqrt(params.alpha) + 0.0j), (0.0j, 0.0j))
+    rot = (
+        (cmath.exp(-0.5j * params.theta), 0.0j),
+        (0.0j, cmath.exp(0.5j * params.theta)),
+    )
+    return KrausChannel(((params.p, e0), (params.p, e1), (1.0 - params.p, rot)))
+
+
 # --- Random channels and states for property tests ---
 
 
@@ -214,6 +586,67 @@ def random_state(stream: Stream) -> DensityMatrix2:
     r = float(u[1]) * math.sqrt(max(a * c, 0.0))
     chi = (float(u[2]) * 2.0 - 1.0) * math.pi
     return DensityMatrix2(a, r * cmath.exp(1j * chi), c)
+
+
+# --- Kick-law helpers ---
+#
+# Constructors and predicates over the package's kick laws that only the
+# tests use.
+
+
+def delta_point(angle: float) -> DeltaMixture:
+    """The point mass at ``angle`` as a one-angle delta mixture."""
+    return DeltaMixture(((1.0, float(angle)),))
+
+
+def as_complex(df: DecayFactor) -> complex:
+    """A decay factor as the complex number gamma * e^{i phi}."""
+    return df.gamma * cmath.exp(1j * df.phi)
+
+
+def as_mixture(kern: MemoryKernel, label: SetLabel) -> DeltaMixture:
+    """The conditional kick law from ``label`` as a plain delta mixture."""
+    return DeltaMixture(
+        tuple((br.weight, br.angle) for br in kern.branches(label))
+    )
+
+
+def gaussian_from_clock(omega: float, clock_rate: float) -> GaussianKicks:
+    """Gaussian kick law of precession at ``omega`` sampled by a finite clock.
+
+    A coherent rotation advanced in ticks of a clock running at
+    ``clock_rate`` dephases like a Gaussian law with
+    ``mu = sin(omega/clock_rate)`` and
+    ``sigma2 = 2 * (1 - cos(omega/clock_rate))``.
+    """
+    clock_rate = float(clock_rate)
+    if not math.isfinite(clock_rate) or clock_rate <= 0.0:
+        raise ValueError("clock_rate must be positive")
+    x = float(omega) / clock_rate
+    return GaussianKicks(math.sin(x), 2.0 * (1.0 - math.cos(x)))
+
+
+def gaussian_for_target(gamma: float, phi: float) -> GaussianKicks:
+    """Gaussian kick law realizing a prescribed per-step decay factor.
+
+    ``mu = phi`` and ``sigma2 = -2 ln gamma``; round-trips through
+    :func:`char_function` to (gamma, phi mod 2 pi) within 1e-9.
+    """
+    gamma = float(gamma)
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError("gamma must lie in (0, 1]")
+    return GaussianKicks(float(phi), -2.0 * math.log(gamma))
+
+
+def is_decoherence_free(dist: DeltaMixture, tol: float = 1e-9) -> bool:
+    """True iff the mixture causes no decay (gamma = 1 within tol).
+
+    Equivalently: all angles carrying weight are congruent modulo 2 pi
+    within tolerance, the only escape from strict decay.
+    """
+    if not isinstance(dist, DeltaMixture):
+        raise TypeError("decoherence-free criterion applies to delta mixtures only")
+    return char_function(dist).gamma >= 1.0 - tol
 
 
 # --- Characteristic values by quadrature ---

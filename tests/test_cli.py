@@ -2,7 +2,9 @@ import io
 import json
 import math
 import os
+import random
 import shlex
+import struct
 import subprocess
 import sys
 import textwrap
@@ -11,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import _oracles
 from noisegames import cli, grover, parrondo, rng
@@ -407,33 +407,62 @@ def test_inapplicable_parameters_are_refused_or_dropped(
 
 _SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e-5, math.inf, -math.inf, math.nan]
 _ESCAPES = ['"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "\u2028\u2029", "é", "\U0001f600"]
-_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=2**64, max_value=2**200),
-    st.integers(min_value=-(2**200), max_value=-(2**64)),
-    st.floats(),
-    st.sampled_from(_SPECIAL_FLOATS),
-    st.text(),
-    st.lists(st.sampled_from(_ESCAPES)).map("".join),
-    st.fractions(),
-)
-_values = st.recursive(
-    _scalars,
-    lambda inner: st.one_of(
-        st.lists(inner),
-        st.lists(inner).map(tuple),
-        st.dictionaries(st.one_of(st.text(), st.integers()), inner),
-    ),
-    max_leaves=40,
-)
+_WRITER_CASES = 2000
 
 
-@settings(max_examples=400, deadline=None)
-@given(_values)
-def test_json_writer_matches_stdlib_encoder(value):
-    assert cli._json(value) == _oracles.json_text(value)
+def _random_text(rnd: random.Random) -> str:
+    """Up to 8 code points, all ASCII in half the draws; no surrogates."""
+    top = 0x7F if rnd.random() < 0.5 else 0x10FFFF
+    points = (rnd.randint(0, top) for _ in range(rnd.randrange(9)))
+    return "".join(chr(c) for c in points if not 0xD800 <= c <= 0xDFFF)
+
+
+def _random_scalar(rnd: random.Random):
+    """A value of one of ten scalar families, each drawn as often as the others."""
+    kind = rnd.randrange(10)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rnd.random() < 0.5
+    if kind == 2:
+        return rnd.randint(-1000, 1000) if rnd.random() < 0.5 else rnd.getrandbits(64) - 2**63
+    if kind == 3:
+        return rnd.randint(2**64, 2**200)
+    if kind == 4:
+        return -rnd.randint(2**64, 2**200)
+    if kind == 5:  # any bit pattern (subnormals, infinities, nan payloads) or a plain value
+        if rnd.random() < 0.5:
+            return struct.unpack("<d", rnd.getrandbits(64).to_bytes(8, "little"))[0]
+        return rnd.uniform(-1e3, 1e3)
+    if kind == 6:
+        return rnd.choice(_SPECIAL_FLOATS)
+    if kind == 7:
+        return _random_text(rnd)
+    if kind == 8:
+        return "".join(rnd.choices(_ESCAPES, k=rnd.randrange(6)))
+    bound = 10 if rnd.random() < 0.5 else 10**30  # small ones are often whole
+    return Fraction(rnd.randint(-bound, bound), rnd.randint(1, bound))
+
+
+def _random_value(rnd: random.Random, depth: int = 0):
+    """A scalar, or a list, tuple or dict (str and int keys) nested up to 3 deep."""
+    kind = rnd.randrange(4) if depth < 3 else 0
+    if kind == 0:
+        return _random_scalar(rnd)
+    items = [_random_value(rnd, depth + 1) for _ in range(rnd.randrange(6))]
+    if kind == 1:
+        return items
+    if kind == 2:
+        return tuple(items)
+    keys = (_random_text(rnd) if rnd.random() < 0.5 else rnd.randint(-100, 100) for _ in items)
+    return dict(zip(keys, items))
+
+
+def test_json_writer_matches_stdlib_encoder():
+    rnd = random.Random(20260402)
+    for case in range(_WRITER_CASES):
+        value = _random_value(rnd)
+        assert cli._json(value) == _oracles.json_text(value), (case, value)
 
 
 @pytest.mark.parametrize(

@@ -3,23 +3,23 @@ import math
 
 import pytest
 
-from _oracles import derive_stream, random_state
-from noisegames.dissipative import (
+from _oracles import (
     DampingPhaseParams,
+    apply_channel,
+    apply_unitary,
+    build_damping_phase_channel,
+    derive_stream,
+    random_state,
+    rz,
+)
+from noisegames.dissipative import (
     NoiseScales,
     averaged_channel_first_order,
     averaged_channel_mc,
-    build_damping_phase_channel,
     max_mixing_probability,
     relaxation_times,
 )
-from noisegames.qubit import (
-    DensityMatrix2,
-    apply_channel,
-    apply_unitary,
-    plus_state,
-    rz,
-)
+from noisegames.qubit import DensityMatrix2, plus_state
 
 
 class TestChannel:

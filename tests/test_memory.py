@@ -4,6 +4,7 @@ import math
 import pytest
 
 from _oracles import (
+    as_mixture,
     coherence_recursion_by_label,
     coherence_recursion_from,
     effective_decay_by_label,
@@ -28,7 +29,7 @@ EPS = 1e-3
 class TestKernel:
     def test_combined_from_class_a(self):
         k = kernel(KernelVariant.COMBINED, EPS)
-        mix = k.as_mixture(SetLabel.SET_A)
+        mix = as_mixture(k, SetLabel.SET_A)
         got = dict(zip(mix.angles, mix.weights))
         assert got[EPS] == pytest.approx(0.5)
         for ang in set_a_support():
@@ -43,7 +44,7 @@ class TestKernel:
 
     def test_pure_b_inside_is_uniform(self):
         k = kernel(KernelVariant.PURE_B, EPS)
-        mix = k.as_mixture(SetLabel.SET_B)
+        mix = as_mixture(k, SetLabel.SET_B)
         assert sorted(mix.angles) == sorted(set_b_support(EPS))
         assert all(w == pytest.approx(1.0 / 3.0) for w in mix.weights)
 
@@ -75,7 +76,7 @@ class TestKernel:
             (KernelVariant.PURE_A, SetLabel.SET_A),
             (KernelVariant.PURE_B, SetLabel.SET_B),
         ):
-            mix = kernel(variant, EPS).as_mixture(label)
+            mix = as_mixture(kernel(variant, EPS), label)
             assert abs(char_function(mix).gamma - 1.0 / 3.0) < 1e-12
 
 

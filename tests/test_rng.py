@@ -1,4 +1,6 @@
+import os
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -75,6 +77,31 @@ def test_run_blocks_order_and_thread_invariance():
     assert len(serial) == (300_000 + (1 << 14) - 1) // (1 << 14)
 
 
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    workers = set()
+
+    def worker(start, count):
+        workers.add(threading.get_ident())
+        keys = rng.stream_keys(3, start, count)
+        return rng.slot_uniform(keys, 0).tobytes()
+
+    serial = rng.run_blocks(300_000, worker, threads=1, block_size=1 << 14)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    workers.clear()
+    threaded = rng.run_blocks(300_000, worker, threads=8, block_size=1 << 14)
+    assert len(workers) <= 2
+    assert threaded == serial
+
+
+def test_usable_cpus_without_an_affinity_set(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert rng._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert rng._usable_cpus() == 1
+
+
 def test_uniform_open_never_zero():
     u = derive_stream(1, 1).uniform_open(10_000)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
@@ -140,7 +167,7 @@ def test_arrays_handed_out_of_a_block_stay_its_own(threads):
         scratch.fill(-1)
         return held
 
-    # more threads than cores, switching as often as the interpreter allows
+    # a thread per core at most, switching as often as the interpreter allows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
