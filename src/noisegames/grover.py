@@ -19,7 +19,9 @@ law after m fair letters is binomial (:func:`fixed_horizon_length_law`).
 Letter t of a trial is bit ``t % 64`` of its raw draw at slot ``t // 64``
 (1 for A): one 64-bit draw carries 64 letters, and a bit's position has
 the parity of its letter's slot, so the binomial count behind that law is
-one popcount per draw.
+one popcount per draw.  Adaptive tracking reads the same bits 8 letters at
+a time: tables over the 256 bytes give each byte's change in d and the
+first letter in it, if any, at which the length reaches its target.
 No state vector is ever formed: the payoff of a word is the closed form of
 its reduced length.
 """
@@ -185,6 +187,31 @@ _ODD = np.uint64(0xAAAAAAAAAAAAAAAA)  # bits at odd positions: letters at odd sl
 _GRID_ELEMENTS = 1 << 16  # draws per fixed-horizon call, letters per adaptive chunk
 
 
+def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per byte of 8 letters: its gain in d, and where d first meets an even or odd target.
+
+    Letter j of a byte is bit j (1 for A); a byte starts at an even slot,
+    so letter j adds (-1)^j to d when it is an A.  Entry (o + _WINDOW, b)
+    of a hit table is the first letter j of byte b, of the table's slot
+    parity, after which d equals the target when it starts the byte o
+    above it, or 8 when no letter does.  Within a byte d moves by at most
+    4, so the rows o = +-_WINDOW hold only 8s.
+    """
+    letters = (np.arange(256) >> np.arange(8)[:, None]) & 1
+    prefix = np.cumsum(letters * np.where(np.arange(8) % 2, -1, 1)[:, None], axis=0)
+    offsets = np.arange(-_WINDOW, _WINDOW + 1)
+    meets = prefix + offsets[:, None, None] == 0  # (offset, letter, byte)
+    hits = []
+    for parity in (0, 1):
+        at = meets & (np.arange(8) % 2 == parity)[:, None]
+        hits.append(np.where(at.any(axis=1), at.argmax(axis=1), 8).astype(np.int8))
+    return prefix[-1], *hits
+
+
+_WINDOW = 5  # hit-table rows: offsets of d from a target in [-5, 5]
+_BYTE_GAIN, _BYTE_HIT_EVEN, _BYTE_HIT_ODD = _byte_tables()
+
+
 def _reduced_length(d: np.ndarray, t: int) -> np.ndarray:
     """Reduced-word lengths after t letters with signed A-counts ``d``; overwrites ``d``.
 
@@ -259,11 +286,18 @@ def evaluate_strategy(
     letters depends only on the signed A-count d (see
     :func:`_reduced_length`).  A bit's position has the parity of its
     letter's slot, so a fixed horizon of m letters counts
-    K = d + floor(m/2) as the popcount of each draw XOR 0xAAAA...AA, and
-    adaptive tracking unpacks the draws in order into cumulative sums of d
-    over word-aligned chunks of steps.  A stopped adaptive trial wins
+    K = d + floor(m/2) as the popcount of each draw XOR 0xAAAA...AA.
+    Adaptive tracking stops a trial after the first letter t at which
+    d = (-1)^(t+1) * k_star, and reads each trial's draws in word-aligned
+    chunks as bytes of 8 letters: the cumulative sum of the bytes' gains
+    in d (from :func:`_byte_tables`) gives d at each byte's start, and a
+    lookup at that d's offset from -k_star and from +k_star gives the first
+    hit inside the byte.  Only offsets within 4 can hit, so the tables
+    serve any k_star.  When the cap ends inside a byte, its unplayed
+    letters count as B's and cannot hit.  A stopped adaptive trial wins
     with exactly the closed-form probability of its target word; a
-    censored one scores the length it holds at ``max_adaptive_steps``.
+    censored one scores the length it holds at ``max_adaptive_steps``,
+    which must be nonnegative.
     """
     if isinstance(strategy, FixedHorizon):
         m = strategy.m
@@ -296,9 +330,9 @@ def evaluate_strategy(
     if isinstance(strategy, AdaptiveTracking):
         k = strategy.k_star
         cap = max_adaptive_steps
+        if cap < 0:
+            raise ValueError("max_adaptive_steps must be nonnegative")
         stopped_win = success_closed_form(k, config)
-        # the length after slot t is 2k iff d = (-1)^(t+1) * k; chunks start at even t
-        goal = np.where(np.arange(_GRID_ELEMENTS) % 2, k, -k)
 
         def track(keys: np.ndarray, stop_at: np.ndarray, d: np.ndarray, censored: np.ndarray):
             """Fill stopping times (0 while unstopped), final counts d, and which trials never stop."""
@@ -311,19 +345,34 @@ def evaluate_strategy(
                 n = min(_LETTERS * per_trial, cap - step)
                 slots = np.arange(step, step + n, _LETTERS) // _LETTERS
                 w = rng.slot_u64(keys[active], slots)
-                # row i is letters step .. step+n-1 of trial active[i], in order
-                bytes_ = np.ascontiguousarray(w.T).astype("<u8", copy=False).view(np.uint8)
-                x = np.unpackbits(bytes_, axis=1, count=n, bitorder="little")
-                c = rng._empty(x.shape, np.int64)
-                np.copyto(c, x)
-                np.negative(c[:, 1::2], out=c[:, 1::2])  # A's at odd slots count -1
-                c[:, 0] += d[active]
-                np.cumsum(c, axis=1, out=c)
-                hit = c == goal[:n]
+                # row i holds letters step .. step+n-1 of trial active[i], 8 to a byte
+                letters = np.ascontiguousarray(w.T).astype("<u8", copy=False).view(np.uint8)
+                letters = letters[:, : -(-n // 8)]
+                if n % 8:
+                    letters[:, -1] &= np.uint8((1 << n % 8) - 1)  # letters past the cap are B's
+                byte = letters.astype(np.intp)
+                gain = _BYTE_GAIN.take(byte)
+                start = d[active]
+                at = np.cumsum(gain, axis=1)
+                end = at[:, -1] + start
+                # d at each byte's start as the byte's index in the hit tables:
+                # (offset from the target + _WINDOW) * 256 + byte, and an
+                # offset past the window clips to an end row of 8s
+                at -= gain
+                at += (start + _WINDOW)[:, None]
+                at *= 256
+                at += byte
+                hit_at = _BYTE_HIT_EVEN.take(at + 256 * k, mode="clip")  # target -k
+                np.minimum(hit_at, _BYTE_HIT_ODD.take(at - 256 * k, mode="clip"), out=hit_at)
+                if n % 8:
+                    last = hit_at[:, -1]
+                    last[last >= n % 8] = 8  # no hit on a letter past the cap
+                hit = hit_at < 8
                 first = hit.argmax(axis=1)
-                done = hit[np.arange(active.size), first]
-                stop_at[active[done]] = step + 1 + first[done]
-                d[active] = c[:, -1]
+                rows = np.arange(active.size)
+                done = hit[rows, first]
+                stop_at[active[done]] = step + 1 + 8 * first[done] + hit_at[rows, first][done]
+                d[active] = end
                 active = active[~done]
                 step += n
             censored.fill(False)

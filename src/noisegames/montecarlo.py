@@ -49,10 +49,16 @@ def phasors(theta: np.ndarray) -> np.ndarray:
     cos theta = (1 - t^2) / (1 + t^2) and sin theta = 2t / (1 + t^2).  One
     Newton step, (c, s) *= 1.5 - 0.5 * (c^2 + s^2), brings the modulus back
     to 1 within 2 eps.  numpy 2.4 has an AVX-512 kernel for float64 ``tan``
-    but none for ``cos``, ``sin`` or complex ``exp`` (README).
+    but none for ``cos``, ``sin`` or complex ``exp`` (README).  Every pass
+    runs over contiguous arrays: until the parts are written into the
+    complex result at the end, the two halves of its float view hold c and
+    the scratch for s^2, so the kernel takes no more memory than one that
+    computes in the result's strided real and imaginary views.
     """
-    out = rng._empty(len(theta), np.complex128)
-    c, s = out.real, out.imag
+    n = len(theta)
+    out = rng._empty(n, np.complex128)
+    c, scratch = out.view(np.float64).reshape(2, n)
+    s = rng._empty(n)
     t = theta
     t *= 0.5
     np.tan(t, out=t)
@@ -63,11 +69,13 @@ def phasors(theta: np.ndarray) -> np.ndarray:
     s /= c
     np.divide(t, c, out=c)
     np.multiply(c, c, out=t)
-    t += np.multiply(s, s, out=rng._empty(len(s)))
+    t += np.multiply(s, s, out=scratch)
     t *= -0.5
     t += 1.5
-    c *= t
     s *= t
+    cosine = np.multiply(c, t, out=t)  # frees the result's memory
+    np.copyto(out.real, cosine)
+    np.copyto(out.imag, s)
     return out
 
 

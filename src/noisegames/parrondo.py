@@ -213,38 +213,40 @@ class SimulatedStats:
 _WAVE_ENTRIES = 1 << 21
 
 
-def _block_walk(combined: CombinedGame, x: np.ndarray, bits: int) -> np.ndarray:
+def _step_table(combined: CombinedGame) -> np.ndarray:
+    """Turn of each of the P = G*L (game, rotation) slots, as a uint64 table.
+
+    Slot i plays game g = i // L, which turns (i mod L) // s_g steps of
+    s_g = L/m_g: every game takes L slots and each of its m_g rotations
+    s_g of them.
+    """
+    L = combined.modulus
+    turn = np.tile(np.arange(L, dtype=np.uint64), len(combined.moduli))
+    stride = np.repeat(np.array([L // m for m in combined.moduli], dtype=np.uint64), L)
+    turn //= stride
+    turn *= stride
+    return turn
+
+
+def _block_walk(step: np.ndarray, L: int, x: np.ndarray, bits: int) -> np.ndarray:
     """Position after each round of a block, relative to its start, in a new array.
 
     ``x`` holds the top ``bits`` bits of each round's draw, and is
     overwritten as scratch.  The round plays slot i = (x * P) >> bits of
-    the P = G*L equally likely (game, rotation) slots: game g = i // L
-    turns (i mod L) // s_g steps of s_g = L/m_g, so every game takes L
-    slots and each of its m_g rotations s_g of them.  As s_g divides L, i // s_g = (x * G*m_g) >> bits with
-    g = (x * G) >> bits, and (i // s_g) * s_g is that turn plus g*L, which
-    the walk drops modulo L; no table of slots is built.
+    the P = len(step) slots of :func:`_step_table` and turns ``step[i]``.
     """
-    L = combined.modulus
-    n_games = len(combined.moduli)
-    scale = np.array([n_games * m for m in combined.moduli], dtype=np.uint64)
-    stride = np.array([L // m for m in combined.moduli], dtype=np.uint64)
-    low = np.uint64(bits)
-    game = x * np.uint64(n_games)
-    game >>= low
-    # Every game index is below G; "clip" only spares numpy a buffered copy.
-    factor = scale.take(game.view(np.int64), mode="clip")
-    x *= factor
-    x >>= low
-    np.take(stride, game.view(np.int64), out=factor, mode="clip")
-    x *= factor
+    x *= np.uint64(len(step))
+    x >>= np.uint64(bits)
+    # Every slot is below P; "clip" only spares numpy its bounds check.
+    turn = step.take(x.view(np.int64), mode="clip")
     # An in-place accumulate holds the GIL for its whole loop; into another
     # array it does not, and two threads' walks overlap.
-    position = np.cumsum(x, out=factor)
+    position = np.cumsum(turn, out=x)
     # x mod L as x - (x // L) * L: numpy divides by a scalar in about 0.05
     # ms per block, and takes the remainder in about 0.28 ms.
-    np.floor_divide(position, np.uint64(L), out=x)
-    x *= np.uint64(L)
-    position -= x
+    np.floor_divide(position, np.uint64(L), out=turn)
+    turn *= np.uint64(L)
+    position -= turn
     return position.view(np.int64)
 
 
@@ -256,11 +258,13 @@ def simulate(
     The walk is one trajectory: round r reads slot r of the stream keyed by
     (seed, 0).  The top b = 64 - bitlen(P - 1) bits of that draw map by
     multiply-shift, ``(x * P) >> b``, onto the P = G*L (game, rotation)
-    slots that :func:`_block_walk` decodes (Lemire, ACM TOMACS 2019), so
-    each slot's probability is off 1/P by less than 2P / 2^64 and the law
-    of a round by at most 2P^2 / 2^64 in total.  Each block keeps only the histogram
-    of its positions relative to its own start and its last relative
-    position.  The blocks run in waves of max(threads, 2^21 // L) blocks,
+    slots (Lemire, ACM TOMACS 2019), so each slot's probability is off 1/P
+    by less than 2P / 2^64 and the law of a round by at most 2P^2 / 2^64
+    in total.  The turn of every slot is looked up in one table of P
+    entries (:func:`_step_table`), built once per call beside the O(L)
+    win mask; with pairwise coprime odd moduli above 1, G <= log_3 L.
+    Each block keeps only the histogram of its positions
+    relative to its own start and its last relative position.  The blocks run in waves of max(threads, 2^21 // L) blocks,
     and each wave is folded before the next one starts, so the histograms
     held at once take O(threads * L + 2^21) entries whatever the rounds.
     Waves start on block boundaries and the blocks are folded in block
@@ -273,11 +277,12 @@ def simulate(
     top = np.uint64(64 - bits)
     key = rng.stream_keys(seed, 0, 1)
     winning = is_winning(np.arange(L, dtype=np.int64), L).astype(np.int64)
+    step = _step_table(combined)
 
     def worker(start: int, count: int):
         x = rng.slot_u64(key, np.arange(start, start + count, dtype=np.uint64)).ravel()
         x >>= top
-        rel = _block_walk(combined, x, bits)
+        rel = _block_walk(step, L, x, bits)
         return np.bincount(rel, minlength=L), int(rel[-1])
 
     wins = 0

@@ -16,7 +16,9 @@ implementations it checks.  These parts take something from the package:
   exp-of-sum kicked coherences and the wheel-game position merge keep the
   package's random streams (and kick laws) and fix the results the faster
   routes must match; the per-point estimators also take the package's
-  ``montecarlo.phasors`` for the continuous kick laws;
+  ``montecarlo.phasors`` for the continuous kick laws, and
+  ``phasors_strided`` is that kernel as first written, on the strided
+  real and imaginary views of its result;
 * the memory-kernel recursion keyed by ``SetLabel`` takes the package's
   kernels, the roll-per-offset power iteration takes its wheel games, and
   the JSON/CSV writers take the values the CLI prints.
@@ -395,6 +397,24 @@ class QubitMapSpec:
         return cls(
             ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))
         )
+
+
+def unit_images(channels: list[KrausChannel]) -> np.ndarray:
+    """Images of |0><0|, |0><1|, |1><0|, |1><1| under each channel, from arrays.
+
+    Shape (channel, unit, row, column).  The image of |i><j| is
+    sum_t w_t K_t[:, i] K_t[:, j]+, the sum :meth:`QubitMapSpec.from_kraus`
+    writes out; channels with fewer terms are padded with zero weights.
+    """
+    n_terms = max(len(ch.terms) for ch in channels)
+    w = np.zeros((len(channels), n_terms))
+    k = np.zeros((len(channels), n_terms, 2, 2), dtype=complex)
+    for c, ch in enumerate(channels):
+        for t, (weight, op) in enumerate(ch.terms):
+            w[c, t] = weight
+            k[c, t] = op
+    images = np.einsum("ct,ctri,ctkj->cijrk", w, k, k.conj())
+    return images.reshape(len(channels), 4, 2, 2)
 
 
 def _unit_images(spec: QubitMapSpec) -> dict[tuple[int, int], Matrix2]:
@@ -1097,6 +1117,37 @@ def simulate_by_positions(combined, rounds: int, seed: int, threads: int = 1) ->
         wins += int(np.count_nonzero((4 * pos <= L) | (4 * pos >= 3 * L)))
         carry = int(pos[-1])
     return wins
+
+
+# --- The phasor kernel as written on strided views of its result ---
+
+
+def phasors_strided(theta: np.ndarray) -> np.ndarray:
+    """e^{-i theta} per entry, from t = tan(theta/2); overwrites ``theta``.
+
+    cos theta = (1 - t^2) / (1 + t^2) and sin theta = 2t / (1 + t^2).  One
+    Newton step, (c, s) *= 1.5 - 0.5 * (c^2 + s^2), brings the modulus back
+    to 1 within 2 eps.  numpy 2.4 has an AVX-512 kernel for float64 ``tan``
+    but none for ``cos``, ``sin`` or complex ``exp`` (README).
+    """
+    out = rng._empty(len(theta), np.complex128)
+    c, s = out.real, out.imag
+    t = theta
+    t *= 0.5
+    np.tan(t, out=t)
+    np.multiply(t, t, out=c)
+    np.multiply(t, -2.0, out=s)
+    np.subtract(1.0, c, out=t)
+    c += 1.0
+    s /= c
+    np.divide(t, c, out=c)
+    np.multiply(c, c, out=t)
+    t += np.multiply(s, s, out=rng._empty(len(s)))
+    t *= -0.5
+    t += 1.5
+    c *= t
+    s *= t
+    return out
 
 
 # --- The wheel-game power iteration as written with one roll per offset ---

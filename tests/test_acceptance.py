@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from _oracles import (
-    QubitMapSpec,
     apply_channel,
     apply_word,
     as_complex,
@@ -31,6 +30,7 @@ from _oracles import (
     random_diagonal_channel,
     textbook_grover_matrix,
     uniform_state,
+    unit_images,
 )
 from noisegames import cli
 from noisegames.dissipative import (
@@ -189,15 +189,12 @@ def test_criterion_5_no_coherence_gain():
     with criterion(5, "no coherence booster", budget=60.0):
         gen = derive_stream(505, 0)
         n_channels, n_states = 10_000, 100
-        channels, images = [], []
+        channels = []
         u = np.empty((n_channels, 3 * n_states))
         for i in range(n_channels):
-            ch = random_diagonal_channel(gen)
+            channels.append(random_diagonal_channel(gen))
             u[i] = gen.uniform(3 * n_states)
-            spec = QubitMapSpec.from_kraus(ch)
-            channels.append(ch)
-            images.append((spec.img00, spec.img01, spec.img10, spec.img11))
-        img = np.array(images)  # (channel, unit 00/01/10/11, row, column)
+        img = unit_images(channels)  # (channel, unit 00/01/10/11, row, column)
         # each channel's states, drawn as (a, r, chi) triples
         a = u[:, 0::3]
         r = u[:, 1::3] * np.sqrt(np.maximum(a * (1.0 - a), 0.0))

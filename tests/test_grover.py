@@ -26,7 +26,7 @@ from _oracles import (
     walk_reduced_length,
     word_success,
 )
-from noisegames import grover
+from noisegames import grover, rng
 from noisegames.grover import (
     AdaptiveTracking,
     FixedHorizon,
@@ -280,6 +280,13 @@ class TestEvaluateStrategy:
         assert sum(out.stopping_time_histogram.values()) == 200 - out.censored
         assert all(24 <= t <= 100 for t in out.stopping_time_histogram)
 
+    def test_negative_cap_is_refused(self):
+        # it used to report every trial as censored at length 0
+        with pytest.raises(ValueError, match="max_adaptive_steps"):
+            evaluate_strategy(
+                AdaptiveTracking(2), GameConfig(5), 10, seed=0, max_adaptive_steps=-1
+            )
+
     def test_censored_trials_score_the_length_they_hold(self):
         # k_star = 50 needs E[T] = 100 * 101 letters, so a 100-letter cap censors all
         c = GameConfig(12)
@@ -415,3 +422,28 @@ class TestSignedLetterCount:
     @pytest.mark.parametrize("cap", [0, 1, 37, 63, 64, 65, 100, 129])
     def test_adaptive_is_the_walk_under_caps(self, k_star, cap):
         self.assert_adaptive_is_the_walk(k_star, 3000, k_star, cap)
+
+    # Up to k_star = 8 one byte can reach both -k_star and +k_star.  The caps
+    # end inside a byte, on one, and on either side of one and two draws.
+    @pytest.mark.parametrize("k_star", range(11))
+    def test_byte_tables_are_the_walk(self, k_star, monkeypatch):
+        run_blocks = rng.run_blocks
+        # blocks of 128 trials, so that two threads share the 300 trials
+        monkeypatch.setattr(
+            rng,
+            "run_blocks",
+            lambda total, worker, threads=1: run_blocks(total, worker, threads, block_size=128),
+        )
+        stopped = 0
+        for cap in [*range(18), 63, 64, 65, 127, 128, 129]:
+            stop_at, s, censored = walk_adaptive(k_star, 300, k_star, cap)
+            stopped += 300 - censored.size
+            for threads in (1, 2):
+                out = evaluate_strategy(
+                    AdaptiveTracking(k_star), GameConfig(7), 300, k_star, threads, cap
+                )
+                assert out.censored == censored.size, (cap, threads)
+                stops = Counter(np.delete(stop_at, censored).tolist())
+                assert out.stopping_time_histogram == stops, (cap, threads)
+                assert out.reduced_length_histogram == Counter(s.tolist()), (cap, threads)
+        assert stopped > 0

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import iid_mc_point, memory_mc_point
+from _oracles import iid_mc_point, memory_mc_point, phasors_strided
 from noisegames import montecarlo, rng
 from noisegames.dissipative import NoiseScales, averaged_channel_mc
 from noisegames.grover import AdaptiveTracking, FixedHorizon, GameConfig, evaluate_strategy
@@ -129,6 +129,28 @@ def test_phasors_match_complex_exponential(scale):
     z = montecarlo.phasors(theta.copy())
     assert np.max(np.abs(z - np.exp(-1j * theta))) <= 2 * EPS
     assert np.max(np.abs(np.abs(z) - 1.0)) <= 2 * EPS
+
+
+def test_phasors_are_the_strided_kernel_bit_for_bit():
+    gen = np.random.default_rng(7)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, math.pi, -math.pi, 1e3, -1e3]
+    theta = np.concatenate(
+        [
+            special,
+            gen.standard_normal(1 << 14),
+            gen.uniform(-math.pi, math.pi, 1 << 14),
+            gen.uniform(1e3, 1e6, 1 << 13) * gen.choice([-1.0, 1.0], 1 << 13),
+            gen.exponential(1.0, (1 << 14) + (1 << 13) - len(special)),
+        ]
+    )
+    assert len(theta) == 1 << 16
+    assert np.count_nonzero((theta != 0) & (np.abs(theta) < np.finfo(np.float64).tiny)) == 4
+    assert np.count_nonzero(np.abs(theta) > 1e3) > 8000
+    want = phasors_strided(theta.copy()).tobytes()
+    assert montecarlo.phasors(theta.copy()).tobytes() == want
+    # inside a block the arrays come from the thread's set
+    [got] = rng.run_blocks(1, lambda start, count: montecarlo.phasors(theta.copy()).tobytes())
+    assert got == want
 
 
 @pytest.mark.parametrize(

@@ -230,7 +230,7 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(CombinedGame((GAME_A,)), 0, seed=0)
 
-    @pytest.mark.parametrize("moduli", [(3, 7), (19, 23), (3, 5, 7), (3, 3)])
+    @pytest.mark.parametrize("moduli", [(3, 7), (19, 23), (3, 5, 7), (3, 3), (3, 5, 7, 11)])
     @pytest.mark.parametrize(
         "rounds",
         [
@@ -249,7 +249,7 @@ class TestSimulate:
 
 
 class TestWheelSlots:
-    @pytest.mark.parametrize("moduli", [(3, 7), (3, 3), (3, 9), (5, 7, 11)])
+    @pytest.mark.parametrize("moduli", [(3, 7), (3, 3), (3, 9), (5, 7, 11), (3, 5, 7, 11)])
     def test_slots_reproduce_step_weights(self, moduli):
         g = CombinedGame(tuple(RotationGame(m) for m in moduli))
         L = g.modulus
@@ -260,7 +260,7 @@ class TestWheelSlots:
         i = np.arange(P)
         assert np.array_equal((x * np.uint64(P)) >> np.uint64(bits), i)
         # Walking the slots in order, each step's turn is the difference.
-        rotations = np.diff(parrondo._block_walk(g, x, bits), prepend=0) % L
+        rotations = np.diff(parrondo._block_walk(parrondo._step_table(g), L, x, bits), prepend=0) % L
         stride = np.repeat([L // m for m in moduli], L)
         assert np.array_equal(rotations, (i % L) // stride * stride)
         offsets, counts = np.unique(rotations, return_counts=True)

@@ -20,6 +20,7 @@ from _oracles import (
     random_diagonal_channel,
     random_state,
     rz,
+    unit_images,
 )
 from noisegames.qubit import DensityMatrix2, coherence, plus_state
 
@@ -185,6 +186,16 @@ class TestChoi:
             eigs = np.linalg.eigvalsh(choi_matrix(spec))
             assert eigs[0] >= -1e-10
             assert is_cptp(spec)
+
+    def test_unit_images_from_arrays_are_from_kraus(self):
+        stream = derive_stream(9, 0)
+        u = rz(0.8)
+        channels = [KrausChannel(((1.0, ((u.u00, u.u01), (u.u10, u.u11))),))]
+        channels += [random_diagonal_channel(stream) for _ in range(100)]
+        for ch, img in zip(channels, unit_images(channels), strict=True):
+            spec = QubitMapSpec.from_kraus(ch)
+            want = [spec.img00, spec.img01, spec.img10, spec.img11]
+            assert np.allclose(img, np.array(want), rtol=0, atol=1e-15)
 
 
 class TestIsCptp:
