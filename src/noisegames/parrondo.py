@@ -233,11 +233,12 @@ def _block_walk(step: np.ndarray, L: int, x: np.ndarray, bits: int) -> np.ndarra
 
     ``x`` holds the top ``bits`` bits of each round's draw, and is
     overwritten as scratch.  The round plays slot i = (x * P) >> bits of
-    the P = len(step) slots of :func:`_step_table` and turns ``step[i]``.
+    the P = len(step) slots of :func:`_step_table` and turns ``step[i]``;
+    x * P < 2^64, as x < 2^bits and P <= 2^(64 - bits).
     """
     x *= np.uint64(len(step))
     x >>= np.uint64(bits)
-    # Every slot is below P; "clip" only spares numpy its bounds check.
+    # Every slot is below P, so "clip" moves no index.
     turn = step.take(x.view(np.int64), mode="clip")
     # An in-place accumulate holds the GIL for its whole loop; into another
     # array it does not, and two threads' walks overlap.
@@ -263,10 +264,11 @@ def simulate(
     in total.  The turn of every slot is looked up in one table of P
     entries (:func:`_step_table`), built once per call beside the O(L)
     win mask; with pairwise coprime odd moduli above 1, G <= log_3 L.
-    Each block keeps only the histogram of its positions
-    relative to its own start and its last relative position.  The blocks run in waves of max(threads, 2^21 // L) blocks,
-    and each wave is folded before the next one starts, so the histograms
-    held at once take O(threads * L + 2^21) entries whatever the rounds.
+    Each block keeps only the histogram of its positions relative to its
+    own start and its last relative position.  The blocks run in waves of
+    max(threads, 2^21 // L) blocks, and each wave is folded before the
+    next one starts, so the histograms held at once take
+    O(threads * L + 2^21) entries whatever the rounds.
     Waves start on block boundaries and the blocks are folded in block
     order, so tallies are bit-identical under any thread count.
     """

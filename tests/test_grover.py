@@ -409,6 +409,7 @@ class TestSignedLetterCount:
         assert out.censored == censored.size
         assert out.stopping_time_histogram == Counter(np.delete(stop_at, censored).tolist())
         assert out.reduced_length_histogram == Counter(s.tolist())
+        return out
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
     def test_lengths_and_stopping_times_across_blocks(self, threads):
@@ -436,14 +437,7 @@ class TestSignedLetterCount:
         )
         stopped = 0
         for cap in [*range(18), 63, 64, 65, 127, 128, 129]:
-            stop_at, s, censored = walk_adaptive(k_star, 300, k_star, cap)
-            stopped += 300 - censored.size
             for threads in (1, 2):
-                out = evaluate_strategy(
-                    AdaptiveTracking(k_star), GameConfig(7), 300, k_star, threads, cap
-                )
-                assert out.censored == censored.size, (cap, threads)
-                stops = Counter(np.delete(stop_at, censored).tolist())
-                assert out.stopping_time_histogram == stops, (cap, threads)
-                assert out.reduced_length_histogram == Counter(s.tolist()), (cap, threads)
+                out = self.assert_adaptive_is_the_walk(k_star, 300, k_star, cap, threads)
+                stopped += 300 - out.censored
         assert stopped > 0

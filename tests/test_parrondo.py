@@ -260,7 +260,8 @@ class TestWheelSlots:
         i = np.arange(P)
         assert np.array_equal((x * np.uint64(P)) >> np.uint64(bits), i)
         # Walking the slots in order, each step's turn is the difference.
-        rotations = np.diff(parrondo._block_walk(parrondo._step_table(g), L, x, bits), prepend=0) % L
+        walk = parrondo._block_walk(parrondo._step_table(g), L, x, bits)
+        rotations = np.diff(walk, prepend=0) % L
         stride = np.repeat([L // m for m in moduli], L)
         assert np.array_equal(rotations, (i % L) // stride * stride)
         offsets, counts = np.unique(rotations, return_counts=True)
