@@ -52,8 +52,8 @@ def phasors(theta: np.ndarray) -> np.ndarray:
     but none for ``cos``, ``sin`` or complex ``exp`` (README).  Every pass
     runs over contiguous arrays: until the parts are written into the
     complex result at the end, the two halves of its float view hold c and
-    the scratch for s^2, so the kernel takes no more memory than one that
-    computes in the result's strided real and imaginary views.
+    the scratch for s^2, so besides ``theta`` and the result the kernel
+    takes one block-sized array, for s.
     """
     n = len(theta)
     out = rng._empty(n, np.complex128)

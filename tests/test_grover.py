@@ -281,7 +281,6 @@ class TestEvaluateStrategy:
         assert all(24 <= t <= 100 for t in out.stopping_time_histogram)
 
     def test_negative_cap_is_refused(self):
-        # it used to report every trial as censored at length 0
         with pytest.raises(ValueError, match="max_adaptive_steps"):
             evaluate_strategy(
                 AdaptiveTracking(2), GameConfig(5), 10, seed=0, max_adaptive_steps=-1
