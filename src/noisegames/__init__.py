@@ -49,8 +49,6 @@ from .memory import (
     kernel,
 )
 from .parrondo import (
-    GAME_A,
-    GAME_B,
     CombinedGame,
     GameStats,
     RotationGame,

@@ -47,10 +47,12 @@ CURVE_MAX_STEPS = 1 << 16
 MC_KICK_OVERHEAD = 1 << 11
 MC_MAX_KICKS = 1 << 28
 
-# A fixed-horizon search run of m letters costs trials * ceil(m / 64) draws
-# (64 letters each), about 8 ns a draw on one core of a 2-core Xeon VM, so
-# this bound is about 35 s on one thread.  A run that needs more draws is
-# refused before the first one.
+# A run needs trials * ceil(m / 64) draws for a fixed search horizon of m
+# letters, one per wheel round and 4 per dissipative trial.  On one thread of
+# a 2-core Xeon VM these cost about 8 ns a draw, 12-16 ns a round and 65-85 ns
+# a trial, so a run at the bound takes 35 s to 1.5 minutes; more is refused
+# before the first draw.  Adaptive search is unbounded: its worst case,
+# trials * ceil(cap / 64), would refuse n = 10 runs of about 40 draws a trial.
 MC_MAX_DRAWS = 1 << 32
 
 # Each worker thread of a Monte Carlo run holds one set of block-sized arrays,
@@ -252,6 +254,12 @@ def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
 # None).  The rows are formatted only when the CSV is written.
 
 
+def _limit_draws(draws: int, what: str, rule: str) -> None:
+    """Refuse a Monte Carlo run of more than ``MC_MAX_DRAWS`` draws."""
+    if draws > MC_MAX_DRAWS:
+        raise ValueError(f"{what} need {draws} draws; a run is limited to {MC_MAX_DRAWS} ({rule})")
+
+
 def _curve_mc(v: dict) -> bool:
     """Whether a curve's Monte Carlo pass runs; one over ``MC_MAX_KICKS`` is refused."""
     if v["trials"] == 0 or v["exact"]:
@@ -349,6 +357,7 @@ def _cmd_dissipative(v: dict, threads: int):
     }
     diagnostics: dict = {"mc": trials > 0}
     if trials > 0:
+        _limit_draws(4 * trials, f"{trials} trials", "4 * trials")
         mc = dissipative.averaged_channel_mc(rho0, p, scales, trials, v["seed"], threads)
         results["mc"] = _state_entries(mc.rho_avg)
         diagnostics["stderr_pop"] = mc.stderr_pop
@@ -374,6 +383,7 @@ def _cmd_parrondo(v: dict, threads: int):
         "power_iteration_residual": stationary.power_iteration_residual,
     }
     if v["trials"] > 0 and not v["exact"]:
+        _limit_draws(v["trials"], f"{v['trials']} rounds", "one per round")
         sim = parrondo.simulate(combined, v["trials"], v["seed"], threads)
         results["simulation"] = {
             "rounds": sim.rounds,
@@ -413,12 +423,11 @@ def _cmd_grover(v: dict, threads: int):
 
     if v["trials"] > 0:
         if isinstance(strategy, grover.FixedHorizon):
-            draws = v["trials"] * grover.fixed_horizon_draws(strategy.m)
-            if draws > MC_MAX_DRAWS:
-                raise ValueError(
-                    f"{v['trials']} trials of {strategy.m} letters need {draws} draws; "
-                    f"a run is limited to {MC_MAX_DRAWS} (trials * ceil(m / 64))"
-                )
+            _limit_draws(
+                v["trials"] * grover.fixed_horizon_draws(strategy.m),
+                f"{v['trials']} trials of {strategy.m} letters",
+                "trials * ceil(m / 64)",
+            )
         outcome = grover.evaluate_strategy(strategy, config, v["trials"], v["seed"], threads)
         results["strategy_eval"] = {
             "win_prob": outcome.win_prob,

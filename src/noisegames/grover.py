@@ -317,7 +317,7 @@ def evaluate_strategy(
             counts = rng._empty(keys.size, np.int64)
             per_call = max(_GRID_ELEMENTS // keys.size, 1)
             for first in range(0, words, per_call):
-                w = rng.slot_u64(keys, np.arange(first, min(first + per_call, words)))
+                w = rng.slot_u64(keys, first, min(per_call, words - first))
                 w ^= _ODD  # a set bit is now an A at an even slot or a B at an odd one
                 if first + per_call >= words:
                     w[-1] &= tail
@@ -349,8 +349,7 @@ def evaluate_strategy(
             while active.size and step < cap:
                 per_trial = _GRID_ELEMENTS // (_LETTERS * active.size)
                 n = min(_LETTERS * per_trial, cap - step)
-                slots = np.arange(step, step + n, _LETTERS) // _LETTERS
-                w = rng.slot_u64(keys[active], slots)
+                w = rng.slot_u64(keys[active], step // _LETTERS, -(-n // _LETTERS))
                 # row i holds letters step .. step+n-1 of trial active[i], 8 to a byte
                 letters = np.ascontiguousarray(w.T).astype("<u8", copy=False).view(np.uint8)
                 letters = letters[:, : -(-n // 8)]

@@ -50,10 +50,6 @@ class RotationGame:
             raise ValueError("modulus must be odd and positive")
 
 
-GAME_A = RotationGame(3)
-GAME_B = RotationGame(7)
-
-
 @dataclass(frozen=True, slots=True)
 class CombinedGame:
     """Uniform random mixture of rotation games, played on Z_lcm(moduli)."""
@@ -80,19 +76,6 @@ class CombinedGame:
             for i in range(len(ms))
             for j in range(i + 1, len(ms))
         )
-
-    def step_weights(self) -> dict[int, Fraction]:
-        """Exact one-round transition law as offset -> probability."""
-        L = self.modulus
-        out: dict[int, Fraction] = {}
-        share = Fraction(1, len(self.games))
-        for g in self.games:
-            stride = L // g.m
-            w = share / g.m
-            for j in range(g.m):
-                off = (j * stride) % L
-                out[off] = out.get(off, Fraction(0)) + w
-        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,17 +105,20 @@ def stationary_distribution(combined: CombinedGame) -> StationaryDistribution:
     """Float power iteration from a point mass, measured against 1/L.
 
     One step adds ``w * np.roll(v, off)`` over the offsets in increasing
-    order from zero.  ``np.roll(v, off)`` is the window of length L at
-    L - off over v written twice, so each group of offsets is one gather
-    of windows, and the sum runs down the gathered rows in offset order
-    after the carry from the groups before.  The iterated distribution
-    must reach the uniform law to 1e-12, or a ``RuntimeError`` is raised.
+    order from zero, where ``off`` is the turn of ``count`` of the P = G*L
+    slots of :func:`_step_table` and ``w = count / P``.  ``np.roll(v, off)``
+    is the window of length L at L - off over v written twice, so each
+    group of offsets is one gather of windows, and the sum runs down the
+    gathered rows in offset order after the carry from the groups before.
+    The iterated distribution must reach the uniform law to 1e-12, or a
+    ``RuntimeError`` is raised.
     """
     L = combined.modulus
-    weights = combined.step_weights()
-    offs = sorted(weights)
-    ws = np.array([float(weights[o]) for o in offs])[:, None]
-    starts = L - np.array(offs)
+    table = _step_table(combined)
+    counts = np.bincount(table.view(np.int64), minlength=L)
+    offs = np.flatnonzero(counts)
+    ws = (counts[offs] / len(table))[:, None]
+    starts = L - offs
     doubled = np.empty(2 * L)
     windows = np.lib.stride_tricks.sliding_window_view(doubled, L)
     per_group = max(_GATHER_ENTRIES // L, 1)
@@ -229,17 +215,18 @@ def _step_table(combined: CombinedGame) -> np.ndarray:
 
 
 def _block_walk(step: np.ndarray, L: int, x: np.ndarray, bits: int) -> np.ndarray:
-    """Position after each round of a block, relative to its start, in a new array.
+    """Position after each round of a block, relative to its start, written over ``x``.
 
-    ``x`` holds the top ``bits`` bits of each round's draw, and is
-    overwritten as scratch.  The round plays slot i = (x * P) >> bits of
-    the P = len(step) slots of :func:`_step_table` and turns ``step[i]``;
-    x * P < 2^64, as x < 2^bits and P <= 2^(64 - bits).
+    ``x`` holds the top ``bits`` bits of each round's draw.  The round
+    plays slot i = (x * P) >> bits of the P = len(step) slots of
+    :func:`_step_table` and turns ``step[i]``; x * P < 2^64, as x < 2^bits
+    and P <= 2^(64 - bits).  The turns are gathered into an array of the
+    thread's block set.
     """
     x *= np.uint64(len(step))
     x >>= np.uint64(bits)
     # Every slot is below P, so "clip" moves no index.
-    turn = step.take(x.view(np.int64), mode="clip")
+    turn = step.take(x.view(np.int64), mode="clip", out=rng._empty(len(x), np.uint64))
     # An in-place accumulate holds the GIL for its whole loop; into another
     # array it does not, and two threads' walks overlap.
     position = np.cumsum(turn, out=x)
@@ -282,7 +269,7 @@ def simulate(
     step = _step_table(combined)
 
     def worker(start: int, count: int):
-        x = rng.slot_u64(key, np.arange(start, start + count, dtype=np.uint64)).ravel()
+        x = rng.slot_u64(key, start, count).reshape(count)
         x >>= top
         rel = _block_walk(step, L, x, bits)
         return np.bincount(rel, minlength=L), int(rel[-1])

@@ -3,14 +3,14 @@
 All randomness in this package reduces to a single pure function of
 ``(seed, stream index, draw slot)`` built on the SplitMix64 finalizer.
 Stream ``i`` under master seed ``s`` is the SplitMix64 sequence started at
-``stream_key(s, i)``; draw slot ``d`` of that stream is
+key ``stream_keys(s, i, 1)[0]``; draw slot ``d`` of that stream is
 ``mix(key + (d + 1) * GOLDEN)``.  Every draw is addressed by its slot
 (:func:`slot_u64` and the uniform and normal maps built on it); no stream
 carries a cursor or other hidden state, so any partition of trajectories
-into blocks or threads reproduces results bit for bit.  An array of slots
-reads a run of one stream at once, as a wheel-game walk reads its rounds.
-Each map writes into a destination the caller provides, or into one from
-:func:`_empty` when it is omitted.
+into blocks or threads reproduces results bit for bit.  Draws come in runs
+of consecutive slots, as a wheel-game walk reads its rounds; a single slot
+is a run of one.  Keys and slot offsets are both counters built from one
+table (:func:`_counters`).
 
 Inside a :func:`run_blocks` call, each worker thread holds one set of
 block-sized arrays, and :func:`_empty` hands out the arrays of that set
@@ -38,6 +38,7 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15   # SplitMix64 increment
 _KEY_MULT = 0xD1342543DE82EF95  # odd multiplier: index -> key stays injective
+_KEY_MULT_INV = pow(_KEY_MULT, -1, 1 << 64)
 
 # Default trajectory-block size for parallel Monte Carlo.  Fixed regardless
 # of thread count, so block boundaries (and hence float summation order)
@@ -139,55 +140,62 @@ def _seed_words(seed: int) -> tuple[int, int]:
     return s0, s1
 
 
-def stream_key(seed: int, index: int) -> int:
-    """Key of stream ``index`` under ``seed`` (pure, injective in index)."""
-    s0, s1 = _seed_words(seed)
-    k = _mix_int(((index & _MASK64) * _KEY_MULT + s0) & _MASK64)
-    return _mix_int(k ^ s1)
+def _counters(out: np.ndarray, first: int, step: int, base: int) -> np.ndarray:
+    """``out[j] = (first + j) * step + base`` mod 2^64, from ``_KEY_STEPS`` a block at a time.
+
+    A step other than ``_KEY_MULT`` scales the table by ``step / _KEY_MULT``
+    mod 2^64, which exists as ``_KEY_MULT`` is odd.
+    """
+    scale = np.uint64(step * _KEY_MULT_INV & _MASK64)
+    for lo in range(0, len(out), BLOCK_SIZE):
+        piece = out[lo : lo + BLOCK_SIZE]
+        head = np.uint64(((first + lo) * step + base) & _MASK64)
+        if step == _KEY_MULT:
+            np.add(_KEY_STEPS[: len(piece)], head, out=piece)
+        else:
+            np.multiply(_KEY_STEPS[: len(piece)], scale, out=piece)
+            piece += head
+    return out
 
 
-def stream_keys(seed: int, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+def stream_keys(seed: int, start: int, count: int) -> np.ndarray:
     """Keys of streams ``start .. start+count-1``, as a uint64 array.
 
-    Bit-identical to ``stream_key`` applied elementwise.  Written into
-    ``out`` (uint64, length ``count``) when it is given.
+    Key i is ``mix(mix(i * _KEY_MULT + s0) ^ s1)`` for the seed's words
+    ``s0, s1``.
     """
     s0, s1 = _seed_words(seed)
-    k = _empty(count, np.uint64) if out is None else out
-    # index * _KEY_MULT + s0, wrapping mod 2^64, a block of indices at a time
-    for lo in range(0, count, BLOCK_SIZE):
-        piece = k[lo : lo + BLOCK_SIZE]
-        first = np.uint64(((start + lo) * _KEY_MULT + s0) & _MASK64)
-        np.add(_KEY_STEPS[: len(piece)], first, out=piece)
+    k = _counters(_empty(count, np.uint64), start, _KEY_MULT, s0)
     t = _empty(count, np.uint64)
     _mix(k, t)
     k ^= np.uint64(s1)
     return _mix(k, t)
 
 
-def _draw(keys: np.ndarray, slot, out: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """:func:`slot_u64` into ``out``, with ``t`` as the finalizer's scratch."""
-    # shape (1,) for a scalar slot, (S, 1) for an array; wraps mod 2^64
-    offset = (np.asarray(slot, dtype=np.uint64)[..., None] + np.uint64(1)) * np.uint64(_GOLDEN)
-    np.add(keys, offset, out=out)
+def _draw(keys: np.ndarray, first: int, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """:func:`slot_u64` into ``out``, with ``t`` (same shape) as the finalizer's scratch.
+
+    The offsets ``(slot + 1) * GOLDEN`` are built in the first ``len(out)``
+    entries of ``t``.
+    """
+    offsets = _counters(t.reshape(-1)[: len(out)], first, _GOLDEN, _GOLDEN)
+    np.add(keys, offsets[:, None], out=out)
     return _mix(out, t)
 
 
-def slot_u64(keys: np.ndarray, slot: int | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Raw 64-bit draw at ``slot`` for every stream key in ``keys``.
+def slot_u64(keys: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Raw 64-bit draws of every key in ``keys`` at slots ``first .. first+count-1``.
 
-    ``slot`` may be a 1-D integer array instead: the result then has shape
-    ``(len(slot), len(keys))`` and row i equals ``slot_u64(keys, slot[i])``.
-    Written into ``out`` (uint64, of that shape) when it is given.
+    The result has shape ``(count, len(keys))``; row i is slot ``first + i``
+    (mod 2^64) of each key's stream.
     """
-    if out is None:
-        out = _empty(np.shape(slot) + keys.shape, np.uint64)
-    return _draw(keys, slot, out, _empty(out.shape, np.uint64))
+    out = _empty((count, len(keys)), np.uint64)
+    return _draw(keys, first, out, _empty(out.shape, np.uint64))
 
 
 def _top_53_bits(keys: np.ndarray, slot: int, out: np.ndarray) -> np.ndarray:
     """The top 53 bits of each draw at ``slot``, using float64 ``out`` as scratch."""
-    x = _draw(keys, slot, _empty(len(keys), np.uint64), out.view(np.uint64))
+    x = _draw(keys, slot, _empty((1, len(keys)), np.uint64), out.view(np.uint64)[None])[0]
     x >>= np.uint64(11)
     return x
 
@@ -206,10 +214,8 @@ def slot_uniform_open(keys: np.ndarray, slot: int, out: np.ndarray | None = None
     return out
 
 
-def slot_normal(
-    keys: np.ndarray, slot: int, out: np.ndarray | None = None, sine: np.ndarray | None = None
-) -> np.ndarray:
-    """One standard normal per key via Box-Muller, R * cos(2*pi*u2), into ``out`` if given.
+def slot_normal(keys: np.ndarray, slot: int, sine: np.ndarray | None = None) -> np.ndarray:
+    """One standard normal per key via Box-Muller, R * cos(2*pi*u2).
 
     Normal ``slot`` consumes raw slots ``2*slot`` and ``2*slot + 1``; keep
     normal and uniform slot ranges disjoint within one kernel.  The cosine
@@ -220,7 +226,7 @@ def slot_normal(
     R * 2t / (1 + t^2), is written into it from the same t, R and
     denominator; the cosine's bytes do not depend on it.
     """
-    r = slot_uniform_open(keys, 2 * slot, out)
+    r = slot_uniform_open(keys, 2 * slot)
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)

@@ -6,7 +6,9 @@ adaptive quadrature) so that it shares no arithmetic with the
 implementations it checks.  These parts take something from the package:
 
 * ``Stream`` is a sequential cursor over the package's slot-addressed
-  draws (``rng.stream_keys`` and ``rng.slot_u64``);
+  draws (``rng.stream_keys`` and ``rng.slot_u64``), and ``stream_key``
+  derives one stream's key in Python integers from the package's seed
+  words and finalizer;
 * ``random_state`` returns the package's ``DensityMatrix2``, whose
   constructor validates it, and ``random_diagonal_channel`` a
   ``KrausChannel`` of the qubit-channel algebra below;
@@ -20,8 +22,10 @@ implementations it checks.  These parts take something from the package:
   ``phasors_strided`` is that kernel as first written, on the strided
   real and imaginary views of its result;
 * the memory-kernel recursion keyed by ``SetLabel`` takes the package's
-  kernels, the roll-per-offset power iteration takes its wheel games, and
-  the JSON/CSV writers take the values the CLI prints.
+  kernels, the roll-per-offset power iteration and the exact step law
+  ``step_weights`` take its wheel games (``GAME_A`` and ``GAME_B`` are the
+  3- and 7-games), and the JSON/CSV writers take the values the CLI
+  prints.
 
 Two sections are reference implementations the package used to carry
 although no CLI run reaches them: the qubit-channel algebra (unitaries,
@@ -52,6 +56,7 @@ from noisegames.kicks import (
     char_function,
 )
 from noisegames.memory import MemoryKernel, SetLabel
+from noisegames.parrondo import RotationGame
 from noisegames.qubit import ATOL_STATE, DensityMatrix2, _finite
 
 
@@ -138,12 +143,19 @@ def alternating_word(length: int) -> str:
 _STREAM_BUFFER_SLOTS = 1 << 16
 
 
+def stream_key(seed: int, index: int) -> int:
+    """Key of stream ``index`` under ``seed`` (pure, injective in index)."""
+    s0, s1 = rng._seed_words(seed)
+    k = rng._mix_int(((index & rng._MASK64) * rng._KEY_MULT + s0) & rng._MASK64)
+    return rng._mix_int(k ^ s1)
+
+
 class Stream:
     """Sequential view of one derived stream (draws advance a slot cursor).
 
-    Slots are drawn ahead, 65,536 at a time, by one array-slot
-    ``rng.slot_u64`` call and served from that buffer; each value is the
-    draw at its slot, as if it were drawn alone.
+    Slots are drawn ahead, 65,536 at a time, by one run of
+    ``rng.slot_u64`` and served from that buffer; each value is the draw
+    at its slot, as if it were drawn alone.
     """
 
     __slots__ = ("keys", "_slot", "_buffer", "_buffer_start")
@@ -157,8 +169,8 @@ class Stream:
     def _take(self, n: int) -> np.ndarray:
         lo = self._slot - self._buffer_start
         if lo + n > self._buffer.size:
-            slots = np.arange(self._slot, self._slot + max(n, _STREAM_BUFFER_SLOTS))
-            self._buffer = rng.slot_u64(self.keys, slots)[:, 0].copy()
+            count = max(n, _STREAM_BUFFER_SLOTS)
+            self._buffer = rng.slot_u64(self.keys, self._slot, count)[:, 0].copy()
             self._buffer_start, lo = self._slot, 0
         self._slot += n
         return self._buffer[lo : lo + n].copy()
@@ -854,7 +866,7 @@ def walk_reduced_length(s: np.ndarray, is_a: np.ndarray) -> np.ndarray:
 
 def _letters_are_a(keys: np.ndarray, t: int) -> np.ndarray:
     """Letter t of each trial: bit t % 64 of its draw at slot t // 64 (1 for A)."""
-    return ((rng.slot_u64(keys, t // 64) >> np.uint64(t % 64)) & np.uint64(1)).astype(bool)
+    return ((rng.slot_u64(keys, t // 64, 1)[0] >> np.uint64(t % 64)) & np.uint64(1)).astype(bool)
 
 
 def walk_fixed_horizon(m: int, trials: int, seed: int) -> np.ndarray:
@@ -1058,7 +1070,25 @@ def chain_phase_sums(kern, keys: np.ndarray, n: int):
         yield total.copy()
 
 
-# --- The wheel games' closed-form rates ---
+# --- The wheel games' closed-form rates and exact step law ---
+
+
+GAME_A = RotationGame(3)
+GAME_B = RotationGame(7)
+
+
+def step_weights(combined) -> dict[int, Fraction]:
+    """Exact one-round transition law of a ``CombinedGame`` as offset -> probability."""
+    L = combined.modulus
+    out: dict[int, Fraction] = {}
+    share = Fraction(1, len(combined.games))
+    for g in combined.games:
+        stride = L // g.m
+        w = share / g.m
+        for j in range(g.m):
+            off = (j * stride) % L
+            out[off] = out.get(off, Fraction(0)) + w
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -1105,7 +1135,7 @@ def simulate_by_positions(combined, rounds: int, seed: int, threads: int = 1) ->
     key = rng.stream_keys(seed, 0, 1)
 
     def worker(start: int, count: int):
-        x = rng.slot_u64(key, np.arange(start, start + count, dtype=np.uint64))[:, 0]
+        x = rng.slot_u64(key, start, count)[:, 0]
         i = ((x >> np.uint64(64 - bits)) * np.uint64(P) >> np.uint64(bits)).astype(np.int64)
         stride = strides[i // L]
         return np.cumsum((i % L) // stride * stride) % L
@@ -1156,7 +1186,7 @@ def phasors_strided(theta: np.ndarray) -> np.ndarray:
 def power_iteration_residual_by_roll(combined) -> float:
     """Largest deviation from 1/L of the power-iterated law, one ``np.roll`` per offset."""
     L = combined.modulus
-    weights = combined.step_weights()
+    weights = step_weights(combined)
     offs = sorted(weights)
     ws = [float(weights[o]) for o in offs]
     v = np.zeros(L)

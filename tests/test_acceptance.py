@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    GAME_A,
+    GAME_B,
     apply_channel,
     apply_word,
     as_complex,
@@ -66,8 +68,6 @@ from noisegames.memory import (
     set_b_support,
 )
 from noisegames.parrondo import (
-    GAME_A,
-    GAME_B,
     CombinedGame,
     RotationGame,
     exact_rate,

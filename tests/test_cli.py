@@ -154,6 +154,41 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["parrondo", "--moduli", "3,7", "--trials", str(10**13)],
+            ["parrondo", "--trials", str(cli.MC_MAX_DRAWS + 1)],
+            ["dissipative", "--trials", str(10**13)],
+            ["dissipative", "--trials", str(cli.MC_MAX_DRAWS // 4 + 1)],
+        ],
+        ids=["parrondo-1e13", "parrondo-past-bound", "dissipative-1e13", "dissipative-past-bound"],
+    )
+    def test_draw_bound_refuses_wheel_and_dissipative_runs(self, argv, capsys):
+        code, text = run_cli(argv)
+        assert code == 2 and text == ""
+        assert f"limited to {cli.MC_MAX_DRAWS}" in capsys.readouterr().err
+
+    def test_draw_bound_leaves_exact_wheel_runs_alone(self):
+        assert run_cli(["parrondo", "--exact", "--trials", str(10**13)])[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, draws_per_trial",
+        [
+            (["parrondo"], 1),
+            (["dissipative"], 4),
+            (["grover", "--strategy", "fixed", "--m", "128"], 2),
+        ],
+        ids=["parrondo", "dissipative", "grover-fixed"],
+    )
+    def test_draw_bound_admits_runs_at_the_bound(self, argv, draws_per_trial, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MC_MAX_DRAWS", 4000)
+        trials = 4000 // draws_per_trial
+        assert run_cli([*argv, "--trials", str(trials)])[0] == 0
+        code, text = run_cli([*argv, "--trials", str(trials + 1)])
+        assert code == 2 and text == ""
+        assert "limited to 4000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["iid", "--exact", "--steps", "1000000"],
             ["memory", "--exact", "--steps", "1000000"],
             ["iid", "--steps", "100000", "--trials", "10"],

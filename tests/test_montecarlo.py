@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import iid_mc_point, memory_mc_point, phasors_strided
+from _oracles import iid_mc_point, memory_mc_point, phasors_strided, stream_key
 from noisegames import montecarlo, rng
 from noisegames.dissipative import NoiseScales, averaged_channel_mc
 from noisegames.grover import AdaptiveTracking, FixedHorizon, GameConfig, evaluate_strategy
@@ -104,7 +104,7 @@ def test_sampler_sees_each_trajectory_once(threads):
     assert sum(calls) == TRIALS
     assert len(calls) == len(tallies) == -(-TRIALS // rng.BLOCK_SIZE)
     starts = range(0, TRIALS, rng.BLOCK_SIZE)
-    assert tallies == [int(rng.stream_key(SEED, s) % 1000) for s in starts]
+    assert tallies == [int(stream_key(SEED, s) % 1000) for s in starts]
     assert len(estimates) == 1
 
 

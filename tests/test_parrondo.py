@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    GAME_A,
+    GAME_B,
     general_rates,
     power_iteration_residual_by_roll,
     simulate_by_positions,
+    step_weights,
     winning_positions_by_cosine,
 )
 from noisegames import parrondo, rng
 from noisegames.parrondo import (
-    GAME_A,
-    GAME_B,
     CombinedGame,
     RotationGame,
     exact_rate,
@@ -58,7 +59,7 @@ def _assert_doubly_stochastic(combined: CombinedGame) -> None:
     """Dense exact check that every row and column of the L x L transition
     matrix sums to 1 (the property that makes the uniform law stationary)."""
     L = combined.modulus
-    weights = combined.step_weights()
+    weights = step_weights(combined)
     dense = [[Fraction(0)] * L for _ in range(L)]
     for k in range(L):
         for off, w in weights.items():
@@ -266,4 +267,23 @@ class TestWheelSlots:
         assert np.array_equal(rotations, (i % L) // stride * stride)
         offsets, counts = np.unique(rotations, return_counts=True)
         law = {int(o): Fraction(int(c), P) for o, c in zip(offsets, counts)}
-        assert law == g.step_weights()
+        assert law == step_weights(g)
+
+    def test_table_counts_give_the_float_step_law(self):
+        # stationary_distribution weighs offset o by (its slots in the
+        # table) / P: the same floats, in the same offset order, as the
+        # exact law, for every tuple of one to three odd moduli below 40
+        tuples = 0
+        for size in (1, 2, 3):
+            for moduli in itertools.combinations_with_replacement(range(1, 40, 2), size):
+                g = CombinedGame(tuple(RotationGame(m) for m in moduli))
+                table = parrondo._step_table(g)
+                counts = np.bincount(table.view(np.int64), minlength=g.modulus)
+                offsets = np.flatnonzero(counts)
+                law = step_weights(g)
+                assert offsets.tolist() == sorted(law), moduli
+                assert (counts[offsets] / len(table)).tolist() == [
+                    float(law[o]) for o in sorted(law)
+                ], moduli
+                tuples += 1
+        assert tuples == 1770

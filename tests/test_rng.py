@@ -7,21 +7,26 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _oracles import derive_stream
+from _oracles import derive_stream, stream_key
 from noisegames import rng
 
 
 def test_scalar_and_vector_keys_agree():
     keys = rng.stream_keys(12345, 100, 50)
     for i in (0, 7, 49):
-        assert int(keys[i]) == rng.stream_key(12345, 100 + i)
+        assert int(keys[i]) == stream_key(12345, 100 + i)
+    # two pieces of the counter table, with indices wrapping past 2^64 - 1
+    b = rng.BLOCK_SIZE
+    keys = rng.stream_keys(12345, 2**64 - 5, b + 10)
+    for i in (0, 4, 5, b - 1, b, b + 9):
+        assert int(keys[i]) == stream_key(12345, 2**64 - 5 + i)
 
 
 def test_stream_matches_slot_addressing():
     keys = rng.stream_keys(9, 4, 1)
     s = derive_stream(9, 4)
     got = s.u64(5)
-    want = [int(rng.slot_u64(keys, d)[0]) for d in range(5)]
+    want = [int(rng.slot_u64(keys, d, 1)[0, 0]) for d in range(5)]
     assert list(got) == want
 
 
@@ -38,7 +43,7 @@ def test_different_indices_differ():
 
 
 def test_million_streams_no_first_output_collision():
-    firsts = rng.slot_u64(rng.stream_keys(0, 0, 1_000_000), 0)
+    firsts = rng.slot_u64(rng.stream_keys(0, 0, 1_000_000), 0, 1)
     assert np.unique(firsts).size == 1_000_000
 
 
@@ -107,19 +112,40 @@ def test_uniform_open_never_zero():
     assert np.all(u > 0.0) and np.all(u <= 1.0)
 
 
-def test_slot_array_rows_equal_scalar_slots():
-    # the last slots wrap (slot + 1) * GOLDEN modulo 2^64
-    keys = rng.stream_keys(3, 10, 40)
-    slots = [0, 1, 2, 7, 1000, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
-    grid = rng.slot_u64(keys, np.array(slots, dtype=np.uint64))
-    assert grid.shape == (len(slots), len(keys))
-    for row, slot in zip(grid, slots):
-        assert np.array_equal(row, rng.slot_u64(keys, slot))
-        # Python integers as the independent reference for the scalar draw
+_B = rng.BLOCK_SIZE
+
+
+@pytest.mark.parametrize(
+    "first, count, keys, rows",
+    [
+        (0, 9, 40, None),
+        (7, 9, 40, None),
+        (1000, 9, 40, None),
+        # these two wrap past slot 2^64 - 1
+        (2**63 - 2, 9, 40, None),
+        (2**64 - 3, 9, 40, None),
+        # three pieces of the counter table, wrapping at row _B + 3
+        (2**64 - _B - 3, 2 * _B + 5, 3, [0, 1, 2, 3, _B - 1, _B, _B + 1, _B + 2, _B + 3,
+                                          _B + 4, 2 * _B - 1, 2 * _B, 2 * _B + 1, 2 * _B + 4]),
+    ],
+    ids=["at-0", "at-7", "at-1000", "wrap-2^63", "wrap-2^64", "three-pieces"],
+)
+def test_run_rows_are_splitmix64_at_their_slots(first, count, keys, rows):
+    keys = rng.stream_keys(3, 10, keys)
+    run = rng.slot_u64(keys, first, count)
+    assert run.shape == (count, len(keys))
+    for i in range(count) if rows is None else rows:
+        slot = (first + i) % 2**64
+        # Python integers as the independent reference for each draw
         want = [rng._mix_int(int(k) + rng._GOLDEN * (slot + 1)) for k in keys]
-        assert row.tolist() == want
-    rows = rng.slot_u64(keys, np.arange(5, 9))
-    assert all(np.array_equal(rows[i], rng.slot_u64(keys, 5 + i)) for i in range(4))
+        assert run[i].tolist() == want, i
+    # a single-slot draw is the run's first row
+    top = run[0] >> np.uint64(11)
+    assert rng.slot_uniform(keys, first).tobytes() == (top * 2.0**-53).tobytes()
+
+
+def test_empty_run():
+    assert rng.slot_u64(rng.stream_keys(3, 10, 4), 5, 0).shape == (0, 4)
 
 
 def test_normal_is_box_muller_cosine():
