@@ -55,7 +55,7 @@ from .parrondo import (
     exact_rate,
     is_winning,
     simulate,
-    stationary_distribution,
+    spectrum,
 )
 from .qubit import DensityMatrix2, coherence, plus_state
 

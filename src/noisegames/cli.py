@@ -18,13 +18,14 @@ and writes it into the ``inputs`` echo, so the echo is a valid config.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import __version__, dissipative, grover, kicks, memory, parrondo
+from . import __version__, dissipative, grover, kicks, memory, parrondo, rng
 from .qubit import DensityMatrix2, coherence
 
 
@@ -54,6 +55,12 @@ MC_MAX_KICKS = 1 << 28
 # before the first draw.  Adaptive search is unbounded: its worst case,
 # trials * ceil(cap / 64), would refuse n = 10 runs of about 40 draws a trial.
 MC_MAX_DRAWS = 1 << 32
+
+# A wheel of G games on Z_L has P = G * L (game, rotation) slots; above
+# MAX_WHEEL_SLOTS a run is refused before any work.  At the bound a round's
+# multiply-shift law is within 2 * P^2 / 2^64 <= 1.2e-7, under the 7.6e-6
+# standard error of a 2^32-round run, and the step table takes 8 MiB.
+MAX_WHEEL_SLOTS = 1 << 20
 
 # Each worker thread of a Monte Carlo run holds one set of block-sized arrays,
 # 3 to 4.5 MiB by family (README), and a wheel-game walk one L-entry histogram
@@ -367,11 +374,19 @@ def _cmd_dissipative(v: dict, threads: int):
 
 
 def _cmd_parrondo(v: dict, threads: int):
-    if not v["moduli"]:
+    moduli, rounds = v["moduli"], v["trials"]
+    if not moduli:
         raise ValueError("need at least one modulus")
-    games = [parrondo.RotationGame(m) for m in v["moduli"]]
+    for L in itertools.accumulate(moduli, math.lcm):  # ends at lcm(moduli), or past the bound
+        if len(moduli) * L > MAX_WHEEL_SLOTS:
+            raise ValueError(f"a wheel is limited to {MAX_WHEEL_SLOTS} slots (games * lcm(moduli))")
+    run_sim = rounds > 0 and not v["exact"]
+    if run_sim:  # each block also folds an L-entry histogram, about a round per entry
+        draws = rounds + -(-rounds // rng.BLOCK_SIZE) * L
+        _limit_draws(draws, f"{rounds} rounds", f"rounds + ceil(rounds / {rng.BLOCK_SIZE}) * L")
+    games = [parrondo.RotationGame(m) for m in moduli]
     combined = parrondo.CombinedGame(tuple(games))
-    stationary = parrondo.stationary_distribution(combined)
+    spectrum = parrondo.spectrum(combined)
     stats = parrondo.exact_rate(combined)
     per_game = [
         {"modulus": g.m, **_rates(parrondo.exact_rate(parrondo.CombinedGame((g,))))}
@@ -379,19 +394,18 @@ def _cmd_parrondo(v: dict, threads: int):
     ]
     results = {"games": per_game, **_rates(stats), "support_size": stats.support_size}
     diagnostics = {
-        "reducible_warning": stationary.reducible_warning,
-        "power_iteration_residual": stationary.power_iteration_residual,
+        "reducible_warning": not combined.pairwise_coprime(),
+        "spectral_gap": spectrum.spectral_gap,
+        "power_iteration_residual": spectrum.residual,
     }
-    if v["trials"] > 0 and not v["exact"]:
-        _limit_draws(v["trials"], f"{v['trials']} rounds", "one per round")
-        sim = parrondo.simulate(combined, v["trials"], v["seed"], threads)
+    if run_sim:
+        sim = parrondo.simulate(combined, rounds, v["seed"], threads)
         results["simulation"] = {
             "rounds": sim.rounds,
             "wins": sim.wins,
             "win_prob": sim.win_prob,
             "net_rate": sim.net_rate,
         }
-    L = combined.modulus
     lines = lambda: (f"{k},1/{L},{parrondo.is_winning(k, L):d}" for k in range(L))
     return {}, results, diagnostics, ("position,probability,winning", lines)
 

@@ -16,9 +16,11 @@ dynamics combined at random turn profitable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,81 +72,44 @@ class CombinedGame:
         return tuple(g.m for g in self.games)
 
     def pairwise_coprime(self) -> bool:
-        ms = self.moduli
-        return all(
-            math.gcd(ms[i], ms[j]) == 1
-            for i in range(len(ms))
-            for j in range(i + 1, len(ms))
-        )
+        """Whether each modulus is coprime to the lcm of those before it."""
+        before = itertools.accumulate(self.moduli, math.lcm, initial=1)
+        return all(math.gcd(m, lcm) == 1 for m, lcm in zip(self.moduli, before))
 
 
-@dataclass(frozen=True, slots=True)
-class StationaryDistribution:
-    """What the envelope reports about a combined game's stationary law.
+class Spectrum(NamedTuple):
+    counts: np.ndarray
+    spectral_gap: Fraction
+    residual: float
 
-    The law itself is uniform on Z_L (see :func:`exact_rate`).
-    ``reducible_warning`` flags non-pairwise-coprime moduli, where the
-    exact-rate results for products of games do not apply.
-    ``power_iteration_residual`` is the largest deviation of a float
-    power-iterated distribution from 1/L.
+
+def spectrum(combined: CombinedGame) -> Spectrum:
+    """The step law's eigenvalues, exact, from the Fourier basis of Z_L.
+
+    The step law is circulant, so the Fourier mode j of Z_L is an
+    eigenvector (Gray, "Toeplitz and Circulant Matrices: A Review", 2006).
+    Game g turns by a uniform multiple of L/m_g, so its eigenvalue there is
+    1 if m_g divides j, else 0, and the mixture's is c_j / G with c_j =
+    ``counts[j]`` = #{g : m_g | j}: 1 only at j = 0, coprime moduli or not.
+    ``spectral_gap`` is 1 - lambda_2, lambda_2 = max_{j != 0} c_j / G (0 if
+    L = 1), and ``residual`` the largest deviation from 1/L of the law n
+    rounds from position 0, n = ceil(log(1e-14) / log(lambda_2)) the least
+    with lambda_2^n <= 1e-14 (n = 1 when lambda_2 = 0).
     """
-
-    reducible_warning: bool
-    power_iteration_residual: float
-
-
-# Entries the power iteration gathers at once: offsets are taken in groups of
-# at most this many entries, so the gathered rows stay in cache.  At --moduli
-# 19,23,29 (L = 12,673) one call took a median 81 ms at 2^16, 85-107 ms at
-# 2^15, 2^17, 2^18 and 2^20 and 149 ms at 2^14, against 103-142 ms with one
-# np.roll per offset (numpy 2.4, 2-core Xeon VM).
-_GATHER_ENTRIES = 1 << 16
+    G = len(combined.games)
+    counts = np.zeros(combined.modulus, np.int64)
+    for m in combined.moduli:
+        counts[::m] += 1
+    second = int(counts[1:].max(initial=0))
+    rounds = math.ceil(math.log(1e-14) / math.log(second / G)) if second else 1
+    return Spectrum(counts, Fraction(G - second, G), _deviation(counts, rounds))
 
 
-def stationary_distribution(combined: CombinedGame) -> StationaryDistribution:
-    """Float power iteration from a point mass, measured against 1/L.
-
-    One step adds ``w * np.roll(v, off)`` over the offsets in increasing
-    order from zero, where ``off`` is the turn of ``count`` of the P = G*L
-    slots of :func:`_step_table` and ``w = count / P``.  ``np.roll(v, off)``
-    is the window of length L at L - off over v written twice, so each
-    group of offsets is one gather of windows, and the sum runs down the
-    gathered rows in offset order after the carry from the groups before.
-    The iterated distribution must reach the uniform law to 1e-12, or a
-    ``RuntimeError`` is raised.
-    """
-    L = combined.modulus
-    table = _step_table(combined)
-    counts = np.bincount(table.view(np.int64), minlength=L)
-    offs = np.flatnonzero(counts)
-    ws = (counts[offs] / len(table))[:, None]
-    starts = L - offs
-    doubled = np.empty(2 * L)
-    windows = np.lib.stride_tricks.sliding_window_view(doubled, L)
-    per_group = max(_GATHER_ENTRIES // L, 1)
-    terms = np.empty((min(per_group, len(offs)) + 1, L))
-    v = np.zeros(L)
-    v[0] = 1.0
-    for _ in range(200_000):
-        doubled[:L] = v
-        doubled[L:] = v
-        nxt = np.zeros(L)
-        for i in range(0, len(offs), per_group):
-            group = slice(i, i + per_group)
-            rows = terms[: len(starts[group]) + 1]
-            rows[0] = nxt
-            np.multiply(windows[starts[group]], ws[group], out=rows[1:])
-            np.add.reduce(rows, axis=0, out=nxt)
-        if np.max(np.abs(nxt - v)) < 1e-14:
-            v = nxt
-            break
-        v = nxt
-    residual = float(np.max(np.abs(v - 1 / L)))
-    if residual > 1e-12:
-        raise RuntimeError(
-            f"power iteration disagrees with exact stationary law ({residual!r})"
-        )
-    return StationaryDistribution(not combined.pairwise_coprime(), residual)
+def _deviation(counts: np.ndarray, n: int) -> float:
+    """max_k |(P^n delta_0)(k) - 1/L| = (1/L) sum_{j != 0} lambda_j^n (at k = 0)."""
+    G, L = int(counts[0]), len(counts)
+    sizes = np.bincount(counts[1:]).tolist()
+    return math.fsum(size * (c / G) ** n for c, size in enumerate(sizes)) / L
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,15 +128,10 @@ def exact_rate(combined: CombinedGame) -> GameStats:
     """Exact stationary winning probability and net win/loss rate.
 
     The stationary law is uniform on all of Z_L, L = lcm of the moduli, so
-    the winning probability is the count of winning positions over L:
-
-    * Irreducible: for each prime p of L, the game whose modulus holds
-      p's full power has stride L/m prime to p, so the strides have gcd 1
-      and the step offsets generate Z_L.
-    * Doubly stochastic: the step law is the same at every position (a
-      circulant matrix) and its weights sum to 1, so columns sum to 1 as
-      well as rows, and the uniform law is stationary -- by
-      irreducibility, the only one.
+    the winning probability is the count of winning positions over L: the
+    uniform law is the Fourier mode 0 of Z_L, the only eigenvector of the
+    step law with eigenvalue 1, and every other eigenvalue lies in [0, 1)
+    (:func:`spectrum`), so the law from any start tends to it.
     """
     L = combined.modulus
     wins = int(np.count_nonzero(is_winning(np.arange(L), L)))

@@ -35,6 +35,7 @@ class TestSpecExamples:
         env = run_json(["parrondo", "--moduli", "3,7", "--exact"])
         assert env["results"]["win_prob"] == "11/21"
         assert env["results"]["net_rate"] == "1/21"
+        assert env["diagnostics"]["spectral_gap"] == "1/2"
 
     def test_memory_combined_decay(self):
         env = run_json(
@@ -170,21 +171,52 @@ class TestExitCodes:
         assert run_cli(["parrondo", "--exact", "--trials", str(10**13)])[0] == 0
 
     @pytest.mark.parametrize(
-        "argv, draws_per_trial",
+        "argv, draws_per_trial, draws_per_run",
         [
-            (["parrondo"], 1),
-            (["dissipative"], 4),
-            (["grover", "--strategy", "fixed", "--m", "128"], 2),
+            # one block of rounds on Z_21 also counts L = 21 draws
+            (["parrondo"], 1, 21),
+            (["dissipative"], 4, 0),
+            (["grover", "--strategy", "fixed", "--m", "128"], 2, 0),
         ],
         ids=["parrondo", "dissipative", "grover-fixed"],
     )
-    def test_draw_bound_admits_runs_at_the_bound(self, argv, draws_per_trial, monkeypatch, capsys):
+    def test_draw_bound_admits_runs_at_the_bound(
+        self, argv, draws_per_trial, draws_per_run, monkeypatch, capsys
+    ):
         monkeypatch.setattr(cli, "MC_MAX_DRAWS", 4000)
-        trials = 4000 // draws_per_trial
+        trials = (4000 - draws_per_run) // draws_per_trial
         assert run_cli([*argv, "--trials", str(trials)])[0] == 0
         code, text = run_cli([*argv, "--trials", str(trials + 1)])
         assert code == 2 and text == ""
         assert "limited to 4000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["--moduli", "3,7,11,19,23", "--trials", str(10**13)], "limited to 4294967296"),
+            (["--moduli", "19,23,29,31", "--trials", "200000"], "limited to 1048576 slots"),
+            (["--moduli", "1048577", "--exact"], "limited to 1048576 slots"),
+        ],
+        ids=["draws", "slots", "slots-exact"],
+    )
+    def test_wheel_refusals_come_before_any_work(self, argv, limit, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise RuntimeError("a refused run did work")
+
+        for name in ("spectrum", "exact_rate", "simulate", "RotationGame"):
+            monkeypatch.setattr(parrondo, name, no_work)
+        code, text = run_cli(["parrondo", *argv])
+        assert code == 2 and text == ""
+        assert limit in capsys.readouterr().err
+
+    def test_wheel_slot_bound_admits_its_limit(self):
+        assert cli.MAX_WHEEL_SLOTS == 1 << 20
+        env = run_json(["parrondo", "--moduli", "1048575", "--exact"])
+        assert env["results"]["support_size"] == 1048575
+        assert env["diagnostics"]["spectral_gap"] == "1/1"
+        # two games on Z_(2^19 - 1) reach P = 2^20 - 2
+        assert run_cli(["parrondo", "--moduli", "524287,1", "--exact"])[0] == 0
+        assert run_cli(["parrondo", "--moduli", "524289,1", "--exact"])[0] == 2
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from noisegames.parrondo import (
     exact_rate,
     is_winning,
     simulate,
-    stationary_distribution,
+    spectrum,
 )
 
 
@@ -55,6 +56,15 @@ class TestPlayRound:
             RotationGame(4)
 
 
+def _dense_step_matrix(combined: CombinedGame) -> np.ndarray:
+    """The L x L float transition matrix, row k holding the law of k's next position."""
+    L = combined.modulus
+    dense = np.zeros((L, L))
+    for off, w in step_weights(combined).items():
+        dense[np.arange(L), (np.arange(L) + off) % L] += float(w)
+    return dense
+
+
 def _assert_doubly_stochastic(combined: CombinedGame) -> None:
     """Dense exact check that every row and column of the L x L transition
     matrix sums to 1 (the property that makes the uniform law stationary)."""
@@ -76,30 +86,87 @@ class TestStationary:
         _assert_doubly_stochastic(CombinedGame(tuple(RotationGame(m) for m in moduli)))
 
     def test_single_game_uniform(self):
-        stat = stationary_distribution(CombinedGame((GAME_A,)))
-        assert stat.power_iteration_residual < 1e-12
-        assert not stat.reducible_warning
+        combined = CombinedGame((GAME_A,))
+        assert spectrum(combined).residual == 0.0  # one round of game A is uniform
+        assert combined.pairwise_coprime()
 
     def test_combined_uniform_21(self):
-        stat = stationary_distribution(CombinedGame((GAME_A, GAME_B)))
-        assert stat.power_iteration_residual < 1e-12
+        assert spectrum(CombinedGame((GAME_A, GAME_B))).residual < 1e-12
 
     def test_non_coprime_warns_but_reaches_everything(self):
-        stat = stationary_distribution(CombinedGame((RotationGame(3), RotationGame(9))))
-        assert stat.reducible_warning
-        assert stat.power_iteration_residual < 1e-12  # the 9-game alone reaches all
+        combined = CombinedGame((RotationGame(3), RotationGame(9)))
+        assert not combined.pairwise_coprime()
+        assert spectrum(combined).residual < 1e-12  # the 9-game alone reaches all
 
     def test_duplicate_game_flagged(self):
-        stat = stationary_distribution(CombinedGame((RotationGame(3), RotationGame(3))))
-        assert stat.power_iteration_residual < 1e-12
-        assert stat.reducible_warning
+        combined = CombinedGame((RotationGame(3), RotationGame(3)))
+        assert spectrum(combined).residual < 1e-12
+        assert not combined.pairwise_coprime()
 
     @pytest.mark.parametrize("moduli", [(3, 7), (3, 9), (5, 7, 11), (19, 23), (19, 23, 29)])
-    def test_gathered_iteration_matches_roll_per_offset(self, moduli):
-        # (19, 23, 29) gathers its offsets in several groups, the rest in one
+    def test_exact_residual_and_roll_iteration_reach_uniform(self, moduli):
         combined = CombinedGame(tuple(RotationGame(m) for m in moduli))
-        residual = stationary_distribution(combined).power_iteration_residual
-        assert residual == power_iteration_residual_by_roll(combined)
+        assert spectrum(combined).residual < 1e-12
+        assert power_iteration_residual_by_roll(combined) < 1e-12
+
+    def test_spectrum_matches_dense_eigenvalues(self):
+        # every tuple of one to three odd moduli below 16 with L <= 400
+        tuples = 0
+        for size in (1, 2, 3):
+            for moduli in itertools.combinations_with_replacement(range(1, 16, 2), size):
+                if math.lcm(*moduli) > 400:
+                    continue
+                combined = CombinedGame(tuple(RotationGame(m) for m in moduli))
+                dense = _dense_step_matrix(combined)
+                eigenvalues = np.sort(np.linalg.eigvals(dense).real)
+                counts = spectrum(combined).counts
+                assert len(counts) == combined.modulus and counts[0] == len(moduli)
+                assert np.allclose(eigenvalues, np.sort(counts / len(moduli)), atol=1e-9), moduli
+                tuples += 1
+        assert tuples == 150
+
+    @pytest.mark.parametrize("moduli", [(3, 7), (3, 9), (3, 3), (5, 9), (5, 7, 11), (19, 23)])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_deviation_is_row_zero_of_the_matrix_power(self, moduli, n):
+        combined = CombinedGame(tuple(RotationGame(m) for m in moduli))
+        row = np.linalg.matrix_power(_dense_step_matrix(combined), n)[0]
+        expected = np.max(np.abs(row - 1 / combined.modulus))
+        assert np.argmax(np.abs(row - 1 / combined.modulus)) == 0 or expected < 1e-15
+        deviation = parrondo._deviation(spectrum(combined).counts, n)
+        assert abs(deviation - expected) < 1e-12, (moduli, n)
+
+    @pytest.mark.parametrize(
+        "moduli, gap",
+        [
+            ((3, 7), Fraction(1, 2)),
+            ((19, 23), Fraction(1, 2)),
+            ((5, 7, 11), Fraction(1, 3)),
+            ((3,), Fraction(1)),
+            ((1,), Fraction(1)),
+            ((3, 3), Fraction(1)),
+            ((3, 9), Fraction(1, 2)),
+            ((5, 9), Fraction(1, 2)),
+        ],
+    )
+    def test_spectral_gap(self, moduli, gap):
+        assert spectrum(CombinedGame(tuple(RotationGame(m) for m in moduli))).spectral_gap == gap
+
+    def test_residual_rounds_are_the_least_reaching_1e_14(self):
+        # (3, 7): lambda_2 = 1/2 and 2^-47 <= 1e-14 < 2^-46, so n = 47
+        spec = spectrum(CombinedGame((GAME_A, GAME_B)))
+        assert spec.residual == parrondo._deviation(spec.counts, 47) == 8 * 2.0**-47 / 21
+
+    def test_pairwise_coprime_is_linear_in_the_games(self):
+        pairwise = lambda ms: all(math.gcd(a, b) == 1 for a, b in itertools.combinations(ms, 2))
+        for size in (1, 2, 3, 4):
+            for moduli in itertools.combinations_with_replacement(range(1, 30, 2), size):
+                combined = CombinedGame(tuple(RotationGame(m) for m in moduli))
+                assert combined.pairwise_coprime() == pairwise(moduli), moduli
+        ones = CombinedGame((RotationGame(1),) * 200_000)
+        start = time.perf_counter()
+        assert ones.pairwise_coprime()
+        assert not CombinedGame(ones.games + (GAME_A, GAME_A)).pairwise_coprime()
+        assert time.perf_counter() - start < 0.5
 
     def test_strides_generate_the_whole_cycle(self):
         # For each prime p of L = lcm(moduli), the game whose modulus holds
@@ -270,9 +337,8 @@ class TestWheelSlots:
         assert law == step_weights(g)
 
     def test_table_counts_give_the_float_step_law(self):
-        # stationary_distribution weighs offset o by (its slots in the
-        # table) / P: the same floats, in the same offset order, as the
-        # exact law, for every tuple of one to three odd moduli below 40
+        # offset o's slots in the table over P are the exact law's weights
+        # as floats, for every tuple of one to three odd moduli below 40
         tuples = 0
         for size in (1, 2, 3):
             for moduli in itertools.combinations_with_replacement(range(1, 40, 2), size):
