@@ -41,19 +41,20 @@ CURVE_MAX_STEPS = 1 << 16
 
 # A Monte Carlo curve costs steps * (trials + MC_KICK_OVERHEAD) kicks.  A
 # trajectory's kick, with its share of the point's reduction, takes about
-# 100 ns for the gaussian law (the slowest) on one core of a 2-core Xeon VM;
-# each step also costs about 90 us of Python whatever the trials, about 900
-# kicks, which MC_KICK_OVERHEAD rounds up generously.  A run of more than
-# MC_MAX_KICKS (about 30 s on one thread) is refused before its first draw.
+# 30 ns for the gaussian law (the slowest) on one core of a 2-core Xeon VM;
+# each step also costs about 75 us of Python whatever the trials, about
+# MC_KICK_OVERHEAD kicks.  A run of more than MC_MAX_KICKS (about 8 s on one
+# thread) is refused before its first draw.
 MC_KICK_OVERHEAD = 1 << 11
 MC_MAX_KICKS = 1 << 28
 
 # A run needs trials * ceil(m / 64) draws for a fixed search horizon of m
-# letters, one per wheel round and 4 per dissipative trial.  On one thread of
-# a 2-core Xeon VM these cost about 8 ns a draw, 12-16 ns a round and 65-85 ns
-# a trial, so a run at the bound takes 35 s to 1.5 minutes; more is refused
+# letters, one per wheel round and 4 per dissipative trial.  On one thread of a
+# 2-core Xeon VM these cost about 8 ns a draw, 12-16 ns a round and 65-85 ns a
+# trial, so a run at the bound takes 35 s to 1.5 minutes; more is refused
 # before the first draw.  Adaptive search is unbounded: its worst case,
-# trials * ceil(cap / 64), would refuse n = 10 runs of about 40 draws a trial.
+# trials * grover.ADAPTIVE_CAP / 64, would refuse n = 10 runs of about 40
+# draws a trial.
 MC_MAX_DRAWS = 1 << 32
 
 # A wheel of G games on Z_L has P = G * L (game, rotation) slots; above
@@ -388,11 +389,9 @@ def _cmd_parrondo(v: dict, threads: int):
     combined = parrondo.CombinedGame(tuple(games))
     spectrum = parrondo.spectrum(combined)
     stats = parrondo.exact_rate(combined)
-    per_game = [
-        {"modulus": g.m, **_rates(parrondo.exact_rate(parrondo.CombinedGame((g,))))}
-        for g in games
-    ]
-    results = {"games": per_game, **_rates(stats), "support_size": stats.support_size}
+    alone = {g: _rates(parrondo.exact_rate(parrondo.CombinedGame((g,)))) for g in set(games)}
+    results = {"games": [{"modulus": g.m, **alone[g]} for g in games], **_rates(stats),
+               "support_size": stats.support_size}
     diagnostics = {
         "reducible_warning": not combined.pairwise_coprime(),
         "spectral_gap": spectrum.spectral_gap,

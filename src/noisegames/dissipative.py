@@ -189,11 +189,8 @@ def relaxation_times(
     if tau0 <= 0.0 or not math.isfinite(tau0):
         raise ValueError("tau0 must be positive")
     g1, g2 = _step_factors(p, scales)
-    for g in (g1, g2):
-        if g <= 0.0:
-            raise ValueError("per-step factor is not positive; out of regime")
-        if g > 1.0 + 1e-12:
-            raise ValueError("per-step factor exceeds 1; out of regime")
+    if min(g1, g2) <= 0.0:  # neither exceeds 1 for p in [0, 1] and nonnegative scales
+        raise ValueError("per-step factor is not positive; out of regime")
     t1 = math.inf if g1 >= 1.0 else -tau0 / math.log(g1)
     t2 = math.inf if g2 >= 1.0 else -2.0 * tau0 / math.log(g2)
     return RelaxationTimes(t1, t2)

@@ -186,6 +186,9 @@ class StrategyOutcome:
 _LETTERS = 64  # letter t of a trial is bit t % 64 of its draw at slot t // 64
 _ODD = np.uint64(0xAAAAAAAAAAAAAAAA)  # bits at odd positions: letters at odd slots
 _GRID_ELEMENTS = 1 << 16  # draws per fixed-horizon call, letters per adaptive chunk
+# Letters an adaptive trial plays before it is censored: 15,625 whole draws,
+# so adaptive tracking never reads part of a draw.
+ADAPTIVE_CAP = 1_000_000
 
 
 _WINDOW = 5  # hit-table rows: offsets of d from a target in [-5, 5]
@@ -282,7 +285,6 @@ def evaluate_strategy(
     trials: int,
     seed: int,
     threads: int = 1,
-    max_adaptive_steps: int = 1_000_000,
 ) -> StrategyOutcome:
     """Evaluate a stopping strategy for the random-operator game.
 
@@ -298,11 +300,9 @@ def evaluate_strategy(
     in d (from :func:`_byte_tables`) gives d at each byte's start, and a
     lookup at that d's offset from -k_star and from +k_star gives the first
     hit inside the byte.  Only offsets within 4 can hit, so the tables
-    serve any k_star.  When the cap ends inside a byte, its unplayed
-    letters count as B's and cannot hit.  A stopped adaptive trial wins
-    with exactly the closed-form probability of its target word; a
-    censored one scores the length it holds at ``max_adaptive_steps``,
-    which must be nonnegative.
+    serve any k_star.  A stopped adaptive trial wins with exactly the
+    closed-form probability of its target word; a censored one scores the
+    length it holds at :data:`ADAPTIVE_CAP` letters.
     """
     if isinstance(strategy, FixedHorizon):
         m = strategy.m
@@ -334,9 +334,6 @@ def evaluate_strategy(
 
     if isinstance(strategy, AdaptiveTracking):
         k = strategy.k_star
-        cap = max_adaptive_steps
-        if cap < 0:
-            raise ValueError("max_adaptive_steps must be nonnegative")
         stopped_win = success_closed_form(k, config)
         byte_gain, hit_even, hit_odd = _byte_tables()
 
@@ -345,16 +342,13 @@ def evaluate_strategy(
             d.fill(0)
             stop_at.fill(0)
             active = np.arange(keys.size) if k else np.arange(0)
-            step = 0  # a multiple of 64 until the cap
-            while active.size and step < cap:
+            step = 0
+            while active.size and step < ADAPTIVE_CAP:
                 per_trial = _GRID_ELEMENTS // (_LETTERS * active.size)
-                n = min(_LETTERS * per_trial, cap - step)
-                w = rng.slot_u64(keys[active], step // _LETTERS, -(-n // _LETTERS))
+                n = min(_LETTERS * per_trial, ADAPTIVE_CAP - step)  # whole draws, as the cap is
+                w = rng.slot_u64(keys[active], step // _LETTERS, n // _LETTERS)
                 # row i holds letters step .. step+n-1 of trial active[i], 8 to a byte
                 letters = np.ascontiguousarray(w.T).astype("<u8", copy=False).view(np.uint8)
-                letters = letters[:, : -(-n // 8)]
-                if n % 8:
-                    letters[:, -1] &= np.uint8((1 << n % 8) - 1)  # letters past the cap are B's
                 byte = letters.astype(np.intp)
                 gain = byte_gain.take(byte)
                 start = d[active]
@@ -369,9 +363,6 @@ def evaluate_strategy(
                 at += byte
                 hit_at = hit_even.take(at + 256 * k, mode="clip")  # target -k
                 np.minimum(hit_at, hit_odd.take(at - 256 * k, mode="clip"), out=hit_at)
-                if n % 8:
-                    last = hit_at[:, -1]
-                    last[last >= n % 8] = 8  # no hit on a letter past the cap
                 hit = hit_at < 8
                 first = hit.argmax(axis=1)
                 rows = np.arange(active.size)
@@ -392,7 +383,7 @@ def evaluate_strategy(
             for i in range(0, keys.size, group):
                 part = slice(i, i + group)
                 track(keys[part], stop_at[part], d[part], censored[part])
-            held = _reduced_length(d[censored], cap)
+            held = _reduced_length(d[censored], ADAPTIVE_CAP)
             wins = rng._empty(keys.size)
             wins.fill(stopped_win)
             wins[censored] = _success_from_lengths(held, config)

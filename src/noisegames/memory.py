@@ -208,13 +208,13 @@ def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.
     phasors = np.exp(-1j * np.array([br.angle for br in branches]))
     to_a = np.array([br.to_label is SetLabel.SET_A for br in branches])
     in_a = np.ones(len(keys), dtype=bool)
-    u = rng._empty(len(keys))
     branch = rng._empty(len(keys), np.intp)
     for s in range(n):
-        rng.slot_uniform(keys, s, out=u)
+        u = rng.slot_uniform(keys, s)
         ia = montecarlo.branch_index(cum_a, u)
         # widen before the offset: a uint8 index plus offset_b would wrap past 255
         np.add(montecarlo.branch_index(cum_b, u), offset_b, out=branch, dtype=np.intp)
+        del u  # frees its buffer in the block set for the next draw
         np.copyto(branch, ia, where=in_a)
         # every index is in range; "clip" only spares numpy a buffered copy
         np.take(to_a, branch, out=in_a, mode="clip")

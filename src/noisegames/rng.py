@@ -38,16 +38,14 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15   # SplitMix64 increment
 _KEY_MULT = 0xD1342543DE82EF95  # odd multiplier: index -> key stays injective
-_KEY_MULT_INV = pow(_KEY_MULT, -1, 1 << 64)
 
-# Default trajectory-block size for parallel Monte Carlo.  Fixed regardless
-# of thread count, so block boundaries (and hence float summation order)
+# Trajectory-block size for parallel Monte Carlo.  Fixed regardless of
+# thread count, so block boundaries (and hence float summation order)
 # never depend on the execution schedule.
 BLOCK_SIZE = 1 << 16
 
-# j * _KEY_MULT mod 2^64 for the indices j of one block
-_KEY_STEPS = np.arange(BLOCK_SIZE, dtype=np.uint64)
-_KEY_STEPS *= np.uint64(_KEY_MULT)
+# the indices j of one block
+_INDICES = np.arange(BLOCK_SIZE, dtype=np.uint64)
 
 _T = TypeVar("_T")
 
@@ -141,20 +139,14 @@ def _seed_words(seed: int) -> tuple[int, int]:
 
 
 def _counters(out: np.ndarray, first: int, step: int, base: int) -> np.ndarray:
-    """``out[j] = (first + j) * step + base`` mod 2^64, from ``_KEY_STEPS`` a block at a time.
+    """``out[j] = (first + j) * step + base`` mod 2^64, a block at a time.
 
-    A step other than ``_KEY_MULT`` scales the table by ``step / _KEY_MULT``
-    mod 2^64, which exists as ``_KEY_MULT`` is odd.
+    Each block is ``_INDICES * step`` plus the block's first counter.
     """
-    scale = np.uint64(step * _KEY_MULT_INV & _MASK64)
-    for lo in range(0, len(out), BLOCK_SIZE):
-        piece = out[lo : lo + BLOCK_SIZE]
-        head = np.uint64(((first + lo) * step + base) & _MASK64)
-        if step == _KEY_MULT:
-            np.add(_KEY_STEPS[: len(piece)], head, out=piece)
-        else:
-            np.multiply(_KEY_STEPS[: len(piece)], scale, out=piece)
-            piece += head
+    for lo in range(0, len(out), len(_INDICES)):
+        piece = out[lo : lo + len(_INDICES)]
+        np.multiply(_INDICES[: len(piece)], np.uint64(step), out=piece)
+        piece += np.uint64(((first + lo) * step + base) & _MASK64)
     return out
 
 
@@ -200,15 +192,15 @@ def _top_53_bits(keys: np.ndarray, slot: int, out: np.ndarray) -> np.ndarray:
     return x
 
 
-def slot_uniform(keys: np.ndarray, slot: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Uniform draws in [0, 1) at ``slot`` (53-bit resolution), into ``out`` if given."""
-    out = _empty(len(keys)) if out is None else out
+def slot_uniform(keys: np.ndarray, slot: int) -> np.ndarray:
+    """Uniform draws in [0, 1) at ``slot`` (53-bit resolution)."""
+    out = _empty(len(keys))
     return np.multiply(_top_53_bits(keys, slot, out), 2.0**-53, out=out)
 
 
-def slot_uniform_open(keys: np.ndarray, slot: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Uniform draws in (0, 1] at ``slot`` (safe under log), into ``out`` if given."""
-    out = _empty(len(keys)) if out is None else out
+def slot_uniform_open(keys: np.ndarray, slot: int) -> np.ndarray:
+    """Uniform draws in (0, 1] at ``slot`` (safe under log)."""
+    out = _empty(len(keys))
     np.add(_top_53_bits(keys, slot, out), 1.0, out=out)
     out *= 2.0**-53
     return out
@@ -253,27 +245,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_blocks(
-    total: int,
-    worker: Callable[[int, int], _T],
-    threads: int = 1,
-    block_size: int = BLOCK_SIZE,
-) -> list[_T]:
-    """Apply ``worker(start, count)`` over fixed-size index blocks.
+def run_blocks(total: int, worker: Callable[[int, int], _T], threads: int = 1) -> list[_T]:
+    """Apply ``worker(start, count)`` over index blocks of ``BLOCK_SIZE``.
 
     Returns the per-block results in block order.  Block boundaries depend
-    only on ``total`` and ``block_size``, never on ``threads``; a caller
-    that combines the partial results in list order therefore gets
-    bit-identical totals for any thread count.  ``worker`` must be a pure
-    function of its arguments.  Each thread that runs blocks gets its own
-    set of arrays for :func:`_empty`, kept across its blocks and released
-    when this call returns.  The pool has at most :func:`_usable_cpus`
-    threads: more would add block sets but no parallelism.
+    only on ``total``, never on ``threads``; a caller that combines the
+    partial results in list order therefore gets bit-identical totals for
+    any thread count.  ``worker`` must be a pure function of its arguments.
+    Each thread that runs blocks gets its own set of arrays for
+    :func:`_empty`, kept across its blocks and released when this call
+    returns.  The pool has at most :func:`_usable_cpus` threads: more would
+    add block sets but no parallelism.
     """
     if total < 0:
         raise ValueError("total must be nonnegative")
-    starts = list(range(0, total, block_size))
-    counts = [min(block_size, total - s) for s in starts]
+    starts = list(range(0, total, BLOCK_SIZE))
+    counts = [min(BLOCK_SIZE, total - s) for s in starts]
     sets = threading.local()  # .arrays: each thread's set for this call only
 
     def block(start: int, count: int) -> _T:

@@ -14,6 +14,7 @@ from _oracles import (
 )
 from noisegames.dissipative import (
     NoiseScales,
+    _step_factors,
     averaged_channel_first_order,
     averaged_channel_mc,
     max_mixing_probability,
@@ -181,6 +182,18 @@ class TestRelaxationTimes:
         for p in (0.0, 0.3, 0.6, 0.9, 1.0):
             t = relaxation_times(p, scales)
             assert (t.t1 >= t.t2 / 2.0) == (p <= p_max)
+
+    def test_times_are_nonnegative_or_inf(self):
+        # g1, g2 <= 1 for p in [0, 1] and nonnegative scales, so no time is
+        # negative or nan; a factor of 1 gives inf
+        for ad in (0.0, 1e-300, 1e-8, 1e-4, 1e-2, 0.7):
+            for pd in (0.0, 1e-300, 1e-8, 1e-2, 1.0, 50.0):
+                for p in [i / 100 for i in range(101)]:
+                    assert max(_step_factors(p, NoiseScales(ad, pd))) <= 1.0, (p, ad, pd)
+                    t = relaxation_times(p, NoiseScales(ad, pd))
+                    assert t.t1 >= 0.0 and t.t2 >= 0.0, (p, ad, pd)
+        t = relaxation_times(0.5, NoiseScales(0.0, 0.0))
+        assert t.t1 == t.t2 == math.inf
 
     def test_out_of_regime_raises(self):
         with pytest.raises(ValueError):

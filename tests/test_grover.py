@@ -271,30 +271,27 @@ class TestEvaluateStrategy:
         assert out.censored == 0
         assert min(out.stopping_time_histogram) >= 2 * k
 
-    def test_censored_trials_have_no_stopping_time(self):
-        # E[T] = 24 * 25 = 600 letters, so a 100-letter cap censors most trials
-        out = evaluate_strategy(
-            AdaptiveTracking(12), GameConfig(8), 200, seed=0, max_adaptive_steps=100
-        )
+    def test_cap_is_whole_draws(self):
+        # adaptive tracking reads whole 64-letter draws up to the cap
+        assert grover.ADAPTIVE_CAP % 64 == 0
+
+    def test_censored_trials_have_no_stopping_time(self, monkeypatch):
+        # E[T] = 24 * 25 = 600 letters, so a 128-letter cap censors most trials
+        monkeypatch.setattr(grover, "ADAPTIVE_CAP", 128)
+        out = evaluate_strategy(AdaptiveTracking(12), GameConfig(8), 200, seed=0)
         assert 0 < out.censored < 200
         assert sum(out.stopping_time_histogram.values()) == 200 - out.censored
-        assert all(24 <= t <= 100 for t in out.stopping_time_histogram)
+        assert all(24 <= t <= 128 for t in out.stopping_time_histogram)
 
-    def test_negative_cap_is_refused(self):
-        with pytest.raises(ValueError, match="max_adaptive_steps"):
-            evaluate_strategy(
-                AdaptiveTracking(2), GameConfig(5), 10, seed=0, max_adaptive_steps=-1
-            )
-
-    def test_censored_trials_score_the_length_they_hold(self):
-        # k_star = 50 needs E[T] = 100 * 101 letters, so a 100-letter cap censors all
+    def test_censored_trials_score_the_length_they_hold(self, monkeypatch):
+        # k_star = 50 needs E[T] = 100 * 101 letters and at least 100, so a
+        # 64-letter cap censors all
+        monkeypatch.setattr(grover, "ADAPTIVE_CAP", 64)
         c = GameConfig(12)
-        out = evaluate_strategy(
-            AdaptiveTracking(optimal_k(c)), c, 500, seed=0, max_adaptive_steps=100
-        )
+        out = evaluate_strategy(AdaptiveTracking(optimal_k(c)), c, 500, seed=0)
         assert out.censored == 500
         held = out.reduced_length_histogram
-        assert sum(held.values()) == 500 and max(held) <= 100
+        assert sum(held.values()) == 500 and max(held) <= 64
         want = math.fsum(n * success_closed_form(s // 2, c) for s, n in held.items()) / 500
         assert out.win_prob == pytest.approx(want, rel=1e-12)
         assert out.win_prob < 0.5 < success_closed_form(optimal_k(c), c)
@@ -400,10 +397,9 @@ class TestSignedLetterCount:
         assert out.reduced_length_histogram == Counter(walk_fixed_horizon(5000, 3, 9).tolist())
 
     @staticmethod
-    def assert_adaptive_is_the_walk(k_star, trials, seed, cap, threads=1):
-        out = evaluate_strategy(
-            AdaptiveTracking(k_star), GameConfig(7), trials, seed, threads, cap
-        )
+    def assert_adaptive_is_the_walk(monkeypatch, k_star, trials, seed, cap, threads=1):
+        monkeypatch.setattr(grover, "ADAPTIVE_CAP", cap)
+        out = evaluate_strategy(AdaptiveTracking(k_star), GameConfig(7), trials, seed, threads)
         stop_at, s, censored = walk_adaptive(k_star, trials, seed, cap)
         assert out.censored == censored.size
         assert out.stopping_time_histogram == Counter(np.delete(stop_at, censored).tolist())
@@ -411,32 +407,28 @@ class TestSignedLetterCount:
         return out
 
     @pytest.mark.parametrize("threads", [1, 2, 8])
-    def test_lengths_and_stopping_times_across_blocks(self, threads):
+    def test_lengths_and_stopping_times_across_blocks(self, threads, monkeypatch):
         # 70,000 trials are two trajectory blocks
         out = evaluate_strategy(FixedHorizon(37), GameConfig(6), 70_000, seed=5, threads=threads)
         assert out.reduced_length_histogram == Counter(walk_fixed_horizon(37, 70_000, 5).tolist())
-        for cap in (37, 100, 10**6):
-            self.assert_adaptive_is_the_walk(3, 70_000, 5, cap, threads)
+        for cap in (64, 128, grover.ADAPTIVE_CAP):
+            self.assert_adaptive_is_the_walk(monkeypatch, 3, 70_000, 5, cap, threads)
 
     @pytest.mark.parametrize("k_star", [0, 1, 2, 5])
-    @pytest.mark.parametrize("cap", [0, 1, 37, 63, 64, 65, 100, 129])
-    def test_adaptive_is_the_walk_under_caps(self, k_star, cap):
-        self.assert_adaptive_is_the_walk(k_star, 3000, k_star, cap)
+    @pytest.mark.parametrize("cap", [0, 64, 128, 192])
+    def test_adaptive_is_the_walk_under_caps(self, k_star, cap, monkeypatch):
+        self.assert_adaptive_is_the_walk(monkeypatch, k_star, 3000, k_star, cap)
 
-    # Up to k_star = 8 one byte can reach both -k_star and +k_star.  The caps
-    # end inside a byte, on one, and on either side of one and two draws.
+    # Up to k_star = 8 one byte can reach both -k_star and +k_star.
     @pytest.mark.parametrize("k_star", range(11))
     def test_byte_tables_are_the_walk(self, k_star, monkeypatch):
-        run_blocks = rng.run_blocks
         # blocks of 128 trials, so that two threads share the 300 trials
-        monkeypatch.setattr(
-            rng,
-            "run_blocks",
-            lambda total, worker, threads=1: run_blocks(total, worker, threads, block_size=128),
-        )
+        monkeypatch.setattr(rng, "BLOCK_SIZE", 128)
         stopped = 0
-        for cap in [*range(18), 63, 64, 65, 127, 128, 129]:
+        for cap in (0, 64, 128, 192):
             for threads in (1, 2):
-                out = self.assert_adaptive_is_the_walk(k_star, 300, k_star, cap, threads)
+                out = self.assert_adaptive_is_the_walk(
+                    monkeypatch, k_star, 300, k_star, cap, threads
+                )
                 stopped += 300 - out.censored
         assert stopped > 0

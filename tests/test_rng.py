@@ -22,6 +22,18 @@ def test_scalar_and_vector_keys_agree():
         assert int(keys[i]) == stream_key(12345, 2**64 - 5 + i)
 
 
+@pytest.mark.parametrize(
+    "step, base", [(rng._KEY_MULT, 12345), (rng._GOLDEN, rng._GOLDEN)], ids=["keys", "slots"]
+)
+def test_counters_are_first_plus_j_times_step_plus_base(step, base):
+    # three pieces of the index table, with first + j wrapping past 2^64 - 1
+    # in the second
+    b = rng.BLOCK_SIZE
+    first = 2**64 - b - 3
+    out = rng._counters(np.empty(2 * b + 5, dtype=np.uint64), first, step, base)
+    assert out.tolist() == [((first + j) * step + base) % 2**64 for j in range(2 * b + 5)]
+
+
 def test_stream_matches_slot_addressing():
     keys = rng.stream_keys(9, 4, 1)
     s = derive_stream(9, 4)
@@ -71,13 +83,14 @@ def test_randint_bounds_and_determinism():
         s.randint(0)
 
 
-def test_run_blocks_order_and_thread_invariance():
+def test_run_blocks_order_and_thread_invariance(monkeypatch):
     def worker(start, count):
         keys = rng.stream_keys(3, start, count)
         return float(np.sum(rng.slot_uniform(keys, 0)))
 
-    serial = rng.run_blocks(300_000, worker, threads=1, block_size=1 << 14)
-    threaded = rng.run_blocks(300_000, worker, threads=8, block_size=1 << 14)
+    monkeypatch.setattr(rng, "BLOCK_SIZE", 1 << 14)
+    serial = rng.run_blocks(300_000, worker, threads=1)
+    threaded = rng.run_blocks(300_000, worker, threads=8)
     assert serial == threaded
     assert len(serial) == (300_000 + (1 << 14) - 1) // (1 << 14)
 
@@ -90,11 +103,12 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
         keys = rng.stream_keys(3, start, count)
         return rng.slot_uniform(keys, 0).tobytes()
 
-    serial = rng.run_blocks(300_000, worker, threads=1, block_size=1 << 14)
+    monkeypatch.setattr(rng, "BLOCK_SIZE", 1 << 14)
+    serial = rng.run_blocks(300_000, worker, threads=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     workers.clear()
-    threaded = rng.run_blocks(300_000, worker, threads=8, block_size=1 << 14)
+    threaded = rng.run_blocks(300_000, worker, threads=8)
     assert len(workers) <= 2
     assert threaded == serial
 
@@ -173,19 +187,20 @@ def test_pair_normals_are_standard_and_uncorrelated():
     assert abs(np.mean(cosine * sine)) < 0.01
 
 
-def test_blocks_of_a_thread_reuse_one_buffer():
+def test_blocks_of_a_thread_reuse_one_buffer(monkeypatch):
     # three full blocks, then a partial one, all in the calling thread
     addresses = []
 
     def worker(start, count):
         addresses.append(rng._empty(count).__array_interface__["data"][0])
 
-    rng.run_blocks(3 * 1000 + 1, worker, block_size=1000)
+    monkeypatch.setattr(rng, "BLOCK_SIZE", 1000)
+    rng.run_blocks(3 * 1000 + 1, worker)
     assert len(addresses) == 4 and len(set(addresses)) == 1
 
 
 @pytest.mark.parametrize("threads", [1, 8])
-def test_arrays_handed_out_of_a_block_stay_its_own(threads):
+def test_arrays_handed_out_of_a_block_stay_its_own(threads, monkeypatch):
     def worker(start, count):
         held = rng._empty(count, np.int64)
         held.fill(start)
@@ -194,10 +209,11 @@ def test_arrays_handed_out_of_a_block_stay_its_own(threads):
         return held
 
     # a thread per core at most, switching as often as the interpreter allows
+    monkeypatch.setattr(rng, "BLOCK_SIZE", 1000)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        blocks = rng.run_blocks(100_500, worker, threads=threads, block_size=1000)
+        blocks = rng.run_blocks(100_500, worker, threads=threads)
     finally:
         sys.setswitchinterval(interval)
     want = [[s] * min(1000, 100_500 - s) for s in range(0, 100_500, 1000)]
@@ -205,7 +221,7 @@ def test_arrays_handed_out_of_a_block_stay_its_own(threads):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_no_arrays_kept_once_run_blocks_returns(threads):
+def test_no_arrays_kept_once_run_blocks_returns(threads, monkeypatch):
     refs = []
 
     def worker(start, count):
@@ -213,7 +229,8 @@ def test_no_arrays_kept_once_run_blocks_returns(threads):
         refs.append(weakref.ref(rng._empty(count).base))
         return count
 
-    assert sum(rng.run_blocks(10_500, worker, threads=threads, block_size=1000)) == 10_500
+    monkeypatch.setattr(rng, "BLOCK_SIZE", 1000)
+    assert sum(rng.run_blocks(10_500, worker, threads=threads)) == 10_500
     assert len(refs) == 22 and all(ref() is None for ref in refs)
     assert getattr(rng._thread, "arrays", None) is None
 
