@@ -351,7 +351,10 @@ def _cmd_dissipative(v: dict, threads: int):
     scales = dissipative.NoiseScales(v["lambda_ad"], v["lambda_pd"])
     first = dissipative.averaged_channel_first_order(rho0, p, scales)
     times = dissipative.relaxation_times(p, scales, v["tau0"])
-    p_max = dissipative.max_mixing_probability(scales)
+    try:
+        p_max = dissipative.max_mixing_probability(scales)
+    except ValueError:  # noiseless: no relaxation to bound, as t1 and t2 are inf
+        p_max = None
     results = {
         "first_order": _state_entries(first),
         "p_max": p_max,

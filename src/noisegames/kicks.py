@@ -229,19 +229,19 @@ def _running_products(b: complex, count: int, factors) -> Iterator[np.ndarray]:
 def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
     """Phasor e^{-i theta} of kicks 0, ..., ``steps`` - 1 of each trajectory, in turn.
 
-    A delta mixture reads uniform slot k at kick k and looks the phasor of
-    its drawn angle up in a table built once.  The exponential law reads
-    uniform slot k, the Gaussian law the normals of
+    A delta mixture reads raw slot k at kick k, picks the drawn angle from
+    the raw draw by thresholds built once (:func:`montecarlo.draw_edges`),
+    and looks its phasor up in a table built once.  The exponential law
+    reads uniform slot k, the Gaussian law the normals of
     :func:`_box_muller_pairs`; both draw theta in place and hand it to
     :func:`montecarlo.phasors`.
     """
     if isinstance(dist, DeltaMixture):
-        cum = np.cumsum(np.asarray(dist.weights, dtype=np.float64))
-        cum[-1] = 1.0
+        edges = montecarlo.draw_edges(dist.weights)
         table = np.exp(-1j * np.asarray(dist.angles, dtype=np.float64))
 
         def kick(s: int) -> np.ndarray:
-            index = montecarlo.branch_index(cum, rng.slot_uniform(keys, s))
+            index = montecarlo.branch_index(edges, rng.slot_u64(keys, s, 1)[0])
             # every index is in range; "clip" only spares numpy a buffered copy
             return np.take(table, index, out=rng._empty(len(keys), np.complex128), mode="clip")
 

@@ -19,6 +19,7 @@ running product of kick phasors, looked up in a per-branch table.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import enum
 import math
@@ -195,30 +196,43 @@ def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.
     """Phasor e^{-i theta} of kicks 1, ..., n of each chain, in turn.
 
     Chains start in class A (initial angle 0); kick s reads the chain's own
-    slot s.  Both classes' branches share one table, class B's after class
-    A's: a kick picks its branch index first, then gathers the branch's
-    phasor, built once, and its destination class.
+    raw slot s.  Both classes' thresholds (:func:`montecarlo.draw_edges`)
+    are merged once into one sorted set of ``width - 1`` edges, so a kick
+    makes one :func:`montecarlo.branch_index` over them, for every chain in
+    either class.  Row ``interval + width * (chain in class B)`` of two
+    tables built once holds the branch's phasor and its destination
+    class's ``width * (class is B)``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    edges = [
+        montecarlo.draw_edges([br.weight for br in kern.branches(label)]).tolist()
+        for label in SetLabel
+    ]
+    merged = sorted(set(edges[0] + edges[1]))
+    width = len(merged) + 1
+    # the branch each class takes on each interval, by the interval's lowest draw
+    rows = [
+        first + bisect.bisect_right(class_edges, low)
+        for first, class_edges in zip((0, len(kern.from_a)), edges)
+        for low in [0, *merged]
+    ]
     branches = kern.from_a + kern.from_b
-    cum_a, cum_b = (np.cumsum([br.weight for br in kern.branches(label)]) for label in SetLabel)
-    cum_a[-1] = cum_b[-1] = 1.0
-    offset_b = len(kern.from_a)
-    phasors = np.exp(-1j * np.array([br.angle for br in branches]))
-    to_a = np.array([br.to_label is SetLabel.SET_A for br in branches])
-    in_a = np.ones(len(keys), dtype=bool)
-    branch = rng._empty(len(keys), np.intp)
+    phasors = np.exp(-1j * np.array([br.angle for br in branches]))[rows]
+    row_type = np.uint8 if 2 * width <= 256 else np.intp
+    to_offset = np.array(
+        [0 if branches[r].to_label is SetLabel.SET_A else width for r in rows], dtype=row_type
+    )
+    offset = np.zeros(len(keys), dtype=row_type)
+    row = rng._empty(len(keys), row_type)
+    thresholds = np.array(merged, dtype=np.uint64)
     for s in range(n):
-        u = rng.slot_uniform(keys, s)
-        ia = montecarlo.branch_index(cum_a, u)
-        # widen before the offset: a uint8 index plus offset_b would wrap past 255
-        np.add(montecarlo.branch_index(cum_b, u), offset_b, out=branch, dtype=np.intp)
-        del u  # frees its buffer in the block set for the next draw
-        np.copyto(branch, ia, where=in_a)
-        # every index is in range; "clip" only spares numpy a buffered copy
-        np.take(to_a, branch, out=in_a, mode="clip")
-        yield np.take(phasors, branch, out=rng._empty(len(keys), np.complex128), mode="clip")
+        x = rng.slot_u64(keys, s, 1)[0]
+        np.add(montecarlo.branch_index(thresholds, x), offset, out=row)
+        del x  # frees its buffer in the block set for the next draw
+        # every row is in range; "clip" only spares numpy a buffered copy
+        np.take(to_offset, row, out=offset, mode="clip")
+        yield np.take(phasors, row, out=rng._empty(len(keys), np.complex128), mode="clip")
 
 
 def evolve_memory_mc(

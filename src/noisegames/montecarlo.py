@@ -16,11 +16,13 @@ its points one at a time lets each point's array be reused once it has
 been reduced.
 
 Two per-draw kernels serve the samplers: :func:`phasors` turns kick angles
-into e^{-i theta} and :func:`branch_index` picks a branch of a finite law.
+into e^{-i theta} and :func:`branch_index` picks a branch of a finite law
+straight from a raw 64-bit draw, by the thresholds of :func:`draw_edges`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Any, Callable, Iterable, Sequence
 
@@ -35,12 +37,12 @@ Moments = tuple[int, Part, Part]
 Sampler = Callable[[np.ndarray], tuple[Iterable[np.ndarray], Any]]
 
 
-# Up to 256 branches the count fits in uint8 and beats the binary search.
-# Per 65,536 draws (numpy 2.4, 2-core Xeon VM) the count takes 0.05 ms
-# against 0.94 ms at 4 branches and 3.7 ms against 4.4 ms at 256; at 320
-# branches a uint16 count takes 6.3 ms against 5.1 ms, at 512 9.7 ms
-# against 5.5 ms.
-_COUNT_MAX_BRANCHES = 256
+# Up to 255 edges (256 branches) the count fits in uint8 and beats the
+# binary search.  Per 65,536 draws (numpy 2.4, 2-core Xeon VM) the count
+# takes 0.05 ms against 0.94 ms at 4 branches and 3.7 ms against 4.4 ms at
+# 256; at 320 branches a uint16 count takes 6.3 ms against 5.1 ms, at 512
+# 9.7 ms against 5.5 ms.
+_COUNT_MAX_EDGES = 255
 
 
 def phasors(theta: np.ndarray) -> np.ndarray:
@@ -79,18 +81,33 @@ def phasors(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def branch_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cum, u, side="right")`` for uniforms ``u`` in [0, 1).
+def draw_edges(weights: Sequence[float]) -> np.ndarray:
+    """The raw-draw thresholds of a finite law, as sorted uint64, for :func:`branch_index`.
 
-    ``cum`` holds a finite law's cumulative weights with ``cum[-1] = 1``.
-    Up to 256 branches, the index is the ``uint8`` count of ``u >= cum[j]``
-    over every entry but the last.
+    Branch j takes the raw draws x whose uniform u = (x >> 11) * 2**-53
+    lies in [c_{j-1}, c_j), c the running sums of ``weights`` with the last
+    taken as 1.  Since u >= c exactly when x >= ceil(c * 2**53) << 11, each
+    running sum but the last gives that threshold; a sum of 1.0 or more is
+    never reached and gives none.
     """
-    if len(cum) > _COUNT_MAX_BRANCHES:
-        return np.searchsorted(cum, u, side="right")
-    index = np.zeros(len(u), dtype=np.uint8)
-    for edge in cum[:-1]:
-        index += u >= edge
+    sums = itertools.accumulate(float(w) for w in weights[:-1])
+    return np.array([math.ceil(c * 2.0**53) << 11 for c in sums if c < 1.0], dtype=np.uint64)
+
+
+def branch_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The number of ``edges`` at or below each raw draw in ``x`` (uint64).
+
+    With ``edges = draw_edges(weights)`` this is the law's branch for the
+    uniform of each draw, ``np.searchsorted(cum, (x >> 11) * 2**-53,
+    side="right")`` for the law's cumulative weights ``cum`` with
+    ``cum[-1] = 1``.  Up to 255 edges the index is the ``uint8`` count of
+    ``x >= edge``; above that it is ``np.searchsorted(edges, x, side="right")``.
+    """
+    if len(edges) > _COUNT_MAX_EDGES:
+        return np.searchsorted(edges, x, side="right")
+    index = np.zeros(len(x), dtype=np.uint8)
+    for edge in edges:
+        index += x >= edge
     return index
 
 

@@ -1027,15 +1027,21 @@ def _chain_draws(kern, keys: np.ndarray, n: int):
         in_a = np.where(in_a, next_a_from_a[ia], next_a_from_b[ib])
 
 
-def memory_mc_point(b0: complex, kern, n: int, trials: int, seed: int, threads: int):
-    """(mean coherence, stderr) after n kicks of a memory kernel from class A."""
+def chain_phasors(kern, keys: np.ndarray, n: int):
+    """Phasor e^{-i theta} of kicks 1, ..., n of each chain (from class A), in turn."""
     (_, ang_a, _), (_, ang_b, _) = _chain_tables(kern)
     phasor_a, phasor_b = np.exp(-1j * ang_a), np.exp(-1j * ang_b)
+    for in_a, ia, ib in _chain_draws(kern, keys, n):
+        yield np.where(in_a, phasor_a[ia], phasor_b[ib])
+
+
+def memory_mc_point(b0: complex, kern, n: int, trials: int, seed: int, threads: int):
+    """(mean coherence, stderr) after n kicks of a memory kernel from class A."""
 
     def chain_coherences(keys: np.ndarray) -> np.ndarray:
         z = np.full(len(keys), b0, dtype=np.complex128)
-        for in_a, ia, ib in _chain_draws(kern, keys, n):
-            z *= np.where(in_a, phasor_a[ia], phasor_b[ib])
+        for phasor in chain_phasors(kern, keys, n):
+            z *= phasor
         return z
 
     def worker(start: int, count: int):

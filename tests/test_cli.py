@@ -43,6 +43,15 @@ class TestSpecExamples:
         )
         assert abs(env["results"]["decay_per_step"] - 2.0 / 3.0) < 1e-12
 
+    def test_noiseless_dissipative_has_no_mixing_bound(self):
+        # both scales zero: the channel is the identity and p_max is undefined
+        env = run_json(["dissipative", "--lambda-ad", "0", "--lambda-pd", "0", "--trials", "10"])
+        results = env["results"]
+        assert results["p_max"] is None and results["t1_over_half_t2"] is None
+        assert results["t1"] == results["t2"] == "inf"
+        unchanged = {"a": 0.5, "b_im": 0.0, "b_re": 0.5, "c": 0.5}
+        assert results["mc"] == results["first_order"] == unchanged
+
     def test_iid_gaussian_point_mass(self):
         env = run_json(["iid", "--dist", "gaussian", "--mu", "0", "--sigma2", "0", "--steps", "5"])
         assert env["results"]["gamma"] == 1.0

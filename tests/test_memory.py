@@ -5,10 +5,12 @@ import pytest
 
 from _oracles import (
     as_mixture,
+    chain_phasors,
     coherence_recursion_by_label,
     coherence_recursion_from,
     effective_decay_by_label,
 )
+from noisegames import memory, montecarlo, rng
 from noisegames.kicks import char_function
 from noisegames.memory import (
     KernelBranch,
@@ -147,6 +149,40 @@ class TestEffectiveDecay:
         assert abs(decay(KernelVariant.PURE_B, EPS, n) - 1 / 3) < 1e-12
 
 
+def _mixed_kernel(count_a: int, count_b: int) -> MemoryKernel:
+    """Equal weights per class; destinations and angles vary by branch."""
+    A, B = SetLabel.SET_A, SetLabel.SET_B
+    return MemoryKernel(
+        KernelVariant.COMBINED,
+        0.0,
+        tuple(KernelBranch(1 / count_a, 0.01 * j, B if j % 2 else A) for j in range(count_a)),
+        tuple(KernelBranch(1 / count_b, -0.02 * j, A if j % 3 == 0 else B) for j in range(count_b)),
+    )
+
+
+CHAIN_KERNELS = {
+    **{
+        f"{variant.value}-eps{eps}": kernel(variant, eps)
+        for variant in KernelVariant
+        for eps in (0.0, 0.1, -0.3)
+    },
+    # merged thresholds of at most 255, but rows past 255
+    "100-and-60-branches": _mixed_kernel(100, 60),
+    # each class at most 256 branches, merged thresholds past 255
+    "200-and-256-branches": _mixed_kernel(200, 256),
+}
+
+
+def test_wide_chain_kernels_pass_each_row_bound():
+    def merged_edges(kern):
+        edges = (montecarlo.draw_edges([br.weight for br in kern.branches(c)]) for c in SetLabel)
+        return len(set().union(*(e.tolist() for e in edges)))
+
+    # a uint8 pick but wider rows, then a binary-search pick
+    assert 128 <= merged_edges(CHAIN_KERNELS["100-and-60-branches"]) <= 255
+    assert merged_edges(CHAIN_KERNELS["200-and-256-branches"]) > 255
+
+
 class TestMonteCarlo:
     @pytest.mark.parametrize("variant", list(KernelVariant))
     @pytest.mark.parametrize("n", [1, 5, 20])
@@ -198,6 +234,27 @@ class TestMonteCarlo:
         for est, want in zip(curve[1:], exact):
             assert est.stderr == 0.0
             assert abs(est.rho_est.b - want) < 1e-15
+
+    @pytest.mark.parametrize("kern", CHAIN_KERNELS.values(), ids=CHAIN_KERNELS.keys())
+    def test_chain_phasors_match_oracle_chain(self, kern):
+        # one pick over both classes' merged thresholds, from the raw draw,
+        # gives the oracle's per-class searchsorted over uniforms bit for bit
+        keys = rng.stream_keys(8, 0, 20_000)
+        got = [p.tobytes() for p in memory._chain_phasors(kern, keys, 6)]
+        assert got == [p.tobytes() for p in chain_phasors(kern, keys, 6)]
+
+    def test_one_branch_pick_per_kick(self, monkeypatch):
+        calls = []
+        pick = montecarlo.branch_index
+
+        def counted(*args):
+            calls.append(args)
+            return pick(*args)
+
+        monkeypatch.setattr(montecarlo, "branch_index", counted)
+        keys = rng.stream_keys(8, 0, 100)
+        assert len(list(memory._chain_phasors(kernel(KernelVariant.COMBINED, 0.1), keys, 5))) == 5
+        assert len(calls) == 5
 
     def test_populations_untouched(self):
         rho = DensityMatrix2(0.3, 0.2j, 0.7)

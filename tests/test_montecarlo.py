@@ -154,19 +154,36 @@ def test_phasors_are_the_strided_kernel_bit_for_bit():
 
 
 @pytest.mark.parametrize(
-    "weights", [(0.2, 0.5, 0.3), (1.0,), (0.5,) + (1 / 6,) * 3, (1 / 256,) * 256, (1 / 300,) * 300]
+    "weights",
+    [
+        (0.2, 0.5, 0.3),
+        (1.0,),
+        (0.5,) + (1 / 6,) * 3,
+        (1 / 256,) * 256,
+        (1 / 300,) * 300,
+        (1 / 255,) * 255,
+        (1 / 257,) * 257,
+        (0.5, 0.5, 2e-15),  # a running sum of exactly 1.0 before the last
+        (0.6, 0.4 + 5e-13, 1e-15),  # and one above 1.0
+    ],
 )
 def test_branch_index_matches_searchsorted(weights):
     cum = np.cumsum(weights)
     cum[-1] = 1.0
-    u = np.concatenate([
-        np.random.default_rng(6).random(10_000),
-        [0.0, np.nextafter(1.0, 0.0)],
-        cum[:-1],
+    edges = montecarlo.draw_edges(weights)
+    # the draws either side of every threshold, and the extremes
+    x = np.concatenate([
+        np.random.default_rng(6).integers(0, 2**64, 10_000, dtype=np.uint64),
+        edges - np.uint64(1),
+        edges,
+        edges + np.uint64(2047),
+        np.array([0, 2**64 - 1], dtype=np.uint64),
     ])
-    index = montecarlo.branch_index(cum, u)
-    assert np.array_equal(index, np.searchsorted(cum, u, side="right"))
-    if len(weights) <= 256:
+    index = montecarlo.branch_index(edges, x)
+    want = np.searchsorted(cum, (x >> np.uint64(11)) * 2.0**-53, side="right")
+    assert np.array_equal(index, want)
+    assert len(edges) == np.count_nonzero(cum[:-1] < 1.0)
+    if len(edges) <= 255:
         assert index.dtype == np.uint8
 
 

@@ -2,7 +2,13 @@
 
 The invocations are every benchmark invocation, warm-up and twin
 (``bench/workloads.py``) at workload seeds 1, 2026 and 77, each run at
-``--threads`` 1, 2 and 3, and then the example commands of README.md.
+``--threads`` 1, 2 and 3, then the example commands of README.md, and
+then runs that reach every path of the finite-law kick samplers, each at
+``--threads`` 1 and 2: ``memory`` chains of every kernel at nonzero
+epsilon, and delta ``iid`` mixtures from 1 to 300 angles (both sides of
+the 255-edge switch to a binary search), uniform and weighted, one of
+them with a running weight sum of exactly 1.0 before the last and
+one above it.
 Each line is ``<exit code> <sha256> <argv>``, where the hash covers what
 the run printed to stdout and to stderr and the file it wrote with
 ``--out``.  Two checkouts give every invocation the same exit code and the
@@ -55,6 +61,25 @@ def readme_argvs() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("noisegames ")]
 
 
+def branch_argvs() -> list[list[str]]:
+    """Runs through each branch-picking path, at 1 and 2 threads."""
+    common = ["--steps=5", "--trials=70000", "--seed=9"]
+    runs = [
+        ["memory", f"--variant={variant}", f"--epsilon={eps}", *common]
+        for variant in ("pure-a", "pure-b", "combined")
+        for eps in ("0.1", "-0.3")
+    ]
+    for count in (1, 3, 255, 256, 257, 300):
+        angles = ",".join(f"{0.01 * j - 1.2:.2f}" for j in range(count))
+        total = count * (count + 1) // 2  # unequal weights j / total, summing to 1
+        weights = ",".join(repr(j / total) for j in range(1, count + 1))
+        runs.append(["iid", "--dist=delta", f"--angles={angles}", *common])
+        runs.append(["iid", "--dist=delta", f"--angles={angles}", f"--weights={weights}", *common])
+    for weights in ("0.5,0.5,2e-15", "0.6,0.4000000000005,1e-15"):  # a sum of 1.0, then above
+        runs.append(["iid", "--dist=delta", "--angles=0.3,-1,2", f"--weights={weights}", *common])
+    return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
+
+
 def entry(argv: list[str]) -> str:
     """One ledger line for ``argv``, run in a fresh temporary directory."""
     out, err = io.StringIO(), io.StringIO()
@@ -74,7 +99,7 @@ def entry(argv: list[str]) -> str:
 
 
 def main() -> None:
-    for argv in [*bench_argvs(), *readme_argvs()]:
+    for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs()]:
         print(entry(argv), flush=True)
 
 
