@@ -351,10 +351,9 @@ def _cmd_dissipative(v: dict, threads: int):
     scales = dissipative.NoiseScales(v["lambda_ad"], v["lambda_pd"])
     first = dissipative.averaged_channel_first_order(rho0, p, scales)
     times = dissipative.relaxation_times(p, scales, v["tau0"])
-    try:
-        p_max = dissipative.max_mixing_probability(scales)
-    except ValueError:  # noiseless: no relaxation to bound, as t1 and t2 are inf
-        p_max = None
+    # noiseless: no relaxation to bound, as t1 and t2 are inf
+    noiseless = scales.lambda_ad == scales.lambda_pd == 0.0
+    p_max = None if noiseless else dissipative.max_mixing_probability(scales)
     results = {
         "first_order": _state_entries(first),
         "p_max": p_max,

@@ -219,12 +219,11 @@ def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.
     ]
     branches = kern.from_a + kern.from_b
     phasors = np.exp(-1j * np.array([br.angle for br in branches]))[rows]
-    row_type = np.uint8 if 2 * width <= 256 else np.intp
     to_offset = np.array(
-        [0 if branches[r].to_label is SetLabel.SET_A else width for r in rows], dtype=row_type
+        [0 if branches[r].to_label is SetLabel.SET_A else width for r in rows], dtype=np.intp
     )
-    offset = np.zeros(len(keys), dtype=row_type)
-    row = rng._empty(len(keys), row_type)
+    offset = np.zeros(len(keys), dtype=np.intp)
+    row = rng._empty(len(keys), np.intp)
     thresholds = np.array(merged, dtype=np.uint64)
     for s in range(n):
         x = rng.slot_u64(keys, s, 1)[0]

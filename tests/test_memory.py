@@ -166,21 +166,15 @@ CHAIN_KERNELS = {
         for variant in KernelVariant
         for eps in (0.0, 0.1, -0.3)
     },
-    # merged thresholds of at most 255, but rows past 255
-    "100-and-60-branches": _mixed_kernel(100, 60),
     # each class at most 256 branches, merged thresholds past 255
     "200-and-256-branches": _mixed_kernel(200, 256),
 }
 
 
-def test_wide_chain_kernels_pass_each_row_bound():
-    def merged_edges(kern):
-        edges = (montecarlo.draw_edges([br.weight for br in kern.branches(c)]) for c in SetLabel)
-        return len(set().union(*(e.tolist() for e in edges)))
-
-    # a uint8 pick but wider rows, then a binary-search pick
-    assert 128 <= merged_edges(CHAIN_KERNELS["100-and-60-branches"]) <= 255
-    assert merged_edges(CHAIN_KERNELS["200-and-256-branches"]) > 255
+def test_wide_chain_kernel_picks_by_binary_search():
+    kern = CHAIN_KERNELS["200-and-256-branches"]
+    edges = (montecarlo.draw_edges([br.weight for br in kern.branches(c)]) for c in SetLabel)
+    assert len(set().union(*(e.tolist() for e in edges))) > montecarlo._COUNT_MAX_EDGES
 
 
 class TestMonteCarlo:
