@@ -39,22 +39,16 @@ CSV_MAX_ROWS = 1 << 22
 # step: at the bound, `memory --exact` takes about 1.7 s and 75 MiB.
 CURVE_MAX_STEPS = 1 << 16
 
-# A Monte Carlo curve costs steps * (trials + MC_KICK_OVERHEAD) kicks.  A
-# trajectory's kick, with its share of the point's reduction, takes about
-# 30 ns for the gaussian law (the slowest) on one core of a 2-core Xeon VM;
-# each step also costs about 75 us of Python whatever the trials, about
-# MC_KICK_OVERHEAD kicks.  A run of more than MC_MAX_KICKS (about 8 s on one
-# thread) is refused before its first draw.
-MC_KICK_OVERHEAD = 1 << 11
-MC_MAX_KICKS = 1 << 28
-
-# A run needs trials * ceil(m / 64) draws for a fixed search horizon of m
-# letters, one per wheel round and 4 per dissipative trial.  On one thread of a
-# 2-core Xeon VM these cost about 8 ns a draw, 12-16 ns a round and 65-85 ns a
-# trial, so a run at the bound takes 35 s to 1.5 minutes; more is refused
-# before the first draw.  Adaptive search is unbounded: its worst case,
-# trials * grover.ADAPTIVE_CAP / 64, would refuse n = 10 runs of about 40
-# draws a trial.
+# A run needs trials * steps draws for an iid or memory curve (one a kick; a
+# Gaussian pair's two raw slots serve two kicks), trials * ceil(m / 64) for a
+# fixed search horizon of m letters, one per wheel round and 4 per dissipative
+# trial.  On one thread of a 2-core Xeon VM these cost about 13-30 ns a kick,
+# 8 ns a search draw, 12-16 ns a round and 65-85 ns a trial, so a run at the
+# bound takes 35 s to 2 minutes; more is refused before the first draw.  A
+# curve's Python cost, 45-75 us per step of a block, needs no term of its own:
+# as steps <= CURVE_MAX_STEPS, blocks * steps <= 2^16 + 2^16 at the bound.
+# Adaptive search is unbounded: its worst case, trials * grover.ADAPTIVE_CAP /
+# 64, would refuse n = 10 runs of about 40 draws a trial.
 MC_MAX_DRAWS = 1 << 32
 
 # A wheel of G games on Z_L has P = G * L (game, rotation) slots; above
@@ -269,15 +263,11 @@ def _limit_draws(draws: int, what: str, rule: str) -> None:
 
 
 def _curve_mc(v: dict) -> bool:
-    """Whether a curve's Monte Carlo pass runs; one over ``MC_MAX_KICKS`` is refused."""
+    """Whether a curve's Monte Carlo pass runs; one over ``MC_MAX_DRAWS`` is refused."""
     if v["trials"] == 0 or v["exact"]:
         return False
-    cost = v["steps"] * (v["trials"] + MC_KICK_OVERHEAD)
-    if cost > MC_MAX_KICKS:
-        raise ValueError(
-            f"{v['trials']} trials of {v['steps']} kicks cost {cost} kicks; a run is "
-            f"limited to {MC_MAX_KICKS} (steps * (trials + {MC_KICK_OVERHEAD}))"
-        )
+    _limit_draws(v["trials"] * v["steps"], f"{v['trials']} trials of {v['steps']} kicks",
+                 "trials * steps")
     return True
 
 
@@ -447,14 +437,10 @@ def _cmd_grover(v: dict, threads: int):
         results["strategy_eval"] = {
             "win_prob": outcome.win_prob,
             "stderr": outcome.stderr,
-            "reduced_length_histogram": {
-                str(k): n for k, n in sorted(outcome.reduced_length_histogram.items())
-            },
+            "reduced_length_histogram": outcome.reduced_length_histogram,
         }
         if outcome.stopping_time_histogram is not None:
-            results["strategy_eval"]["stopping_time_histogram"] = {
-                str(k): n for k, n in sorted(outcome.stopping_time_histogram.items())
-            }
+            results["strategy_eval"]["stopping_time_histogram"] = outcome.stopping_time_histogram
             diagnostics["censored"] = outcome.censored
 
     ks = range(math.ceil(math.pi * math.sqrt(config.size) / 2.0) + 1)

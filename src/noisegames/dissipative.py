@@ -157,11 +157,12 @@ def max_mixing_probability(scales: NoiseScales) -> float:
     ``(1 - e^{-lambda_pd}) / (1 - e^{-lambda_pd} + sqrt(lambda_ad/pi))``;
     undefined when both scales vanish.
     """
-    u = -math.expm1(-scales.lambda_pd)
-    v = math.sqrt(scales.lambda_ad / math.pi)
-    if u == 0.0 and v == 0.0:
+    if scales.lambda_ad == scales.lambda_pd == 0.0:
         raise ValueError("mixing bound undefined when both noise scales are zero")
-    return u / (u + v)
+    u = -math.expm1(-scales.lambda_pd)
+    if u == 0.0:  # u / (u + v) with v > 0, or with v underflowed to 0
+        return u
+    return u / (u + math.sqrt(scales.lambda_ad / math.pi))
 
 
 @dataclass(frozen=True, slots=True)

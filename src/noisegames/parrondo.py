@@ -155,7 +155,7 @@ class SimulatedStats:
 
 
 # Histogram entries that a wave of simulated blocks holds at once when L is
-# small (16 MiB of int64); a wave always has at least one block per thread.
+# small (16 MiB of int64); a wave always has at least one block per pool thread.
 _WAVE_ENTRIES = 1 << 21
 
 
@@ -213,9 +213,10 @@ def simulate(
     win mask; with pairwise coprime odd moduli above 1, G <= log_3 L.
     Each block keeps only the histogram of its positions relative to its
     own start and its last relative position.  The blocks run in waves of
-    max(threads, 2^21 // L) blocks, and each wave is folded before the
+    max(pool, 2^21 // L) blocks, pool the threads :func:`rng.run_blocks`
+    starts (at most the usable CPUs), and each wave is folded before the
     next one starts, so the histograms held at once take
-    O(threads * L + 2^21) entries whatever the rounds.
+    O(pool * L + 2^21) entries whatever the rounds or ``threads``.
     Waves start on block boundaries and the blocks are folded in block
     order, so tallies are bit-identical under any thread count.
     """
@@ -236,7 +237,7 @@ def simulate(
 
     wins = 0
     carry = 0
-    per_wave = rng.BLOCK_SIZE * max(threads, _WAVE_ENTRIES // L, 1)
+    per_wave = rng.BLOCK_SIZE * max(rng._pool_threads(threads), _WAVE_ENTRIES // L, 1)
     for first in range(0, rounds, per_wave):
         wave = lambda start, count: worker(first + start, count)
         for hist, last in rng.run_blocks(min(per_wave, rounds - first), wave, threads=threads):

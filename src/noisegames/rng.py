@@ -245,6 +245,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pool_threads(threads: int) -> int:
+    """``threads`` capped at :func:`_usable_cpus`: more would add block sets but no parallelism."""
+    return min(threads, _usable_cpus())
+
+
 def run_blocks(total: int, worker: Callable[[int, int], _T], threads: int = 1) -> list[_T]:
     """Apply ``worker(start, count)`` over index blocks of ``BLOCK_SIZE``.
 
@@ -254,8 +259,7 @@ def run_blocks(total: int, worker: Callable[[int, int], _T], threads: int = 1) -
     any thread count.  ``worker`` must be a pure function of its arguments.
     Each thread that runs blocks gets its own set of arrays for
     :func:`_empty`, kept across its blocks and released when this call
-    returns.  The pool has at most :func:`_usable_cpus` threads: more would
-    add block sets but no parallelism.
+    returns.  The pool has at most :func:`_pool_threads` threads.
     """
     if total < 0:
         raise ValueError("total must be nonnegative")
@@ -273,7 +277,7 @@ def run_blocks(total: int, worker: Callable[[int, int], _T], threads: int = 1) -
         finally:
             _thread.arrays = outer
 
-    threads = min(threads, _usable_cpus())
+    threads = _pool_threads(threads)
     if threads <= 1 or len(starts) <= 1:
         return [block(s, c) for s, c in zip(starts, counts)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

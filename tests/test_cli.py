@@ -52,6 +52,11 @@ class TestSpecExamples:
         unchanged = {"a": 0.5, "b_im": 0.0, "b_re": 0.5, "c": 0.5}
         assert results["mc"] == results["first_order"] == unchanged
 
+    def test_subnormal_damping_without_dephasing_bounds_mixing_at_zero(self):
+        # sqrt(5e-324 / pi) underflows to 0, but the channel is noisy
+        env = run_json(["dissipative", "--lambda-ad", "5e-324", "--lambda-pd", "0"])
+        assert env["results"]["p_max"] == 0.0
+
     def test_iid_gaussian_point_mass(self):
         env = run_json(["iid", "--dist", "gaussian", "--mu", "0", "--sigma2", "0", "--steps", "5"])
         assert env["results"]["gamma"] == 1.0
@@ -186,8 +191,11 @@ class TestExitCodes:
             (["parrondo"], 1, 21),
             (["dissipative"], 4, 0),
             (["grover", "--strategy", "fixed", "--m", "128"], 2, 0),
+            # one draw a kick, a Gaussian pair's two raw slots serving two kicks
+            (["iid", "--steps", "4"], 4, 0),
+            (["memory", "--steps", "5"], 5, 0),
         ],
-        ids=["parrondo", "dissipative", "grover-fixed"],
+        ids=["parrondo", "dissipative", "grover-fixed", "iid", "memory"],
     )
     def test_draw_bound_admits_runs_at_the_bound(
         self, argv, draws_per_trial, draws_per_run, monkeypatch, capsys
@@ -254,26 +262,21 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["iid", "--steps", "2000", "--trials", "200000"],
-            ["memory", "--steps", "20", "--trials", "20000000"],
+            ["iid", "--steps", "4096", "--trials", str(2**20 + 1)],
+            ["memory", "--steps", "20", "--trials", str(cli.MC_MAX_DRAWS // 20 + 1)],
         ],
-        ids=["iid-2000x2e5", "memory-20x2e7"],
+        ids=["iid-4096x2e20", "memory-20-past-bound"],
     )
-    def test_kick_bound_refuses_before_drawing(self, argv, capsys):
+    def test_draw_bound_refuses_curves_before_drawing(self, argv, capsys):
         code, text = run_cli(argv)
         assert code == 2 and text == ""
-        assert f"limited to {cli.MC_MAX_KICKS}" in capsys.readouterr().err
+        assert f"limited to {cli.MC_MAX_DRAWS} (trials * steps)" in capsys.readouterr().err
         # the same curve on the exact route alone is admitted
         assert run_cli([*argv, "--exact"])[0] == 0
 
-    def test_kick_bound_admits_its_limit(self):
-        steps = 1 << 10
-        trials = cli.MC_MAX_KICKS // steps - cli.MC_KICK_OVERHEAD
-        values = {"steps": steps, "trials": trials, "exact": False}
-        assert cli._curve_mc(values)
-        with pytest.raises(ValueError, match=f"limited to {cli.MC_MAX_KICKS}"):
-            cli._curve_mc({**values, "trials": trials + 1})
-        assert not cli._curve_mc({**values, "trials": trials + 1, "exact": True})
+    def test_draw_bound_admits_curves_past_two_to_the_28_kicks(self):
+        for steps, trials in ((2000, 200_000), (20, 20_000_000)):
+            assert cli._curve_mc({"steps": steps, "trials": trials, "exact": False})
 
     def test_kick_bound_admits_the_benchmark_curve(self):
         env = run_json(["memory", "--steps", "20", "--trials", "100000"])

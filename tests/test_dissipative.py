@@ -135,7 +135,9 @@ class TestMixingBound:
         assert max_mixing_probability(NoiseScales(0.0, 0.3)) == 1.0
 
     def test_no_dephasing_forbids_mixing(self):
-        assert max_mixing_probability(NoiseScales(1e-4, 0.0)) == 0.0
+        # at 5e-324, sqrt(lambda_ad / pi) underflows to 0
+        for lambda_ad in (1e-4, 5e-324):
+            assert max_mixing_probability(NoiseScales(lambda_ad, 0.0)) == 0.0
 
     def test_reference_value(self):
         p = max_mixing_probability(NoiseScales(1e-4, 1e-2))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import time
 from fractions import Fraction
 
@@ -293,6 +294,24 @@ class TestSimulate:
         monkeypatch.setattr(parrondo, "_WAVE_ENTRIES", 1 << 30)  # one wave
         assert waves == [simulate(g, rounds, seed=12, threads=1)] * 3
         assert totals[-1] == rounds
+
+    def test_waves_are_sized_by_the_pool(self, monkeypatch):
+        # on 2 CPUs, 64 requested threads hold the 5-block waves that 2 do
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        g = CombinedGame(tuple(RotationGame(m) for m in (19, 23, 29, 31)))
+        rounds = 6 * rng.BLOCK_SIZE + 1
+        run_blocks = rng.run_blocks
+        totals = {}
+
+        def counted(total, *args, threads=1, **kwargs):
+            totals.setdefault(threads, []).append(total)
+            return run_blocks(total, *args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(rng, "run_blocks", counted)
+        two, many = (simulate(g, rounds, seed=12, threads=t) for t in (2, 64))
+        assert two == many
+        assert totals[64] == totals[2] == [5 * rng.BLOCK_SIZE, rng.BLOCK_SIZE + 1]
 
     def test_round_validation(self):
         with pytest.raises(ValueError):

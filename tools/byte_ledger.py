@@ -8,7 +8,8 @@ then runs that reach every path of the finite-law kick samplers, each at
 epsilon, and delta ``iid`` mixtures from 1 to 300 angles (both sides of
 the 255-edge switch to a binary search), uniform and weighted, one of
 them with a running weight sum of exactly 1.0 before the last and
-one above it.
+one above it, and last a wheel game on Z_(2^20 - 1), whose waves hold two
+blocks at few threads, at ``--threads`` 1, 2 and 16.
 Each line is ``<exit code> <sha256> <argv>``, where the hash covers what
 the run printed to stdout and to stderr and the file it wrote with
 ``--out``.  Two checkouts give every invocation the same exit code and the
@@ -80,6 +81,12 @@ def branch_argvs() -> list[list[str]]:
     return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
 
 
+def wave_argvs() -> list[list[str]]:
+    """A wheel game whose wave size turns on the pool, at 1, 2 and 16 threads."""
+    argv = ["parrondo", "--moduli", "1048575", "--trials", "300000"]
+    return [argv + [f"--threads={threads}"] for threads in (1, 2, 16)]
+
+
 def entry(argv: list[str]) -> str:
     """One ledger line for ``argv``, run in a fresh temporary directory."""
     out, err = io.StringIO(), io.StringIO()
@@ -99,7 +106,7 @@ def entry(argv: list[str]) -> str:
 
 
 def main() -> None:
-    for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs()]:
+    for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wave_argvs()]:
         print(entry(argv), flush=True)
 
 
