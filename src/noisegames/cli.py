@@ -41,12 +41,13 @@ CURVE_MAX_STEPS = 1 << 16
 
 # A run needs trials * steps draws for an iid or memory curve (one a kick; a
 # Gaussian pair's two raw slots serve two kicks), trials * ceil(m / 64) for a
-# fixed search horizon of m letters, one per wheel round and 4 per dissipative
-# trial.  On one thread of a 2-core Xeon VM these cost about 13-30 ns a kick,
-# 8 ns a search draw, 12-16 ns a round and 65-85 ns a trial, so a run at the
-# bound takes 35 s to 2 minutes; more is refused before the first draw.  A
-# curve's Python cost, 45-75 us per step of a block, needs no term of its own:
-# as steps <= CURVE_MAX_STEPS, blocks * steps <= 2^16 + 2^16 at the bound.
+# fixed search horizon of m letters, one per wheel round and 2 per dissipative
+# trial (one Box-Muller pair).  On one thread of a 2-core Xeon VM these cost
+# about 13-30 ns a kick, 8 ns a search draw, 12-16 ns a round and 45-60 ns a
+# trial, so a run at the bound takes 35 s to 2 minutes; more is refused
+# before the first draw.  A curve's Python cost, 45-75 us per step of a
+# block, needs no term of its own: as steps <= CURVE_MAX_STEPS, blocks *
+# steps <= 2^16 + 2^16 at the bound.
 # Adaptive search is unbounded: its worst case, trials * grover.ADAPTIVE_CAP /
 # 64, would refuse n = 10 runs of about 40 draws a trial.
 MC_MAX_DRAWS = 1 << 32
@@ -68,8 +69,9 @@ MAX_THREADS = 64
 # draw; layout 2 reads letter t from bit t % 64 of draw t // 64; layout 3 also
 # takes wheel round r's game and rotation from slot r of stream (seed, 0);
 # layout 4 also takes Gaussian kicks 2j and 2j + 1 from the cosine and the
-# sine of one Box-Muller pair, normal slot j.
-STREAM_LAYOUT = 4
+# sine of one Box-Muller pair, normal slot j; layout 5 also takes a dissipative
+# trial's theta and alpha from the cosine and the sine of normal slot 0.
+STREAM_LAYOUT = 5
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -357,7 +359,7 @@ def _cmd_dissipative(v: dict, threads: int):
     }
     diagnostics: dict = {"mc": trials > 0}
     if trials > 0:
-        _limit_draws(4 * trials, f"{trials} trials", "4 * trials")
+        _limit_draws(2 * trials, f"{trials} trials", "2 * trials")
         mc = dissipative.averaged_channel_mc(rho0, p, scales, trials, v["seed"], threads)
         results["mc"] = _state_entries(mc.rho_avg)
         diagnostics["stderr_pop"] = mc.stderr_pop

@@ -70,12 +70,14 @@ def averaged_channel_mc(
     clamped to [0, 1].  These laws reproduce every coefficient of the
     first-order averaged matrix: E[alpha] = sqrt(4*lambda_ad/pi),
     E[sqrt(1-alpha)] = 1 - sqrt(lambda_ad/pi) + O(lambda_ad) and
-    E[e^{-i theta}] = e^{-lambda_pd}.  theta reads normal slot 0 and alpha
-    normal slot 1 of each trajectory; the phasor comes from
-    :func:`montecarlo.phasors`.  Each block works in place on its draws and
-    yields the population before it builds the coherence, so it holds at
-    most five block-sized float arrays at once (the complex coherence
-    counts as two).
+    E[e^{-i theta}] = e^{-lambda_pd}.  theta takes the cosine and alpha the
+    sine of one Box-Muller pair, normal slot 0 of each trajectory (raw
+    slots 0 and 1), two independent standard normals; the phasor comes
+    from :func:`montecarlo.phasors`.  Each block works in place on its
+    draws and yields the population before it builds the coherence, so it
+    holds at most six block-sized float arrays at once: theta, alpha, the
+    complex coherence and the reducer's complex copy of it, each complex
+    array counting as two.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
@@ -101,9 +103,9 @@ def averaged_channel_mc(
         yield b_out
 
     def sampler(keys: np.ndarray):
-        theta = rng.slot_normal(keys, 0)
+        alpha = rng._empty(len(keys))
+        theta = rng.slot_normal(keys, 0, sine=alpha)
         theta *= sd_theta
-        alpha = rng.slot_normal(keys, 1)
         alpha *= sd_x
         np.abs(alpha, out=alpha)
         clamped = int(np.count_nonzero(alpha > 1.0))

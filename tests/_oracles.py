@@ -12,8 +12,9 @@ implementations it checks.  These parts take something from the package:
 * ``random_state`` returns the package's ``DensityMatrix2``, whose
   constructor validates it, and ``random_diagonal_channel`` a
   ``KrausChannel`` of the qubit-channel algebra below;
-* the state simulators of the search game take its ``GameConfig``, and
-  ``char_function_quadrature`` takes the package's kick laws;
+* the state simulators of the search game take its ``GameConfig``,
+  ``char_function_quadrature`` takes the package's kick laws and
+  ``averaged_channel_exact`` its dissipative noise scales;
 * the search-game letter walks, the per-point Monte Carlo estimators, the
   exp-of-sum kicked coherences and the wheel-game position merge keep the
   package's random streams (and kick laws) and fix the results the faster
@@ -720,6 +721,48 @@ def char_function_quadrature(dist) -> complex:
     re, _ = quad(lambda t: math.cos(t) * pdf(t), lo, hi, epsabs=1e-11, limit=400)
     im, _ = quad(lambda t: math.sin(t) * pdf(t), lo, hi, epsabs=1e-11, limit=400)
     return complex(re, im)
+
+
+# --- The noise-averaged dissipative channel, exactly ---
+
+
+def damping_moments(lambda_ad: float) -> tuple[float, float, float]:
+    """E[alpha], E[sqrt(1 - alpha)] and P(alpha = 1) for alpha = min(|X|, 1).
+
+    X ~ Normal(0, s^2) with s^2 = 2 * lambda_ad.  E[alpha] is
+    ``s*sqrt(2/pi)*(1 - e^{-1/(2 s^2)}) + erfc(1/(s*sqrt(2)))``, the clamp
+    probability ``erfc(1/(s*sqrt(2)))``, and E[sqrt(1 - alpha)] the
+    integral of sqrt(1 - x) against the half-normal density over [0, 1]
+    (the clamped mass contributes 0), by adaptive quadrature over
+    [0, min(1, 12 s)] (the density beyond 12 s is below e^{-72}).
+    """
+    if lambda_ad == 0.0:
+        return 0.0, 1.0, 0.0
+    s = math.sqrt(2.0 * lambda_ad)
+    clamp = math.erfc(1.0 / (s * math.sqrt(2.0)))
+    mean = s * math.sqrt(2.0 / math.pi) * -math.expm1(-1.0 / (2.0 * s * s)) + clamp
+    norm = math.sqrt(2.0 / math.pi) / s
+    from scipy.integrate import quad
+
+    root, _ = quad(
+        lambda x: math.sqrt(1.0 - x) * norm * math.exp(-0.5 * (x / s) ** 2),
+        0.0, min(1.0, 12.0 * s), epsabs=1e-13, epsrel=1e-12, limit=400,
+    )
+    return mean, root, clamp
+
+
+def averaged_channel_exact(rho0: DensityMatrix2, p: float, scales) -> DensityMatrix2:
+    """The noise-averaged output of ``dissipative.averaged_channel_mc``, exactly.
+
+    With alpha = min(|X|, 1) as in :func:`damping_moments` and theta ~
+    Normal(0, 2*lambda_pd), so that E[e^{-i theta}] = e^{-lambda_pd}:
+    ``a = a0 + p*E[alpha]*(1 - a0)`` and
+    ``b = b0*(p*E[sqrt(1 - alpha)] + (1 - p)*e^{-lambda_pd})``.
+    """
+    mean, root, _ = damping_moments(scales.lambda_ad)
+    a = rho0.a + p * mean * (1.0 - rho0.a)
+    b = rho0.b * (p * root + (1.0 - p) * math.exp(-scales.lambda_pd))
+    return DensityMatrix2(a, b, 1.0 - a)
 
 
 # --- The search game simulated as a state ---

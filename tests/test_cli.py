@@ -172,7 +172,7 @@ class TestExitCodes:
             ["parrondo", "--moduli", "3,7", "--trials", str(10**13)],
             ["parrondo", "--trials", str(cli.MC_MAX_DRAWS + 1)],
             ["dissipative", "--trials", str(10**13)],
-            ["dissipative", "--trials", str(cli.MC_MAX_DRAWS // 4 + 1)],
+            ["dissipative", "--trials", str(cli.MC_MAX_DRAWS // 2 + 1)],
         ],
         ids=["parrondo-1e13", "parrondo-past-bound", "dissipative-1e13", "dissipative-past-bound"],
     )
@@ -189,7 +189,7 @@ class TestExitCodes:
         [
             # one block of rounds on Z_21 also counts L = 21 draws
             (["parrondo"], 1, 21),
-            (["dissipative"], 4, 0),
+            (["dissipative"], 2, 0),
             (["grover", "--strategy", "fixed", "--m", "128"], 2, 0),
             # one draw a kick, a Gaussian pair's two raw slots serving two kicks
             (["iid", "--steps", "4"], 4, 0),
@@ -424,7 +424,7 @@ def test_envelope_structure():
     assert set(env) == {"inputs", "results", "diagnostics", "provenance"}
     assert env["provenance"]["version"]
     assert env["provenance"]["seed"] == 1
-    assert env["provenance"]["stream_layout"] == cli.STREAM_LAYOUT == 4
+    assert env["provenance"]["stream_layout"] == cli.STREAM_LAYOUT == 5
 
 
 @pytest.mark.parametrize(

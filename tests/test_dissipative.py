@@ -1,17 +1,21 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from _oracles import (
     DampingPhaseParams,
     apply_channel,
     apply_unitary,
+    averaged_channel_exact,
     build_damping_phase_channel,
+    damping_moments,
     derive_stream,
     random_state,
     rz,
 )
+from noisegames import montecarlo, rng
 from noisegames.dissipative import (
     NoiseScales,
     _step_factors,
@@ -95,8 +99,77 @@ class TestAveragedMc:
     def test_thread_invariance(self):
         args = (plus_state(), 0.5, NoiseScales(1e-3, 1e-2), 300_000)
         a = averaged_channel_mc(*args, seed=5, threads=1)
-        b = averaged_channel_mc(*args, seed=5, threads=8)
-        assert a.rho_avg == b.rho_avg and a.stderr_coh == b.stderr_coh
+        for threads in (2, 8):
+            b = averaged_channel_mc(*args, seed=5, threads=threads)
+            assert a == b, threads
+
+    def test_one_pair_gives_theta_and_alpha(self, monkeypatch):
+        # stream layout 5: theta is the cosine and alpha the clamped sine of
+        # normal slot 0; no raw slot from 2 on is drawn
+        scales, seed, n = NoiseScales(0.5, 0.3), 11, rng.BLOCK_SIZE
+        seen = {"theta": [], "points": [], "slots": set()}
+        draw, phasors, block_moments = rng._draw, montecarlo.phasors, montecarlo.block_moments
+
+        def spy_draw(keys, first, out, t):
+            seen["slots"].update(range(first, first + len(out)))
+            return draw(keys, first, out, t)
+
+        def spy_phasors(theta):
+            seen["theta"].append(theta.copy())
+            return phasors(theta)
+
+        def spy_moments(values):
+            seen["points"].append(values.copy())
+            return block_moments(values)
+
+        monkeypatch.setattr(rng, "_draw", spy_draw)
+        monkeypatch.setattr(montecarlo, "phasors", spy_phasors)
+        monkeypatch.setattr(montecarlo, "block_moments", spy_moments)
+        # a0 = 0 and p = 1 make the population exactly alpha
+        res = averaged_channel_mc(DensityMatrix2(0.0, 0.0, 1.0), 1.0, scales, n, seed)
+        monkeypatch.undo()
+        assert seen["slots"] == {0, 1}
+        sine = np.empty(n)
+        cosine = rng.slot_normal(rng.stream_keys(seed, 0, n), 0, sine=sine)
+        theta = cosine * math.sqrt(2.0 * scales.lambda_pd)
+        alpha = np.minimum(np.abs(sine * math.sqrt(2.0 * scales.lambda_ad)), 1.0)
+        (got_theta,), (got_alpha, _) = seen["theta"], seen["points"]
+        assert got_theta.tobytes() == theta.tobytes()
+        assert got_alpha.tobytes() == alpha.tobytes()
+        assert res.clamp_fraction == np.count_nonzero(alpha == 1.0) / n > 0.0
+
+
+def _exact_partner_z(lambda_ad: float) -> dict[str, float]:
+    """(MC - exact) / stderr of a, b_re, b_im and the clamp fraction at 2^20 trials."""
+    rho, p, trials = DensityMatrix2(0.3, 0.2 + 0.35j, 0.7), 0.5, 1 << 20
+    scales = NoiseScales(lambda_ad, 1e-2)
+    mc = averaged_channel_mc(rho, p, scales, trials, seed=5)
+    exact = averaged_channel_exact(rho, p, scales)
+    clamp = damping_moments(lambda_ad)[2]
+    clamp_err = math.sqrt(clamp * (1.0 - clamp) / trials)
+    return {
+        "a": (mc.rho_avg.a - exact.a) / mc.stderr_pop,
+        "b_re": (mc.rho_avg.b.real - exact.b.real) / mc.stderr_coh,
+        "b_im": (mc.rho_avg.b.imag - exact.b.imag) / mc.stderr_coh,
+        # a clamp probability that underflows to 0 admits no clamp at all
+        "clamp": (mc.clamp_fraction - clamp) / clamp_err if clamp_err
+        else math.inf if mc.clamp_fraction else 0.0,
+        "clamp_fraction": mc.clamp_fraction,
+    }
+
+
+class TestExactPartner:
+    @pytest.mark.parametrize("lambda_ad", [1e-4, 1e-2, 0.05, 0.2, 1.0])
+    def test_mc_is_within_four_sigma_of_the_exact_channel(self, lambda_ad):
+        z = _exact_partner_z(lambda_ad)
+        assert max(abs(z[k]) for k in ("a", "b_re", "b_im", "clamp")) <= 4.0, z
+
+    @pytest.mark.parametrize("lambda_ad", [1e-8, 1e-6, 1e-4])
+    def test_exact_moments_meet_the_first_order_series(self, lambda_ad):
+        mean, root, clamp = damping_moments(lambda_ad)
+        assert mean == pytest.approx(math.sqrt(4.0 * lambda_ad / math.pi), rel=1e-12)
+        assert root == pytest.approx(1.0 - math.sqrt(lambda_ad / math.pi), abs=2.0 * lambda_ad)
+        assert clamp == 0.0
 
 
 class TestFirstOrder:

@@ -8,8 +8,10 @@ then runs that reach every path of the finite-law kick samplers, each at
 epsilon, and delta ``iid`` mixtures from 1 to 300 angles (both sides of
 the 255-edge switch to a binary search), uniform and weighted, one of
 them with a running weight sum of exactly 1.0 before the last and
-one above it, and last a wheel game on Z_(2^20 - 1), whose waves hold two
-blocks at few threads, at ``--threads`` 1, 2 and 16.
+one above it, then a wheel game on Z_(2^20 - 1), whose waves hold two
+blocks at few threads, at ``--threads`` 1, 2 and 16, and last two-block
+``dissipative`` Monte Carlo runs over a grid of mixing probabilities and
+noise scales, and one from a complex coherence, at ``--threads`` 1 and 2.
 Each line is ``<exit code> <sha256> <argv>``, where the hash covers what
 the run printed to stdout and to stderr and the file it wrote with
 ``--out``.  Two checkouts give every invocation the same exit code and the
@@ -87,6 +89,19 @@ def wave_argvs() -> list[list[str]]:
     return [argv + [f"--threads={threads}"] for threads in (1, 2, 16)]
 
 
+def dissipative_argvs() -> list[list[str]]:
+    """Two-block dissipative Monte Carlo runs over p and the noise scales, at 1 and 2 threads."""
+    common = ["--trials=70000", "--seed=9"]
+    runs = [
+        ["dissipative", f"--p={p}", f"--lambda-ad={ad}", f"--lambda-pd={pd}", *common]
+        for p in ("0", "0.5", "1")
+        for ad in ("0", "1e-4", "1e-2")
+        for pd in ("0", "1e-2")
+    ]
+    runs.append(["dissipative", "--a0=0.3", "--b0-re=0.2", "--b0-im=0.35", *common])
+    return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
+
+
 def entry(argv: list[str]) -> str:
     """One ledger line for ``argv``, run in a fresh temporary directory."""
     out, err = io.StringIO(), io.StringIO()
@@ -106,7 +121,8 @@ def entry(argv: list[str]) -> str:
 
 
 def main() -> None:
-    for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wave_argvs()]:
+    for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wave_argvs(),
+                 *dissipative_argvs()]:
         print(entry(argv), flush=True)
 
 
