@@ -8,7 +8,8 @@ JSON result envelope::
 
 Re-running with the same inputs yields a byte-identical envelope at any
 thread count.  ``--format csv`` emits the subcommand's curve data instead.
-Exit codes: 0 success, 2 invalid parameters or usage, 1 runtime failure.
+Exit codes: 0 success, 2 invalid parameters or usage, 1 runtime failure,
+141 (128 + SIGPIPE) when the reader of the output closes it early.
 
 Every subcommand parameter is declared once, as a :class:`_Param` in that
 subcommand's table: the table builds its flag, reads it from ``--config``
@@ -18,25 +19,30 @@ and writes it into the ``inputs`` echo, so the echo is a valid config.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
+import operator
+import os
 import sys
-from fractions import Fraction
+from contextlib import nullcontext
 from typing import NamedTuple
 
-from . import __version__, dissipative, grover, kicks, memory, parrondo, rng
+import numpy as np
+
+from . import __version__, dissipative, grover, kicks, memory, parrondo, rng, writers
 from .qubit import DensityMatrix2, coherence
 
 
-# A CSV's rows are built and joined in memory, about 25 bytes and 1.8 us
-# each, so a longer one is refused before its first row is built.
+# A CSV is formatted and written writers.CHUNK_ROWS rows at a time, so its
+# memory does not grow with its length.  At 1.1-1.4 us a row, a run at the
+# bound takes about 5 s; a longer one is refused before its first row is built.
 CSV_MAX_ROWS = 1 << 22
 
-# An iid or memory curve has one row per step.  The rows are built in Python
-# at about 11 us (iid) to 21 us (memory, with its recursion and decay rate)
-# and 100 bytes of JSON each, so a longer curve is refused before its first
-# step: at the bound, `memory --exact` takes about 1.7 s and 75 MiB.
+# An iid or memory curve has one row per step, at about 3 us (iid) to 5 us
+# (memory) and 100 bytes of JSON each, so a longer curve is refused before
+# its first step: at the bound, `memory --exact` takes about 0.35 s and 80 MiB.
 CURVE_MAX_STEPS = 1 << 16
 
 # A run needs trials * steps draws for an iid or memory curve (one a kick; a
@@ -73,52 +79,8 @@ MAX_THREADS = 64
 # trial's theta and alpha from the cosine and the sine of normal slot 0.
 STREAM_LAYOUT = 5
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json(value, pad: str = "\n") -> str:
-    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it.
-
-    Keys become strings and are sorted; floats are ``float.__repr__`` (nan
-    as ``NaN``, infinities as the strings ``"inf"``/``"-inf"``) and
-    fractions the strings ``"p/q"``.  ``pad`` is the newline and indent of
-    the enclosing level.  Any other type is a ``TypeError``.
-    """
-    if isinstance(value, float):
-        if value - value == 0.0:  # finite
-            return float.__repr__(value)
-        if value != value:
-            return "NaN"
-        return '"inf"' if value > 0 else '"-inf"'
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = {str(k): v for k, v in value.items()}
-        parts = [f"{_encode_str(k)}: {_json(items[k], inner)}" for k in sorted(items)]
-        return "{" + inner + ("," + inner).join(parts) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(parts) + pad + "]"
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, Fraction):
-        return f'"{value.numerator}/{value.denominator}"'
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _envelope(inputs: dict, results: dict, diagnostics: dict) -> str:
-    return _json({
+    return writers.json_text({
         "inputs": inputs,
         "results": results,
         "diagnostics": diagnostics,
@@ -248,14 +210,14 @@ def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
     curve = [{"n": n, "analytic_coherence": a, "coherence": a} for n, a in enumerate(analytic)]
     for row, est in zip(curve, estimates):
         row["coherence"], row["mc_stderr"] = coherence(est.rho_est), est.stderr
-    lines = lambda: (f"{r['n']},{r['coherence']!r},{r['analytic_coherence']!r}" for r in curve)
-    return curve, ("n,coherence,analytic_coherence", lines)
+    columns = lambda: (range(len(curve)), map(operator.itemgetter("coherence"), curve), analytic)
+    return curve, ("n,coherence,analytic_coherence", "%d,%r,%r", columns)
 
 
 # Each handler takes the resolved parameters and the thread count and returns
 # (values the echo must show instead of the resolved ones, results,
-# diagnostics, and the CSV header with a function returning the row lines, or
-# None).  The rows are formatted only when the CSV is written.
+# diagnostics, and the CSV header, row format and a function returning the
+# row columns, or None).  The rows are formatted only when the CSV is written.
 
 
 def _limit_draws(draws: int, what: str, rule: str) -> None:
@@ -399,8 +361,9 @@ def _cmd_parrondo(v: dict, threads: int):
             "win_prob": sim.win_prob,
             "net_rate": sim.net_rate,
         }
-    lines = lambda: (f"{k},1/{L},{parrondo.is_winning(k, L):d}" for k in range(L))
-    return {}, results, diagnostics, ("position,probability,winning", lines)
+    columns = lambda: (range(L), itertools.repeat(L),
+                       parrondo.is_winning(np.arange(L), L).tolist())
+    return {}, results, diagnostics, ("position,probability,winning", "%d,1/%d,%d", columns)
 
 
 def _cmd_grover(v: dict, threads: int):
@@ -447,15 +410,15 @@ def _cmd_grover(v: dict, threads: int):
 
     ks = range(math.ceil(math.pi * math.sqrt(config.size) / 2.0) + 1)
 
-    def lines():
+    def columns():
         if len(ks) > CSV_MAX_ROWS:
             raise ValueError(
                 f"the success curve at n_qubits = {config.n_qubits} has {len(ks)} rows; "
                 f"CSV output is limited to {CSV_MAX_ROWS} (n_qubits <= 42)"
             )
-        return (f"{k},{p!r}" for k, p in zip(ks, grover.success_curve(ks, config)))
+        return ks, grover.success_curve(ks, config)
 
-    return derived, results, diagnostics, ("k,success_prob", lines)
+    return derived, results, diagnostics, ("k,success_prob", "%d,%r", columns)
 
 
 # subcommand -> (handler, help, parameter table)
@@ -509,7 +472,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once a process (1.7 ms): parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="noisegames",
         description="Stochastic qubit decoherence and randomness-driven games.",
@@ -554,14 +519,15 @@ def run(argv: list[str], stdout=None) -> int:
         if not 1 <= threads <= MAX_THREADS:
             raise ValueError(f"threads must be between 1 and {MAX_THREADS}")
         values = _resolve(args.command, table, args, config)
-        derived, results, diagnostics, csv_data = handler(values, threads)
+        derived, results, diagnostics, csv = handler(values, threads)
         if args.format == "csv":
-            if csv_data is None:
+            if csv is None:
                 raise ValueError(f"no CSV curve defined for {args.command!r}")
-            header, lines = csv_data
-            text = "\n".join((header, *lines()))
+            header, fmt, columns = csv
+            parts = itertools.chain((header,), writers.row_chunks("\n" + fmt, columns()), ("\n",))
         else:
-            text = _envelope(_echo(args.command, table, values, derived), results, diagnostics)
+            parts = (_envelope(_echo(args.command, table, values, derived), results, diagnostics),
+                     "\n")
     except (ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -569,20 +535,23 @@ def run(argv: list[str], stdout=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"runtime error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        print(text, file=out_stream)
+    try:
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(out_stream) as fh:
+            fh.writelines(parts)
+            fh.flush()
+    except BrokenPipeError:  # the reader closed early, as `head` does
+        return 141
+    except OSError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == 141:  # stdout's reader is gone: let the exit's flush go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -147,10 +147,16 @@ def _recursion_step(kern: MemoryKernel) -> Callable[[tuple], tuple]:
         [(b.weight * cmath.exp(1j * b.angle), index[b.to_label]) for b in kern.branches(label)]
         for label in index
     )
-    return lambda f: (
-        sum(coef * f[dest] for coef, dest in from_a),
-        sum(coef * f[dest] for coef, dest in from_b),
-    )
+
+    def step(f: tuple) -> tuple:
+        to_a = to_b = 0  # from the int 0, as sum() starts: a lone -0.0 term gives 0.0
+        for coef, dest in from_a:
+            to_a += coef * f[dest]
+        for coef, dest in from_b:
+            to_b += coef * f[dest]
+        return to_a, to_b
+
+    return step
 
 
 def coherence_recursion(kern: MemoryKernel, n: int) -> CoherenceTrace:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from noisegames import cli, grover, parrondo, rng
+from noisegames import cli, grover, parrondo, rng, writers
 
 
 def run_cli(argv):
@@ -283,12 +283,21 @@ class TestExitCodes:
         assert env["diagnostics"]["mc"] and len(env["results"]["curve"]) == 21
 
     def test_csv_row_bound_admits_42(self):
-        # the check runs when the row lines are asked for; n = 42 has 3,294,200
+        # the check runs when the row columns are asked for; n = 42 has
+        # 3,294,200 rows, and only the first chunk of them is formatted here
         values = {"n_qubits": 42, "target": 0, "strategy": "quarter-pi", "m": None,
                   "k_star": None, "trials": 0, "seed": 0}
-        _, _, _, (header, lines) = cli._cmd_grover(values, 1)
-        rows = lines()
-        assert next(rows) == f"0,{2.0**-42!r}" and header == "k,success_prob"
+        _, _, _, (header, fmt, columns) = cli._cmd_grover(values, 1)
+        ks, probs = columns()
+        assert len(ks) == 3_294_200 <= cli.CSV_MAX_ROWS and header == "k,success_prob"
+        chunk = next(writers.row_chunks("\n" + fmt, (ks, probs)))
+        assert chunk.split("\n", 2)[1] == f"0,{2.0**-42!r}"
+        assert chunk.count("\n") == writers.CHUNK_ROWS
+
+    def test_csv_refusal_writes_no_file(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        code, text = run_cli(["grover", "--n-qubits=43", "--format=csv", f"--out={path}"])
+        assert code == 2 and text == "" and not path.exists()
 
 
 class TestCsvSchemas:
@@ -523,11 +532,64 @@ def _random_scalar(rnd: random.Random):
     return Fraction(rnd.randint(-bound, bound), rnd.randint(1, bound))
 
 
+# Row keys with a %, keys the encoder escapes, and the empty key
+_ROW_KEYS = ["n", "coherence", "%d", "100%", "%(n)s", "%%", 'say "hi"', "tab\there", "\u00e9",
+             "\U0001f600", ""]
+
+
+def _random_column(rnd: random.Random, rows: int, depth: int) -> list:
+    """One column of a row list: all finite floats, ints or strs, or any values."""
+    kind = rnd.randrange(6)
+    if kind == 0:
+        return [rnd.uniform(-1e3, 1e3) * 10.0 ** rnd.randint(-300, 300) for _ in range(rows)]
+    if kind == 1:  # finite floats whose sum overflows to inf
+        return [rnd.choice((1.0, -1.0)) * 1.7e308 if i % 2 else 1.7e308 for i in range(rows)]
+    if kind == 2:  # floats with a non-finite one or a float subclass among them
+        column = [rnd.random() for _ in range(rows)]
+        column[rnd.randrange(rows)] = rnd.choice([*_SPECIAL_FLOATS[-3:], np.float64(0.1)])
+        return column
+    if kind == 3:
+        return [rnd.getrandbits(70) - 2**69 for _ in range(rows)]
+    if kind == 4:
+        return [_random_text(rnd) if rnd.random() < 0.5 else rnd.choice(_ESCAPES)
+                for _ in range(rows)]
+    return [_random_value(rnd, depth + 1) for _ in range(rows)]
+
+
+def _random_rows(rnd: random.Random, depth: int):
+    """A list of dicts that share their str keys, each in its own key order.
+
+    A quarter of the lists are near misses that must not be written as
+    shared-key rows: one row lacks a key, every row also has an int key, or
+    one row is not a dict.
+    """
+    rows = rnd.randint(1, 5)
+    keys = rnd.sample(_ROW_KEYS, rnd.randint(1, 4)) + [_random_text(rnd)] * rnd.randrange(2)
+    columns = {key: _random_column(rnd, rows, depth) for key in keys}
+    value = []
+    for i in range(rows):
+        order = list(columns)
+        rnd.shuffle(order)
+        value.append({key: columns[key][i] for key in order})
+    miss = rnd.randrange(8)
+    if miss == 0:
+        del value[rnd.randrange(len(value))][rnd.choice(list(columns))]
+    elif miss == 1:
+        for row in value:
+            row[rnd.randint(-3, 3)] = _random_scalar(rnd)
+    elif miss == 2:
+        value[rnd.randrange(len(value))] = _random_value(rnd, depth + 1)
+    return value if rnd.random() < 0.8 else tuple(value)
+
+
 def _random_value(rnd: random.Random, depth: int = 0):
-    """A scalar, or a list, tuple or dict (str and int keys) nested up to 3 deep."""
-    kind = rnd.randrange(4) if depth < 3 else 0
+    """A scalar, a list of shared-key rows, or a list, tuple or dict (str and
+    int keys) nested up to 3 deep."""
+    kind = rnd.randrange(5) if depth < 3 else 0
     if kind == 0:
         return _random_scalar(rnd)
+    if kind == 4:
+        return _random_rows(rnd, depth)
     items = [_random_value(rnd, depth + 1) for _ in range(rnd.randrange(6))]
     if kind == 1:
         return items
@@ -541,36 +603,70 @@ def test_json_writer_matches_stdlib_encoder():
     rnd = random.Random(20260402)
     for case in range(_WRITER_CASES):
         value = _random_value(rnd)
-        assert cli._json(value) == _oracles.json_text(value), (case, value)
+        assert writers.json_text(value) == _oracles.json_text(value), (case, value)
 
 
 @pytest.mark.parametrize(
-    "value", [1j, {1, 2}, np.int64(3), np.bool_(True), b"x", [Fraction(1, 2), object()]]
+    "value",
+    [
+        1j, {1, 2}, np.int64(3), np.bool_(True), b"x", [Fraction(1, 2), object()],
+        [{"p": Fraction(1, 2), "q": object()}, {"p": 0.5, "q": 1}],
+        [{"x": 1.0}, {"x": 1j}],
+        [{"n": 1}, {"n": np.int64(2)}],
+        [{"s": "a"}, {"s": b"b"}],
+        [{"row": [{"x": 1.0}, {"x": object()}]}],
+    ],
 )
 def test_json_writer_refuses_what_the_encoder_refuses(value):
     with pytest.raises(TypeError):
         _oracles.json_text(value)
     with pytest.raises(TypeError):
-        cli._json(value)
+        writers.json_text(value)
 
 
-# The exact workload's invocations and a run that prints "inf" and null.
-_EXACT_RUNS = [
-    ["parrondo", "--moduli=19,23", "--exact", "--seed=5"],
-    ["grover", "--n-qubits=37", "--trials=0", "--seed=5"],
-    ["iid", "--dist=exponential", "--exact", "--steps=3000", "--seed=5"],
-    ["memory", "--exact", "--steps=3000", "--seed=5"],
-    ["dissipative", "--lambda-ad", "0"],
-]
+# The exact workload's invocations, a run that prints "inf" and null, and one
+# run of each other row shape: a Monte Carlo curve (rows with mc_stderr),
+# adaptive search (int-keyed histograms) and a wheel-game simulation.
+_EXACT_RUNS = {
+    "parrondo": ["parrondo", "--moduli=19,23", "--exact", "--seed=5"],
+    "grover": ["grover", "--n-qubits=37", "--trials=0", "--seed=5"],
+    "iid": ["iid", "--dist=exponential", "--exact", "--steps=3000", "--seed=5"],
+    "memory": ["memory", "--exact", "--steps=3000", "--seed=5"],
+    "dissipative": ["dissipative", "--lambda-ad", "0"],
+    "memory-mc": ["memory", "--steps=30", "--trials=2000", "--seed=5"],
+    "grover-adaptive": ["grover", "--n-qubits=6", "--strategy=adaptive", "--trials=2000",
+                        "--seed=5"],
+    "parrondo-sim": ["parrondo", "--moduli=3,7", "--trials=20000", "--seed=5"],
+}
 
 
-@pytest.mark.parametrize("argv", _EXACT_RUNS, ids=[a[0] for a in _EXACT_RUNS])
+@pytest.mark.parametrize("argv", _EXACT_RUNS.values(), ids=_EXACT_RUNS.keys())
 def test_envelope_bytes_match_oracle_writer(argv, monkeypatch):
     _, text = run_cli(argv)
-    monkeypatch.setattr(cli, "_json", _oracles.json_text)
+    monkeypatch.setattr(writers, "json_text", _oracles.json_text)
     assert run_cli(argv) == (0, text)
     if argv[0] == "dissipative":
         assert '"t1": "inf"' in text and '"t1_over_half_t2": null' in text
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_json_rows_across_chunks(chunk, monkeypatch):
+    # lists of 1 to 5 shared-key rows, written `chunk` rows at a time
+    monkeypatch.setattr(writers, "CHUNK_ROWS", chunk)
+    rnd = random.Random(chunk)
+    for case in range(300):
+        value = _random_rows(rnd, 0)
+        assert writers.json_text(value) == _oracles.json_text(value), (case, value)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_curve_envelope_across_chunks(offset, monkeypatch):
+    # CHUNK_ROWS + offset curve rows at the real chunk size
+    argv = ["memory", "--exact", f"--steps={writers.CHUNK_ROWS - 1 + offset}"]
+    code, text = run_cli(argv)
+    assert code == 0 and len(json.loads(text)["results"]["curve"]) == writers.CHUNK_ROWS + offset
+    monkeypatch.setattr(writers, "json_text", _oracles.json_text)
+    assert run_cli(argv) == (0, text)
 
 
 def test_grover_csv_bytes_match_oracle_writer():
@@ -604,6 +700,81 @@ def test_parrondo_csv_bytes_match_oracle_writer():
     code, text = run_cli(["parrondo", "--moduli", "3,7", "--exact", "--format", "csv"])
     assert code == 0
     assert text == _oracles.csv_lines(["position", "probability", "winning"], rows) + "\n"
+
+
+class _Writes(io.StringIO):
+    """A text stream that keeps the line count of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def write(self, s):
+        self.lines.append(s.count("\n"))
+        return super().write(s)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("command", ["iid", "memory", "parrondo", "grover"])
+def test_csv_chunk_boundaries(command, offset, monkeypatch, tmp_path):
+    # chunk + offset rows: iid and memory curves by their step count at the
+    # real chunk size, the 21 wheel positions and 27 search iterates by a
+    # patched one; stdout and the --out file both hold the oracle's bytes
+    chunk = writers.CHUNK_ROWS
+    if command in ("iid", "memory"):
+        argv = [command, "--exact", f"--steps={chunk - 1 + offset}"]
+        argv += ["--dist=delta", "--angles=0.3,2"] if command == "iid" else []
+        header = ["n", "coherence", "analytic_coherence"]
+        rows = [[r["n"], r["coherence"], r["analytic_coherence"]]
+                for r in run_json(argv)["results"]["curve"]]
+    elif command == "parrondo":
+        argv = ["parrondo", "--moduli=3,7", "--exact"]
+        header = ["position", "probability", "winning"]
+        rows = [[k, Fraction(1, 21), int(parrondo.is_winning(k, 21))] for k in range(21)]
+    else:
+        argv = ["grover", "--n-qubits=8"]
+        header = ["k", "success_prob"]
+        rows = [[k, grover.success_closed_form(k, grover.GameConfig(8))] for k in range(27)]
+    if command in ("parrondo", "grover"):
+        chunk = len(rows) - offset
+        monkeypatch.setattr(writers, "CHUNK_ROWS", chunk)
+    assert len(rows) == chunk + offset
+    want = _oracles.csv_lines(header, rows) + "\n"
+    out = _Writes()
+    assert cli.run(argv + ["--format=csv"], stdout=out) == 0
+    assert out.getvalue() == want
+    # the header, chunks of newline-led rows, then the last newline
+    assert out.lines == [0, min(len(rows), chunk)] + [1] * (offset == 1) + [1]
+    path = tmp_path / "curve.csv"
+    assert run_cli(argv + ["--format=csv", f"--out={path}"]) == (0, "")
+    assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["grover", "--n-qubits=24", "--format=csv"], 1),
+        (["memory", "--exact", "--steps=5000"], 1),
+        (["parrondo", "--moduli=3,7", "--exact"], 0),
+    ],
+    ids=["grover-csv", "memory-json", "parrondo-json-unread"],
+)
+def test_closed_pipe_exits_141_quietly(argv, lines):
+    # the reader takes `lines` lines and closes: past a pipe's buffer (about
+    # 160 KB and 500 KB) a later write meets the closed pipe, and 1 KB that
+    # no one reads meets it when the run flushes its (block-buffered) output
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "noisegames.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141 and err == b""
 
 
 def test_cli_runs_without_scipy():

@@ -11,7 +11,11 @@ them with a running weight sum of exactly 1.0 before the last and
 one above it, then a wheel game on Z_(2^20 - 1), whose waves hold two
 blocks at few threads, at ``--threads`` 1, 2 and 16, and last two-block
 ``dissipative`` Monte Carlo runs over a grid of mixing probabilities and
-noise scales, and one from a complex coherence, at ``--threads`` 1 and 2.
+noise scales, and one from a complex coherence, at ``--threads`` 1 and 2,
+and after them the CSV of each subcommand that has one (``iid`` and ``memory``
+curves of 3,000 steps, the wheel of ``parrondo --moduli 19,23`` and a
+``grover`` curve longer than one ``writers.CHUNK_ROWS`` chunk), each to
+stdout and to an ``--out`` file.
 Each line is ``<exit code> <sha256> <argv>``, where the hash covers what
 the run printed to stdout and to stderr and the file it wrote with
 ``--out``.  Two checkouts give every invocation the same exit code and the
@@ -102,6 +106,17 @@ def dissipative_argvs() -> list[list[str]]:
     return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
 
 
+def csv_argvs() -> list[list[str]]:
+    """Each subcommand's CSV, to stdout and to an --out file."""
+    runs = [
+        ["iid", "--exact", "--steps=3000"],
+        ["memory", "--exact", "--steps=3000"],
+        ["parrondo", "--moduli=19,23"],
+        ["grover", "--n-qubits=24"],  # 6,434 rows
+    ]
+    return [argv + ["--format=csv", *out] for argv in runs for out in ([], ["--out=curve.csv"])]
+
+
 def entry(argv: list[str]) -> str:
     """One ledger line for ``argv``, run in a fresh temporary directory."""
     out, err = io.StringIO(), io.StringIO()
@@ -122,7 +137,7 @@ def entry(argv: list[str]) -> str:
 
 def main() -> None:
     for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wave_argvs(),
-                 *dissipative_argvs()]:
+                 *dissipative_argvs(), *csv_argvs()]:
         print(entry(argv), flush=True)
 
 
