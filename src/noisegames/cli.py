@@ -19,7 +19,6 @@ and writes it into the ``inputs`` echo, so the echo is a valid config.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -28,8 +27,6 @@ import os
 import sys
 from contextlib import nullcontext
 from typing import NamedTuple
-
-import numpy as np
 
 from . import __version__, dissipative, grover, kicks, memory, parrondo, rng, writers
 from .qubit import DensityMatrix2, coherence
@@ -362,7 +359,7 @@ def _cmd_parrondo(v: dict, threads: int):
             "net_rate": sim.net_rate,
         }
     columns = lambda: (range(L), itertools.repeat(L),
-                       parrondo.is_winning(np.arange(L), L).tolist())
+                       map(parrondo.is_winning, range(L), itertools.repeat(L)))
     return {}, results, diagnostics, ("position,probability,winning", "%d,1/%d,%d", columns)
 
 
@@ -472,9 +469,7 @@ _COMMANDS = {
 }
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once a process (1.7 ms): parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="noisegames",
         description="Stochastic qubit decoherence and randomness-driven games.",

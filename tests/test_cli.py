@@ -761,20 +761,27 @@ def test_csv_chunk_boundaries(command, offset, monkeypatch, tmp_path):
 )
 def test_closed_pipe_exits_141_quietly(argv, lines):
     # the reader takes `lines` lines and closes: past a pipe's buffer (about
-    # 160 KB and 500 KB) a later write meets the closed pipe, and 1 KB that
-    # no one reads meets it when the run flushes its (block-buffered) output
+    # 160 KB and 500 KB) a later write meets the closed pipe.  With no line
+    # to read, the read end is closed before the run starts, so the 1 KB it
+    # flushes at exit (block-buffered) meets a pipe that already has no reader
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "noisegames.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    for _ in range(lines):
-        assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141 and err == b""
+    cmd = [sys.executable, "-m", "noisegames.cli", *argv]
+    if lines:
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(cmd, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_cli_runs_without_scipy():
