@@ -28,7 +28,7 @@ import sys
 from contextlib import nullcontext
 from typing import NamedTuple
 
-from . import __version__, dissipative, grover, kicks, memory, parrondo, rng, writers
+from . import __version__, dissipative, grover, kicks, memory, parrondo, writers
 from .qubit import DensityMatrix2, coherence
 
 
@@ -42,17 +42,13 @@ CSV_MAX_ROWS = 1 << 22
 # its first step: at the bound, `memory --exact` takes about 0.35 s and 80 MiB.
 CURVE_MAX_STEPS = 1 << 16
 
-# A run needs trials * steps draws for an iid or memory curve (one a kick; a
-# Gaussian pair's two raw slots serve two kicks), trials * ceil(m / 64) for a
-# fixed search horizon of m letters, one per wheel round and 2 per dissipative
-# trial (one Box-Muller pair).  On one thread of a 2-core Xeon VM these cost
-# about 13-30 ns a kick, 8 ns a search draw, 12-16 ns a round and 45-60 ns a
-# trial, so a run at the bound takes 35 s to 2 minutes; more is refused
-# before the first draw.  A curve's Python cost, 45-75 us per step of a
-# block, needs no term of its own: as steps <= CURVE_MAX_STEPS, blocks *
-# steps <= 2^16 + 2^16 at the bound.
-# Adaptive search is unbounded: its worst case, trials * grover.ADAPTIVE_CAP /
-# 64, would refuse n = 10 runs of about 40 draws a trial.
+# A Monte Carlo run is charged in raw 64-bit draws by its family's
+# draw_charge, beside the sampler.  On one thread of a 2-core Xeon VM these
+# cost about 13-30 ns a kick, 8 ns a search draw, 12-16 ns a wheel round and
+# 45-60 ns a dissipative trial of 2 draws, so a run at the bound takes 35 s
+# to 2 minutes; more is refused before the first draw.  A curve's
+# Python cost, 45-75 us per step of a block, needs no term of its own: as
+# steps <= CURVE_MAX_STEPS, blocks * steps <= 2^16 + 2^16 at the bound.
 MC_MAX_DRAWS = 1 << 32
 
 # A wheel of G games on Z_L has P = G * L (game, rotation) slots; above
@@ -217,19 +213,11 @@ def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
 # row columns, or None).  The rows are formatted only when the CSV is written.
 
 
-def _limit_draws(draws: int, what: str, rule: str) -> None:
-    """Refuse a Monte Carlo run of more than ``MC_MAX_DRAWS`` draws."""
+def _limit_draws(draws: int) -> None:
+    """Refuse a Monte Carlo run charged more than ``MC_MAX_DRAWS`` draws."""
     if draws > MC_MAX_DRAWS:
-        raise ValueError(f"{what} need {draws} draws; a run is limited to {MC_MAX_DRAWS} ({rule})")
-
-
-def _curve_mc(v: dict) -> bool:
-    """Whether a curve's Monte Carlo pass runs; one over ``MC_MAX_DRAWS`` is refused."""
-    if v["trials"] == 0 or v["exact"]:
-        return False
-    _limit_draws(v["trials"] * v["steps"], f"{v['trials']} trials of {v['steps']} kicks",
-                 "trials * steps")
-    return True
+        raise ValueError(f"the Monte Carlo run needs {draws} draws; "
+                         f"a run is limited to {MC_MAX_DRAWS}")
 
 
 def _cmd_iid(v: dict, threads: int):
@@ -252,7 +240,9 @@ def _cmd_iid(v: dict, threads: int):
     else:
         dist = kicks.ExponentialKicks(v["omega"], v["tau1"])
 
-    run_mc = _curve_mc(v)
+    run_mc = v["trials"] > 0 and not v["exact"]
+    if run_mc:
+        _limit_draws(kicks.draw_charge(dist, v["steps"], v["trials"]))
     factor = kicks.char_function(dist)
     plan = kicks.EvolutionPlan(v["steps"])
     bs = kicks.evolve_iid(rho0, dist, plan)
@@ -276,7 +266,9 @@ def _cmd_memory(v: dict, threads: int):
     rho0 = _initial_state(v)
     steps = v["steps"]
     kern = memory.kernel(memory.KernelVariant(v["variant"]), v["epsilon"])
-    run_mc = _curve_mc(v)
+    run_mc = v["trials"] > 0 and not v["exact"]
+    if run_mc:
+        _limit_draws(memory.draw_charge(steps, v["trials"]))
     trace = memory.coherence_recursion(kern, steps)
     estimates = []
     if run_mc:
@@ -318,7 +310,7 @@ def _cmd_dissipative(v: dict, threads: int):
     }
     diagnostics: dict = {"mc": trials > 0}
     if trials > 0:
-        _limit_draws(2 * trials, f"{trials} trials", "2 * trials")
+        _limit_draws(dissipative.draw_charge(trials))
         mc = dissipative.averaged_channel_mc(rho0, p, scales, trials, v["seed"], threads)
         results["mc"] = _state_entries(mc.rho_avg)
         diagnostics["stderr_pop"] = mc.stderr_pop
@@ -335,9 +327,8 @@ def _cmd_parrondo(v: dict, threads: int):
         if len(moduli) * L > MAX_WHEEL_SLOTS:
             raise ValueError(f"a wheel is limited to {MAX_WHEEL_SLOTS} slots (games * lcm(moduli))")
     run_sim = rounds > 0 and not v["exact"]
-    if run_sim:  # each block also folds an L-entry histogram, about a round per entry
-        draws = rounds + -(-rounds // rng.BLOCK_SIZE) * L
-        _limit_draws(draws, f"{rounds} rounds", f"rounds + ceil(rounds / {rng.BLOCK_SIZE}) * L")
+    if run_sim:
+        _limit_draws(parrondo.draw_charge(L, rounds))
     games = [parrondo.RotationGame(m) for m in moduli]
     combined = parrondo.CombinedGame(tuple(games))
     spectrum = parrondo.spectrum(combined)
@@ -389,12 +380,7 @@ def _cmd_grover(v: dict, threads: int):
         strategy = grover.FixedHorizon(4 * rule_k)  # the quarter-pi horizon
 
     if v["trials"] > 0:
-        if isinstance(strategy, grover.FixedHorizon):
-            _limit_draws(
-                v["trials"] * grover.fixed_horizon_draws(strategy.m),
-                f"{v['trials']} trials of {strategy.m} letters",
-                "trials * ceil(m / 64)",
-            )
+        _limit_draws(grover.draw_charge(strategy, v["trials"]))
         outcome = grover.evaluate_strategy(strategy, config, v["trials"], v["seed"], threads)
         results["strategy_eval"] = {
             "win_prob": outcome.win_prob,

@@ -120,6 +120,11 @@ def averaged_channel_mc(
     return AveragedChannelResult(rho, stderr_pop, stderr_coh, sum(clamps) / trials)
 
 
+def draw_charge(trials: int) -> int:
+    """Raw 64-bit draws :func:`averaged_channel_mc` reads: one Box-Muller pair, 2 a trial."""
+    return 2 * trials
+
+
 def _step_factors(p: float, scales: NoiseScales) -> tuple[float, float]:
     """First-order per-step population factor g1 and coherence factor g2."""
     g1 = 1.0 - p * math.sqrt(4.0 * scales.lambda_ad / math.pi)

@@ -279,6 +279,21 @@ def fixed_horizon_draws(m: int) -> int:
     return -(-m // _LETTERS)
 
 
+def draw_charge(strategy: Strategy, trials: int) -> int:
+    """Raw 64-bit draws charged to :func:`evaluate_strategy` for ``trials`` trials.
+
+    A fixed horizon reads exactly :func:`fixed_horizon_draws` a trial.  An
+    adaptive trial is charged its expected work, not a bound: the draws of
+    min(L * (L + 1), ADAPTIVE_CAP) letters, L = 2 * k_star, as its stopping
+    time T has the gambler's-ruin mean L * (L + 1) (Feller, vol. 1,
+    ch. XIV) and E[min(T, cap)] <= min(E[T], cap).
+    """
+    if isinstance(strategy, FixedHorizon):
+        return trials * fixed_horizon_draws(strategy.m)
+    L = 2 * strategy.k_star
+    return trials * fixed_horizon_draws(min(L * (L + 1), ADAPTIVE_CAP))
+
+
 def evaluate_strategy(
     strategy: Strategy,
     config: GameConfig,
@@ -334,6 +349,9 @@ def evaluate_strategy(
 
     if isinstance(strategy, AdaptiveTracking):
         k = strategy.k_star
+        # |d| <= ADAPTIVE_CAP, so from this k on every offset clips to an end
+        # row of 8s, as it would at k itself, and 256 * reach fits an int64
+        reach = min(k, ADAPTIVE_CAP + _WINDOW)
         stopped_win = success_closed_form(k, config)
         byte_gain, hit_even, hit_odd = _byte_tables()
 
@@ -361,8 +379,8 @@ def evaluate_strategy(
                 at += (start + _WINDOW)[:, None]
                 at *= 256
                 at += byte
-                hit_at = hit_even.take(at + 256 * k, mode="clip")  # target -k
-                np.minimum(hit_at, hit_odd.take(at - 256 * k, mode="clip"), out=hit_at)
+                hit_at = hit_even.take(at + 256 * reach, mode="clip")  # target -k
+                np.minimum(hit_at, hit_odd.take(at - 256 * reach, mode="clip"), out=hit_at)
                 hit = hit_at < 8
                 first = hit.argmax(axis=1)
                 rows = np.arange(active.size)

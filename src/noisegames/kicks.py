@@ -276,7 +276,8 @@ def _box_muller_pairs(keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
     and takes the cosine of that Box-Muller pair for even k, its sine for
     odd k.  An odd step count computes no sine for its last kick, which
     leaves the cosine's bytes unchanged, so a shorter run's normals are a
-    prefix of a longer one's.
+    prefix of a longer one's; the cosine still reads both raw slots of its
+    pair, so a trajectory reads 2 * ceil(steps / 2) raw draws.
     """
     for k in range(0, steps, 2):
         sine = rng._empty(len(keys)) if k + 1 < steps else None
@@ -284,6 +285,17 @@ def _box_muller_pairs(keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
         if sine is not None:
             yield sine
         del sine  # its array is free for the next pair
+
+
+def draw_charge(dist: KickDistribution, steps: int, trials: int) -> int:
+    """Raw 64-bit draws :func:`evolve_iid_mc` reads for ``trials`` curves of ``steps`` kicks.
+
+    One a kick, except that a Gaussian law reads whole Box-Muller pairs:
+    2 * ceil(steps / 2) a trial (:func:`_box_muller_pairs`).
+    """
+    if isinstance(dist, GaussianKicks):
+        steps += steps % 2
+    return trials * steps
 
 
 def evolve_iid_mc(

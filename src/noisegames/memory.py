@@ -240,6 +240,11 @@ def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.
         yield np.take(phasors, row, out=rng._empty(len(keys), np.complex128), mode="clip")
 
 
+def draw_charge(n: int, trials: int) -> int:
+    """Raw 64-bit draws :func:`evolve_memory_mc` reads for ``trials`` chains: one a kick."""
+    return trials * n
+
+
 def evolve_memory_mc(
     rho0: DensityMatrix2,
     kern: MemoryKernel,

@@ -134,7 +134,8 @@ def exact_rate(combined: CombinedGame) -> GameStats:
     (:func:`spectrum`), so the law from any start tends to it.
     """
     L = combined.modulus
-    wins = int(np.count_nonzero(is_winning(np.arange(L), L)))
+    # 4k <= L for k = 0 .. floor(L/4), 4k >= 3L for k = ceil(3L/4) .. L - 1
+    wins = L // 4 + 1 + L - -(-3 * L // 4)
     return GameStats(Fraction(wins, L), L)
 
 
@@ -196,6 +197,15 @@ def _block_walk(step: np.ndarray, L: int, x: np.ndarray, bits: int) -> np.ndarra
     turn *= np.uint64(L)
     position -= turn
     return position.view(np.int64)
+
+
+def draw_charge(modulus: int, rounds: int) -> int:
+    """Draws charged to :func:`simulate` on Z_modulus: rounds + ceil(rounds / BLOCK_SIZE) * modulus.
+
+    A round reads one raw 64-bit draw, and each block of rounds also folds
+    a ``modulus``-entry histogram, at about a round's cost per entry.
+    """
+    return rounds + -(-rounds // rng.BLOCK_SIZE) * modulus
 
 
 def simulate(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from noisegames import cli, grover, parrondo, rng, writers
+from noisegames import cli, dissipative, grover, kicks, memory, parrondo, rng, writers
 
 
 def run_cli(argv):
@@ -28,6 +28,27 @@ def run_json(argv):
     code, text = run_cli(argv)
     assert code == 0, text
     return json.loads(text)
+
+
+def count_draws(monkeypatch) -> list[int]:
+    """Route every raw draw through a counter; the list holds each call's draws."""
+    counted = []
+    draw = rng._draw
+
+    def counting(keys, first, out, t):
+        counted.append(out.size)
+        return draw(keys, first, out, t)
+
+    monkeypatch.setattr(rng, "_draw", counting)
+    return counted
+
+
+def forbid_draws(monkeypatch) -> None:
+    """Make any raw draw fail the run (exit 1), so a refusal must come first."""
+    def no_draw(*args):
+        raise RuntimeError("a refused run drew")
+
+    monkeypatch.setattr(rng, "_draw", no_draw)
 
 
 class TestSpecExamples:
@@ -154,10 +175,13 @@ class TestExitCodes:
             # quarter-pi at n = 40 plays 3,294,200 letters: 51,472 draws a trial
             ["--n-qubits", "40", "--trials", "100000"],
             ["--strategy", "fixed", "--m", str(10**12), "--trials", "1"],
+            # k_star = optimal_k(2^40) reaches the cap: 15,625 draws a trial
+            ["--n-qubits", "40", "--strategy", "adaptive", "--trials", "300000"],
         ],
-        ids=["quarter-pi-n40", "fixed-m1e12"],
+        ids=["quarter-pi-n40", "fixed-m1e12", "adaptive-n40"],
     )
-    def test_draw_bound_refuses_before_drawing(self, argv, capsys):
+    def test_draw_bound_refuses_before_drawing(self, argv, monkeypatch, capsys):
+        forbid_draws(monkeypatch)
         code, text = run_cli(["grover", *argv])
         assert code == 2 and text == ""
         assert f"limited to {cli.MC_MAX_DRAWS}" in capsys.readouterr().err
@@ -191,11 +215,17 @@ class TestExitCodes:
             (["parrondo"], 1, 21),
             (["dissipative"], 2, 0),
             (["grover", "--strategy", "fixed", "--m", "128"], 2, 0),
+            # L = 4 has mean duration L * (L + 1) = 20 letters: one draw
+            (["grover", "--strategy", "adaptive", "--k-star", "2"], 1, 0),
             # one draw a kick, a Gaussian pair's two raw slots serving two kicks
             (["iid", "--steps", "4"], 4, 0),
+            # an odd Gaussian curve still reads both raw slots of its last pair
+            (["iid", "--steps", "3"], 4, 0),
+            (["iid", "--dist", "exponential", "--steps", "3"], 3, 0),
             (["memory", "--steps", "5"], 5, 0),
         ],
-        ids=["parrondo", "dissipative", "grover-fixed", "iid", "memory"],
+        ids=["parrondo", "dissipative", "grover-fixed", "grover-adaptive", "iid",
+             "iid-odd", "iid-exponential", "memory"],
     )
     def test_draw_bound_admits_runs_at_the_bound(
         self, argv, draws_per_trial, draws_per_run, monkeypatch, capsys
@@ -260,23 +290,48 @@ class TestExitCodes:
         assert len(env["results"]["curve"]) == cli.CURVE_MAX_STEPS + 1
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, charge",
         [
-            ["iid", "--steps", "4096", "--trials", str(2**20 + 1)],
-            ["memory", "--steps", "20", "--trials", str(cli.MC_MAX_DRAWS // 20 + 1)],
+            (["iid", "--steps", "4096", "--trials", str(2**20 + 1)],
+             kicks.draw_charge(kicks.GaussianKicks(0.0, 0.0), 4096, 2**20 + 1)),
+            (["iid", "--steps", "1", "--trials", str(cli.MC_MAX_DRAWS // 2 + 1)],
+             kicks.draw_charge(kicks.GaussianKicks(0.0, 0.0), 1, cli.MC_MAX_DRAWS // 2 + 1)),
+            (["memory", "--steps", "20", "--trials", str(cli.MC_MAX_DRAWS // 20 + 1)],
+             memory.draw_charge(20, cli.MC_MAX_DRAWS // 20 + 1)),
         ],
-        ids=["iid-4096x2e20", "memory-20-past-bound"],
+        ids=["iid-4096x2e20", "iid-odd-past-bound", "memory-20-past-bound"],
     )
-    def test_draw_bound_refuses_curves_before_drawing(self, argv, capsys):
+    def test_draw_bound_refuses_curves_before_drawing(self, argv, charge, monkeypatch, capsys):
+        forbid_draws(monkeypatch)
         code, text = run_cli(argv)
         assert code == 2 and text == ""
-        assert f"limited to {cli.MC_MAX_DRAWS} (trials * steps)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"needs {charge} draws; a run is limited to {cli.MC_MAX_DRAWS}" in err
         # the same curve on the exact route alone is admitted
         assert run_cli([*argv, "--exact"])[0] == 0
 
     def test_draw_bound_admits_curves_past_two_to_the_28_kicks(self):
-        for steps, trials in ((2000, 200_000), (20, 20_000_000)):
-            assert cli._curve_mc({"steps": steps, "trials": trials, "exact": False})
+        gaussian = kicks.GaussianKicks(0.0, 0.0)
+        for steps, trials in ((2000, 200_000), (1999, 200_000), (20, 20_000_000)):
+            assert kicks.draw_charge(gaussian, steps, trials) <= cli.MC_MAX_DRAWS
+            assert memory.draw_charge(steps, trials) <= cli.MC_MAX_DRAWS
+
+    def test_adaptive_draw_bound_admits_n10(self, monkeypatch):
+        counted = count_draws(monkeypatch)
+        argv = ["grover", "--n-qubits", "10", "--strategy", "adaptive", "--trials", "2000",
+                "--seed", "3", "--threads", "2"]
+        env = run_json(argv)
+        charge = grover.draw_charge(grover.AdaptiveTracking(env["inputs"]["k_star"]), 2000)
+        # an expected-work charge: the run reads about what it is charged
+        assert charge == 2000 * 40 and 0.5 * charge <= sum(counted) <= 2 * charge
+
+    def test_adaptive_k_star_past_int64_offsets(self):
+        # 256 * k_star overflows int64 from k_star = 2^55; no trial can stop
+        # past the cap, so every run is censored as at 2^54
+        runs = [run_json(["grover", "--strategy", "adaptive", "--k-star", str(k),
+                          "--trials", "3"]) for k in (2**54, 10**20)]
+        assert [env["diagnostics"]["censored"] for env in runs] == [3, 3]
+        assert runs[0]["results"]["strategy_eval"] == runs[1]["results"]["strategy_eval"]
 
     def test_kick_bound_admits_the_benchmark_curve(self):
         env = run_json(["memory", "--steps", "20", "--trials", "100000"])
@@ -298,6 +353,48 @@ class TestExitCodes:
         path = tmp_path / "curve.csv"
         code, text = run_cli(["grover", "--n-qubits=43", "--format=csv", f"--out={path}"])
         assert code == 2 and text == "" and not path.exists()
+
+
+_TWO_BLOCKS = 70_000  # trials or rounds: two blocks, split between threads at --threads 2
+
+
+@pytest.mark.parametrize(
+    "argv, charge, unread",
+    [
+        (["iid", "--sigma2=0.5", "--steps=1"],
+         kicks.draw_charge(kicks.GaussianKicks(0.0, 0.5), 1, _TWO_BLOCKS), 0),
+        (["iid", "--sigma2=0.5", "--steps=3"],
+         kicks.draw_charge(kicks.GaussianKicks(0.0, 0.5), 3, _TWO_BLOCKS), 0),
+        (["iid", "--sigma2=0.5", "--steps=4"],
+         kicks.draw_charge(kicks.GaussianKicks(0.0, 0.5), 4, _TWO_BLOCKS), 0),
+        (["iid", "--dist=exponential", "--steps=3"],
+         kicks.draw_charge(kicks.ExponentialKicks(1.0, 1.0), 3, _TWO_BLOCKS), 0),
+        (["iid", "--dist=delta", "--angles=0,1", "--steps=3"],
+         kicks.draw_charge(kicks.DeltaMixture.uniform((0.0, 1.0)), 3, _TWO_BLOCKS), 0),
+        (["memory", "--steps=3"], memory.draw_charge(3, _TWO_BLOCKS), 0),
+        (["dissipative"], dissipative.draw_charge(_TWO_BLOCKS), 0),
+        (["grover", "--strategy=fixed", "--m=129"],
+         grover.draw_charge(grover.FixedHorizon(129), _TWO_BLOCKS), 0),
+        (["grover", "--n-qubits=6"],  # quarter-pi: m = 4 * 7 letters
+         grover.draw_charge(grover.FixedHorizon(28), _TWO_BLOCKS), 0),
+        # the charge's fold term, 21 a block of rounds, is work but no draw
+        (["parrondo", "--moduli=3,7"], parrondo.draw_charge(21, _TWO_BLOCKS), 2 * 21),
+    ],
+    ids=["iid-gaussian-1", "iid-gaussian-3", "iid-gaussian-4", "iid-exponential",
+         "iid-delta", "memory", "dissipative", "grover-fixed", "grover-quarter-pi", "parrondo"],
+)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_runs_read_what_they_are_charged(argv, charge, unread, threads, monkeypatch):
+    """Counted at ``rng._draw``, a run reads its family's charge, and the CLI refuses by it."""
+    counted = count_draws(monkeypatch)
+    argv = [*argv, f"--trials={_TWO_BLOCKS}", f"--threads={threads}"]
+    assert run_cli(argv)[0] == 0
+    assert sum(counted) == charge - unread
+    monkeypatch.setattr(cli, "MC_MAX_DRAWS", charge - 1)
+    counted.clear()
+    assert run_cli(argv)[0] == 2 and counted == []
+    monkeypatch.setattr(cli, "MC_MAX_DRAWS", charge)
+    assert run_cli(argv)[0] == 0
 
 
 class TestCsvSchemas:

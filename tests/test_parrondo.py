@@ -204,6 +204,11 @@ class TestExactRates:
         assert s.win_prob == Fraction(winning_positions_by_cosine(L), L)
         assert s.support_size == L
 
+    def test_closed_form_count_matches_the_winning_mask(self):
+        for L in [*range(1, 4001, 2), 2**20 - 1]:
+            wins = int(np.count_nonzero(is_winning(np.arange(L), L)))
+            assert exact_rate(CombinedGame((RotationGame(L),))).win_prob == Fraction(wins, L)
+
 
 class TestGeneralRates:
     def test_three_seven(self):

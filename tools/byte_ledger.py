@@ -12,7 +12,9 @@ one above it, then a wheel game on Z_(2^20 - 1), whose waves hold two
 blocks at few threads, at ``--threads`` 1, 2 and 16, and last two-block
 ``dissipative`` Monte Carlo runs over a grid of mixing probabilities and
 noise scales, and one from a complex coherence, at ``--threads`` 1 and 2,
-and after them the CSV of each subcommand that has one (``iid`` and ``memory``
+then two-block Gaussian ``iid`` curves of 1 and 3 steps (a last kick
+without its pair's sine) and an exponential curve, at ``--threads`` 1 and
+2, and after them the CSV of each subcommand that has one (``iid`` and ``memory``
 curves of 3,000 steps, the wheel of ``parrondo --moduli 19,23`` and a
 ``grover`` curve longer than one ``writers.CHUNK_ROWS`` chunk), each to
 stdout and to an ``--out`` file.
@@ -106,6 +108,14 @@ def dissipative_argvs() -> list[list[str]]:
     return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
 
 
+def curve_argvs() -> list[list[str]]:
+    """Two-block odd-step Gaussian curves and an exponential curve, at 1 and 2 threads."""
+    common = ["--trials=70000", "--seed=9"]
+    runs = [["iid", "--mu=0.2", "--sigma2=0.3", f"--steps={steps}", *common] for steps in (1, 3)]
+    runs.append(["iid", "--dist=exponential", "--omega=0.7", "--tau1=0.5", "--steps=4", *common])
+    return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
+
+
 def csv_argvs() -> list[list[str]]:
     """Each subcommand's CSV, to stdout and to an --out file."""
     runs = [
@@ -137,7 +147,7 @@ def entry(argv: list[str]) -> str:
 
 def main() -> None:
     for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wave_argvs(),
-                 *dissipative_argvs(), *csv_argvs()]:
+                 *dissipative_argvs(), *curve_argvs(), *csv_argvs()]:
         print(entry(argv), flush=True)
 
 
