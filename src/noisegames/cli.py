@@ -39,7 +39,8 @@ CSV_MAX_ROWS = 1 << 22
 
 # An iid or memory curve has one row per step, at about 3 us (iid) to 5 us
 # (memory) and 100 bytes of JSON each, so a longer curve is refused before
-# its first step: at the bound, `memory --exact` takes about 0.35 s and 80 MiB.
+# its first step: at the bound, `memory --exact` takes about 0.35 s and
+# 75-80 MiB, a peak that moves by up to 6 MiB with the glibc heap layout.
 CURVE_MAX_STEPS = 1 << 16
 
 # A Monte Carlo run is charged in raw 64-bit draws by its family's
@@ -455,13 +456,19 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names one."""
     parser = argparse.ArgumentParser(
         prog="noisegames",
         description="Stochastic qubit decoherence and randomness-driven games.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, table) in _COMMANDS.items():
+    # each argument costs argparse a help formatter, so a run declares only
+    # the subcommand it invokes; its usage line still lists all five
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    usage = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=usage)
+    for name in names:
+        help_text, table = _COMMANDS[name][1:]
         p = sub.add_parser(name, help=help_text)
         # run control: never read from a config file and never echoed
         p.add_argument("--threads", type=int, default=None, help="worker threads")
@@ -482,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str], stdout=None) -> int:
     """Execute one CLI invocation; returns the process exit code."""
     out_stream = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -37,7 +37,7 @@ class NoiseScales:
         object.__setattr__(self, "lambda_pd", float(self.lambda_pd))
         for v in (self.lambda_ad, self.lambda_pd):
             if not math.isfinite(v) or v < 0.0:
-                raise ValueError("noise scales must be nonnegative")
+                raise ValueError("noise scales must be finite and nonnegative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +195,7 @@ def relaxation_times(
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     if tau0 <= 0.0 or not math.isfinite(tau0):
-        raise ValueError("tau0 must be positive")
+        raise ValueError("tau0 must be finite and positive")
     g1, g2 = _step_factors(p, scales)
     if min(g1, g2) <= 0.0:  # neither exceeds 1 for p in [0, 1] and nonnegative scales
         raise ValueError("per-step factor is not positive; out of regime")

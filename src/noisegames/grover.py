@@ -234,21 +234,24 @@ def _reduced_length(d: np.ndarray, t: int) -> np.ndarray:
     return np.subtract(-1, d, out=d, where=negative)
 
 
-def _success_from_lengths(s: np.ndarray, config: GameConfig) -> np.ndarray:
-    """Success probability of the reduced word of each length.
+def _score(lengths: np.ndarray, config: GameConfig) -> tuple[np.ndarray, dict[int, int]]:
+    """Each trial's payoff, and the trials at each length; overwrites ``lengths``.
 
     A reduced word of length s contains floor(s/2) B's, hence acts like
-    that many composed iterates; the possible leading A only flips the
-    marked amplitude's sign and cannot change the payoff.
+    that many composed iterates (a leading A only flips the marked
+    amplitude's sign), so each length seen is scored once by
+    :func:`success_curve` at s // 2: :func:`success_closed_form` bit for bit.
+    Lengths are counted over the block's span only, min to max.
     """
-    theta = math.asin(1.0 / math.sqrt(config.size))
-    x = np.floor_divide(s, 2, out=rng._empty(s.shape))
-    x *= 2.0
-    x += 1.0
-    x *= theta
-    np.sin(x, out=x)
-    x **= 2
-    return x
+    lo = int(lengths.min())
+    lengths -= lo
+    counts = np.bincount(lengths)
+    seen = np.flatnonzero(counts)
+    distinct = (seen + lo).tolist()
+    table = np.empty(counts.size)  # the entries of unseen lengths are never read
+    table[seen] = np.fromiter(success_curve((s // 2 for s in distinct), config), np.float64)
+    payoff = table.take(lengths, out=rng._empty(lengths.size))
+    return payoff, dict(zip(distinct, counts[seen].tolist()))
 
 
 def fixed_horizon_length_law(m: int) -> dict[int, Fraction]:
@@ -270,7 +273,7 @@ def fixed_horizon_length_law(m: int) -> dict[int, Fraction]:
 def fixed_horizon_win_prob(m: int, config: GameConfig) -> float:
     """Exact win probability of stopping after m random letters."""
     law = fixed_horizon_length_law(m)
-    payoff = _success_from_lengths(np.fromiter(law, dtype=np.int64, count=len(law)), config)
+    payoff = success_curve((s // 2 for s in law), config)
     return math.fsum(float(p) * w for p, w in zip(law.values(), payoff))
 
 
@@ -294,127 +297,115 @@ def draw_charge(strategy: Strategy, trials: int) -> int:
     return trials * fixed_horizon_draws(min(L * (L + 1), ADAPTIVE_CAP))
 
 
+def _play_fixed(m: int, keys: np.ndarray) -> tuple[np.ndarray, None]:
+    """Each trial's reduced length after m letters, and no stopping times."""
+    words = fixed_horizon_draws(m)
+    # letters past m in the last draw are not played
+    tail = np.uint64((1 << (m % _LETTERS or _LETTERS)) - 1)
+    # K = (A's at even slots) + (B's at odd slots) = d + floor(m/2)
+    big_k = rng._empty(keys.size, np.int64)
+    big_k.fill(0)
+    counts = rng._empty(keys.size, np.int64)
+    per_call = max(_GRID_ELEMENTS // keys.size, 1)
+    for first in range(0, words, per_call):
+        w = rng.slot_u64(keys, first, min(per_call, words - first))
+        w ^= _ODD  # a set bit is now an A at an even slot or a B at an odd one
+        if first + per_call >= words:
+            w[-1] &= tail
+        big_k += np.sum(np.bitwise_count(w), axis=0, dtype=np.int64, out=counts)
+    big_k -= m // 2
+    return _reduced_length(big_k, m), None
+
+
+def _play_adaptive(k: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's final reduced length, and the stopping times of the trials that stop.
+
+    A trial stops after the first letter t at which d = (-1)^(t+1) * k.
+    Its draws are read in word-aligned chunks as bytes of 8 letters, and d
+    at each byte's start, the running sum of the bytes' gains, looks up the
+    first hit inside the byte in :func:`_byte_tables`.
+    """
+    # |d| <= ADAPTIVE_CAP, so from this k on every offset clips to an end
+    # row of 8s, as it would at k itself, and 256 * reach fits an int64
+    reach = min(k, ADAPTIVE_CAP + _WINDOW)
+    byte_gain, hit_even, hit_odd = _byte_tables()
+    stop_at = rng._empty(keys.size, np.int64)
+    stop_at.fill(0)
+    d = rng._empty(keys.size, np.int64)
+    d.fill(0)
+    stopped = np.ones(keys.size, dtype=bool)
+    # a chunk holds at least one draw per trial, so trials go in groups;
+    # at k = 0 every trial stops before its first letter
+    group = _GRID_ELEMENTS // _LETTERS
+    for g in range(0, keys.size if k else 0, group):
+        active = np.arange(g, min(g + group, keys.size))
+        step = 0
+        while active.size and step < ADAPTIVE_CAP:
+            per_trial = _GRID_ELEMENTS // (_LETTERS * active.size)
+            n = min(_LETTERS * per_trial, ADAPTIVE_CAP - step)  # whole draws, as the cap is
+            w = rng.slot_u64(keys[active], step // _LETTERS, n // _LETTERS)
+            # row i holds letters step .. step+n-1 of trial active[i], 8 to a byte
+            letters = np.ascontiguousarray(w.T).astype("<u8", copy=False).view(np.uint8)
+            byte = letters.astype(np.intp)
+            gain = byte_gain.take(byte)
+            start = d[active]
+            at = np.cumsum(gain, axis=1)
+            end = at[:, -1] + start
+            # d at each byte's start as the byte's index in the hit tables:
+            # (offset from the target + _WINDOW) * 256 + byte, and an
+            # offset past the window clips to an end row of 8s
+            at -= gain
+            at += (start + _WINDOW)[:, None]
+            at *= 256
+            at += byte
+            hit_at = hit_even.take(at + 256 * reach, mode="clip")  # target -k
+            np.minimum(hit_at, hit_odd.take(at - 256 * reach, mode="clip"), out=hit_at)
+            hit = hit_at < 8
+            first = hit.argmax(axis=1)
+            rows = np.arange(active.size)
+            done = hit[rows, first]
+            stop_at[active[done]] = step + 1 + 8 * first[done] + hit_at[rows, first][done]
+            d[active] = end
+            active = active[~done]
+            step += n
+        stopped[active] = False
+    lengths = _reduced_length(d, ADAPTIVE_CAP)  # what a censored trial holds at the cap
+    if stopped.any():  # never when 2 * k > ADAPTIVE_CAP, which need not fit an int64
+        lengths[stopped] = 2 * k
+    return lengths, stop_at[stopped]
+
+
 def evaluate_strategy(
-    strategy: Strategy,
-    config: GameConfig,
-    trials: int,
-    seed: int,
-    threads: int = 1,
+    strategy: Strategy, config: GameConfig, trials: int, seed: int, threads: int = 1
 ) -> StrategyOutcome:
     """Evaluate a stopping strategy for the random-operator game.
 
     Letter t of trial i is bit ``t % 64`` of its draw at slot ``t // 64``
-    (1 for A), so one draw carries 64 letters.  The reduced length after t
-    letters depends only on the signed A-count d (see
-    :func:`_reduced_length`).  A bit's position has the parity of its
-    letter's slot, so a fixed horizon of m letters counts
-    K = d + floor(m/2) as the popcount of each draw XOR 0xAAAA...AA.
-    Adaptive tracking stops a trial after the first letter t at which
-    d = (-1)^(t+1) * k_star, and reads each trial's draws in word-aligned
-    chunks as bytes of 8 letters: the cumulative sum of the bytes' gains
-    in d (from :func:`_byte_tables`) gives d at each byte's start, and a
-    lookup at that d's offset from -k_star and from +k_star gives the first
-    hit inside the byte.  Only offsets within 4 can hit, so the tables
-    serve any k_star.  A stopped adaptive trial wins with exactly the
-    closed-form probability of its target word; a censored one scores the
-    length it holds at :data:`ADAPTIVE_CAP` letters.
+    (1 for A), and the reduced length after t letters depends only on the
+    signed A-count d (see :func:`_reduced_length`).  A fixed horizon ends
+    each trial after m letters (:func:`_play_fixed`); adaptive tracking
+    (:func:`_play_adaptive`) ends a stopped trial at length 2 * k_star and
+    a censored one at the length it holds after :data:`ADAPTIVE_CAP`
+    letters.  Both strategies score each trial by that length alone, in
+    :func:`_score`, which also counts the trials at each length.
     """
     if isinstance(strategy, FixedHorizon):
-        m = strategy.m
-        words = fixed_horizon_draws(m)
-        # letters past m in the last draw are not played
-        tail = np.uint64((1 << (m % _LETTERS or _LETTERS)) - 1)
+        play = functools.partial(_play_fixed, strategy.m)
+    elif isinstance(strategy, AdaptiveTracking):
+        play = functools.partial(_play_adaptive, strategy.k_star)
+    else:
+        raise TypeError(f"unknown strategy: {strategy!r}")
 
-        def sampler(keys: np.ndarray):
-            # K = (A's at even slots) + (B's at odd slots) = d + floor(m/2)
-            big_k = rng._empty(keys.size, np.int64)
-            big_k.fill(0)
-            counts = rng._empty(keys.size, np.int64)
-            per_call = max(_GRID_ELEMENTS // keys.size, 1)
-            for first in range(0, words, per_call):
-                w = rng.slot_u64(keys, first, min(per_call, words - first))
-                w ^= _ODD  # a set bit is now an A at an even slot or a B at an odd one
-                if first + per_call >= words:
-                    w[-1] &= tail
-                big_k += np.sum(np.bitwise_count(w), axis=0, dtype=np.int64, out=counts)
-            big_k -= m // 2
-            s = _reduced_length(big_k, m)
-            return [_success_from_lengths(s, config)], np.unique(s, return_counts=True)
+    def sampler(keys: np.ndarray):
+        lengths, stops = play(keys)
+        payoff, tally = _score(lengths, config)
+        return [payoff], (tally, stops)
 
-        [(mean, stderr)], tallies = montecarlo.run(sampler, trials, seed, threads)
-        hist: Counter = Counter()
-        for lengths, counts in tallies:
-            hist.update(dict(zip(lengths.tolist(), counts.tolist())))
-        return StrategyOutcome(mean.real, stderr, dict(sorted(hist.items())))
-
-    if isinstance(strategy, AdaptiveTracking):
-        k = strategy.k_star
-        # |d| <= ADAPTIVE_CAP, so from this k on every offset clips to an end
-        # row of 8s, as it would at k itself, and 256 * reach fits an int64
-        reach = min(k, ADAPTIVE_CAP + _WINDOW)
-        stopped_win = success_closed_form(k, config)
-        byte_gain, hit_even, hit_odd = _byte_tables()
-
-        def track(keys: np.ndarray, stop_at: np.ndarray, d: np.ndarray, censored: np.ndarray):
-            """Fill stopping times (0 while unstopped), final counts d, and which trials never stop."""
-            d.fill(0)
-            stop_at.fill(0)
-            active = np.arange(keys.size) if k else np.arange(0)
-            step = 0
-            while active.size and step < ADAPTIVE_CAP:
-                per_trial = _GRID_ELEMENTS // (_LETTERS * active.size)
-                n = min(_LETTERS * per_trial, ADAPTIVE_CAP - step)  # whole draws, as the cap is
-                w = rng.slot_u64(keys[active], step // _LETTERS, n // _LETTERS)
-                # row i holds letters step .. step+n-1 of trial active[i], 8 to a byte
-                letters = np.ascontiguousarray(w.T).astype("<u8", copy=False).view(np.uint8)
-                byte = letters.astype(np.intp)
-                gain = byte_gain.take(byte)
-                start = d[active]
-                at = np.cumsum(gain, axis=1)
-                end = at[:, -1] + start
-                # d at each byte's start as the byte's index in the hit tables:
-                # (offset from the target + _WINDOW) * 256 + byte, and an
-                # offset past the window clips to an end row of 8s
-                at -= gain
-                at += (start + _WINDOW)[:, None]
-                at *= 256
-                at += byte
-                hit_at = hit_even.take(at + 256 * reach, mode="clip")  # target -k
-                np.minimum(hit_at, hit_odd.take(at - 256 * reach, mode="clip"), out=hit_at)
-                hit = hit_at < 8
-                first = hit.argmax(axis=1)
-                rows = np.arange(active.size)
-                done = hit[rows, first]
-                stop_at[active[done]] = step + 1 + 8 * first[done] + hit_at[rows, first][done]
-                d[active] = end
-                active = active[~done]
-                step += n
-            censored.fill(False)
-            censored[active] = True
-
-        def sampler(keys: np.ndarray):
-            stop_at = rng._empty(keys.size, np.int64)
-            d = rng._empty(keys.size, np.int64)
-            censored = np.empty(keys.size, dtype=bool)
-            # a chunk holds at least one draw per trial, so trials go in groups
-            group = _GRID_ELEMENTS // _LETTERS
-            for i in range(0, keys.size, group):
-                part = slice(i, i + group)
-                track(keys[part], stop_at[part], d[part], censored[part])
-            held = _reduced_length(d[censored], ADAPTIVE_CAP)
-            wins = rng._empty(keys.size)
-            wins.fill(stopped_win)
-            wins[censored] = _success_from_lengths(held, config)
-            # censored trials never stopped, so they have no stopping time
-            return [wins], (stop_at[~censored], held)
-
-        [(win, stderr)], tallies = montecarlo.run(sampler, trials, seed, threads)
-        stops = np.concatenate([t[0] for t in tallies])
-        held = np.concatenate([t[1] for t in tallies])
-        lengths = Counter(held.tolist())
-        if stops.size:
-            lengths[2 * k] = stops.size
-        times = Counter(stops.tolist())
-        return StrategyOutcome(win.real, stderr, dict(lengths), dict(times), held.size)
-
-    raise TypeError(f"unknown strategy: {strategy!r}")
+    [(mean, stderr)], blocks = montecarlo.run(sampler, trials, seed, threads)
+    lengths = sum((Counter(tally) for tally, _ in blocks), Counter())
+    hist = dict(sorted(lengths.items()))
+    if isinstance(strategy, FixedHorizon):
+        return StrategyOutcome(mean.real, stderr, hist)
+    times = Counter(np.concatenate([stops for _, stops in blocks]).tolist())
+    # censored trials never stopped, so they have no stopping time
+    return StrategyOutcome(mean.real, stderr, hist, dict(times), trials - times.total())

@@ -97,7 +97,7 @@ class ExponentialKicks:
         object.__setattr__(self, "tau1", float(self.tau1))
         s = self.omega * self.tau1
         if not math.isfinite(s) or s <= 0.0:
-            raise ValueError("omega * tau1 must be positive")
+            raise ValueError("omega * tau1 must be finite and positive")
 
     @property
     def scale(self) -> float:

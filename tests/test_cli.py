@@ -142,6 +142,18 @@ class TestExitCodes:
         # at the bound, a run of one block starts no pool either
         assert run_cli(["dissipative", "--trials", "1000", "--threads", str(cli.MAX_THREADS)])[0] == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        # omega * tau1 overflows to inf
+        (["iid", "--dist", "exponential", "--omega", "1e308", "--tau1", "10"],
+         "omega * tau1 must be finite and positive"),
+        (["dissipative", "--tau0", "inf"], "tau0 must be finite and positive"),
+        (["dissipative", "--lambda-ad", "inf"], "noise scales must be finite and nonnegative"),
+    ])
+    def test_non_finite_inputs_are_refused_as_such(self, argv, message, capsys):
+        code, text = run_cli(argv)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_csv_unavailable_for_dissipative(self):
         code, _ = run_cli(["dissipative", "--format", "csv"])
         assert code == 2
@@ -916,3 +928,28 @@ def test_cli_runs_without_scipy():
         [sys.executable, "-c", child], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _parsed(parser, argv, capsys):
+    """Exit code and printed text of ``parser.parse_args(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    return int(stop.value.code or 0), capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["frobnicate"], ["-h", "grover"], ["grover", "--bogus"], ["iid", "--steps", "x"],
+    ["grover", "--strategy", "nope"], *([name, "-h"] for name in cli._COMMANDS),
+])
+def test_per_run_parser_prints_what_the_full_parser_prints(argv, capsys):
+    code, printed = _parsed(cli.build_parser(), argv, capsys)
+    assert run_cli(argv) == (code, "")
+    assert capsys.readouterr() == printed
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_per_run_parser_declares_one_subcommand(name, capsys):
+    for other in cli._COMMANDS:
+        if other != name:
+            assert _parsed(cli.build_parser(name), [other], capsys)[0] == 2
+    assert cli.build_parser(name).parse_args([name]).command == name

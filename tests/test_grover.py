@@ -26,7 +26,7 @@ from _oracles import (
     walk_reduced_length,
     word_success,
 )
-from noisegames import grover, rng
+from noisegames import grover, montecarlo, rng
 from noisegames.grover import (
     AdaptiveTracking,
     FixedHorizon,
@@ -317,6 +317,74 @@ class TestEvaluateStrategy:
         a = evaluate_strategy(quarter_pi, c, 150_000, seed=6, threads=1)
         b = evaluate_strategy(quarter_pi, c, 150_000, seed=6, threads=8)
         assert a == b
+
+
+class TestPayoffs:
+    """Every trial scores the closed form of its final length, bit for bit.
+
+    numpy's float64 sin and math.sin differ in the last bit at some
+    lengths: 12 and 13 at n = 6, 4 and 5 at n = 40.
+    """
+
+    @staticmethod
+    def record_payoffs(monkeypatch) -> list:
+        """Each block's per-trial payoffs, in block order, as the engine reduces them."""
+        seen = []
+        reduce = montecarlo.block_moments
+
+        def recording(values):
+            seen.append(values.copy())
+            return reduce(values)
+
+        monkeypatch.setattr(montecarlo, "block_moments", recording)
+        return seen
+
+    @staticmethod
+    def closed_form(lengths: np.ndarray, c: GameConfig) -> list[float]:
+        return [success_closed_form(s // 2, c) for s in lengths.tolist()]
+
+    @pytest.mark.parametrize("n, m, pair", [(6, 28, (12, 13)), (40, 9, (4, 5))])
+    def test_fixed_horizon_trials(self, n, m, pair, monkeypatch):
+        c = GameConfig(n)
+        seen = self.record_payoffs(monkeypatch)
+        evaluate_strategy(FixedHorizon(m), c, 20_000, seed=3)
+        lengths = walk_fixed_horizon(m, 20_000, 3)
+        assert np.isin(pair, lengths).all()
+        assert np.concatenate(seen).tolist() == self.closed_form(lengths, c)
+
+    def test_censored_adaptive_trials(self, monkeypatch):
+        # k_star = 12 needs 24 letters at least and 600 on average, so a
+        # 128-letter cap censors most trials, at lengths below 24
+        monkeypatch.setattr(grover, "ADAPTIVE_CAP", 128)
+        c = GameConfig(6)
+        seen = self.record_payoffs(monkeypatch)
+        out = evaluate_strategy(AdaptiveTracking(12), c, 5000, seed=4)
+        _, lengths, censored = walk_adaptive(12, 5000, 4, 128)
+        assert out.censored == censored.size > 0
+        assert np.isin((12, 13), lengths[censored]).all()
+        assert np.concatenate(seen).tolist() == self.closed_form(lengths, c)
+
+    def test_exact_fixed_horizon_sums_the_closed_form(self):
+        c = GameConfig(6)
+        law = fixed_horizon_length_law(28)
+        assert 12 in law and 13 in law
+        want = math.fsum(float(p) * success_closed_form(s // 2, c) for s, p in law.items())
+        assert fixed_horizon_win_prob(28, c) == want
+
+    @pytest.mark.parametrize("strategy", [
+        FixedHorizon(37), AdaptiveTracking(0), AdaptiveTracking(3), AdaptiveTracking(12),
+        AdaptiveTracking(10**20),
+    ])
+    def test_histograms_count_every_trial(self, strategy, monkeypatch):
+        # 70,000 trials are two blocks; a 128-letter cap censors some or all
+        # adaptive trials from k_star = 3 on
+        monkeypatch.setattr(grover, "ADAPTIVE_CAP", 128)
+        out = evaluate_strategy(strategy, GameConfig(6), 70_000, seed=5, threads=2)
+        assert sum(out.reduced_length_histogram.values()) == 70_000
+        if isinstance(strategy, AdaptiveTracking):
+            stopped = sum(out.stopping_time_histogram.values())
+            assert out.censored == 70_000 - stopped
+            assert out.reduced_length_histogram.get(2 * strategy.k_star, 0) == stopped
 
 
 class TestConfigValidation:

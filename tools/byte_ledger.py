@@ -14,10 +14,13 @@ blocks at few threads, at ``--threads`` 1, 2 and 16, and last two-block
 noise scales, and one from a complex coherence, at ``--threads`` 1 and 2,
 then two-block Gaussian ``iid`` curves of 1 and 3 steps (a last kick
 without its pair's sine) and an exponential curve, at ``--threads`` 1 and
-2, and after them the CSV of each subcommand that has one (``iid`` and ``memory``
-curves of 3,000 steps, the wheel of ``parrondo --moduli 19,23`` and a
-``grover`` curve longer than one ``writers.CHUNK_ROWS`` chunk), each to
-stdout and to an ``--out`` file.
+2, then ``grover`` Monte Carlo runs at ``--threads`` 1 and 2 (fixed
+horizons of 0 to 1,000 letters, quarter-pi horizons at 1, 6, 16 and 40
+qubits, and adaptive tracking at the optimal ``--k-star`` and at one that
+censors), and after them the CSV of each subcommand that has one (``iid``
+and ``memory`` curves of 3,000 steps, the wheel of ``parrondo --moduli
+19,23`` and a ``grover`` curve longer than one ``writers.CHUNK_ROWS``
+chunk), each to stdout and to an ``--out`` file.
 Each line is ``<exit code> <sha256> <argv>``, where the hash covers what
 the run printed to stdout and to stderr and the file it wrote with
 ``--out``.  Two checkouts give every invocation the same exit code and the
@@ -116,6 +119,20 @@ def curve_argvs() -> list[list[str]]:
     return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
 
 
+def search_argvs() -> list[list[str]]:
+    """Search-game Monte Carlo runs of every strategy, at 1 and 2 threads."""
+    common = ["--trials=70000", "--seed=9"]
+    runs = [["grover", "--n-qubits=6", "--strategy=fixed", f"--m={m}", *common]
+            for m in (0, 1, 63, 64, 65, 1000)]
+    runs += [["grover", f"--n-qubits={n}", *common] for n in (1, 6, 16)]
+    runs.append(["grover", "--n-qubits=40", "--trials=200", "--seed=9"])
+    runs.append(["grover", "--n-qubits=6", "--strategy=adaptive", *common])
+    # E[T] = 4000 * 4001 letters, far past ADAPTIVE_CAP: all 20 trials are censored
+    runs.append(["grover", "--n-qubits=6", "--strategy=adaptive", "--k-star=2000",
+                 "--trials=20", "--seed=9"])
+    return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
+
+
 def csv_argvs() -> list[list[str]]:
     """Each subcommand's CSV, to stdout and to an --out file."""
     runs = [
@@ -147,7 +164,7 @@ def entry(argv: list[str]) -> str:
 
 def main() -> None:
     for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wave_argvs(),
-                 *dissipative_argvs(), *curve_argvs(), *csv_argvs()]:
+                 *dissipative_argvs(), *curve_argvs(), *search_argvs(), *csv_argvs()]:
         print(entry(argv), flush=True)
 
 
