@@ -319,7 +319,7 @@ class TestEvaluateStrategy:
         assert a == b
 
 
-class TestPayoffs:
+class TestTrialPayoffs:
     """Every trial scores the closed form of its final length, bit for bit.
 
     numpy's float64 sin and math.sin differ in the last bit at some
