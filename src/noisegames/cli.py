@@ -45,11 +45,11 @@ CURVE_MAX_STEPS = 1 << 16
 
 # A Monte Carlo run is charged in raw 64-bit draws by its family's
 # draw_charge, beside the sampler.  On one thread of a 2-core Xeon VM these
-# cost about 13-30 ns a kick, 8 ns a search draw, 12-16 ns a wheel round and
-# 45-60 ns a dissipative trial of 2 draws, so a run at the bound takes 35 s
-# to 2 minutes; more is refused before the first draw.  A curve's
-# Python cost, 45-75 us per step of a block, needs no term of its own: as
-# steps <= CURVE_MAX_STEPS, blocks * steps <= 2^16 + 2^16 at the bound.
+# cost about 8-22 ns a kick (2 kicks a draw, so 2^33 kicks at the bound), 8 ns
+# a search draw, 12-16 ns a wheel round and 39-44 ns a dissipative trial, so a
+# run at the bound takes 35 s to 3 minutes; more is refused before the first
+# draw.  A curve's Python cost, 45-75 us per step of a block, needs no term of
+# its own: as steps <= CURVE_MAX_STEPS, blocks * steps <= 2^17 + 2^16.
 MC_MAX_DRAWS = 1 << 32
 
 # A wheel of G games on Z_L has P = G * L (game, rotation) slots; above
@@ -65,13 +65,11 @@ MAX_WHEEL_SLOTS = 1 << 20
 MAX_THREADS = 64
 
 # The version of the map from (seed, trajectory, slot) draws to a family's
-# random inputs.  Layout 1 read each search letter from the top bit of its own
-# draw; layout 2 reads letter t from bit t % 64 of draw t // 64; layout 3 also
-# takes wheel round r's game and rotation from slot r of stream (seed, 0);
-# layout 4 also takes Gaussian kicks 2j and 2j + 1 from the cosine and the
-# sine of one Box-Muller pair, normal slot j; layout 5 also takes a dissipative
-# trial's theta and alpha from the cosine and the sine of normal slot 0.
-STREAM_LAYOUT = 5
+# random inputs.  Layout 6 takes two 32-bit uniforms from each raw draw: kicks
+# 2j and 2j + 1 of an iid or memory trajectory read the high and the low half
+# of slot j, and a Box-Muller pair, a dissipative trial's included, reads one
+# slot.  README's reproducibility contract gives it and layouts 1 to 5.
+STREAM_LAYOUT = 6
 
 def _envelope(inputs: dict, results: dict, diagnostics: dict) -> str:
     return writers.json_text({
@@ -199,6 +197,13 @@ def _rates(stats: parrondo.GameStats) -> dict:
     }
 
 
+def _mc_diagnostics(exact: list[complex], estimates: list) -> dict:
+    """Each curve point's (MC - exact) / stderr, real and imaginary parts; None at stderr 0."""
+    diffs = [(est.rho_est.b - b, est.stderr) for b, est in zip(exact, estimates)]
+    return {"mc": True, "z_re": [d.real / se if se else None for d, se in diffs],
+            "z_im": [d.imag / se if se else None for d, se in diffs]}
+
+
 def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
     """Curve rows n = 0, 1, ... (Monte Carlo where estimated) and their CSV form."""
     curve = [{"n": n, "analytic_coherence": a, "coherence": a} for n, a in enumerate(analytic)]
@@ -260,7 +265,7 @@ def _cmd_iid(v: dict, threads: int):
                   "coherence": coherence(final)},
         "curve": curve,
     }
-    return derived, results, {"mc": run_mc}, csv_data
+    return derived, results, _mc_diagnostics(bs, estimates) if run_mc else {"mc": False}, csv_data
 
 
 def _cmd_memory(v: dict, threads: int):
@@ -271,9 +276,11 @@ def _cmd_memory(v: dict, threads: int):
     if run_mc:
         _limit_draws(memory.draw_charge(steps, v["trials"]))
     trace = memory.coherence_recursion(kern, steps)
-    estimates = []
+    estimates, diagnostics = [], {"mc": False}
     if run_mc:
         estimates = memory.evolve_memory_mc(rho0, kern, steps, v["trials"], v["seed"], threads)
+        exact = [rho0.b] + [rho0.b * fa.conjugate() for fa, _ in trace.values]
+        diagnostics = _mc_diagnostics(exact, estimates)
     c0 = coherence(rho0)
     analytic = [c0] + [c0 * abs(fa) for fa, _ in trace.values]
     curve, csv_data = _curve(analytic, estimates)
@@ -286,7 +293,7 @@ def _cmd_memory(v: dict, threads: int):
         "final_feps_im": trace.final_b.imag,
         "curve": curve,
     }
-    return {}, results, {"mc": run_mc}, csv_data
+    return {}, results, diagnostics, csv_data
 
 
 def _cmd_dissipative(v: dict, threads: int):

@@ -71,13 +71,13 @@ def averaged_channel_mc(
     first-order averaged matrix: E[alpha] = sqrt(4*lambda_ad/pi),
     E[sqrt(1-alpha)] = 1 - sqrt(lambda_ad/pi) + O(lambda_ad) and
     E[e^{-i theta}] = e^{-lambda_pd}.  theta takes the cosine and alpha the
-    sine of one Box-Muller pair, normal slot 0 of each trajectory (raw
-    slots 0 and 1), two independent standard normals; the phasor comes
-    from :func:`montecarlo.phasors`.  Each block works in place on its
-    draws and yields the population before it builds the coherence, so it
-    holds at most six block-sized float arrays at once: theta, alpha, the
-    complex coherence and the reducer's complex copy of it, each complex
-    array counting as two.
+    sine of the Box-Muller pair of each trajectory's raw slot 0, two
+    independent standard normals; the phasor comes from
+    :func:`montecarlo.phasors`.  Each block works in place on its draws and
+    yields the population before it builds the coherence, so it holds at
+    most six block-sized float arrays at once: theta, alpha, the complex
+    coherence and the reducer's complex copy of it, each complex array
+    counting as two.
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
@@ -121,8 +121,8 @@ def averaged_channel_mc(
 
 
 def draw_charge(trials: int) -> int:
-    """Raw 64-bit draws :func:`averaged_channel_mc` reads: one Box-Muller pair, 2 a trial."""
-    return 2 * trials
+    """Raw 64-bit draws :func:`averaged_channel_mc` reads: one Box-Muller pair, 1 a trial."""
+    return trials
 
 
 def _step_factors(p: float, scales: NoiseScales) -> tuple[float, float]:

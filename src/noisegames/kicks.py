@@ -18,13 +18,13 @@ integrals.  Each route returns the whole coherence curve over 0..n kicks:
 :func:`evolve_iid` exactly, :func:`evolve_iid_mc` by Monte Carlo.
 Trajectories are averaged by the Monte Carlo engine of
 :mod:`noisegames.montecarlo`, which shifts each block by its own first
-trajectory; trajectory t reads slot k at kick k (a Gaussian law the
-cosine or sine of Box-Muller pair k // 2), so a curve is one pass over the
-trajectories and no other.  A trajectory's coherence after k kicks is b
-times the running product of its kicks' phasors e^{-i theta}, one complex
-multiply per kick: a delta mixture looks each phasor up in a table built
-once, and the continuous laws build theirs with :func:`montecarlo.phasors`,
-from one ``tan`` per kick.
+trajectory; kicks 2j and 2j + 1 of trajectory t read the two halves of
+its raw slot j (a Gaussian law that slot's Box-Muller pair), so a curve
+is one pass over the trajectories and no other.  A trajectory's coherence
+after k kicks is b times the running product of its kicks' phasors
+e^{-i theta}, one complex multiply per kick: a delta mixture looks each
+phasor up in a table built once, and the continuous laws build theirs
+with :func:`montecarlo.phasors`, from one ``tan`` per kick.
 """
 
 from __future__ import annotations
@@ -229,73 +229,60 @@ def _running_products(b: complex, count: int, factors) -> Iterator[np.ndarray]:
 def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
     """Phasor e^{-i theta} of kicks 0, ..., ``steps`` - 1 of each trajectory, in turn.
 
-    A delta mixture reads raw slot k at kick k, picks the drawn angle from
-    the raw draw by thresholds built once (:func:`montecarlo.draw_edges`),
-    and looks its phasor up in a table built once.  The exponential law
-    reads uniform slot k, the Gaussian law the normals of
-    :func:`_box_muller_pairs`; both draw theta in place and hand it to
-    :func:`montecarlo.phasors`.
+    A delta mixture picks each kick's angle (:func:`montecarlo.branch_indices`)
+    and looks its phasor up in a table built once.  The other laws build
+    theta in place from :func:`_kick_draws`, as mu + sigma * z or as
+    -scale * ln((half + 1) * 2^-32), for :func:`montecarlo.phasors`.
     """
     if isinstance(dist, DeltaMixture):
         edges = montecarlo.draw_edges(dist.weights)
         table = np.exp(-1j * np.asarray(dist.angles, dtype=np.float64))
-
-        def kick(s: int) -> np.ndarray:
-            index = montecarlo.branch_index(edges, rng.slot_u64(keys, s, 1)[0])
-            # every index is in range; "clip" only spares numpy a buffered copy
-            return np.take(table, index, out=rng._empty(len(keys), np.complex128), mode="clip")
-
-    elif isinstance(dist, GaussianKicks):
+        # every index is in range; "clip" only spares numpy a buffered copy
+        kick = lambda i: np.take(table, i, out=rng._empty(len(keys), np.complex128), mode="clip")
+        return map(kick, montecarlo.branch_indices(edges, keys, steps))
+    if isinstance(dist, GaussianKicks):
         sigma = math.sqrt(dist.sigma2)
 
-        def kick(theta: np.ndarray) -> np.ndarray:
+        def angle(theta: np.ndarray) -> np.ndarray:
             theta *= sigma
             theta += dist.mu
-            return montecarlo.phasors(theta)
-
-        return map(kick, _box_muller_pairs(keys, steps))
-
+            return theta
     elif isinstance(dist, ExponentialKicks):
-        scale = dist.scale
-
-        def kick(s: int) -> np.ndarray:
-            theta = rng.slot_uniform_open(keys, s)
+        def angle(theta: np.ndarray) -> np.ndarray:
+            theta += 1.0
+            theta *= 2.0**-32
             np.log(theta, out=theta)
-            theta *= -scale
-            return montecarlo.phasors(theta)
-
+            theta *= -dist.scale
+            return theta
     else:
         raise TypeError(f"unsupported kick distribution: {type(dist).__name__}")
-    return map(kick, range(steps))
+    draws = _kick_draws(keys, steps, normal=isinstance(dist, GaussianKicks))
+    return map(montecarlo.phasors, map(angle, draws))
 
 
-def _box_muller_pairs(keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """Standard normals of kicks 0, ..., ``steps`` - 1 of each trajectory, in turn.
+def _kick_draws(keys: np.ndarray, steps: int, normal: bool) -> Iterator[np.ndarray]:
+    """The float64 draw of kicks 0, ..., ``steps`` - 1 of each trajectory, in turn.
 
-    Kick k reads normal slot k // 2 (raw slots 2*(k // 2) and 2*(k // 2) + 1)
-    and takes the cosine of that Box-Muller pair for even k, its sine for
-    odd k.  An odd step count computes no sine for its last kick, which
-    leaves the cosine's bytes unchanged, so a shorter run's normals are a
-    prefix of a longer one's; the cosine still reads both raw slots of its
-    pair, so a trajectory reads 2 * ceil(steps / 2) raw draws.
+    Kicks 2j and 2j + 1 read raw slot j: its high and low 32 bits, or with
+    ``normal`` its Box-Muller pair's cosine and sine; an odd step count
+    computes no sine for its last kick, and the cosine's bytes do not change.
     """
     for k in range(0, steps, 2):
-        sine = rng._empty(len(keys)) if k + 1 < steps else None
-        yield rng.slot_normal(keys, k // 2, sine=sine)
-        if sine is not None:
-            yield sine
-        del sine  # its array is free for the next pair
+        if normal:
+            second = rng._empty(len(keys)) if k + 1 < steps else None
+            first = rng.slot_normal(keys, k // 2, sine=second)
+        else:
+            first, second = rng.slot_halves(keys, k // 2)
+        yield first
+        del first  # its array is free for the next kick
+        if k + 1 < steps:
+            yield second
+        del second  # and this one for the next draw
 
 
 def draw_charge(dist: KickDistribution, steps: int, trials: int) -> int:
-    """Raw 64-bit draws :func:`evolve_iid_mc` reads for ``trials`` curves of ``steps`` kicks.
-
-    One a kick, except that a Gaussian law reads whole Box-Muller pairs:
-    2 * ceil(steps / 2) a trial (:func:`_box_muller_pairs`).
-    """
-    if isinstance(dist, GaussianKicks):
-        steps += steps % 2
-    return trials * steps
+    """Raw 64-bit draws :func:`evolve_iid_mc` reads for ``trials`` curves: ceil(steps / 2) each."""
+    return trials * -(-steps // 2)
 
 
 def evolve_iid_mc(

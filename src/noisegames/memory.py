@@ -201,13 +201,13 @@ def coherence_recursion(kern: MemoryKernel, n: int) -> CoherenceTrace:
 def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """Phasor e^{-i theta} of kicks 1, ..., n of each chain, in turn.
 
-    Chains start in class A (initial angle 0); kick s reads the chain's own
-    raw slot s.  Both classes' thresholds (:func:`montecarlo.draw_edges`)
-    are merged once into one sorted set of ``width - 1`` edges, so a kick
-    makes one :func:`montecarlo.branch_index` over them, for every chain in
-    either class.  Row ``interval + width * (chain in class B)`` of two
-    tables built once holds the branch's phasor and its destination
-    class's ``width * (class is B)``.
+    Chains start in class A (initial angle 0); kicks 2j and 2j + 1 pick by
+    the two halves of the chain's own raw slot j.  Both classes' thresholds
+    (:func:`montecarlo.draw_edges`) are merged once into one sorted set of
+    ``width - 1`` edges, so :func:`montecarlo.branch_indices` makes one pick
+    a kick, for every chain in either class.  Row ``interval + width *
+    (chain in class B)`` of two tables built once holds the branch's phasor
+    and its destination class's ``width * (class is B)``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -231,18 +231,16 @@ def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.
     offset = np.zeros(len(keys), dtype=np.intp)
     row = rng._empty(len(keys), np.intp)
     thresholds = np.array(merged, dtype=np.uint64)
-    for s in range(n):
-        x = rng.slot_u64(keys, s, 1)[0]
-        np.add(montecarlo.branch_index(thresholds, x), offset, out=row)
-        del x  # frees its buffer in the block set for the next draw
+    for index in montecarlo.branch_indices(thresholds, keys, n):
+        np.add(index, offset, out=row)
         # every row is in range; "clip" only spares numpy a buffered copy
         np.take(to_offset, row, out=offset, mode="clip")
         yield np.take(phasors, row, out=rng._empty(len(keys), np.complex128), mode="clip")
 
 
 def draw_charge(n: int, trials: int) -> int:
-    """Raw 64-bit draws :func:`evolve_memory_mc` reads for ``trials`` chains: one a kick."""
-    return trials * n
+    """Raw 64-bit draws :func:`evolve_memory_mc` reads for ``trials`` chains: one per two kicks."""
+    return trials * -(-n // 2)
 
 
 def evolve_memory_mc(

@@ -17,14 +17,15 @@ been reduced.
 
 Two per-draw kernels serve the samplers: :func:`phasors` turns kick angles
 into e^{-i theta} and :func:`branch_index` picks a branch of a finite law
-straight from a raw 64-bit draw, by the thresholds of :func:`draw_edges`.
+straight from a raw 64-bit draw's 32-bit half, by the thresholds of
+:func:`draw_edges`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,21 +85,21 @@ def phasors(theta: np.ndarray) -> np.ndarray:
 def draw_edges(weights: Sequence[float]) -> np.ndarray:
     """The raw-draw thresholds of a finite law, as sorted uint64, for :func:`branch_index`.
 
-    Branch j takes the raw draws x whose uniform u = (x >> 11) * 2**-53
-    lies in [c_{j-1}, c_j), c the running sums of ``weights`` with the last
-    taken as 1.  Since u >= c exactly when x >= ceil(c * 2**53) << 11, each
-    running sum but the last gives that threshold; a sum of 1.0 or more is
-    never reached and gives none.
+    Branch j takes the raw draws x whose high half has h * 2**-32 in
+    [c_{j-1}, c_j), c the running sums of ``weights`` with the last taken
+    as 1, so within 2**-32 of its weight: h * 2**-32 >= c exactly when
+    x >= ceil(c * 2**32) << 32, and a ceiling of 2**32 or more is never
+    reached and gives no threshold.
     """
-    sums = itertools.accumulate(float(w) for w in weights[:-1])
-    return np.array([math.ceil(c * 2.0**53) << 11 for c in sums if c < 1.0], dtype=np.uint64)
+    ceilings = (math.ceil(c * 2.0**32) for c in itertools.accumulate(map(float, weights[:-1])))
+    return np.array([e << 32 for e in ceilings if e < 1 << 32], dtype=np.uint64)
 
 
 def branch_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The number of ``edges`` at or below each raw draw in ``x`` (uint64).
 
     With ``edges = draw_edges(weights)`` this is the law's branch for the
-    uniform of each draw, ``np.searchsorted(cum, (x >> 11) * 2**-53,
+    high half of each draw, ``np.searchsorted(cum, (x >> 32) * 2**-32,
     side="right")`` for the law's cumulative weights ``cum`` with
     ``cum[-1] = 1``.  Up to 255 edges the index is the ``uint8`` count of
     ``x >= edge``; above that it is ``np.searchsorted(edges, x, side="right")``.
@@ -109,6 +110,18 @@ def branch_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     for edge in edges:
         index += x >= edge
     return index
+
+
+def branch_indices(edges: np.ndarray, keys: np.ndarray, kicks: int) -> Iterator[np.ndarray]:
+    """:func:`branch_index` of kicks 0, ..., ``kicks`` - 1 of each key: x, then x << 32, a draw x."""
+    for j in range(0, kicks, 2):
+        x = rng.slot_u64(keys, j // 2, 1)[0]
+        pair = [branch_index(edges, x)]
+        if j + 1 < kicks:
+            x <<= np.uint64(32)
+            pair.append(branch_index(edges, x))
+        del x  # both picked: its buffer is free while the kicks are used
+        yield from pair
 
 
 def _part_moments(part: np.ndarray, w: np.ndarray) -> Part:

@@ -5,7 +5,7 @@ All randomness in this package reduces to a single pure function of
 Stream ``i`` under master seed ``s`` is the SplitMix64 sequence started at
 key ``stream_keys(s, i, 1)[0]``; draw slot ``d`` of that stream is
 ``mix(key + (d + 1) * GOLDEN)``.  Every draw is addressed by its slot
-(:func:`slot_u64` and the uniform and normal maps built on it); no stream
+(:func:`slot_u64` and the 32-bit halves and normals built on it); no stream
 carries a cursor or other hidden state, so any partition of trajectories
 into blocks or threads reproduces results bit for bit.  Draws come in runs
 of consecutive slots, as a wheel-game walk reads its rounds; a single slot
@@ -185,45 +185,37 @@ def slot_u64(keys: np.ndarray, first: int, count: int) -> np.ndarray:
     return _draw(keys, first, out, _empty(out.shape, np.uint64))
 
 
-def _top_53_bits(keys: np.ndarray, slot: int, out: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each draw at ``slot``, using float64 ``out`` as scratch."""
-    x = _draw(keys, slot, _empty((1, len(keys)), np.uint64), out.view(np.uint64)[None])[0]
-    x >>= np.uint64(11)
-    return x
-
-
-def slot_uniform(keys: np.ndarray, slot: int) -> np.ndarray:
-    """Uniform draws in [0, 1) at ``slot`` (53-bit resolution)."""
-    out = _empty(len(keys))
-    return np.multiply(_top_53_bits(keys, slot, out), 2.0**-53, out=out)
-
-
-def slot_uniform_open(keys: np.ndarray, slot: int) -> np.ndarray:
-    """Uniform draws in (0, 1] at ``slot`` (safe under log)."""
-    out = _empty(len(keys))
-    np.add(_top_53_bits(keys, slot, out), 1.0, out=out)
-    out *= 2.0**-53
-    return out
+def slot_halves(keys: np.ndarray, slot: int) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 32 bits of each key's raw draw at ``slot``, as float64 in its two arrays."""
+    h = _empty(len(keys), np.uint64)  # asked for first, so it may take a smaller buffer
+    x = slot_u64(keys, slot, 1)[0]
+    np.right_shift(x, np.uint64(32), out=h)
+    x &= np.uint64(0xFFFFFFFF)
+    # a 1-d cast onto its own memory runs in place, with no temporary
+    np.copyto(h.view(np.float64), h.view(np.int64))
+    np.copyto(x.view(np.float64), x.view(np.int64))
+    return h.view(np.float64), x.view(np.float64)
 
 
 def slot_normal(keys: np.ndarray, slot: int, sine: np.ndarray | None = None) -> np.ndarray:
-    """One standard normal per key via Box-Muller, R * cos(2*pi*u2).
+    """One standard normal per key via Box-Muller, R * cos(2*pi*u2), from raw slot ``slot``.
 
-    Normal ``slot`` consumes raw slots ``2*slot`` and ``2*slot + 1``; keep
-    normal and uniform slot ranges disjoint within one kernel.  The cosine
-    is ``(1 - t^2) / (1 + t^2)`` with ``t = tan(pi*u2)``, since numpy 2.4
-    has an AVX-512 kernel for float64 ``tan`` but none for ``cos``
-    (README); the result stays within 4 eps * R of ``R * np.cos(2*pi*u2)``.
-    When ``sine`` is given, the pair's other normal, R * sin(2*pi*u2) =
-    R * 2t / (1 + t^2), is written into it from the same t, R and
-    denominator; the cosine's bytes do not depend on it.
+    The slot's halves give u1 = (h + 1) * 2^-32 and u2 = l * 2^-32, so
+    R = sqrt(-2 ln u1) <= sqrt(64 ln 2).  The cosine is ``(1 - t^2) /
+    (1 + t^2)`` with ``t = tan(pi*u2)``, since numpy 2.4 has an AVX-512
+    kernel for float64 ``tan`` but none for ``cos`` (README); the result
+    stays within 4 eps * R of ``R * np.cos(2*pi*u2)``.  When ``sine`` is
+    given, the pair's other normal, R * sin(2*pi*u2) = R * 2t / (1 + t^2),
+    is written into it from the same t, R and denominator; the cosine's
+    bytes do not depend on it.
     """
-    r = slot_uniform_open(keys, 2 * slot)
+    r, t = slot_halves(keys, slot)
+    r += 1.0
+    r *= 2.0**-32
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
-    t = slot_uniform(keys, 2 * slot + 1)
-    t *= np.pi
+    t *= np.pi * 2.0**-32
     np.tan(t, out=t)
     if sine is not None:
         np.multiply(t, 2.0, out=sine)

@@ -9,6 +9,8 @@ implementations it checks.  These parts take something from the package:
   draws (``rng.stream_keys`` and ``rng.slot_u64``), and ``stream_key``
   derives one stream's key in Python integers from the package's seed
   words and finalizer;
+* ``kick_half``, ``kick_uniform`` and ``box_muller_pair`` read stream
+  layout 6 (two 32-bit halves a raw draw) from ``rng.slot_u64``;
 * ``random_state`` returns the package's ``DensityMatrix2``, whose
   constructor validates it, and ``random_diagonal_channel`` a
   ``KrausChannel`` of the qubit-channel algebra below;
@@ -1000,10 +1002,41 @@ def _merge_on_block_zero(blocks):
     return _moments_to_mean_stderr(origin, moved, sum(b[0] for b in blocks))
 
 
+def kick_half(keys: np.ndarray, s: int) -> np.ndarray:
+    """The 32-bit half of a raw draw that kick s + 1 reads (stream layout 6), as uint64.
+
+    Kicks 2j and 2j + 1 (s = 2j and 2j + 1) read the high and the low 32
+    bits of the trajectory's raw draw at slot j.
+    """
+    x = rng.slot_u64(keys, s // 2, 1)[0]
+    return x & np.uint64(0xFFFFFFFF) if s % 2 else x >> np.uint64(32)
+
+
+def kick_uniform(keys: np.ndarray, s: int) -> np.ndarray:
+    """The uniform ``kick_half * 2^-32`` in [0, 1) of kick s + 1."""
+    return kick_half(keys, s).astype(np.float64) * 2.0**-32
+
+
+def box_muller_pair(keys: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cosine, sine) normals of the Box-Muller pair of raw slot j, from its halves.
+
+    u1 = (h + 1) * 2^-32 and u2 = l * 2^-32; R = sqrt(-2 ln u1) times
+    (1 - t^2) / (1 + t^2) and 2t / (1 + t^2), t = tan(pi * u2), in the
+    package's operation order, so the values match ``rng.slot_normal`` bit
+    for bit.
+    """
+    high = kick_half(keys, 2 * j).astype(np.float64)
+    low = kick_half(keys, 2 * j + 1).astype(np.float64)
+    r = np.sqrt(-2.0 * np.log((high + 1.0) * 2.0**-32))
+    t = np.tan(np.pi * (low * 2.0**-32))
+    denominator = t * t + 1.0
+    return r * ((1.0 - t * t) / denominator), r * ((t * 2.0) / denominator)
+
+
 def _delta_branch(dist, keys: np.ndarray, s: int) -> np.ndarray:
     cum = np.cumsum(np.asarray(dist.weights, dtype=np.float64))
     cum[-1] = 1.0
-    return np.searchsorted(cum, rng.slot_uniform(keys, s), side="right")
+    return np.searchsorted(cum, kick_uniform(keys, s), side="right")
 
 
 def _iid_angle(dist, keys: np.ndarray, s: int) -> np.ndarray:
@@ -1011,13 +1044,12 @@ def _iid_angle(dist, keys: np.ndarray, s: int) -> np.ndarray:
     if isinstance(dist, DeltaMixture):
         return np.asarray(dist.angles, dtype=np.float64)[_delta_branch(dist, keys, s)]
     if isinstance(dist, GaussianKicks):
-        # stream layout 4: kick s takes the cosine (even s) or the sine (odd s)
-        # of Box-Muller pair s // 2
-        sine = np.empty(len(keys))
-        cosine = rng.slot_normal(keys, s // 2, sine=sine)
+        # stream layouts 4 and 6: kick s takes the cosine (even s) or the sine
+        # (odd s) of Box-Muller pair s // 2
+        cosine, sine = box_muller_pair(keys, s // 2)
         return dist.mu + math.sqrt(dist.sigma2) * (sine if s % 2 else cosine)
     if isinstance(dist, ExponentialKicks):
-        return -dist.scale * np.log(rng.slot_uniform_open(keys, s))
+        return -dist.scale * np.log(kick_uniform(keys, s) + 2.0**-32)
     raise TypeError(type(dist).__name__)
 
 
@@ -1063,7 +1095,7 @@ def _chain_draws(kern, keys: np.ndarray, n: int):
     (cum_a, _, next_a_from_a), (cum_b, _, next_a_from_b) = _chain_tables(kern)
     in_a = np.ones(len(keys), dtype=bool)
     for s in range(n):
-        u = rng.slot_uniform(keys, s)
+        u = kick_uniform(keys, s)
         ia = np.searchsorted(cum_a, u, side="right")
         ib = np.searchsorted(cum_b, u, side="right")
         yield in_a, ia, ib

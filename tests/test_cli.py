@@ -208,7 +208,7 @@ class TestExitCodes:
             ["parrondo", "--moduli", "3,7", "--trials", str(10**13)],
             ["parrondo", "--trials", str(cli.MC_MAX_DRAWS + 1)],
             ["dissipative", "--trials", str(10**13)],
-            ["dissipative", "--trials", str(cli.MC_MAX_DRAWS // 2 + 1)],
+            ["dissipative", "--trials", str(cli.MC_MAX_DRAWS + 1)],
         ],
         ids=["parrondo-1e13", "parrondo-past-bound", "dissipative-1e13", "dissipative-past-bound"],
     )
@@ -225,16 +225,16 @@ class TestExitCodes:
         [
             # one block of rounds on Z_21 also counts L = 21 draws
             (["parrondo"], 1, 21),
-            (["dissipative"], 2, 0),
+            (["dissipative"], 1, 0),
             (["grover", "--strategy", "fixed", "--m", "128"], 2, 0),
             # L = 4 has mean duration L * (L + 1) = 20 letters: one draw
             (["grover", "--strategy", "adaptive", "--k-star", "2"], 1, 0),
-            # one draw a kick, a Gaussian pair's two raw slots serving two kicks
-            (["iid", "--steps", "4"], 4, 0),
-            # an odd Gaussian curve still reads both raw slots of its last pair
-            (["iid", "--steps", "3"], 4, 0),
-            (["iid", "--dist", "exponential", "--steps", "3"], 3, 0),
-            (["memory", "--steps", "5"], 5, 0),
+            # one draw per two kicks, a Gaussian pair's one raw slot serving two
+            (["iid", "--steps", "4"], 2, 0),
+            # an odd curve still reads the whole draw of its last kick
+            (["iid", "--steps", "3"], 2, 0),
+            (["iid", "--dist", "exponential", "--steps", "3"], 2, 0),
+            (["memory", "--steps", "5"], 3, 0),
         ],
         ids=["parrondo", "dissipative", "grover-fixed", "grover-adaptive", "iid",
              "iid-odd", "iid-exponential", "memory"],
@@ -304,14 +304,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, charge",
         [
-            (["iid", "--steps", "4096", "--trials", str(2**20 + 1)],
-             kicks.draw_charge(kicks.GaussianKicks(0.0, 0.0), 4096, 2**20 + 1)),
-            (["iid", "--steps", "1", "--trials", str(cli.MC_MAX_DRAWS // 2 + 1)],
-             kicks.draw_charge(kicks.GaussianKicks(0.0, 0.0), 1, cli.MC_MAX_DRAWS // 2 + 1)),
-            (["memory", "--steps", "20", "--trials", str(cli.MC_MAX_DRAWS // 20 + 1)],
-             memory.draw_charge(20, cli.MC_MAX_DRAWS // 20 + 1)),
+            (["iid", "--steps", "4096", "--trials", str(2**21 + 1)],
+             kicks.draw_charge(kicks.GaussianKicks(0.0, 0.0), 4096, 2**21 + 1)),
+            (["iid", "--steps", "1", "--trials", str(cli.MC_MAX_DRAWS + 1)],
+             kicks.draw_charge(kicks.GaussianKicks(0.0, 0.0), 1, cli.MC_MAX_DRAWS + 1)),
+            (["memory", "--steps", "20", "--trials", str(cli.MC_MAX_DRAWS // 10 + 1)],
+             memory.draw_charge(20, cli.MC_MAX_DRAWS // 10 + 1)),
         ],
-        ids=["iid-4096x2e20", "iid-odd-past-bound", "memory-20-past-bound"],
+        ids=["iid-4096x2e21", "iid-odd-past-bound", "memory-20-past-bound"],
     )
     def test_draw_bound_refuses_curves_before_drawing(self, argv, charge, monkeypatch, capsys):
         forbid_draws(monkeypatch)
@@ -370,30 +370,53 @@ class TestExitCodes:
 _TWO_BLOCKS = 70_000  # trials or rounds: two blocks, split between threads at --threads 2
 
 
+_GAUSSIAN = (["iid", "--sigma2=0.5"], kicks.GaussianKicks(0.0, 0.5))
+_EXPONENTIAL = (["iid", "--dist=exponential"], kicks.ExponentialKicks(1.0, 1.0))
+_DELTA = (["iid", "--dist=delta", "--angles=0,1"], kicks.DeltaMixture.uniform((0.0, 1.0)))
+
+
+def _iid_case(law, steps: int, name: str):
+    argv, dist = law
+    charge = kicks.draw_charge(dist, steps, _TWO_BLOCKS)
+    return pytest.param([*argv, f"--steps={steps}"], charge, 0, id=name)
+
+
+def _memory_case(steps: int, name: str):
+    charge = memory.draw_charge(steps, _TWO_BLOCKS)
+    return pytest.param(["memory", f"--steps={steps}"], charge, 0, id=name)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 20])
+def test_kick_families_charge_one_draw_per_two_kicks(steps):
+    # stream layout 6: each raw draw serves two kicks, and a dissipative trial reads one
+    for _, dist in (_GAUSSIAN, _EXPONENTIAL, _DELTA):
+        assert kicks.draw_charge(dist, steps, 7) == 7 * ((steps + 1) // 2)
+    assert memory.draw_charge(steps, 7) == 7 * ((steps + 1) // 2)
+    assert dissipative.draw_charge(7) == 7
+
+
 @pytest.mark.parametrize(
     "argv, charge, unread",
     [
-        (["iid", "--sigma2=0.5", "--steps=1"],
-         kicks.draw_charge(kicks.GaussianKicks(0.0, 0.5), 1, _TWO_BLOCKS), 0),
-        (["iid", "--sigma2=0.5", "--steps=3"],
-         kicks.draw_charge(kicks.GaussianKicks(0.0, 0.5), 3, _TWO_BLOCKS), 0),
-        (["iid", "--sigma2=0.5", "--steps=4"],
-         kicks.draw_charge(kicks.GaussianKicks(0.0, 0.5), 4, _TWO_BLOCKS), 0),
-        (["iid", "--dist=exponential", "--steps=3"],
-         kicks.draw_charge(kicks.ExponentialKicks(1.0, 1.0), 3, _TWO_BLOCKS), 0),
-        (["iid", "--dist=delta", "--angles=0,1", "--steps=3"],
-         kicks.draw_charge(kicks.DeltaMixture.uniform((0.0, 1.0)), 3, _TWO_BLOCKS), 0),
-        (["memory", "--steps=3"], memory.draw_charge(3, _TWO_BLOCKS), 0),
-        (["dissipative"], dissipative.draw_charge(_TWO_BLOCKS), 0),
-        (["grover", "--strategy=fixed", "--m=129"],
-         grover.draw_charge(grover.FixedHorizon(129), _TWO_BLOCKS), 0),
-        (["grover", "--n-qubits=6"],  # quarter-pi: m = 4 * 7 letters
-         grover.draw_charge(grover.FixedHorizon(28), _TWO_BLOCKS), 0),
+        # every kick family at steps 1, 2, 3 and 20; an unnumbered id runs 3 steps
+        *(_iid_case(_GAUSSIAN, steps, f"iid-gaussian-{steps}") for steps in (1, 2, 3, 4, 20)),
+        *(_iid_case(_EXPONENTIAL, steps, f"iid-exponential-{steps}") for steps in (1, 2, 20)),
+        _iid_case(_EXPONENTIAL, 3, "iid-exponential"),
+        *(_iid_case(_DELTA, steps, f"iid-delta-{steps}") for steps in (1, 2, 20)),
+        _iid_case(_DELTA, 3, "iid-delta"),
+        *(_memory_case(steps, f"memory-{steps}") for steps in (1, 2, 20)),
+        _memory_case(3, "memory"),
+        pytest.param(["dissipative"], dissipative.draw_charge(_TWO_BLOCKS), 0, id="dissipative"),
+        pytest.param(["grover", "--strategy=fixed", "--m=129"],
+                     grover.draw_charge(grover.FixedHorizon(129), _TWO_BLOCKS), 0,
+                     id="grover-fixed"),
+        pytest.param(["grover", "--n-qubits=6"],  # quarter-pi: m = 4 * 7 letters
+                     grover.draw_charge(grover.FixedHorizon(28), _TWO_BLOCKS), 0,
+                     id="grover-quarter-pi"),
         # the charge's fold term, 21 a block of rounds, is work but no draw
-        (["parrondo", "--moduli=3,7"], parrondo.draw_charge(21, _TWO_BLOCKS), 2 * 21),
+        pytest.param(["parrondo", "--moduli=3,7"], parrondo.draw_charge(21, _TWO_BLOCKS), 2 * 21,
+                     id="parrondo"),
     ],
-    ids=["iid-gaussian-1", "iid-gaussian-3", "iid-gaussian-4", "iid-exponential",
-         "iid-delta", "memory", "dissipative", "grover-fixed", "grover-quarter-pi", "parrondo"],
 )
 @pytest.mark.parametrize("threads", [1, 2])
 def test_runs_read_what_they_are_charged(argv, charge, unread, threads, monkeypatch):
@@ -407,6 +430,60 @@ def test_runs_read_what_they_are_charged(argv, charge, unread, threads, monkeypa
     assert run_cli(argv)[0] == 2 and counted == []
     monkeypatch.setattr(cli, "MC_MAX_DRAWS", charge)
     assert run_cli(argv)[0] == 0
+
+
+_Z_RUNS = {
+    "delta": ["iid", "--dist=delta", "--angles=0.3,-1,2", "--weights=0.5,0.3,0.2"],
+    "gaussian": ["iid", "--mu=0.2", "--sigma2=0.3"],
+    "exponential": ["iid", "--dist=exponential", "--omega=0.7", "--tau1=0.5"],
+    "memory": ["memory", "--variant=combined", "--epsilon=0.1"],
+}
+
+
+class TestZScores:
+    """diagnostics.z_re / z_im: each curve point's (MC - exact) / stderr."""
+
+    @pytest.mark.parametrize("family", list(_Z_RUNS))
+    def test_every_point_within_5_stderr(self, family):
+        env = run_json([*_Z_RUNS[family], "--steps=5", "--trials=70000", "--seed=3"])
+        z_re, z_im = env["diagnostics"]["z_re"], env["diagnostics"]["z_im"]
+        assert len(z_re) == len(z_im) == 6
+        # point 0 is b0 in every trajectory: no spread, no z
+        assert z_re[0] is None and z_im[0] is None
+        assert all(abs(z) <= 5.0 for z in z_re[1:] + z_im[1:])
+
+    def test_z_scores_follow_the_curve(self):
+        # the memory curve's exact partner is b0 * conj(f_k at class A)
+        env = run_json([*_Z_RUNS["memory"], "--steps=3", "--trials=1000", "--seed=3",
+                        "--b0-re=0.3", "--b0-im=0.25"])
+        b0, kern = complex(0.3, 0.25), memory.kernel(memory.KernelVariant.COMBINED, 0.1)
+        exact = [b0] + [b0 * fa.conjugate() for fa, _ in memory.coherence_recursion(kern, 3).values]
+        rho0 = cli._initial_state({"a0": 0.5, "b0_re": 0.3, "b0_im": 0.25})
+        estimates = memory.evolve_memory_mc(rho0, kern, 3, 1000, 3)
+        for n in range(1, 4):
+            b, se = estimates[n].rho_est.b, estimates[n].stderr
+            assert env["diagnostics"]["z_re"][n] == (b.real - exact[n].real) / se
+            assert env["diagnostics"]["z_im"][n] == (b.imag - exact[n].imag) / se
+
+    def test_null_where_stderr_is_zero(self):
+        env = run_json(["iid", "--dist=delta", "--angles=0", "--steps=3", "--trials=1000"])
+        assert env["diagnostics"]["z_re"] == env["diagnostics"]["z_im"] == [None] * 4
+        assert all(row["mc_stderr"] == 0.0 for row in env["results"]["curve"])
+
+    @pytest.mark.parametrize("argv", [["iid", "--exact", "--trials=10"], ["memory", "--exact"],
+                                      ["iid"], ["memory"]])
+    def test_no_z_scores_without_monte_carlo(self, argv):
+        assert run_json(argv)["diagnostics"] == {"mc": False}
+
+    @pytest.mark.parametrize("family", list(_Z_RUNS))
+    def test_twenty_seed_mean_z_shows_no_bias(self, family):
+        # each z has variance at most 1 (stderr is the larger part's), so the
+        # mean of 20 independent runs has standard error at most 1 / sqrt(20)
+        finals = [run_json([*_Z_RUNS[family], "--steps=4", "--trials=65536", f"--seed={seed}"])
+                  ["diagnostics"] for seed in range(100, 120)]
+        for part in ("z_re", "z_im"):
+            mean = sum(d[part][-1] for d in finals) / len(finals)
+            assert abs(mean) <= 3.0 / math.sqrt(len(finals)), (part, mean)
 
 
 class TestCsvSchemas:
@@ -542,7 +619,7 @@ def test_envelope_structure():
     assert set(env) == {"inputs", "results", "diagnostics", "provenance"}
     assert env["provenance"]["version"]
     assert env["provenance"]["seed"] == 1
-    assert env["provenance"]["stream_layout"] == cli.STREAM_LAYOUT == 5
+    assert env["provenance"]["stream_layout"] == cli.STREAM_LAYOUT == 6
 
 
 @pytest.mark.parametrize(

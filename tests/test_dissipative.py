@@ -104,8 +104,8 @@ class TestAveragedMc:
             assert a == b, threads
 
     def test_one_pair_gives_theta_and_alpha(self, monkeypatch):
-        # stream layout 5: theta is the cosine and alpha the clamped sine of
-        # normal slot 0; no raw slot from 2 on is drawn
+        # stream layout 6: theta is the cosine and alpha the clamped sine of
+        # the Box-Muller pair of raw slot 0; no other raw slot is drawn
         scales, seed, n = NoiseScales(0.5, 0.3), 11, rng.BLOCK_SIZE
         seen = {"theta": [], "points": [], "slots": set()}
         draw, phasors, block_moments = rng._draw, montecarlo.phasors, montecarlo.block_moments
@@ -128,7 +128,7 @@ class TestAveragedMc:
         # a0 = 0 and p = 1 make the population exactly alpha
         res = averaged_channel_mc(DensityMatrix2(0.0, 0.0, 1.0), 1.0, scales, n, seed)
         monkeypatch.undo()
-        assert seen["slots"] == {0, 1}
+        assert seen["slots"] == {0}
         sine = np.empty(n)
         cosine = rng.slot_normal(rng.stream_keys(seed, 0, n), 0, sine=sine)
         theta = cosine * math.sqrt(2.0 * scales.lambda_pd)
@@ -163,6 +163,21 @@ class TestExactPartner:
     def test_mc_is_within_four_sigma_of_the_exact_channel(self, lambda_ad):
         z = _exact_partner_z(lambda_ad)
         assert max(abs(z[k]) for k in ("a", "b_re", "b_im", "clamp")) <= 4.0, z
+
+    @pytest.mark.parametrize("lambda_ad", [1e-2, 0.2])
+    def test_twenty_seed_mean_z_shows_no_bias(self, lambda_ad):
+        # each z has variance 1, so the mean of 20 independent runs has
+        # standard error 1 / sqrt(20)
+        rho, p, scales = DensityMatrix2(0.3, 0.2 + 0.35j, 0.7), 0.5, NoiseScales(lambda_ad, 1e-2)
+        exact = averaged_channel_exact(rho, p, scales)
+        z = {"a": [], "b_re": [], "b_im": []}
+        for seed in range(100, 120):
+            mc = averaged_channel_mc(rho, p, scales, 1 << 16, seed)
+            z["a"].append((mc.rho_avg.a - exact.a) / mc.stderr_pop)
+            z["b_re"].append((mc.rho_avg.b.real - exact.b.real) / mc.stderr_coh)
+            z["b_im"].append((mc.rho_avg.b.imag - exact.b.imag) / mc.stderr_coh)
+        for part, values in z.items():
+            assert abs(sum(values) / len(values)) <= 3.0 / math.sqrt(len(values)), part
 
     @pytest.mark.parametrize("lambda_ad", [1e-8, 1e-6, 1e-4])
     def test_exact_moments_meet_the_first_order_series(self, lambda_ad):

@@ -12,8 +12,10 @@ from _oracles import (
     gaussian_for_target,
     gaussian_from_clock,
     is_decoherence_free,
+    kick_half,
+    kick_uniform,
 )
-from noisegames import kicks, rng
+from noisegames import kicks, montecarlo, rng
 from noisegames.kicks import (
     DecayFactor,
     DeltaMixture,
@@ -171,12 +173,12 @@ class TestEvolveIidMc:
 
 
 class TestGaussianPairs:
-    """Stream layout 4: kick k takes the cosine (even k) or sine (odd k) of normal slot k // 2."""
+    """Layouts 4 and 6: kick k takes the cosine (even k) or sine (odd k) of Box-Muller pair k // 2."""
 
     @pytest.mark.parametrize("steps", [1, 4, 5])
     def test_kicks_read_cosine_then_sine(self, steps):
         keys = rng.stream_keys(21, 0, 1000)
-        got = [z.copy() for z in kicks._box_muller_pairs(keys, steps)]
+        got = [z.copy() for z in kicks._kick_draws(keys, steps, normal=True)]
         assert len(got) == steps
         for k, z in enumerate(got):
             sine = np.empty(len(keys))
@@ -196,6 +198,30 @@ class TestGaussianPairs:
         )
         one = run(1)
         assert run(2) == one and run(3) == one
+
+
+class TestStreamLayout6:
+    """Kicks 2j and 2j + 1 read the high and the low 32 bits of raw slot j."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_exponential_kicks_read_the_halves(self, steps):
+        keys = rng.stream_keys(22, 0, 1000)
+        got = [half.tobytes() for half in kicks._kick_draws(keys, steps, normal=False)]
+        assert got == [kick_half(keys, s).astype(np.float64).tobytes() for s in range(steps)]
+
+    @pytest.mark.parametrize("branches", [3, 300])  # the count and the binary-search paths
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_delta_kicks_read_the_halves(self, branches, steps):
+        keys = rng.stream_keys(23, 0, 1000)
+        weights = np.arange(1, branches + 1) / (branches * (branches + 1) / 2)
+        cum = np.cumsum(weights)
+        cum[-1] = 1.0
+        edges = montecarlo.draw_edges(weights)
+        got = list(montecarlo.branch_indices(edges, keys, steps))
+        assert len(got) == steps
+        for s, index in enumerate(got):
+            want = np.searchsorted(cum, kick_uniform(keys, s), side="right")
+            assert index.tolist() == want.tolist(), s
 
 
 class TestNamedConstructions:

@@ -7,6 +7,7 @@ block 0's shift; the oracle estimators fold their blocks the same way.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -168,6 +169,8 @@ def test_phasors_are_the_strided_kernel_bit_for_bit():
     ],
 )
 def test_branch_index_matches_searchsorted(weights):
+    # stream layout 6: a draw x's branch is that of its high half h = x >> 32,
+    # and the branch of x << 32 that of its low half, each as u = half * 2^-32
     cum = np.cumsum(weights)
     cum[-1] = 1.0
     edges = montecarlo.draw_edges(weights)
@@ -176,15 +179,46 @@ def test_branch_index_matches_searchsorted(weights):
         np.random.default_rng(6).integers(0, 2**64, 10_000, dtype=np.uint64),
         edges - np.uint64(1),
         edges,
-        edges + np.uint64(2047),
-        np.array([0, 2**64 - 1], dtype=np.uint64),
+        edges + np.uint64(2**32 - 1),
+        edges >> np.uint64(32),
+        (edges >> np.uint64(32)) - np.uint64(1),
+        np.array([0, 2**32 - 1, 2**64 - 1], dtype=np.uint64),
     ])
-    index = montecarlo.branch_index(edges, x)
-    want = np.searchsorted(cum, (x >> np.uint64(11)) * 2.0**-53, side="right")
-    assert np.array_equal(index, want)
-    assert len(edges) == np.count_nonzero(cum[:-1] < 1.0)
-    if len(edges) <= 255:
-        assert index.dtype == np.uint8
+    mask = np.uint64(2**32 - 1)
+    for draw, half in ((x, x >> np.uint64(32)), (x << np.uint64(32), x & mask)):
+        index = montecarlo.branch_index(edges, draw)
+        want = np.searchsorted(cum, half * 2.0**-32, side="right")
+        assert np.array_equal(index, want)
+        if len(edges) <= 255:
+            assert index.dtype == np.uint8
+    assert len(edges) == np.count_nonzero(cum[:-1] <= 1.0 - 2.0**-32)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        (1 / 3,) * 3,
+        (1e-12, 1.0 - 1e-12),
+        (1.0 - 1e-12, 1e-12),
+        (0.5, 1e-12, 0.5 - 1e-12),
+        (1e-12,) * 4 + (1.0 - 4e-12,),
+        (1 / 256,) * 256,
+        tuple(j / 45_150 for j in range(1, 301)),  # 300 unequal branches
+        (0.5, 0.5, 2e-15),
+    ],
+    ids=["thirds", "tiny-first", "tiny-last", "tiny-middle", "tiny-repeated", "256", "300",
+         "sum-at-1"],
+)
+def test_draw_edges_give_each_branch_its_weight_within_2_to_the_minus_32(weights):
+    # branch j takes the draws whose high half lies in [E_{j-1}, E_j), with
+    # E_0 = 0 and E_last = 2^32, so its probability is (E_j - E_{j-1}) * 2^-32
+    edges = [int(e) >> 32 for e in montecarlo.draw_edges(weights)]
+    assert all(int(e) & (2**32 - 1) == 0 for e in montecarlo.draw_edges(weights))
+    assert edges == sorted(edges)
+    bounds = [0, *edges] + [2**32] * (len(weights) - len(edges))
+    for j, w in enumerate(weights):
+        probability = Fraction(bounds[j + 1] - bounds[j], 2**32)
+        assert abs(probability - Fraction(w)) <= Fraction(1, 2**32), j
 
 
 def test_real_moments_equal_complex_cast():

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import threading
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from _oracles import derive_stream, stream_key
+from _oracles import box_muller_pair, derive_stream, stream_key
 from noisegames import rng
 
 
@@ -86,7 +87,7 @@ def test_randint_bounds_and_determinism():
 def test_run_blocks_order_and_thread_invariance(monkeypatch):
     def worker(start, count):
         keys = rng.stream_keys(3, start, count)
-        return float(np.sum(rng.slot_uniform(keys, 0)))
+        return float(np.sum(rng.slot_halves(keys, 0)[0]))
 
     monkeypatch.setattr(rng, "BLOCK_SIZE", 1 << 14)
     serial = rng.run_blocks(300_000, worker, threads=1)
@@ -101,7 +102,7 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     def worker(start, count):
         workers.add(threading.get_ident())
         keys = rng.stream_keys(3, start, count)
-        return rng.slot_uniform(keys, 0).tobytes()
+        return rng.slot_normal(keys, 0).tobytes()
 
     monkeypatch.setattr(rng, "BLOCK_SIZE", 1 << 14)
     serial = rng.run_blocks(300_000, worker, threads=1)
@@ -153,9 +154,11 @@ def test_run_rows_are_splitmix64_at_their_slots(first, count, keys, rows):
         # Python integers as the independent reference for each draw
         want = [rng._mix_int(int(k) + rng._GOLDEN * (slot + 1)) for k in keys]
         assert run[i].tolist() == want, i
-    # a single-slot draw is the run's first row
-    top = run[0] >> np.uint64(11)
-    assert rng.slot_uniform(keys, first).tobytes() == (top * 2.0**-53).tobytes()
+    # a single slot's halves are the high and low 32 bits of the run's first row
+    high, low = rng.slot_halves(keys, first)
+    assert high.dtype == low.dtype == np.float64
+    assert high.tolist() == [float(x >> 32) for x in run[0].tolist()]
+    assert low.tolist() == [float(x & 0xFFFFFFFF) for x in run[0].tolist()]
 
 
 def test_empty_run():
@@ -163,11 +166,16 @@ def test_empty_run():
 
 
 def test_normal_is_box_muller_cosine():
-    # the cosine and the sine come from tan(pi * u2); they may differ from
-    # np.cos and np.sin in the last bits only
+    # stream layout 6: u1 = (h + 1) * 2^-32 and u2 = l * 2^-32 from the halves
+    # of raw slot 3 alone; the cosine and the sine come from tan(pi * u2) and
+    # may differ from np.cos and np.sin in the last bits only
     keys = rng.stream_keys(8, 0, 1 << 18)
-    radius = np.sqrt(-2.0 * np.log(rng.slot_uniform_open(keys, 6)))
-    angle = 2.0 * np.pi * rng.slot_uniform(keys, 7)
+    x = rng.slot_u64(keys, 3, 1)[0]
+    high = (x >> np.uint64(32)).astype(np.float64)
+    low = (x & np.uint64(2**32 - 1)).astype(np.float64)
+    radius = np.sqrt(-2.0 * np.log((high + 1.0) * 2.0**-32))
+    angle = 2.0 * np.pi * (low * 2.0**-32)
+    assert radius.max() <= math.sqrt(64.0 * math.log(2.0))
     z = rng.slot_normal(keys, 3)
     eps = np.finfo(np.float64).eps
     assert np.all(np.abs(z - radius * np.cos(angle)) <= 4 * eps * radius)
@@ -175,6 +183,27 @@ def test_normal_is_box_muller_cosine():
     paired = rng.slot_normal(keys, 3, sine=sine)
     assert paired.tobytes() == z.tobytes()  # the sine leaves the cosine's bytes alone
     assert np.all(np.abs(sine - radius * np.sin(angle)) <= 4 * eps * radius)
+
+
+@pytest.mark.parametrize("slot", [0, 5, 2**64 - 1])
+def test_normal_pair_reads_its_raw_slot_alone(slot, monkeypatch):
+    # stream layout 6: the pair of slot j is built from the halves of raw slot j
+    keys = rng.stream_keys(4, 0, 5000)
+    read = []
+    draw = rng._draw
+
+    def spy(keys, first, out, t):
+        read.append((first, out.shape[0]))
+        return draw(keys, first, out, t)
+
+    monkeypatch.setattr(rng, "_draw", spy)
+    sine = np.empty(len(keys))
+    cosine = rng.slot_normal(keys, slot, sine=sine)
+    monkeypatch.undo()
+    assert read == [(slot, 1)]
+    want_cosine, want_sine = box_muller_pair(keys, slot)
+    assert cosine.tobytes() == want_cosine.tobytes()
+    assert sine.tobytes() == want_sine.tobytes()
 
 
 def test_pair_normals_are_standard_and_uncorrelated():

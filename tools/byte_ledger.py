@@ -17,10 +17,15 @@ without its pair's sine) and an exponential curve, at ``--threads`` 1 and
 2, then ``grover`` Monte Carlo runs at ``--threads`` 1 and 2 (fixed
 horizons of 0 to 1,000 letters, quarter-pi horizons at 1, 6, 16 and 40
 qubits, and adaptive tracking at the optimal ``--k-star`` and at one that
-censors), and after them the CSV of each subcommand that has one (``iid``
-and ``memory`` curves of 3,000 steps, the wheel of ``parrondo --moduli
-19,23`` and a ``grover`` curve longer than one ``writers.CHUNK_ROWS``
-chunk), each to stdout and to an ``--out`` file.
+censors), then runs that read both 32-bit halves of their draws, at
+``--threads`` 1 and 2 (steps 1, 2, 3 and 20 of delta, Gaussian and
+exponential ``iid`` curves and of ``memory`` chains at epsilon 0 and 0.1,
+a delta law with a weight of 1e-12, and a 300-angle delta law, whose
+branch picks take the binary search on both halves), and after them the
+CSV of each subcommand that has one (``iid`` and ``memory`` curves of
+3,000 steps, the wheel of ``parrondo --moduli 19,23`` and a ``grover``
+curve longer than one ``writers.CHUNK_ROWS`` chunk), each to stdout and
+to an ``--out`` file.
 Each line is ``<exit code> <sha256> <argv>``, where the hash covers what
 the run printed to stdout and to stderr and the file it wrote with
 ``--out``.  Two checkouts give every invocation the same exit code and the
@@ -133,6 +138,25 @@ def search_argvs() -> list[list[str]]:
     return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
 
 
+def halves_argvs() -> list[list[str]]:
+    """Runs that take two kicks from each raw draw, at 1 and 2 threads."""
+    common = ["--trials=70000", "--seed=9"]
+    laws = [
+        ["iid", "--dist=delta", "--angles=0.3,-1,2", "--weights=0.5,0.3,0.2"],
+        ["iid", "--mu=0.2", "--sigma2=0.3"],
+        ["iid", "--dist=exponential", "--omega=0.7", "--tau1=0.5"],
+        ["memory", "--epsilon=0"],
+        ["memory", "--epsilon=0.1"],
+    ]
+    runs = [[*law, f"--steps={steps}", *common] for law in laws for steps in (1, 2, 3, 20)]
+    # the first angle is drawn with probability 2^-32, not 1e-12
+    runs.append(["iid", "--dist=delta", "--angles=0.3,-1", "--weights=1e-12,0.999999999999",
+                 "--steps=4", *common])
+    angles = ",".join(f"{0.01 * j - 1.2:.2f}" for j in range(300))
+    runs.append(["iid", "--dist=delta", f"--angles={angles}", "--steps=4", *common])
+    return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
+
+
 def csv_argvs() -> list[list[str]]:
     """Each subcommand's CSV, to stdout and to an --out file."""
     runs = [
@@ -164,7 +188,8 @@ def entry(argv: list[str]) -> str:
 
 def main() -> None:
     for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wave_argvs(),
-                 *dissipative_argvs(), *curve_argvs(), *search_argvs(), *csv_argvs()]:
+                 *dissipative_argvs(), *curve_argvs(), *search_argvs(), *halves_argvs(),
+                 *csv_argvs()]:
         print(entry(argv), flush=True)
 
 
