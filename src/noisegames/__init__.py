@@ -3,6 +3,9 @@
 Exact/analytic computations (characteristic functions, two-class kick
 recursions, rational Markov-chain rates, closed-form search success) are
 paired throughout with seeded, bit-reproducible Monte Carlo counterparts.
+Only the Monte Carlo routes use numpy: the family modules import it, and
+the numpy modules ``rng`` and ``montecarlo``, inside the functions that
+draw, so importing the package or the CLI loads none of them.
 """
 
 from .dissipative import (

@@ -40,16 +40,19 @@ CSV_MAX_ROWS = 1 << 22
 # An iid or memory curve has one row per step, at about 3 us (iid) to 5 us
 # (memory) and 100 bytes of JSON each, so a longer curve is refused before
 # its first step: at the bound, `memory --exact` takes about 0.35 s and
-# 75-80 MiB, a peak that moves by up to 6 MiB with the glibc heap layout.
+# 61 MiB, a peak that moves by up to 6 MiB with the glibc heap layout.
 CURVE_MAX_STEPS = 1 << 16
 
 # A Monte Carlo run is charged in raw 64-bit draws by its family's
 # draw_charge, beside the sampler.  On one thread of a 2-core Xeon VM these
 # cost about 8-22 ns a kick (2 kicks a draw, so 2^33 kicks at the bound), 8 ns
-# a search draw, 12-16 ns a wheel round and 39-44 ns a dissipative trial, so a
-# run at the bound takes 35 s to 3 minutes; more is refused before the first
-# draw.  A curve's Python cost, 45-75 us per step of a block, needs no term of
-# its own: as steps <= CURVE_MAX_STEPS, blocks * steps <= 2^17 + 2^16.
+# a fixed-horizon search draw, 12-16 ns a wheel round and 39-44 ns a
+# dissipative trial, so such a run at the bound takes 35 s to 3 minutes.  An
+# adaptive search costs 125-180 ns a charged draw (1,024 trials at n = 20,
+# 16,000,000 draws, took 2.0-2.9 s), so 9-13 minutes at the bound.  More is
+# refused before the first draw.  A curve's Python cost, 45-75 us per step of
+# a block, needs no term of its own: as steps <= CURVE_MAX_STEPS,
+# blocks * steps <= 2^17 + 2^16.
 MC_MAX_DRAWS = 1 << 32
 
 # A wheel of G games on Z_L has P = G * L (game, rotation) slots; above

@@ -17,9 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import montecarlo, rng
 from .qubit import DensityMatrix2
 
 FIRST_ORDER_LIMIT = 0.01  # lambda_ad ceiling of the first-order formulas
@@ -79,6 +76,9 @@ def averaged_channel_mc(
     coherence and the reducer's complex copy of it, each complex array
     counting as two.
     """
+    import numpy as np
+    from . import montecarlo, rng
+
     if not (0.0 <= p <= 1.0):
         raise ValueError("p must lie in [0, 1]")
     a0, b0 = rho0.a, rho0.b

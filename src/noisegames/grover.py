@@ -35,10 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-import numpy as np
-
-from . import montecarlo, rng
-
 TWO_D_MAX_QUBITS = 60
 
 
@@ -184,7 +180,7 @@ class StrategyOutcome:
 
 
 _LETTERS = 64  # letter t of a trial is bit t % 64 of its draw at slot t // 64
-_ODD = np.uint64(0xAAAAAAAAAAAAAAAA)  # bits at odd positions: letters at odd slots
+_ODD = 0xAAAAAAAAAAAAAAAA  # bits at odd positions: letters at odd slots
 _GRID_ELEMENTS = 1 << 16  # draws per fixed-horizon call, letters per adaptive chunk
 # Letters an adaptive trial plays before it is censored: 15,625 whole draws,
 # so adaptive tracking never reads part of a draw.
@@ -207,6 +203,8 @@ def _byte_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and built by the first adaptive run: built at import, they raised the
     peak resident set of every CLI run by about 0.5 MiB.
     """
+    import numpy as np
+
     letters = (np.arange(256) >> np.arange(8)[:, None]) & 1
     prefix = np.cumsum(letters * np.where(np.arange(8) % 2, -1, 1)[:, None], axis=0)
     offsets = np.arange(-_WINDOW, _WINDOW + 1)
@@ -227,6 +225,8 @@ def _reduced_length(d: np.ndarray, t: int) -> np.ndarray:
     is carried to y = 1 + 2 * (-1)^t * d, and the length is y - 1 for
     y > 0 and -y for y < 0: 2e for e = (-1)^t * d >= 0, else -1 - 2e.
     """
+    import numpy as np
+
     if t % 2:
         np.negative(d, out=d)
     negative = d < 0
@@ -241,17 +241,32 @@ def _score(lengths: np.ndarray, config: GameConfig) -> tuple[np.ndarray, dict[in
     that many composed iterates (a leading A only flips the marked
     amplitude's sign), so each length seen is scored once by
     :func:`success_curve` at s // 2: :func:`success_closed_form` bit for bit.
-    Lengths are counted over the block's span only, min to max.
+    Lengths are counted by :func:`_span_counts`.
     """
-    lo = int(lengths.min())
-    lengths -= lo
-    counts = np.bincount(lengths)
-    seen = np.flatnonzero(counts)
+    import numpy as np
+    from . import rng
+
+    lo, seen, counts = _span_counts(lengths)
     distinct = (seen + lo).tolist()
-    table = np.empty(counts.size)  # the entries of unseen lengths are never read
+    table = np.empty(int(seen[-1]) + 1)  # the entries of unseen lengths are never read
     table[seen] = np.fromiter(success_curve((s // 2 for s in distinct), config), np.float64)
     payoff = table.take(lengths, out=rng._empty(lengths.size))
-    return payoff, dict(zip(distinct, counts[seen].tolist()))
+    return payoff, dict(zip(distinct, counts.tolist()))
+
+
+def _span_counts(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """The least of ``values``, lo, the offsets from lo that occur, in order, and their counts.
+
+    One ``np.bincount`` over the values' span only, min to max; overwrites
+    ``values`` with ``values - lo``.
+    """
+    import numpy as np
+
+    lo = int(values.min())
+    values -= lo
+    counts = np.bincount(values)
+    seen = np.flatnonzero(counts)
+    return lo, seen, counts[seen]
 
 
 def fixed_horizon_length_law(m: int) -> dict[int, Fraction]:
@@ -261,6 +276,8 @@ def fixed_horizon_length_law(m: int) -> dict[int, Fraction]:
     signed count d = K - floor(m/2) gives the length
     ``_reduced_length(d, m)`` with probability C(m, K) / 2^m.
     """
+    import numpy as np
+
     m = FixedHorizon(m).m
     law = {}
     c = 1
@@ -299,6 +316,9 @@ def draw_charge(strategy: Strategy, trials: int) -> int:
 
 def _play_fixed(m: int, keys: np.ndarray) -> tuple[np.ndarray, None]:
     """Each trial's reduced length after m letters, and no stopping times."""
+    import numpy as np
+    from . import rng
+
     words = fixed_horizon_draws(m)
     # letters past m in the last draw are not played
     tail = np.uint64((1 << (m % _LETTERS or _LETTERS)) - 1)
@@ -317,14 +337,17 @@ def _play_fixed(m: int, keys: np.ndarray) -> tuple[np.ndarray, None]:
     return _reduced_length(big_k, m), None
 
 
-def _play_adaptive(k: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's final reduced length, and the stopping times of the trials that stop.
+def _play_adaptive(k: int, keys: np.ndarray) -> tuple[np.ndarray, dict[int, int]]:
+    """Each trial's final reduced length, and the trials stopped after each t letters.
 
     A trial stops after the first letter t at which d = (-1)^(t+1) * k.
     Its draws are read in word-aligned chunks as bytes of 8 letters, and d
     at each byte's start, the running sum of the bytes' gains, looks up the
     first hit inside the byte in :func:`_byte_tables`.
     """
+    import numpy as np
+    from . import rng
+
     # |d| <= ADAPTIVE_CAP, so from this k on every offset clips to an end
     # row of 8s, as it would at k itself, and 256 * reach fits an int64
     reach = min(k, ADAPTIVE_CAP + _WINDOW)
@@ -370,9 +393,11 @@ def _play_adaptive(k: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             step += n
         stopped[active] = False
     lengths = _reduced_length(d, ADAPTIVE_CAP)  # what a censored trial holds at the cap
-    if stopped.any():  # never when 2 * k > ADAPTIVE_CAP, which need not fit an int64
-        lengths[stopped] = 2 * k
-    return lengths, stop_at[stopped]
+    if not stopped.any():  # always when 2 * k > ADAPTIVE_CAP, which need not fit an int64
+        return lengths, {}
+    lengths[stopped] = 2 * k
+    lo, seen, counts = _span_counts(stop_at[stopped])
+    return lengths, dict(zip((seen + lo).tolist(), counts.tolist()))
 
 
 def evaluate_strategy(
@@ -387,8 +412,11 @@ def evaluate_strategy(
     (:func:`_play_adaptive`) ends a stopped trial at length 2 * k_star and
     a censored one at the length it holds after :data:`ADAPTIVE_CAP`
     letters.  Both strategies score each trial by that length alone, in
-    :func:`_score`, which also counts the trials at each length.
+    :func:`_score`, which also counts the trials at each length.  A block
+    returns its lengths and stopping times as counts, not per trial.
     """
+    from . import montecarlo
+
     if isinstance(strategy, FixedHorizon):
         play = functools.partial(_play_fixed, strategy.m)
     elif isinstance(strategy, AdaptiveTracking):
@@ -406,6 +434,7 @@ def evaluate_strategy(
     hist = dict(sorted(lengths.items()))
     if isinstance(strategy, FixedHorizon):
         return StrategyOutcome(mean.real, stderr, hist)
-    times = Counter(np.concatenate([stops for _, stops in blocks]).tolist())
+    times = sum((Counter(stops) for _, stops in blocks), Counter())
     # censored trials never stopped, so they have no stopping time
-    return StrategyOutcome(mean.real, stderr, hist, dict(times), trials - times.total())
+    return StrategyOutcome(mean.real, stderr, hist, dict(sorted(times.items())),
+                           trials - times.total())

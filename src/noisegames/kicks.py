@@ -34,9 +34,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-import numpy as np
-
-from . import montecarlo, rng
 from .qubit import DensityMatrix2
 
 TWO_PI = 2.0 * math.pi
@@ -207,6 +204,8 @@ class McEstimate:
         trajectory, in kick order; a trajectory's coherence is ``rho0.b``
         times their running product.
         """
+        from . import montecarlo
+
         sampler = lambda keys: (_running_products(rho0.b, len(keys), phasors(keys)), None)
         points, _ = montecarlo.run(sampler, trials, seed, threads)
         return [cls(DensityMatrix2(rho0.a, b, rho0.c), se) for b, se in points]
@@ -217,6 +216,9 @@ def _running_products(b: complex, count: int, factors) -> Iterator[np.ndarray]:
 
     The same array is updated in place after each factor.
     """
+    import numpy as np
+    from . import rng
+
     z = rng._empty(count, np.complex128)
     z.fill(b)
     yield z
@@ -234,6 +236,9 @@ def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Itera
     theta in place from :func:`_kick_draws`, as mu + sigma * z or as
     -scale * ln((half + 1) * 2^-32), for :func:`montecarlo.phasors`.
     """
+    import numpy as np
+    from . import montecarlo, rng
+
     if isinstance(dist, DeltaMixture):
         edges = montecarlo.draw_edges(dist.weights)
         table = np.exp(-1j * np.asarray(dist.angles, dtype=np.float64))
@@ -267,6 +272,8 @@ def _kick_draws(keys: np.ndarray, steps: int, normal: bool) -> Iterator[np.ndarr
     ``normal`` its Box-Muller pair's cosine and sine; an odd step count
     computes no sine for its last kick, and the cosine's bytes do not change.
     """
+    from . import rng
+
     for k in range(0, steps, 2):
         if normal:
             second = rng._empty(len(keys)) if k + 1 < steps else None

@@ -26,9 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-import numpy as np
-
-from . import montecarlo, rng
 from .kicks import McEstimate
 from .qubit import DensityMatrix2
 
@@ -209,6 +206,9 @@ def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.
     (chain in class B)`` of two tables built once holds the branch's phasor
     and its destination class's ``width * (class is B)``.
     """
+    import numpy as np
+    from . import montecarlo, rng
+
     if n < 0:
         raise ValueError("n must be nonnegative")
     edges = [

@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
-
-from . import rng
 
 
 def is_winning(k, L: int):
@@ -78,9 +75,23 @@ class CombinedGame:
 
 
 class Spectrum(NamedTuple):
-    counts: np.ndarray
+    multiplicities: dict[int, int]
     spectral_gap: Fraction
     residual: float
+
+
+def _prime_powers(m: int) -> dict[int, int]:
+    """The prime factorization {p: e} of m >= 1, by trial division."""
+    powers = {}
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            powers[p] = powers.get(p, 0) + 1
+            m //= p
+        p += 1 + p % 2  # 2, then the odd numbers
+    if m > 1:
+        powers[m] = powers.get(m, 0) + 1
+    return powers
 
 
 def spectrum(combined: CombinedGame) -> Spectrum:
@@ -90,26 +101,43 @@ def spectrum(combined: CombinedGame) -> Spectrum:
     eigenvector (Gray, "Toeplitz and Circulant Matrices: A Review", 2006).
     Game g turns by a uniform multiple of L/m_g, so its eigenvalue there is
     1 if m_g divides j, else 0, and the mixture's is c_j / G with c_j =
-    ``counts[j]`` = #{g : m_g | j}: 1 only at j = 0, coprime moduli or not.
+    #{g : m_g | j}: G only at j = 0, coprime moduli or not.  As every m_g
+    divides L, c_j depends on j only through d = gcd(j, L), a divisor of
+    L, and phi(L / d) of the j in Z_L have that gcd; ``multiplicities[c]``
+    sums phi(L / d) over the divisors d with c(d) = c, in O(tau(L) *
+    distinct moduli) from the moduli's factorizations.
     ``spectral_gap`` is 1 - lambda_2, lambda_2 = max_{j != 0} c_j / G (0 if
     L = 1), and ``residual`` the largest deviation from 1/L of the law n
     rounds from position 0, n = ceil(log(1e-14) / log(lambda_2)) the least
     with lambda_2^n <= 1e-14 (n = 1 when lambda_2 = 0).
     """
     G = len(combined.games)
-    counts = np.zeros(combined.modulus, np.int64)
-    for m in combined.moduli:
-        counts[::m] += 1
-    second = int(counts[1:].max(initial=0))
+    games = Counter(combined.moduli)
+    powers: dict[int, int] = {}  # L = prod p^e
+    for m in games:
+        for p, e in _prime_powers(m).items():
+            powers[p] = max(powers.get(p, 0), e)
+    sizes: Counter = Counter()
+    for exponents in itertools.product(*(range(e + 1) for e in powers.values())):
+        d = math.prod(p**b for p, b in zip(powers, exponents))
+        # phi(L / d), L / d = prod p^(e - b)
+        phi = math.prod(p ** (e - b - 1) * (p - 1)
+                        for (p, e), b in zip(powers.items(), exponents) if b < e)
+        sizes[sum(k for m, k in games.items() if d % m == 0)] += phi
+    multiplicities = dict(sorted(sizes.items()))
+    second = max((c for c in multiplicities if c < G), default=0)
     rounds = math.ceil(math.log(1e-14) / math.log(second / G)) if second else 1
-    return Spectrum(counts, Fraction(G - second, G), _deviation(counts, rounds))
+    return Spectrum(multiplicities, Fraction(G - second, G), _deviation(multiplicities, rounds))
 
 
-def _deviation(counts: np.ndarray, n: int) -> float:
-    """max_k |(P^n delta_0)(k) - 1/L| = (1/L) sum_{j != 0} lambda_j^n (at k = 0)."""
-    G, L = int(counts[0]), len(counts)
-    sizes = np.bincount(counts[1:]).tolist()
-    return math.fsum(size * (c / G) ** n for c, size in enumerate(sizes)) / L
+def _deviation(multiplicities: dict[int, int], n: int) -> float:
+    """max_k |(P^n delta_0)(k) - 1/L| = (1/L) sum_{j != 0} lambda_j^n (at k = 0).
+
+    ``multiplicities`` is :attr:`Spectrum.multiplicities`: G is its largest
+    c, held by j = 0 alone, and L the sum of its values.
+    """
+    G, L = max(multiplicities), sum(multiplicities.values())
+    return math.fsum(size * (c / G) ** n for c, size in multiplicities.items() if c < G) / L
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,6 +195,8 @@ def _step_table(combined: CombinedGame) -> np.ndarray:
     s_g = L/m_g: every game takes L slots and each of its m_g rotations
     s_g of them.
     """
+    import numpy as np
+
     L = combined.modulus
     turn = np.tile(np.arange(L, dtype=np.uint64), len(combined.moduli))
     stride = np.repeat(np.array([L // m for m in combined.moduli], dtype=np.uint64), L)
@@ -184,6 +214,9 @@ def _block_walk(step: np.ndarray, L: int, x: np.ndarray, bits: int) -> np.ndarra
     and P <= 2^(64 - bits).  The turns are gathered into an array of the
     thread's block set.
     """
+    import numpy as np
+    from . import rng
+
     x *= np.uint64(len(step))
     x >>= np.uint64(bits)
     # Every slot is below P, so "clip" moves no index.
@@ -205,6 +238,8 @@ def draw_charge(modulus: int, rounds: int) -> int:
     A round reads one raw 64-bit draw, and each block of rounds also folds
     a ``modulus``-entry histogram, at about a round's cost per entry.
     """
+    from . import rng
+
     return rounds + -(-rounds // rng.BLOCK_SIZE) * modulus
 
 
@@ -230,6 +265,9 @@ def simulate(
     Waves start on block boundaries and the blocks are folded in block
     order, so tallies are bit-identical under any thread count.
     """
+    import numpy as np
+    from . import rng
+
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     L = combined.modulus

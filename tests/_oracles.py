@@ -25,10 +25,10 @@ implementations it checks.  These parts take something from the package:
   ``phasors_strided`` is that kernel as first written, on the strided
   real and imaginary views of its result;
 * the memory-kernel recursion keyed by ``SetLabel`` takes the package's
-  kernels, the roll-per-offset power iteration and the exact step law
-  ``step_weights`` take its wheel games (``GAME_A`` and ``GAME_B`` are the
-  3- and 7-games), and the JSON/CSV writers take the values the CLI
-  prints.
+  kernels, the roll-per-offset power iteration, the exact step law
+  ``step_weights`` and the eigenvalue sieve ``eigenvalue_counts_by_sieve``
+  take its wheel games (``GAME_A`` and ``GAME_B`` are the 3- and 7-games),
+  and the JSON/CSV writers take the values the CLI prints.
 
 Two sections are reference implementations the package used to carry
 although no CLI run reaches them: the qubit-channel algebra (unitaries,
@@ -1170,6 +1170,18 @@ def step_weights(combined) -> dict[int, Fraction]:
             off = (j * stride) % L
             out[off] = out.get(off, Fraction(0)) + w
     return out
+
+
+def eigenvalue_counts_by_sieve(combined) -> np.ndarray:
+    """c_j = #{g : m_g | j} at every frequency j of Z_L, one strided add per game.
+
+    The step law's eigenvalue at frequency j is c_j / G, so the histogram
+    of this array is ``parrondo.spectrum``'s multiplicities.
+    """
+    counts = np.zeros(combined.modulus, np.int64)
+    for m in combined.moduli:
+        counts[::m] += 1
+    return counts
 
 
 @dataclass(frozen=True, slots=True)

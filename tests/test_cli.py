@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -970,20 +971,49 @@ def test_closed_pipe_exits_141_quietly(argv, lines):
     assert (proc.returncode, err) == (141, b"")
 
 
+def _run_blocking(packages: tuple[str, ...], body: str) -> subprocess.CompletedProcess:
+    """Run ``body`` in a fresh interpreter in which importing any of ``packages`` fails.
+
+    Each name is a top-level package; its submodules are blocked with it.
+    argparse lays its help out for 80 columns.
+    """
+    blocker = textwrap.dedent(
+        f"""
+        import sys
+
+        class Blocked:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] in {packages!r}:
+                    raise ImportError(f"{{name}} is blocked")
+                return None
+
+        sys.meta_path.insert(0, Blocked())
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"}
+    return subprocess.run(
+        [sys.executable, "-c", blocker + textwrap.dedent(body)],
+        env=env, capture_output=True, text=True,
+    )
+
+
+def _outputs(argvs):
+    """Exit code, stdout (argparse's and the CLI's) and stderr of each ``cli.run``."""
+    outputs = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv, stdout=out)
+        outputs.append([code, out.getvalue(), err.getvalue()])
+    return outputs
+
+
 def test_cli_runs_without_scipy():
     # numpy is the only runtime dependency: with every scipy import made to
     # fail, a fresh interpreter imports each module and runs each subcommand
-    child = textwrap.dedent(
-        """
-        import importlib, io, pkgutil, sys
-
-        class NoScipy:
-            def find_spec(self, name, path=None, target=None):
-                if name.partition(".")[0] == "scipy":
-                    raise ImportError(f"{name} is blocked")
-                return None
-
-        sys.meta_path.insert(0, NoScipy())
+    proc = _run_blocking(("scipy",), """
+        import importlib, io, pkgutil
         import noisegames
         for module in pkgutil.iter_modules(noisegames.__path__):
             importlib.import_module(f"noisegames.{module.name}")
@@ -997,14 +1027,65 @@ def test_cli_runs_without_scipy():
         ):
             assert cli.run(argv, stdout=io.StringIO()) == 0, argv
         assert "scipy" not in sys.modules
-        """
-    )
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-c", child], env=env, capture_output=True, text=True
-    )
+        """)
     assert proc.returncode == 0, proc.stderr
+
+
+# Every run that draws nothing: help, usage errors, each exact route and
+# each subcommand's CSV.
+_EXACT_ARGVS = [
+    ["--help"],
+    ["grover", "--help"],
+    ["iid", "--steps", "x"],  # argparse refuses it
+    ["grover", "--n-qubits", "0"],  # GameConfig refuses it
+    ["dissipative", "--format", "csv"],  # no CSV for dissipative
+    ["grover", "--trials", "0"],
+    ["grover", "--n-qubits", "37"],
+    ["grover", "--strategy", "fixed", "--m", "9"],
+    ["grover", "--strategy", "adaptive", "--n-qubits", "10"],
+    ["iid", "--exact", "--dist", "delta", "--angles=-1.5708,0,1.5708", "--steps", "5"],
+    ["iid", "--exact", "--dist", "gaussian", "--sigma2", "0.5", "--steps", "5"],
+    ["iid", "--exact", "--dist", "exponential", "--steps", "5"],
+    ["iid", "--dist", "gaussian", "--mu", "0.3", "--steps", "4"],  # trials 0: exact
+    *(["memory", "--exact", "--variant", v, "--steps", "30"]
+      for v in ("pure-a", "pure-b", "combined")),
+    ["memory", "--exact", "--steps", "3000"],
+    ["dissipative", "--trials", "0"],
+    ["dissipative", "--lambda-ad", "0", "--lambda-pd", "0"],
+    ["parrondo", "--exact"],
+    ["parrondo", "--moduli", "19,23", "--exact"],
+    ["parrondo", "--moduli", "3,9,1", "--trials", "0"],
+    ["iid", "--exact", "--steps", "7", "--format", "csv"],
+    ["memory", "--exact", "--steps", "7", "--format", "csv"],
+    ["parrondo", "--exact", "--format", "csv"],
+    ["grover", "--n-qubits", "8", "--format", "csv"],
+]
+
+
+def test_exact_routes_run_without_numpy(monkeypatch):
+    # With every numpy import made to fail, a fresh interpreter imports the
+    # package and the CLI, builds the parser and runs every route that draws
+    # nothing, with the bytes and exit codes of the same runs here, where
+    # numpy is loaded.
+    proc = _run_blocking(("numpy",), f"""
+        import contextlib, io, json
+        import noisegames
+        from noisegames import cli
+        cli.build_parser()
+        outputs = []
+        for argv in {_EXACT_ARGVS!r}:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(argv, stdout=out)
+            outputs.append([code, out.getvalue(), err.getvalue()])
+        assert "numpy" not in sys.modules, "numpy was imported"
+        print(json.dumps(outputs))
+        """)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _outputs(_EXACT_ARGVS)
+    assert [code for code, _, _ in want].count(2) == 3 and want[0][0] == 0
+    assert json.loads(proc.stdout) == want
 
 
 def _parsed(parser, argv, capsys):

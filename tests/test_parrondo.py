@@ -10,6 +10,7 @@ import pytest
 from _oracles import (
     GAME_A,
     GAME_B,
+    eigenvalue_counts_by_sieve,
     general_rates,
     power_iteration_residual_by_roll,
     simulate_by_positions,
@@ -55,6 +56,15 @@ class TestPlayRound:
     def test_even_modulus_rejected(self):
         with pytest.raises(ValueError):
             RotationGame(4)
+
+
+# every tuple of one to three odd moduli below 16 with L <= 400
+SMALL_WHEELS = [
+    moduli
+    for size in (1, 2, 3)
+    for moduli in itertools.combinations_with_replacement(range(1, 16, 2), size)
+    if math.lcm(*moduli) <= 400
+]
 
 
 def _dense_step_matrix(combined: CombinedGame) -> np.ndarray:
@@ -111,20 +121,36 @@ class TestStationary:
         assert power_iteration_residual_by_roll(combined) < 1e-12
 
     def test_spectrum_matches_dense_eigenvalues(self):
-        # every tuple of one to three odd moduli below 16 with L <= 400
-        tuples = 0
-        for size in (1, 2, 3):
-            for moduli in itertools.combinations_with_replacement(range(1, 16, 2), size):
-                if math.lcm(*moduli) > 400:
-                    continue
-                combined = CombinedGame(tuple(RotationGame(m) for m in moduli))
-                dense = _dense_step_matrix(combined)
-                eigenvalues = np.sort(np.linalg.eigvals(dense).real)
-                counts = spectrum(combined).counts
-                assert len(counts) == combined.modulus and counts[0] == len(moduli)
-                assert np.allclose(eigenvalues, np.sort(counts / len(moduli)), atol=1e-9), moduli
-                tuples += 1
-        assert tuples == 150
+        assert len(SMALL_WHEELS) == 150
+        for moduli in SMALL_WHEELS:
+            combined = CombinedGame(tuple(RotationGame(m) for m in moduli))
+            dense = _dense_step_matrix(combined)
+            eigenvalues = np.sort(np.linalg.eigvals(dense).real)
+            multiplicities = spectrum(combined).multiplicities
+            assert sum(multiplicities.values()) == combined.modulus
+            assert max(multiplicities) == len(moduli) and multiplicities[len(moduli)] == 1
+            counts = np.repeat(list(multiplicities), list(multiplicities.values()))
+            assert np.allclose(eigenvalues, np.sort(counts / len(moduli)), atol=1e-9), moduli
+
+    def test_multiplicities_are_the_sieve_histogram(self):
+        # the small wheels, repeated moduli and modulus 1, and L = 2^20 - 1
+        repeated = [(3, 3, 3, 9), (1, 1, 5), (9, 3, 9, 27, 1), (15, 5, 3, 15), (1,) * 5]
+        wide = [(1048575,), (3, 25, 11, 31, 41), (1023, 1025), (1048575, 1, 1048575)]
+        for moduli in SMALL_WHEELS + repeated + wide:
+            combined = CombinedGame(tuple(RotationGame(m) for m in moduli))
+            counts = eigenvalue_counts_by_sieve(combined)
+            values, sizes = np.unique(counts, return_counts=True)
+            want = dict(zip(values.tolist(), sizes.tolist()))
+            spec = spectrum(combined)
+            assert spec.multiplicities == want and list(spec.multiplicities) == sorted(want), moduli
+            # the gap and residual as the sieve's array gave them, bit for bit
+            G, L = len(moduli), combined.modulus
+            second = int(counts[1:].max(initial=0))
+            rounds = math.ceil(math.log(1e-14) / math.log(second / G)) if second else 1
+            sizes = np.bincount(counts[1:]).tolist()
+            residual = math.fsum(k * (c / G) ** rounds for c, k in enumerate(sizes)) / L
+            assert spec.spectral_gap == Fraction(G - second, G)
+            assert spec.residual.hex() == residual.hex(), moduli
 
     @pytest.mark.parametrize("moduli", [(3, 7), (3, 9), (3, 3), (5, 9), (5, 7, 11), (19, 23)])
     @pytest.mark.parametrize("n", [1, 3, 8])
@@ -133,7 +159,7 @@ class TestStationary:
         row = np.linalg.matrix_power(_dense_step_matrix(combined), n)[0]
         expected = np.max(np.abs(row - 1 / combined.modulus))
         assert np.argmax(np.abs(row - 1 / combined.modulus)) == 0 or expected < 1e-15
-        deviation = parrondo._deviation(spectrum(combined).counts, n)
+        deviation = parrondo._deviation(spectrum(combined).multiplicities, n)
         assert abs(deviation - expected) < 1e-12, (moduli, n)
 
     @pytest.mark.parametrize(
@@ -155,7 +181,7 @@ class TestStationary:
     def test_residual_rounds_are_the_least_reaching_1e_14(self):
         # (3, 7): lambda_2 = 1/2 and 2^-47 <= 1e-14 < 2^-46, so n = 47
         spec = spectrum(CombinedGame((GAME_A, GAME_B)))
-        assert spec.residual == parrondo._deviation(spec.counts, 47) == 8 * 2.0**-47 / 21
+        assert spec.residual == parrondo._deviation(spec.multiplicities, 47) == 8 * 2.0**-47 / 21
 
     def test_pairwise_coprime_is_linear_in_the_games(self):
         pairwise = lambda ms: all(math.gcd(a, b) == 1 for a, b in itertools.combinations(ms, 2))
