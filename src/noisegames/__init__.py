@@ -5,8 +5,13 @@ recursions, rational Markov-chain rates, closed-form search success) are
 paired throughout with seeded, bit-reproducible Monte Carlo counterparts.
 Only the Monte Carlo routes use numpy: the family modules import it, and
 the numpy modules ``rng`` and ``montecarlo``, inside the functions that
-draw, so importing the package or the CLI loads none of them.
+draw, so importing the package or the CLI loads none of them.  When
+numpy is already loaded, the package binds ``rng`` and ``montecarlo`` at
+import, as it did when every family imported them, so code that walks the
+package's layers finds them all.
 """
+
+import sys
 
 from .dissipative import (
     AveragedChannelResult,
@@ -61,5 +66,8 @@ from .parrondo import (
     spectrum,
 )
 from .qubit import DensityMatrix2, coherence, plus_state
+
+if "numpy" in sys.modules:  # then the two modules cost only their own bodies
+    from . import montecarlo, rng
 
 __version__ = "0.1.0"

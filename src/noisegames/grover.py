@@ -241,32 +241,20 @@ def _score(lengths: np.ndarray, config: GameConfig) -> tuple[np.ndarray, dict[in
     that many composed iterates (a leading A only flips the marked
     amplitude's sign), so each length seen is scored once by
     :func:`success_curve` at s // 2: :func:`success_closed_form` bit for bit.
-    Lengths are counted by :func:`_span_counts`.
+    Lengths are counted over the block's span only, min to max.
     """
     import numpy as np
     from . import rng
 
-    lo, seen, counts = _span_counts(lengths)
+    lo = int(lengths.min())
+    lengths -= lo
+    counts = np.bincount(lengths)
+    seen = np.flatnonzero(counts)
     distinct = (seen + lo).tolist()
-    table = np.empty(int(seen[-1]) + 1)  # the entries of unseen lengths are never read
+    table = np.empty(counts.size)  # the entries of unseen lengths are never read
     table[seen] = np.fromiter(success_curve((s // 2 for s in distinct), config), np.float64)
     payoff = table.take(lengths, out=rng._empty(lengths.size))
-    return payoff, dict(zip(distinct, counts.tolist()))
-
-
-def _span_counts(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """The least of ``values``, lo, the offsets from lo that occur, in order, and their counts.
-
-    One ``np.bincount`` over the values' span only, min to max; overwrites
-    ``values`` with ``values - lo``.
-    """
-    import numpy as np
-
-    lo = int(values.min())
-    values -= lo
-    counts = np.bincount(values)
-    seen = np.flatnonzero(counts)
-    return lo, seen, counts[seen]
+    return payoff, dict(zip(distinct, counts[seen].tolist()))
 
 
 def fixed_horizon_length_law(m: int) -> dict[int, Fraction]:
@@ -396,8 +384,9 @@ def _play_adaptive(k: int, keys: np.ndarray) -> tuple[np.ndarray, dict[int, int]
     if not stopped.any():  # always when 2 * k > ADAPTIVE_CAP, which need not fit an int64
         return lengths, {}
     lengths[stopped] = 2 * k
-    lo, seen, counts = _span_counts(stop_at[stopped])
-    return lengths, dict(zip((seen + lo).tolist(), counts.tolist()))
+    # stopping times can span the whole cap, so they are sorted, not binned
+    times, counts = np.unique(stop_at[stopped], return_counts=True)
+    return lengths, dict(zip(times.tolist(), counts.tolist()))
 
 
 def evaluate_strategy(
@@ -430,11 +419,13 @@ def evaluate_strategy(
         return [payoff], (tally, stops)
 
     [(mean, stderr)], blocks = montecarlo.run(sampler, trials, seed, threads)
-    lengths = sum((Counter(tally) for tally, _ in blocks), Counter())
+    lengths, times = Counter(), Counter()
+    for tally, stops in blocks:
+        lengths.update(tally)
+        times.update(stops)  # None for a fixed horizon
     hist = dict(sorted(lengths.items()))
     if isinstance(strategy, FixedHorizon):
         return StrategyOutcome(mean.real, stderr, hist)
-    times = sum((Counter(stops) for _, stops in blocks), Counter())
     # censored trials never stopped, so they have no stopping time
     return StrategyOutcome(mean.real, stderr, hist, dict(sorted(times.items())),
                            trials - times.total())

@@ -90,7 +90,7 @@ def _prime_powers(m: int) -> dict[int, int]:
             m //= p
         p += 1 + p % 2  # 2, then the odd numbers
     if m > 1:
-        powers[m] = powers.get(m, 0) + 1
+        powers[m] = 1
     return powers
 
 
@@ -105,7 +105,7 @@ def spectrum(combined: CombinedGame) -> Spectrum:
     divides L, c_j depends on j only through d = gcd(j, L), a divisor of
     L, and phi(L / d) of the j in Z_L have that gcd; ``multiplicities[c]``
     sums phi(L / d) over the divisors d with c(d) = c, in O(tau(L) *
-    distinct moduli) from the moduli's factorizations.
+    distinct moduli) from the factorization of L.
     ``spectral_gap`` is 1 - lambda_2, lambda_2 = max_{j != 0} c_j / G (0 if
     L = 1), and ``residual`` the largest deviation from 1/L of the law n
     rounds from position 0, n = ceil(log(1e-14) / log(lambda_2)) the least
@@ -113,10 +113,7 @@ def spectrum(combined: CombinedGame) -> Spectrum:
     """
     G = len(combined.games)
     games = Counter(combined.moduli)
-    powers: dict[int, int] = {}  # L = prod p^e
-    for m in games:
-        for p, e in _prime_powers(m).items():
-            powers[p] = max(powers.get(p, 0), e)
+    powers = _prime_powers(combined.modulus)  # L = prod p^e
     sizes: Counter = Counter()
     for exponents in itertools.product(*(range(e + 1) for e in powers.values())):
         d = math.prod(p**b for p, b in zip(powers, exponents))

@@ -1088,6 +1088,18 @@ def test_exact_routes_run_without_numpy(monkeypatch):
     assert json.loads(proc.stdout) == want
 
 
+def test_package_binds_drawing_layers_once_numpy_is_loaded():
+    # code that walks the package's layers, such as a tracer wrapping each
+    # module's functions, finds rng and montecarlo when numpy came first
+    proc = _run_blocking((), """
+        import numpy
+        import noisegames
+        assert noisegames.rng is sys.modules["noisegames.rng"]
+        assert noisegames.montecarlo is sys.modules["noisegames.montecarlo"]
+        """)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _parsed(parser, argv, capsys):
     """Exit code and printed text of ``parser.parse_args(argv)``, which must exit."""
     with pytest.raises(SystemExit) as stop:
