@@ -62,9 +62,8 @@ MC_MAX_DRAWS = 1 << 32
 MAX_WHEEL_SLOTS = 1 << 20
 
 # Each worker thread of a Monte Carlo run holds one set of block-sized arrays,
-# 3 to 4.5 MiB by family (README), and a wheel-game walk one L-entry histogram
-# per block in flight; --threads above MAX_THREADS is refused before any
-# thread starts.
+# 3 to 4.5 MiB by family (README), and up to 2 blocks' results waiting to be
+# folded; --threads above MAX_THREADS is refused before any thread starts.
 MAX_THREADS = 64
 
 # The version of the map from (seed, trajectory, slot) draws to a family's

@@ -15,6 +15,7 @@ sqrt(lambda_ad/pi))``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .qubit import DensityMatrix2
@@ -84,6 +85,9 @@ def averaged_channel_mc(
     a0, b0 = rho0.a, rho0.b
     sd_theta = math.sqrt(2.0 * scales.lambda_pd)
     sd_x = math.sqrt(2.0 * scales.lambda_ad)
+    for name, sd in (("lambda_pd", sd_theta), ("lambda_ad", sd_x)):
+        if math.isinf(sd):
+            raise ValueError(f"{name} is too large for Monte Carlo: 2 * {name} overflows")
 
     def points(theta: np.ndarray, alpha: np.ndarray):
         # a0 + p * alpha * (1 - a0)
@@ -114,10 +118,9 @@ def averaged_channel_mc(
         return points(theta, alpha), clamped
 
     ((mean_a, stderr_pop), (mean_b, stderr_coh)), clamps = montecarlo.run(
-        sampler, trials, seed, threads
-    )
+        sampler, trials, seed, threads, operator.add, 0)
     rho = DensityMatrix2(mean_a.real, mean_b, 1.0 - mean_a.real)
-    return AveragedChannelResult(rho, stderr_pop, stderr_coh, sum(clamps) / trials)
+    return AveragedChannelResult(rho, stderr_pop, stderr_coh, clamps / trials)
 
 
 def draw_charge(trials: int) -> int:

@@ -402,7 +402,7 @@ def evaluate_strategy(
     a censored one at the length it holds after :data:`ADAPTIVE_CAP`
     letters.  Both strategies score each trial by that length alone, in
     :func:`_score`, which also counts the trials at each length.  A block
-    returns its lengths and stopping times as counts, not per trial.
+    returns its lengths and stopping times as counts, folded as it finishes.
     """
     from . import montecarlo
 
@@ -418,11 +418,13 @@ def evaluate_strategy(
         payoff, tally = _score(lengths, config)
         return [payoff], (tally, stops)
 
-    [(mean, stderr)], blocks = montecarlo.run(sampler, trials, seed, threads)
-    lengths, times = Counter(), Counter()
-    for tally, stops in blocks:
-        lengths.update(tally)
-        times.update(stops)  # None for a fixed horizon
+    def fold(acc, block):
+        acc[0].update(block[0])
+        acc[1].update(block[1])  # None for a fixed horizon
+        return acc
+
+    [(mean, stderr)], (lengths, times) = montecarlo.run(
+        sampler, trials, seed, threads, fold, (Counter(), Counter()))
     hist = dict(sorted(lengths.items()))
     if isinstance(strategy, FixedHorizon):
         return StrategyOutcome(mean.real, stderr, hist)

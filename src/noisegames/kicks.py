@@ -306,5 +306,7 @@ def evolve_iid_mc(
     trajectory t draws from the stream keyed by (seed, t) and block sums
     are combined in a fixed order.
     """
+    if isinstance(dist, ExponentialKicks) and math.isinf(dist.scale * math.log(2.0**-32)):
+        raise ValueError("omega * tau1 is too large for Monte Carlo: its kick angles overflow")
     phasors = lambda keys: _kick_phasors(dist, keys, plan.steps)
     return McEstimate.from_phasors(rho0, phasors, trials, seed, threads)

@@ -10,11 +10,6 @@ conditioned otherwise.  :func:`estimate` moves every block onto block 0's
 shift and merges the blocks in block order with ``math.fsum`` (Chan, Golub &
 LeVeque, 1979), so estimates are bit-identical at any thread count.
 
-Every array a block needs comes from its thread's set (``rng._empty``), so
-blocks draw, compute and reduce in the same memory.  A sampler that yields
-its points one at a time lets each point's array be reused once it has
-been reduced.
-
 Two per-draw kernels serve the samplers: :func:`phasors` turns kick angles
 into e^{-i theta} and :func:`branch_index` picks a branch of a finite law
 straight from a raw 64-bit draw's 32-bit half, by the thresholds of
@@ -180,18 +175,17 @@ def estimate(blocks: Sequence[Moments]) -> tuple[complex, float]:
     return complex(*means), stderr
 
 
-def run(
-    sampler: Sampler, trials: int, seed: int, threads: int = 1
-) -> tuple[list[tuple[complex, float]], list]:
+def run(sampler: Sampler, trials: int, seed: int, threads: int = 1, fold: Callable | None = None,
+        initial: Any = None) -> tuple[list[tuple[complex, float]], Any]:
     """Mean and standard error of each value array a sampler returns, in one pass.
 
-    ``sampler(keys)`` takes one block's trajectory keys and returns
-    ``(points, tally)``.  ``points`` holds one array of per-trajectory
-    values per estimate; each is reduced as soon as it is yielded, so a
-    curve stays at one block of memory.  The keys and every array the
-    sampler takes from ``rng._empty`` come from the thread's set, and
-    return to it once nothing references them.  ``tally`` is whatever else
-    the block counts.  Returns the estimates and the tallies in block order.
+    ``sampler(keys)`` takes one block's trajectory keys, from the thread's
+    set of arrays (``rng._empty``), and returns ``(points, tally)``.
+    ``points`` holds one array of per-trajectory values per estimate; each
+    is reduced as soon as it is yielded, so a curve stays at one block of
+    memory.  ``tally`` is whatever else the block counts.  Returns the
+    estimates and the tallies folded by ``fold(acc, tally)`` from
+    ``initial`` in block order (``initial`` without ``fold``).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -201,6 +195,11 @@ def run(
         # map holds no point past its reduction, so its array is free for the next
         return list(map(block_moments, points)), tally
 
-    blocks = rng.run_blocks(trials, worker, threads=threads)
-    estimates = [estimate(point) for point in zip(*(moments for moments, _ in blocks))]
-    return estimates, [tally for _, tally in blocks]
+    blocks = []  # each block's moments, for estimate's fsum in block order
+
+    def fold_block(acc, block):
+        blocks.append(block[0])
+        return acc if fold is None else fold(acc, block[1])
+
+    tally = rng.run_blocks(trials, worker, threads, fold=fold_block, initial=initial)
+    return [estimate(point) for point in zip(*blocks)], tally

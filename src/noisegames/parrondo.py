@@ -159,9 +159,13 @@ def exact_rate(combined: CombinedGame) -> GameStats:
     (:func:`spectrum`), so the law from any start tends to it.
     """
     L = combined.modulus
-    # 4k <= L for k = 0 .. floor(L/4), 4k >= 3L for k = ceil(3L/4) .. L - 1
-    wins = L // 4 + 1 + L - -(-3 * L // 4)
-    return GameStats(Fraction(wins, L), L)
+    return GameStats(Fraction(_winning_arc(L)[1], L), L)
+
+
+def _winning_arc(L: int) -> tuple[int, int]:
+    """Start and length of the arc :func:`is_winning` holds: ceil(3L/4) .. L - 1, 0 .. L // 4."""
+    first = -(-3 * L // 4)
+    return first % L, L - first + L // 4 + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,11 +182,6 @@ class SimulatedStats:
     @property
     def net_rate(self) -> float:
         return 2.0 * self.wins / self.rounds - 1.0
-
-
-# Histogram entries that a wave of simulated blocks holds at once when L is
-# small (16 MiB of int64); a wave always has at least one block per pool thread.
-_WAVE_ENTRIES = 1 << 21
 
 
 def _step_table(combined: CombinedGame) -> np.ndarray:
@@ -232,8 +231,9 @@ def _block_walk(step: np.ndarray, L: int, x: np.ndarray, bits: int) -> np.ndarra
 def draw_charge(modulus: int, rounds: int) -> int:
     """Draws charged to :func:`simulate` on Z_modulus: rounds + ceil(rounds / BLOCK_SIZE) * modulus.
 
-    A round reads one raw 64-bit draw, and each block of rounds also folds
-    a ``modulus``-entry histogram, at about a round's cost per entry.
+    A round reads one raw 64-bit draw.  The ``modulus`` a block is charged
+    over-counts: a block folds by binary search, and only the step table,
+    built once, has ``modulus`` entries per game.
     """
     from . import rng
 
@@ -251,16 +251,11 @@ def simulate(
     slots (Lemire, ACM TOMACS 2019), so each slot's probability is off 1/P
     by less than 2P / 2^64 and the law of a round by at most 2P^2 / 2^64
     in total.  The turn of every slot is looked up in one table of P
-    entries (:func:`_step_table`), built once per call beside the O(L)
-    win mask; with pairwise coprime odd moduli above 1, G <= log_3 L.
-    Each block keeps only the histogram of its positions relative to its
-    own start and its last relative position.  The blocks run in waves of
-    max(pool, 2^21 // L) blocks, pool the threads :func:`rng.run_blocks`
-    starts (at most the usable CPUs), and each wave is folded before the
-    next one starts, so the histograms held at once take
-    O(pool * L + 2^21) entries whatever the rounds or ``threads``.
-    Waves start on block boundaries and the blocks are folded in block
-    order, so tallies are bit-identical under any thread count.
+    entries (:func:`_step_table`), built once per call; with pairwise
+    coprime odd moduli above 1, G <= log_3 L.  A block returns its sorted
+    positions relative to its start and its last one, and the blocks fold
+    in block order, by binary search for the positions on the winning arc
+    less the carried position, so tallies are bit-identical at any thread count.
     """
     import numpy as np
     from . import rng
@@ -271,22 +266,21 @@ def simulate(
     bits = 64 - max((len(combined.moduli) * L - 1).bit_length(), 1)
     top = np.uint64(64 - bits)
     key = rng.stream_keys(seed, 0, 1)
-    winning = is_winning(np.arange(L, dtype=np.int64), L).astype(np.int64)
+    first, length = _winning_arc(L)
     step = _step_table(combined)
 
     def worker(start: int, count: int):
         x = rng.slot_u64(key, start, count).reshape(count)
         x >>= top
         rel = _block_walk(step, L, x, bits)
-        return np.bincount(rel, minlength=L), int(rel[-1])
+        return np.sort(rel), int(rel[-1])
 
-    wins = 0
-    carry = 0
-    per_wave = rng.BLOCK_SIZE * max(rng._pool_threads(threads), _WAVE_ENTRIES // L, 1)
-    for first in range(0, rounds, per_wave):
-        wave = lambda start, count: worker(first + start, count)
-        for hist, last in rng.run_blocks(min(per_wave, rounds - first), wave, threads=threads):
-            # A block started at position ``carry`` visits (rel + carry) % L.
-            wins += int(hist @ np.roll(winning, -carry))
-            carry = (carry + last) % L
+    def fold(acc, block):
+        (wins, carry), (rel, last) = acc, block
+        # rel + carry on the arc: rel in [lo, lo + length), wrapping past L to [0, lo + length - L)
+        lo = (first - carry) % L
+        a, b, c = np.searchsorted(rel, [lo, lo + length, lo + length - L])
+        return wins + int(b - a + c), (carry + last) % L
+
+    wins, _ = rng.run_blocks(rounds, worker, threads, fold=fold, initial=(0, 0))
     return SimulatedStats(wins, rounds)

@@ -12,12 +12,9 @@ of consecutive slots, as a wheel-game walk reads its rounds; a single slot
 is a run of one.  Keys and slot offsets are both counters built from one
 table (:func:`_counters`).
 
-Inside a :func:`run_blocks` call, each worker thread holds one set of
-block-sized arrays, and :func:`_empty` hands out the arrays of that set
-that nothing references any more.  Every block of the call therefore draws
-and computes in the same memory: no block frees its arrays for the heap to
-trim and the next block to fault back in.  The set is released when the
-call returns.
+:func:`run_blocks` folds Monte Carlo blocks in block order as they finish;
+each of its threads draws and computes every block in one set of arrays
+(:func:`_empty`), so no block frees memory for the next to fault back in.
 
 Key derivation is injective in the index for a fixed seed (odd multiplier
 followed by bijective mixing), so distinct trajectories can never collide
@@ -26,12 +23,15 @@ onto the same stream.
 
 from __future__ import annotations
 
+import collections
+import functools
+import itertools
 import math
 import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, TypeVar
+from typing import Any, Callable
 
 import numpy as np
 
@@ -46,8 +46,6 @@ BLOCK_SIZE = 1 << 16
 
 # the indices j of one block
 _INDICES = np.arange(BLOCK_SIZE, dtype=np.uint64)
-
-_T = TypeVar("_T")
 
 
 def _free_refs() -> int:
@@ -237,29 +235,23 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_threads(threads: int) -> int:
-    """``threads`` capped at :func:`_usable_cpus`: more would add block sets but no parallelism."""
-    return min(threads, _usable_cpus())
+def run_blocks(total: int, worker: Callable[[int, int], Any], threads: int = 1, *,
+               fold: Callable[[Any, Any], Any], initial: Any) -> Any:
+    """``fold(... fold(initial, r_0) ..., r_n)`` of ``r_i = worker(start, count)`` on block i.
 
-
-def run_blocks(total: int, worker: Callable[[int, int], _T], threads: int = 1) -> list[_T]:
-    """Apply ``worker(start, count)`` over index blocks of ``BLOCK_SIZE``.
-
-    Returns the per-block results in block order.  Block boundaries depend
-    only on ``total``, never on ``threads``; a caller that combines the
-    partial results in list order therefore gets bit-identical totals for
-    any thread count.  ``worker`` must be a pure function of its arguments.
-    Each thread that runs blocks gets its own set of arrays for
-    :func:`_empty`, kept across its blocks and released when this call
-    returns.  The pool has at most :func:`_pool_threads` threads.
+    Blocks of ``BLOCK_SIZE`` depend only on ``total`` and fold on the calling
+    thread in block order, so the result is bit-identical at any ``threads``
+    (``worker`` must be pure).  The pool has ``threads`` threads, at most the
+    usable CPUs, and at most 2 blocks per pool thread are started and not yet
+    folded.  A worker's exception propagates, and no later block is folded.
+    Each thread's set of arrays for :func:`_empty` lasts for this call.
     """
     if total < 0:
         raise ValueError("total must be nonnegative")
-    starts = list(range(0, total, BLOCK_SIZE))
-    counts = [min(BLOCK_SIZE, total - s) for s in starts]
+    blocks = ((s, min(BLOCK_SIZE, total - s)) for s in range(0, total, BLOCK_SIZE))
     sets = threading.local()  # .arrays: each thread's set for this call only
 
-    def block(start: int, count: int) -> _T:
+    def block(start: int, count: int) -> Any:
         if not hasattr(sets, "arrays"):
             sets.arrays = _BlockArrays()
         outer = getattr(_thread, "arrays", None)
@@ -269,8 +261,15 @@ def run_blocks(total: int, worker: Callable[[int, int], _T], threads: int = 1) -
         finally:
             _thread.arrays = outer
 
-    threads = _pool_threads(threads)
-    if threads <= 1 or len(starts) <= 1:
-        return [block(s, c) for s, c in zip(starts, counts)]
+    threads = min(threads, _usable_cpus())
+    if threads <= 1 or total <= BLOCK_SIZE:
+        return functools.reduce(fold, itertools.starmap(block, blocks), initial)
+    acc, window = initial, collections.deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(block, starts, counts))
+        for start, count in blocks:
+            window.append(pool.submit(block, start, count))
+            if len(window) == 2 * threads:
+                acc = fold(acc, window.popleft().result())
+        while window:
+            acc = fold(acc, window.popleft().result())
+    return acc

@@ -982,6 +982,12 @@ def _first_value_block(z: np.ndarray):
     return len(z), complex(z[0]), _block_sums(z - z[0])
 
 
+def _listed(blocks: list, block) -> list:
+    """A ``rng.run_blocks`` fold that keeps every block's result, in block order."""
+    blocks.append(block)
+    return blocks
+
+
 def _merge_on_block_zero(blocks):
     """Mean and stderr of first-value-shifted blocks, re-centred on block 0's value.
 
@@ -1075,7 +1081,7 @@ def iid_mc_point(b0: complex, dist, steps: int, trials: int, seed: int, threads:
         keys = rng.stream_keys(seed, start, count)
         return _first_value_block(_iid_coherences(b0, dist, keys, steps))
 
-    return _merge_on_block_zero(rng.run_blocks(trials, worker, threads=threads))
+    return _merge_on_block_zero(rng.run_blocks(trials, worker, threads, fold=_listed, initial=[]))
 
 
 def _chain_tables(kern):
@@ -1123,7 +1129,7 @@ def memory_mc_point(b0: complex, kern, n: int, trials: int, seed: int, threads: 
         keys = rng.stream_keys(seed, start, count)
         return _first_value_block(chain_coherences(keys))
 
-    return _merge_on_block_zero(rng.run_blocks(trials, worker, threads=threads))
+    return _merge_on_block_zero(rng.run_blocks(trials, worker, threads, fold=_listed, initial=[]))
 
 
 # --- Kicked coherences as written before running phasor products ---
@@ -1218,7 +1224,7 @@ def simulate_by_positions(combined, rounds: int, seed: int, threads: int = 1) ->
     i = (top b bits * P) >> b of the P = G*L (game, rotation) slots, with
     b = 64 - bitlen(P - 1); game i // L rotates by (i mod L) // stride
     steps of stride = L / m.  Every block keeps the whole array of its
-    positions relative to its start (8 bytes per round); the merge shifts
+    positions relative to its start (8 bytes per round); the fold shifts
     each array by the carried position and tests every round for a win.
     """
     L = combined.modulus
@@ -1233,13 +1239,12 @@ def simulate_by_positions(combined, rounds: int, seed: int, threads: int = 1) ->
         stride = strides[i // L]
         return np.cumsum((i % L) // stride * stride) % L
 
-    wins = 0
-    carry = 0
-    for rel in rng.run_blocks(rounds, worker, threads=threads):
+    def fold(acc, rel):
+        wins, carry = acc
         pos = (rel + carry) % L
-        wins += int(np.count_nonzero((4 * pos <= L) | (4 * pos >= 3 * L)))
-        carry = int(pos[-1])
-    return wins
+        return wins + int(np.count_nonzero((4 * pos <= L) | (4 * pos >= 3 * L))), int(pos[-1])
+
+    return rng.run_blocks(rounds, worker, threads, fold=fold, initial=(0, 0))[0]
 
 
 # --- The phasor kernel as written on strided views of its result ---

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,6 +155,40 @@ class TestExitCodes:
         code, text = run_cli(argv)
         assert code == 2 and text == ""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    # the largest exponential scale whose h = 0 kick angle, scale * 32 ln 2, is finite
+    _KICK_LOG = math.log(2.0**-32)
+    _SCALE = sys.float_info.max / -_KICK_LOG
+    while math.isinf(_SCALE * _KICK_LOG):
+        _SCALE = math.nextafter(_SCALE, 0.0)
+    while math.isfinite(math.nextafter(_SCALE, math.inf) * _KICK_LOG):
+        _SCALE = math.nextafter(_SCALE, math.inf)
+
+    @pytest.mark.parametrize("flag, mc, exact, below, message", [
+        (["iid", "--dist", "exponential", "--tau1", "1", "--steps", "2", "--omega"],
+         ["--trials", "10"], ["--exact"], _SCALE,
+         "omega * tau1 is too large for Monte Carlo: its kick angles overflow"),
+        (["dissipative", "--lambda-pd"], ["--trials", "100"], [], sys.float_info.max / 2,
+         "lambda_pd is too large for Monte Carlo: 2 * lambda_pd overflows"),
+    ], ids=["iid-exponential", "dissipative"])
+    def test_overflowing_monte_carlo_inputs_are_refused_before_any_draw(
+        self, flag, mc, exact, below, message, capsys, monkeypatch
+    ):
+        # the exponential kernel's angle at h = 0 is finite just below its bound
+        assert np.isfinite(np.log(np.array([2.0**-32])) * -self._SCALE).all()
+        above = math.nextafter(below, math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+            for value in (1e308, above):
+                with monkeypatch.context() as m:
+                    m.setattr(rng, "stream_keys", None)  # any draw fails
+                    code, text = run_cli(flag + [repr(value)] + mc)
+                assert code == 2 and text == ""
+                assert capsys.readouterr().err == f"error: {message}\n"
+                # the exact or first-order route takes the value
+                assert run_cli(flag + [repr(value)] + exact)[0] == 0
+            code, text = run_cli(flag + [repr(below)] + mc)
+            assert code == 0 and capsys.readouterr().err == ""
 
     def test_csv_unavailable_for_dissipative(self):
         code, _ = run_cli(["dissipative", "--format", "csv"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -481,6 +482,22 @@ class TestSignedLetterCount:
         assert out.reduced_length_histogram == Counter(walk_fixed_horizon(37, 70_000, 5).tolist())
         for cap in (64, 128, grover.ADAPTIVE_CAP):
             self.assert_adaptive_is_the_walk(monkeypatch, 3, 70_000, 5, cap, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tallies_fold_as_the_blocks_finish(self, threads, monkeypatch):
+        # 16x the blocks: the folded counters stay the same size, and only the
+        # blocks' moments (a few hundred bytes each) are kept until the end
+        monkeypatch.setattr(rng, "BLOCK_SIZE", 256)
+
+        def peak(blocks: int) -> int:
+            tracemalloc.start()
+            try:
+                evaluate_strategy(AdaptiveTracking(1), GameConfig(2), blocks * 256, 1, threads)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(800) - peak(50) < 512 * 1024
 
     @pytest.mark.parametrize("k_star", [0, 1, 2, 5])
     @pytest.mark.parametrize("cap", [0, 64, 128, 192])

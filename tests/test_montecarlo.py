@@ -7,6 +7,7 @@ block 0's shift; the oracle estimators fold their blocks the same way.
 """
 
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -101,12 +102,19 @@ def test_sampler_sees_each_trajectory_once(threads):
         calls.append(len(keys))
         return [keys.astype(float)], int(keys[0] % 1000)
 
-    estimates, tallies = montecarlo.run(sampler, TRIALS, SEED, threads)
+    def fold(acc, tally):
+        assert threading.current_thread() is threading.main_thread()
+        return acc + [tally]
+
+    estimates, tallies = montecarlo.run(sampler, TRIALS, SEED, threads, fold, [])
     assert sum(calls) == TRIALS
     assert len(calls) == len(tallies) == -(-TRIALS // rng.BLOCK_SIZE)
+    # the fold sees the tallies in block order
     starts = range(0, TRIALS, rng.BLOCK_SIZE)
     assert tallies == [int(stream_key(SEED, s) % 1000) for s in starts]
     assert len(estimates) == 1
+    # without a fold the tallies are dropped
+    assert montecarlo.run(sampler, TRIALS, SEED, threads) == (estimates, None)
 
 
 def test_curve_points_equal_single_point_runs():
@@ -150,8 +158,9 @@ def test_phasors_are_the_strided_kernel_bit_for_bit():
     want = phasors_strided(theta.copy()).tobytes()
     assert montecarlo.phasors(theta.copy()).tobytes() == want
     # inside a block the arrays come from the thread's set
-    [got] = rng.run_blocks(1, lambda start, count: montecarlo.phasors(theta.copy()).tobytes())
-    assert got == want
+    got = rng.run_blocks(1, lambda start, count: montecarlo.phasors(theta.copy()).tobytes(),
+                         fold=lambda acc, block: acc + [block], initial=[])
+    assert got == [want]
 
 
 @pytest.mark.parametrize(

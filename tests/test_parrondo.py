@@ -308,41 +308,26 @@ class TestSimulate:
             for threads in (2, 3, 8):
                 assert simulate(g, rounds, seed=10, threads=threads) == one, (rounds, threads)
 
-    def test_waves_change_no_bit(self, monkeypatch):
-        # L = 392,863: a wave holds 2^21 // L = 5 blocks at up to 5 threads
+    def test_one_fold_over_all_blocks(self, monkeypatch):
+        # L = 392,863: seven blocks, each with an L-entry histogram, in one run_blocks call
         g = CombinedGame(tuple(RotationGame(m) for m in (19, 23, 29, 31)))
         rounds = 6 * rng.BLOCK_SIZE + 1
-        totals = []
         run_blocks = rng.run_blocks
+        totals = []
 
-        def counted(total, *args, **kwargs):
-            totals.append(total)
-            return run_blocks(total, *args, **kwargs)
+        def counted(total, worker, threads=1, **kwargs):
+            totals.append((total, threads))
+            return run_blocks(total, worker, threads, **kwargs)
 
         monkeypatch.setattr(rng, "run_blocks", counted)
-        waves = [simulate(g, rounds, seed=12, threads=t) for t in (1, 2, 3)]
-        assert totals == [5 * rng.BLOCK_SIZE, rng.BLOCK_SIZE + 1] * 3
-        monkeypatch.setattr(parrondo, "_WAVE_ENTRIES", 1 << 30)  # one wave
-        assert waves == [simulate(g, rounds, seed=12, threads=1)] * 3
-        assert totals[-1] == rounds
-
-    def test_waves_are_sized_by_the_pool(self, monkeypatch):
-        # on 2 CPUs, 64 requested threads hold the 5-block waves that 2 do
+        stats = [simulate(g, rounds, seed=12, threads=t) for t in (1, 2, 3)]
+        # on 2 CPUs, 64 requested threads fold as 2 do
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        g = CombinedGame(tuple(RotationGame(m) for m in (19, 23, 29, 31)))
-        rounds = 6 * rng.BLOCK_SIZE + 1
-        run_blocks = rng.run_blocks
-        totals = {}
-
-        def counted(total, *args, threads=1, **kwargs):
-            totals.setdefault(threads, []).append(total)
-            return run_blocks(total, *args, threads=threads, **kwargs)
-
-        monkeypatch.setattr(rng, "run_blocks", counted)
-        two, many = (simulate(g, rounds, seed=12, threads=t) for t in (2, 64))
-        assert two == many
-        assert totals[64] == totals[2] == [5 * rng.BLOCK_SIZE, rng.BLOCK_SIZE + 1]
+        stats.append(simulate(g, rounds, seed=12, threads=64))
+        assert stats == [stats[0]] * 4
+        assert totals == [(rounds, t) for t in (1, 2, 3, 64)]
+        assert stats[0].wins == simulate_by_positions(g, rounds, seed=12)
 
     def test_round_validation(self):
         with pytest.raises(ValueError):

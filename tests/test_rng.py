@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -84,14 +85,19 @@ def test_randint_bounds_and_determinism():
         s.randint(0)
 
 
+def listed(total, worker, threads=1):
+    """The block results of ``rng.run_blocks``, folded into a list in block order."""
+    return rng.run_blocks(total, worker, threads, fold=lambda acc, r: acc + [r], initial=[])
+
+
 def test_run_blocks_order_and_thread_invariance(monkeypatch):
     def worker(start, count):
         keys = rng.stream_keys(3, start, count)
         return float(np.sum(rng.slot_halves(keys, 0)[0]))
 
     monkeypatch.setattr(rng, "BLOCK_SIZE", 1 << 14)
-    serial = rng.run_blocks(300_000, worker, threads=1)
-    threaded = rng.run_blocks(300_000, worker, threads=8)
+    serial = listed(300_000, worker, threads=1)
+    threaded = listed(300_000, worker, threads=8)
     assert serial == threaded
     assert len(serial) == (300_000 + (1 << 14) - 1) // (1 << 14)
 
@@ -105,13 +111,52 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
         return rng.slot_normal(keys, 0).tobytes()
 
     monkeypatch.setattr(rng, "BLOCK_SIZE", 1 << 14)
-    serial = rng.run_blocks(300_000, worker, threads=1)
+    serial = listed(300_000, worker, threads=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     workers.clear()
-    threaded = rng.run_blocks(300_000, worker, threads=8)
+    threaded = listed(300_000, worker, threads=8)
     assert len(workers) <= 2
     assert threaded == serial
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_blocks_fold_in_order_through_a_window_of_two_per_thread(threads, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(rng, "BLOCK_SIZE", 1000)
+    lock = threading.Lock()
+    started, unfolded = [], []  # unfolded: started and not yet folded, at each start
+    folded = []
+
+    def worker(start, count):
+        if start == fail_at:
+            raise RuntimeError(f"block at {start}")
+        with lock:
+            started.append(start)
+            unfolded.append(len(started) - len(folded))
+        return start, int(rng.stream_keys(3, start, count).sum(dtype=np.uint64))
+
+    def fold(acc, result):
+        time.sleep(0.002)  # the workers run ahead of a slow fold
+        with lock:
+            folded.append(result[0])
+        return acc + [result]
+
+    total = 40_500
+    fail_at = None
+    got = rng.run_blocks(total, worker, threads, fold=fold, initial=[])
+    starts = list(range(0, total, 1000))
+    assert folded == starts and [r[0] for r in got] == starts
+    assert max(unfolded) <= 2 * min(threads, 2)
+    if threads > 1:
+        assert max(unfolded) == 4  # the window fills
+    assert got == listed(total, worker)
+    folded.clear()
+    fail_at = 7000
+    with pytest.raises(RuntimeError, match="block at 7000"):
+        rng.run_blocks(total, worker, threads, fold=fold, initial=[])
+    assert folded == starts[:7]
 
 
 def test_usable_cpus_without_an_affinity_set(monkeypatch):
@@ -224,7 +269,7 @@ def test_blocks_of_a_thread_reuse_one_buffer(monkeypatch):
         addresses.append(rng._empty(count).__array_interface__["data"][0])
 
     monkeypatch.setattr(rng, "BLOCK_SIZE", 1000)
-    rng.run_blocks(3 * 1000 + 1, worker)
+    listed(3 * 1000 + 1, worker)
     assert len(addresses) == 4 and len(set(addresses)) == 1
 
 
@@ -242,7 +287,7 @@ def test_arrays_handed_out_of_a_block_stay_its_own(threads, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        blocks = rng.run_blocks(100_500, worker, threads=threads)
+        blocks = listed(100_500, worker, threads=threads)
     finally:
         sys.setswitchinterval(interval)
     want = [[s] * min(1000, 100_500 - s) for s in range(0, 100_500, 1000)]
@@ -259,7 +304,7 @@ def test_no_arrays_kept_once_run_blocks_returns(threads, monkeypatch):
         return count
 
     monkeypatch.setattr(rng, "BLOCK_SIZE", 1000)
-    assert sum(rng.run_blocks(10_500, worker, threads=threads)) == 10_500
+    assert rng.run_blocks(10_500, worker, threads, fold=int.__add__, initial=0) == 10_500
     assert len(refs) == 22 and all(ref() is None for ref in refs)
     assert getattr(rng._thread, "arrays", None) is None
 

@@ -8,10 +8,10 @@ then runs that reach every path of the finite-law kick samplers, each at
 epsilon, and delta ``iid`` mixtures from 1 to 300 angles (both sides of
 the 255-edge switch to a binary search), uniform and weighted, one of
 them with a running weight sum of exactly 1.0 before the last and
-one above it, then a wheel game on Z_(2^20 - 1), whose waves hold two
-blocks at few threads, at ``--threads`` 1, 2 and 16, and last two-block
-``dissipative`` Monte Carlo runs over a grid of mixing probabilities and
-noise scales, and one from a complex coherence, at ``--threads`` 1 and 2,
+one above it, then a wheel game on Z_(2^20 - 1), whose 5 blocks fold
+through a window of 2 per pool thread, at ``--threads`` 1, 2 and 16, then
+two-block ``dissipative`` Monte Carlo runs over a grid of mixing
+probabilities and noise scales, and one from a complex coherence, at ``--threads`` 1 and 2,
 then two-block Gaussian ``iid`` curves of 1 and 3 steps (a last kick
 without its pair's sine) and an exponential curve, at ``--threads`` 1 and
 2, then ``grover`` Monte Carlo runs at ``--threads`` 1 and 2 (fixed
@@ -25,7 +25,9 @@ branch picks take the binary search on both halves), and after them the
 CSV of each subcommand that has one (``iid`` and ``memory`` curves of
 3,000 steps, the wheel of ``parrondo --moduli 19,23`` and a ``grover``
 curve longer than one ``writers.CHUNK_ROWS`` chunk), each to stdout and
-to an ``--out`` file.
+to an ``--out`` file, and last ``grover`` Monte Carlo runs of 7 and 5
+blocks, more than a window of 2 blocks per pool thread holds, at
+``--threads`` 1, 2 and 3.
 Each line is ``<exit code> <sha256> <argv>``, where the hash covers what
 the run printed to stdout and to stderr and the file it wrote with
 ``--out``.  Two checkouts give every invocation the same exit code and the
@@ -97,10 +99,19 @@ def branch_argvs() -> list[list[str]]:
     return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
 
 
-def wave_argvs() -> list[list[str]]:
-    """A wheel game whose wave size turns on the pool, at 1, 2 and 16 threads."""
+def wheel_argvs() -> list[list[str]]:
+    """A wheel game of 5 blocks, at 1, 2 and 16 threads (a 4-block window on 2 CPUs)."""
     argv = ["parrondo", "--moduli", "1048575", "--trials", "300000"]
     return [argv + [f"--threads={threads}"] for threads in (1, 2, 16)]
+
+
+def window_argvs() -> list[list[str]]:
+    """Search runs of 7 and 5 blocks, at 1, 2 and 3 threads: more blocks than a window holds."""
+    runs = [
+        ["grover", "--n-qubits=2", "--strategy=adaptive", "--trials=400000"],
+        ["grover", "--n-qubits=4", "--strategy=fixed", "--m=100", "--trials=300000"],
+    ]
+    return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2, 3)]
 
 
 def dissipative_argvs() -> list[list[str]]:
@@ -187,9 +198,9 @@ def entry(argv: list[str]) -> str:
 
 
 def main() -> None:
-    for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wave_argvs(),
+    for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wheel_argvs(),
                  *dissipative_argvs(), *curve_argvs(), *search_argvs(), *halves_argvs(),
-                 *csv_argvs()]:
+                 *csv_argvs(), *window_argvs()]:
         print(entry(argv), flush=True)
 
 
