@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import threading
 import time
 from fractions import Fraction
 
@@ -308,7 +309,7 @@ class TestSimulate:
             for threads in (2, 3, 8):
                 assert simulate(g, rounds, seed=10, threads=threads) == one, (rounds, threads)
 
-    def test_one_fold_over_all_blocks(self, monkeypatch):
+    def test_waves_change_no_bit(self, monkeypatch):
         # L = 392,863: seven blocks, each with an L-entry histogram, in one run_blocks call
         g = CombinedGame(tuple(RotationGame(m) for m in (19, 23, 29, 31)))
         rounds = 6 * rng.BLOCK_SIZE + 1
@@ -321,13 +322,38 @@ class TestSimulate:
 
         monkeypatch.setattr(rng, "run_blocks", counted)
         stats = [simulate(g, rounds, seed=12, threads=t) for t in (1, 2, 3)]
-        # on 2 CPUs, 64 requested threads fold as 2 do
+        assert stats == [stats[0]] * 3
+        assert totals == [(rounds, t) for t in (1, 2, 3)]
+        assert stats[0].wins == simulate_by_positions(g, rounds, seed=12)
+
+    def test_waves_are_sized_by_the_pool(self, monkeypatch):
+        # on 2 CPUs, 64 requested threads fold as 2 do, with at most 4 blocks in flight
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        stats.append(simulate(g, rounds, seed=12, threads=64))
-        assert stats == [stats[0]] * 4
-        assert totals == [(rounds, t) for t in (1, 2, 3, 64)]
-        assert stats[0].wins == simulate_by_positions(g, rounds, seed=12)
+        g = CombinedGame(tuple(RotationGame(m) for m in (19, 23, 29, 31)))
+        rounds = 6 * rng.BLOCK_SIZE + 1
+        run_blocks = rng.run_blocks
+        lock = threading.Lock()
+        started, folded, in_flight = [0], [0], []
+
+        def counted(total, worker, threads=1, *, fold, initial):
+            def watched_worker(start, count):
+                with lock:
+                    started[0] += 1
+                    in_flight.append(started[0] - folded[0])
+                return worker(start, count)
+
+            def watched_fold(acc, result):
+                folded[0] += 1
+                return fold(acc, result)
+
+            return run_blocks(total, watched_worker, threads, fold=watched_fold, initial=initial)
+
+        monkeypatch.setattr(rng, "run_blocks", counted)
+        two, many = (simulate(g, rounds, seed=12, threads=t) for t in (2, 64))
+        assert two == many
+        assert folded[0] == started[0] == 14
+        assert max(in_flight) <= 4
 
     def test_round_validation(self):
         with pytest.raises(ValueError):
