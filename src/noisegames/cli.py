@@ -46,7 +46,7 @@ CURVE_MAX_STEPS = 1 << 16
 # A Monte Carlo run is charged in raw 64-bit draws by its family's
 # draw_charge, beside the sampler.  On one thread of a 2-core Xeon VM these
 # cost about 8-22 ns a kick (2 kicks a draw, so 2^33 kicks at the bound), 8 ns
-# a fixed-horizon search draw, 12-16 ns a wheel round and 39-44 ns a
+# a fixed-horizon search draw, 12-24 ns a wheel round and 39-44 ns a
 # dissipative trial, so such a run at the bound takes 35 s to 3 minutes.  An
 # adaptive search costs 125-180 ns a charged draw (1,024 trials at n = 20,
 # 16,000,000 draws, took 2.0-2.9 s), so 9-13 minutes at the bound.  More is
@@ -338,7 +338,7 @@ def _cmd_parrondo(v: dict, threads: int):
             raise ValueError(f"a wheel is limited to {MAX_WHEEL_SLOTS} slots (games * lcm(moduli))")
     run_sim = rounds > 0 and not v["exact"]
     if run_sim:
-        _limit_draws(parrondo.draw_charge(L, rounds))
+        _limit_draws(parrondo.draw_charge(rounds))
     games = [parrondo.RotationGame(m) for m in moduli]
     combined = parrondo.CombinedGame(tuple(games))
     spectrum = parrondo.spectrum(combined)

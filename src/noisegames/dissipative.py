@@ -16,30 +16,27 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qubit import DensityMatrix2
 
 FIRST_ORDER_LIMIT = 0.01  # lambda_ad ceiling of the first-order formulas
 
 
-@dataclass(frozen=True, slots=True)
-class NoiseScales:
+class NoiseScales(NamedTuple("NoiseScales", [("lambda_ad", float), ("lambda_pd", float)])):
     """Dimensionless amplitude-damping and phase-damping noise scales."""
 
-    lambda_ad: float
-    lambda_pd: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lambda_ad", float(self.lambda_ad))
-        object.__setattr__(self, "lambda_pd", float(self.lambda_pd))
-        for v in (self.lambda_ad, self.lambda_pd):
+    def __new__(cls, lambda_ad: float, lambda_pd: float):
+        lambda_ad, lambda_pd = float(lambda_ad), float(lambda_pd)
+        for v in (lambda_ad, lambda_pd):
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError("noise scales must be finite and nonnegative")
+        return super().__new__(cls, lambda_ad, lambda_pd)
 
 
-@dataclass(frozen=True, slots=True)
-class AveragedChannelResult:
+class AveragedChannelResult(NamedTuple):
     """Noise-averaged output state with per-entry standard errors.
 
     ``stderr_pop`` is the standard error of the |0> population estimate;
@@ -175,8 +172,7 @@ def max_mixing_probability(scales: NoiseScales) -> float:
     return u / (u + math.sqrt(scales.lambda_ad / math.pi))
 
 
-@dataclass(frozen=True, slots=True)
-class RelaxationTimes:
+class RelaxationTimes(NamedTuple):
     """Population relaxation time t1 and coherence time t2 (may be inf)."""
 
     t1: float

@@ -29,31 +29,27 @@ its reduced length.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 TWO_D_MAX_QUBITS = 60
 
 
-@dataclass(frozen=True, slots=True)
-class GameConfig:
+class GameConfig(NamedTuple("GameConfig", [("n_qubits", int), ("target", int)])):
     """Search instance: n qubits, N = 2^n items, one marked target."""
 
-    n_qubits: int
-    target: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if int(self.n_qubits) != self.n_qubits or not (
-            1 <= self.n_qubits <= TWO_D_MAX_QUBITS
-        ):
+    def __new__(cls, n_qubits: int, target: int = 0):
+        if int(n_qubits) != n_qubits or not (1 <= n_qubits <= TWO_D_MAX_QUBITS):
             raise ValueError(f"n_qubits must lie in [1, {TWO_D_MAX_QUBITS}]")
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
-        object.__setattr__(self, "target", int(self.target))
-        if not (0 <= self.target < 2**self.n_qubits):
+        n_qubits, target = int(n_qubits), int(target)
+        if not (0 <= target < 2**n_qubits):
             raise ValueError("target must lie in [0, 2^n - 1]")
+        return super().__new__(cls, n_qubits, target)
 
     @property
     def size(self) -> int:
@@ -74,10 +70,17 @@ def success_closed_form(k: int, config: GameConfig) -> float:
 def success_curve(ks: Iterable[int], config: GameConfig) -> Iterator[float]:
     """:func:`success_closed_form` at each k of ``ks``, bit for bit.
 
-    The angle asin(1/sqrt(N)) is computed once for the whole curve.
+    The angle asin(1/sqrt(N)) is computed once for the whole curve, and
+    ``sin((2k + 1) * theta) ** 2`` is built by ``map`` calls, with no
+    Python frame per k; the odd numbers of a ``range`` are a range.
     """
     theta = math.asin(1.0 / math.sqrt(config.size))
-    return (math.sin((2 * k + 1) * theta) ** 2 for k in ks)
+    if isinstance(ks, range):
+        odd = range(2 * ks.start + 1, 2 * ks.stop + 1, 2 * ks.step)
+    else:
+        odd = map(operator.add, map(operator.mul, ks, itertools.repeat(2)), itertools.repeat(1))
+    angles = map(operator.mul, odd, itertools.repeat(theta))
+    return map(pow, map(math.sin, angles), itertools.repeat(2))
 
 
 def reduce_word(word: str) -> str:
@@ -134,35 +137,32 @@ def optimal_k(config: GameConfig) -> int:
     return max(sorted(candidates), key=lambda k: success_closed_form(k, config))
 
 
-@dataclass(frozen=True, slots=True)
-class FixedHorizon:
+class FixedHorizon(NamedTuple("FixedHorizon", [("m", int)])):
     """Stop unconditionally after m random operations."""
 
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if int(self.m) != self.m or self.m < 0:
+    def __new__(cls, m: int):
+        if int(m) != m or m < 0:
             raise ValueError("horizon must be a nonnegative integer")
-        object.__setattr__(self, "m", int(self.m))
+        return super().__new__(cls, int(m))
 
 
-@dataclass(frozen=True, slots=True)
-class AdaptiveTracking:
+class AdaptiveTracking(NamedTuple("AdaptiveTracking", [("k_star", int)])):
     """Track the reduced word and stop when it equals (BA)^k_star."""
 
-    k_star: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if int(self.k_star) != self.k_star or self.k_star < 0:
+    def __new__(cls, k_star: int):
+        if int(k_star) != k_star or k_star < 0:
             raise ValueError("k_star must be a nonnegative integer")
-        object.__setattr__(self, "k_star", int(self.k_star))
+        return super().__new__(cls, int(k_star))
 
 
 Strategy = Union[FixedHorizon, AdaptiveTracking]
 
 
-@dataclass(frozen=True, slots=True)
-class StrategyOutcome:
+class StrategyOutcome(NamedTuple):
     """Evaluation of a stopping strategy.
 
     ``reduced_length_histogram[s]`` counts trials whose reduced word had
@@ -264,6 +264,8 @@ def fixed_horizon_length_law(m: int) -> dict[int, Fraction]:
     signed count d = K - floor(m/2) gives the length
     ``_reduced_length(d, m)`` with probability C(m, K) / 2^m.
     """
+    from fractions import Fraction
+
     import numpy as np
 
     m = FixedHorizon(m).m

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .qubit import DensityMatrix2
 
@@ -46,15 +45,14 @@ def canonical_angle(theta: float) -> float:
     return math.pi - (math.pi - theta) % TWO_PI
 
 
-@dataclass(frozen=True, slots=True)
-class DeltaMixture:
+class DeltaMixture(NamedTuple("DeltaMixture", [("pairs", tuple)])):
     """Discrete kick law: tuple of (weight, angle) pairs summing to one."""
 
-    pairs: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, pairs: tuple[tuple[float, float], ...]):
         kept = []
-        for w, ang in self.pairs:
+        for w, ang in pairs:
             w, ang = float(w), float(ang)
             if not (math.isfinite(w) and math.isfinite(ang)):
                 raise ValueError("weights and angles must be finite")
@@ -66,7 +64,7 @@ class DeltaMixture:
             raise ValueError("mixture needs at least one weighted angle")
         if abs(math.fsum(w for w, _ in kept) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        object.__setattr__(self, "pairs", tuple(kept))
+        return super().__new__(cls, tuple(kept))
 
     @classmethod
     def uniform(cls, angles) -> "DeltaMixture":
@@ -82,68 +80,61 @@ class DeltaMixture:
         return tuple(a for _, a in self.pairs)
 
 
-@dataclass(frozen=True, slots=True)
-class ExponentialKicks:
+class ExponentialKicks(NamedTuple("ExponentialKicks", [("omega", float), ("tau1", float)])):
     """One-sided exponential kick law with scale omega * tau1 > 0."""
 
-    omega: float
-    tau1: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "tau1", float(self.tau1))
-        s = self.omega * self.tau1
+    def __new__(cls, omega: float, tau1: float):
+        omega, tau1 = float(omega), float(tau1)
+        s = omega * tau1
         if not math.isfinite(s) or s <= 0.0:
             raise ValueError("omega * tau1 must be finite and positive")
+        return super().__new__(cls, omega, tau1)
 
     @property
     def scale(self) -> float:
         return self.omega * self.tau1
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianKicks:
+class GaussianKicks(NamedTuple("GaussianKicks", [("mu", float), ("sigma2", float)])):
     """Gaussian kick law with mean mu and variance sigma2 >= 0."""
 
-    mu: float
-    sigma2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma2)):
+    def __new__(cls, mu: float, sigma2: float):
+        mu, sigma2 = float(mu), float(sigma2)
+        if not (math.isfinite(mu) and math.isfinite(sigma2)):
             raise ValueError("mu and sigma2 must be finite")
-        if self.sigma2 < 0.0:
+        if sigma2 < 0.0:
             raise ValueError("sigma2 must be nonnegative")
+        return super().__new__(cls, mu, sigma2)
 
 
 KickDistribution = Union[DeltaMixture, ExponentialKicks, GaussianKicks]
 
 
-@dataclass(frozen=True, slots=True)
-class DecayFactor:
+class DecayFactor(NamedTuple("DecayFactor", [("gamma", float), ("phi", float)])):
     """Per-step coherence decay gamma in [0, 1] and phase drift phi."""
 
-    gamma: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "phi", float(self.phi))
-        if not (0.0 <= self.gamma <= 1.0 + 1e-12):
+    def __new__(cls, gamma: float, phi: float):
+        gamma, phi = float(gamma), float(phi)
+        if not (0.0 <= gamma <= 1.0 + 1e-12):
             raise ValueError("gamma must lie in [0, 1]")
+        return super().__new__(cls, gamma, phi)
 
 
-@dataclass(frozen=True, slots=True)
-class EvolutionPlan:
+class EvolutionPlan(NamedTuple("EvolutionPlan", [("steps", int)])):
     """Discrete evolution of ``steps`` kicks."""
 
-    steps: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if int(self.steps) != self.steps or self.steps < 0:
+    def __new__(cls, steps: int):
+        if int(steps) != steps or steps < 0:
             raise ValueError("steps must be a nonnegative integer")
-        object.__setattr__(self, "steps", int(self.steps))
+        return super().__new__(cls, int(steps))
 
 
 def char_function(dist: KickDistribution) -> DecayFactor:
@@ -183,8 +174,7 @@ def evolve_iid(
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Monte Carlo state estimate with the standard error of the coherence.
 
     ``stderr`` is the larger of the sample standard errors of the real and

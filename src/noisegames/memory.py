@@ -23,8 +23,7 @@ import bisect
 import cmath
 import enum
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .kicks import McEstimate
 from .qubit import DensityMatrix2
@@ -48,8 +47,7 @@ def set_b_support(epsilon: float) -> tuple[float, float, float]:
     return (-3.0 * math.pi / 4.0, float(epsilon), math.pi / 4.0)
 
 
-@dataclass(frozen=True, slots=True)
-class KernelBranch:
+class KernelBranch(NamedTuple):
     """One conditional outcome: weight, kicked angle, destination class."""
 
     weight: float
@@ -57,8 +55,7 @@ class KernelBranch:
     to_label: SetLabel
 
 
-@dataclass(frozen=True, slots=True)
-class MemoryKernel:
+class MemoryKernel(NamedTuple):
     """Conditional kick law P(theta2 | class of theta1) over the two classes.
 
     Destination classes are part of each branch, so membership is resolved
@@ -109,8 +106,7 @@ def kernel(variant: KernelVariant, epsilon: float) -> MemoryKernel:
     return MemoryKernel(variant, epsilon, from_a, from_b)
 
 
-@dataclass(frozen=True, slots=True)
-class CoherenceTrace:
+class CoherenceTrace(NamedTuple):
     """Values of the kick recursion at the two classes for k = 1..n.
 
     ``values[k-1]`` is ``(f_k at class A, f_k at class B)``; class A is the

@@ -19,8 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -35,30 +33,29 @@ def is_winning(k, L: int):
     return (4 * k <= L) | (4 * k >= 3 * L)
 
 
-@dataclass(frozen=True, slots=True)
-class RotationGame:
+class RotationGame(NamedTuple("RotationGame", [("m", int)])):
     """Robot that rotates by 2*pi*j/m, j uniform on 0..m-1 (m odd)."""
 
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if int(self.m) != self.m:
+    def __new__(cls, m: int):
+        if int(m) != m:
             raise ValueError("modulus must be an integer")
-        object.__setattr__(self, "m", int(self.m))
-        if self.m < 1 or self.m % 2 == 0:
+        m = int(m)
+        if m < 1 or m % 2 == 0:
             raise ValueError("modulus must be odd and positive")
+        return super().__new__(cls, m)
 
 
-@dataclass(frozen=True, slots=True)
-class CombinedGame:
+class CombinedGame(NamedTuple("CombinedGame", [("games", tuple)])):
     """Uniform random mixture of rotation games, played on Z_lcm(moduli)."""
 
-    games: tuple[RotationGame, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.games:
+    def __new__(cls, games: tuple[RotationGame, ...]):
+        if not games:
             raise ValueError("need at least one game")
-        object.__setattr__(self, "games", tuple(self.games))
+        return super().__new__(cls, tuple(games))
 
     @property
     def modulus(self) -> int:
@@ -111,6 +108,8 @@ def spectrum(combined: CombinedGame) -> Spectrum:
     rounds from position 0, n = ceil(log(1e-14) / log(lambda_2)) the least
     with lambda_2^n <= 1e-14 (n = 1 when lambda_2 = 0).
     """
+    from fractions import Fraction
+
     G = len(combined.games)
     games = Counter(combined.moduli)
     powers = _prime_powers(combined.modulus)  # L = prod p^e
@@ -137,8 +136,7 @@ def _deviation(multiplicities: dict[int, int], n: int) -> float:
     return math.fsum(size * (c / G) ** n for c, size in multiplicities.items() if c < G) / L
 
 
-@dataclass(frozen=True, slots=True)
-class GameStats:
+class GameStats(NamedTuple):
     """Exact winning probability and net rate (win minus loss) of a game."""
 
     win_prob: Fraction
@@ -158,6 +156,8 @@ def exact_rate(combined: CombinedGame) -> GameStats:
     step law with eigenvalue 1, and every other eigenvalue lies in [0, 1)
     (:func:`spectrum`), so the law from any start tends to it.
     """
+    from fractions import Fraction
+
     L = combined.modulus
     return GameStats(Fraction(_winning_arc(L)[1], L), L)
 
@@ -168,8 +168,7 @@ def _winning_arc(L: int) -> tuple[int, int]:
     return first % L, L - first + L // 4 + 1
 
 
-@dataclass(frozen=True, slots=True)
-class SimulatedStats:
+class SimulatedStats(NamedTuple):
     """Empirical tallies of a simulated play from position 0."""
 
     wins: int
@@ -228,16 +227,9 @@ def _block_walk(step: np.ndarray, L: int, x: np.ndarray, bits: int) -> np.ndarra
     return position.view(np.int64)
 
 
-def draw_charge(modulus: int, rounds: int) -> int:
-    """Draws charged to :func:`simulate` on Z_modulus: rounds + ceil(rounds / BLOCK_SIZE) * modulus.
-
-    A round reads one raw 64-bit draw.  The ``modulus`` a block is charged
-    over-counts: a block folds by binary search, and only the step table,
-    built once, has ``modulus`` entries per game.
-    """
-    from . import rng
-
-    return rounds + -(-rounds // rng.BLOCK_SIZE) * modulus
+def draw_charge(rounds: int) -> int:
+    """Raw 64-bit draws :func:`simulate` reads: one a round."""
+    return rounds
 
 
 def simulate(

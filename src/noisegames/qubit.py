@@ -8,7 +8,7 @@ Its constructor checks that the matrix is a valid state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Tolerance of the state checks (exact inputs, a few float ops deep).
 ATOL_STATE = 1e-12
@@ -18,27 +18,22 @@ def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
-@dataclass(frozen=True, slots=True)
-class DensityMatrix2:
+class DensityMatrix2(NamedTuple("DensityMatrix2", [("a", float), ("b", complex), ("c", float)])):
     """Qubit state ``((a, b), (conj(b), c))``: populations a, c; coherence b."""
 
-    a: float
-    b: complex
-    c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        if not (math.isfinite(self.a) and math.isfinite(self.c) and _finite(self.b)):
+    def __new__(cls, a: float, b: complex, c: float):
+        a, b, c = float(a), complex(b), float(c)
+        if not (math.isfinite(a) and math.isfinite(c) and _finite(b)):
             raise ValueError("density matrix entries must be finite")
-        if abs(self.a + self.c - 1.0) > ATOL_STATE:
-            raise ValueError(f"trace must be 1 (got {self.a + self.c!r})")
-        if self.a < -ATOL_STATE or self.c < -ATOL_STATE:
+        if abs(a + c - 1.0) > ATOL_STATE:
+            raise ValueError(f"trace must be 1 (got {a + c!r})")
+        if a < -ATOL_STATE or c < -ATOL_STATE:
             raise ValueError("populations must be nonnegative")
-        if abs(self.b) ** 2 > self.a * self.c + ATOL_STATE:
+        if abs(b) ** 2 > a * c + ATOL_STATE:
             raise ValueError("positivity violated: |b|^2 > a*c")
-
+        return super().__new__(cls, a, b, c)
 
 def plus_state() -> DensityMatrix2:
     """The pure state with maximal coherence, a = c = 1/2, b = 1/2."""

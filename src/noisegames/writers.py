@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import operator
-from fractions import Fraction
 from typing import Iterator
 
 CHUNK_ROWS = 4096
@@ -61,6 +60,8 @@ def json_text(value, pad: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    from fractions import Fraction  # reached by a Fraction, which loaded fractions, or a refusal
+
     if isinstance(value, Fraction):
         return f'"{value.numerator}/{value.denominator}"'
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -259,8 +259,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, draws_per_trial, draws_per_run",
         [
-            # one block of rounds on Z_21 also counts L = 21 draws
-            (["parrondo"], 1, 21),
+            # one draw a round
+            (["parrondo"], 1, 0),
             (["dissipative"], 1, 0),
             (["grover", "--strategy", "fixed", "--m", "128"], 2, 0),
             # L = 4 has mean duration L * (L + 1) = 20 letters: one draw
@@ -449,8 +449,7 @@ def test_kick_families_charge_one_draw_per_two_kicks(steps):
         pytest.param(["grover", "--n-qubits=6"],  # quarter-pi: m = 4 * 7 letters
                      grover.draw_charge(grover.FixedHorizon(28), _TWO_BLOCKS), 0,
                      id="grover-quarter-pi"),
-        # the charge's fold term, 21 a block of rounds, is work but no draw
-        pytest.param(["parrondo", "--moduli=3,7"], parrondo.draw_charge(21, _TWO_BLOCKS), 2 * 21,
+        pytest.param(["parrondo", "--moduli=3,7"], parrondo.draw_charge(_TWO_BLOCKS), 0,
                      id="parrondo"),
     ],
 )
@@ -1121,6 +1120,36 @@ def test_exact_routes_run_without_numpy(monkeypatch):
     want = _outputs(_EXACT_ARGVS)
     assert [code for code, _, _ in want].count(2) == 3 and want[0][0] == 0
     assert json.loads(proc.stdout) == want
+
+
+def test_cold_start_loads_no_dataclasses_or_fractions():
+    # The records are named tuples and fractions is imported where a
+    # Fraction is built, so importing the CLI and building its parser loads
+    # none of these, and of the runs that draw nothing only the wheel's
+    # rational rates load fractions.  Modules the interpreter's start-up
+    # loaded are not counted.
+    proc = _run_blocking((), f"""
+        before = set(sys.modules)
+        import contextlib, io
+        from noisegames import cli
+        cli.build_parser()
+
+        def newly_loaded(argvs):
+            for argv in argvs:
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    cli.run(argv, stdout=sink)
+            heavy = {{"dataclasses", "decimal", "fractions", "inspect"}}
+            return sorted(heavy & (set(sys.modules) - before))
+
+        argvs = {_EXACT_ARGVS!r}
+        wheel = [argv for argv in argvs if argv[0] == "parrondo"]
+        others = [argv for argv in argvs if argv[0] != "parrondo"]
+        for runs, want in (([], []), (others, []), (wheel, ["decimal", "fractions"])):
+            got = newly_loaded(runs)
+            assert got == want, (runs, got)
+        """)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_binds_drawing_layers_once_numpy_is_loaded():

@@ -41,6 +41,7 @@ from noisegames.grover import (
     quarter_pi_k,
     reduce_word,
     success_closed_form,
+    success_curve,
 )
 
 
@@ -386,6 +387,27 @@ class TestTrialPayoffs:
             stopped = sum(out.stopping_time_histogram.values())
             assert out.censored == 70_000 - stopped
             assert out.reduced_length_histogram.get(2 * strategy.k_star, 0) == stopped
+
+
+class TestSuccessCurve:
+    def test_curve_is_the_closed_form_bit_for_bit(self):
+        # the n = 32 CSV curve, 102,945 rows: a range takes the odd numbers
+        # as a range, a 1-tuple through success_closed_form does not
+        c = GameConfig(32)
+        ks = range(math.ceil(math.pi * math.sqrt(c.size) / 2.0) + 1)
+        assert len(ks) == 102_945
+        theta = math.asin(1.0 / math.sqrt(c.size))
+        got = list(map(float.hex, success_curve(ks, c)))
+        assert got == [float.hex(success_closed_form(k, c)) for k in ks]
+        assert got == [float.hex(math.sin((2 * k + 1) * theta) ** 2) for k in ks]
+
+    @pytest.mark.parametrize("ks", [range(0), range(5, 40, 3), range(40, 5, -7)])
+    def test_any_iterable_of_ints(self, ks):
+        c = GameConfig(10)
+        want = list(map(float.hex, success_curve(list(ks), c)))
+        assert list(map(float.hex, success_curve(ks, c))) == want
+        assert list(map(float.hex, success_curve((k for k in ks), c))) == want
+        assert want == [float.hex(success_closed_form(k, c)) for k in ks]
 
 
 class TestConfigValidation:

@@ -27,7 +27,11 @@ CSV of each subcommand that has one (``iid`` and ``memory`` curves of
 curve longer than one ``writers.CHUNK_ROWS`` chunk), each to stdout and
 to an ``--out`` file, and last ``grover`` Monte Carlo runs of 7 and 5
 blocks, more than a window of 2 blocks per pool thread holds, at
-``--threads`` 1, 2 and 3.
+``--threads`` 1, 2 and 3, and last, at ``--threads`` 1, inputs refused by
+every check of a record's constructor that a CLI input can reach (the
+state, the noise scales, the search instance and both stopping rules,
+each kick law and the wheel's moduli), whose bytes are the exit code and
+the message.
 Each line is ``<exit code> <sha256> <argv>``, where the hash covers what
 the run printed to stdout and to stderr and the file it wrote with
 ``--out``.  Two checkouts give every invocation the same exit code and the
@@ -179,6 +183,32 @@ def csv_argvs() -> list[list[str]]:
     return [argv + ["--format=csv", *out] for argv in runs for out in ([], ["--out=curve.csv"])]
 
 
+def refusal_argvs() -> list[list[str]]:
+    """Inputs refused by each record constructor check that a CLI input reaches, at 1 thread."""
+    runs = [
+        ["dissipative", "--a0=nan"],
+        ["dissipative", "--a0=1e17"],  # c = 1 - a0 rounds, so the trace is 0
+        ["dissipative", "--a0=1.5"],
+        ["iid", "--b0-re=0.9"],
+        ["dissipative", "--lambda-pd=-1"],
+        ["dissipative", "--lambda-ad=inf"],
+        ["grover", "--n-qubits=0"],
+        ["grover", "--target=16"],
+        ["grover", "--strategy=fixed", "--m=-1"],
+        ["grover", "--strategy=adaptive", "--k-star=-1"],
+        ["iid", "--sigma2=-1"],
+        ["iid", "--mu=inf"],
+        ["iid", "--dist=exponential", "--omega=0"],
+        ["iid", "--dist=delta", "--angles=0,nan"],
+        ["iid", "--dist=delta", "--angles=0,1", "--weights=-0.5,1.5"],
+        ["iid", "--dist=delta", "--angles=0,1", "--weights=0.5,0.6"],
+        ["iid", "--dist=delta", "--angles=0,1", "--weights=0,0"],
+        ["parrondo", "--moduli=4"],
+        ["parrondo", "--moduli=3,-7"],
+    ]
+    return [argv + ["--threads=1"] for argv in runs]
+
+
 def entry(argv: list[str]) -> str:
     """One ledger line for ``argv``, run in a fresh temporary directory."""
     out, err = io.StringIO(), io.StringIO()
@@ -200,7 +230,7 @@ def entry(argv: list[str]) -> str:
 def main() -> None:
     for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wheel_argvs(),
                  *dissipative_argvs(), *curve_argvs(), *search_argvs(), *halves_argvs(),
-                 *csv_argvs(), *window_argvs()]:
+                 *csv_argvs(), *window_argvs(), *refusal_argvs()]:
         print(entry(argv), flush=True)
 
 
