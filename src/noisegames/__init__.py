@@ -42,7 +42,6 @@ from .kicks import (
     EvolutionPlan,
     ExponentialKicks,
     GaussianKicks,
-    McEstimate,
     char_function,
     evolve_iid,
     evolve_iid_mc,

@@ -201,7 +201,7 @@ def _rates(stats: parrondo.GameStats) -> dict:
 
 def _mc_diagnostics(exact: list[complex], estimates: list) -> dict:
     """Each curve point's (MC - exact) / stderr, real and imaginary parts; None at stderr 0."""
-    diffs = [(est.rho_est.b - b, est.stderr) for b, est in zip(exact, estimates)]
+    diffs = [(b_mc - b, se) for b, (b_mc, se) in zip(exact, estimates)]
     return {"mc": True, "z_re": [d.real / se if se else None for d, se in diffs],
             "z_im": [d.imag / se if se else None for d, se in diffs]}
 
@@ -209,8 +209,8 @@ def _mc_diagnostics(exact: list[complex], estimates: list) -> dict:
 def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
     """Curve rows n = 0, 1, ... (Monte Carlo where estimated) and their CSV form."""
     curve = [{"n": n, "analytic_coherence": a, "coherence": a} for n, a in enumerate(analytic)]
-    for row, est in zip(curve, estimates):
-        row["coherence"], row["mc_stderr"] = coherence(est.rho_est), est.stderr
+    for row, (b, se) in zip(curve, estimates):
+        row["coherence"], row["mc_stderr"] = abs(b), se
     columns = lambda: (range(len(curve)), map(operator.itemgetter("coherence"), curve), analytic)
     return curve, ("n,coherence,analytic_coherence", "%d,%r,%r", columns)
 
@@ -250,21 +250,20 @@ def _cmd_iid(v: dict, threads: int):
 
     run_mc = v["trials"] > 0 and not v["exact"]
     if run_mc:
-        _limit_draws(kicks.draw_charge(dist, v["steps"], v["trials"]))
+        _limit_draws(kicks.draw_charge(v["steps"], v["trials"]))
     factor = kicks.char_function(dist)
     plan = kicks.EvolutionPlan(v["steps"])
     bs = kicks.evolve_iid(rho0, dist, plan)
     estimates = []
     if run_mc:
         estimates = kicks.evolve_iid_mc(rho0, dist, plan, v["trials"], v["seed"], threads)
-    curve, csv_data = _curve([abs(b) for b in bs], estimates)
+    # the curve starts at coherence(rho0), abs(bs[0]) bit for bit, as memory's does
+    curve, csv_data = _curve([coherence(rho0), *map(abs, bs[1:])], estimates)
 
-    final = DensityMatrix2(rho0.a, bs[-1], rho0.c)
     results = {
         "gamma": factor.gamma,
         "phi": factor.phi,
-        "final": {"a": final.a, "b_re": final.b.real, "b_im": final.b.imag,
-                  "coherence": coherence(final)},
+        "final": {"a": rho0.a, "b_re": bs[-1].real, "b_im": bs[-1].imag, "coherence": abs(bs[-1])},
         "curve": curve,
     }
     return derived, results, _mc_diagnostics(bs, estimates) if run_mc else {"mc": False}, csv_data
@@ -276,7 +275,7 @@ def _cmd_memory(v: dict, threads: int):
     kern = memory.kernel(memory.KernelVariant(v["variant"]), v["epsilon"])
     run_mc = v["trials"] > 0 and not v["exact"]
     if run_mc:
-        _limit_draws(memory.draw_charge(steps, v["trials"]))
+        _limit_draws(kicks.draw_charge(steps, v["trials"]))
     trace = memory.coherence_recursion(kern, steps)
     estimates, diagnostics = [], {"mc": False}
     if run_mc:

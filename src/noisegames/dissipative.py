@@ -18,12 +18,12 @@ import math
 import operator
 from typing import NamedTuple
 
-from .qubit import DensityMatrix2
+from .qubit import DensityMatrix2, checked
 
 FIRST_ORDER_LIMIT = 0.01  # lambda_ad ceiling of the first-order formulas
 
 
-class NoiseScales(NamedTuple("NoiseScales", [("lambda_ad", float), ("lambda_pd", float)])):
+class NoiseScales(checked("NoiseScales", [("lambda_ad", float), ("lambda_pd", float)])):
     """Dimensionless amplitude-damping and phase-damping noise scales."""
 
     __slots__ = ()

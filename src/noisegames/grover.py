@@ -35,10 +35,12 @@ import operator
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Union
 
+from .qubit import checked
+
 TWO_D_MAX_QUBITS = 60
 
 
-class GameConfig(NamedTuple("GameConfig", [("n_qubits", int), ("target", int)])):
+class GameConfig(checked("GameConfig", [("n_qubits", int), ("target", int)])):
     """Search instance: n qubits, N = 2^n items, one marked target."""
 
     __slots__ = ()
@@ -137,7 +139,7 @@ def optimal_k(config: GameConfig) -> int:
     return max(sorted(candidates), key=lambda k: success_closed_form(k, config))
 
 
-class FixedHorizon(NamedTuple("FixedHorizon", [("m", int)])):
+class FixedHorizon(checked("FixedHorizon", [("m", int)])):
     """Stop unconditionally after m random operations."""
 
     __slots__ = ()
@@ -148,7 +150,7 @@ class FixedHorizon(NamedTuple("FixedHorizon", [("m", int)])):
         return super().__new__(cls, int(m))
 
 
-class AdaptiveTracking(NamedTuple("AdaptiveTracking", [("k_star", int)])):
+class AdaptiveTracking(checked("AdaptiveTracking", [("k_star", int)])):
     """Track the reduced word and stop when it equals (BA)^k_star."""
 
     __slots__ = ()

@@ -33,7 +33,7 @@ import cmath
 import math
 from typing import Iterator, NamedTuple, Union
 
-from .qubit import DensityMatrix2
+from .qubit import DensityMatrix2, checked
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,7 +45,7 @@ def canonical_angle(theta: float) -> float:
     return math.pi - (math.pi - theta) % TWO_PI
 
 
-class DeltaMixture(NamedTuple("DeltaMixture", [("pairs", tuple)])):
+class DeltaMixture(checked("DeltaMixture", [("pairs", tuple)])):
     """Discrete kick law: tuple of (weight, angle) pairs summing to one."""
 
     __slots__ = ()
@@ -80,7 +80,7 @@ class DeltaMixture(NamedTuple("DeltaMixture", [("pairs", tuple)])):
         return tuple(a for _, a in self.pairs)
 
 
-class ExponentialKicks(NamedTuple("ExponentialKicks", [("omega", float), ("tau1", float)])):
+class ExponentialKicks(checked("ExponentialKicks", [("omega", float), ("tau1", float)])):
     """One-sided exponential kick law with scale omega * tau1 > 0."""
 
     __slots__ = ()
@@ -97,7 +97,7 @@ class ExponentialKicks(NamedTuple("ExponentialKicks", [("omega", float), ("tau1"
         return self.omega * self.tau1
 
 
-class GaussianKicks(NamedTuple("GaussianKicks", [("mu", float), ("sigma2", float)])):
+class GaussianKicks(checked("GaussianKicks", [("mu", float), ("sigma2", float)])):
     """Gaussian kick law with mean mu and variance sigma2 >= 0."""
 
     __slots__ = ()
@@ -114,19 +114,14 @@ class GaussianKicks(NamedTuple("GaussianKicks", [("mu", float), ("sigma2", float
 KickDistribution = Union[DeltaMixture, ExponentialKicks, GaussianKicks]
 
 
-class DecayFactor(NamedTuple("DecayFactor", [("gamma", float), ("phi", float)])):
+class DecayFactor(NamedTuple):
     """Per-step coherence decay gamma in [0, 1] and phase drift phi."""
 
-    __slots__ = ()
-
-    def __new__(cls, gamma: float, phi: float):
-        gamma, phi = float(gamma), float(phi)
-        if not (0.0 <= gamma <= 1.0 + 1e-12):
-            raise ValueError("gamma must lie in [0, 1]")
-        return super().__new__(cls, gamma, phi)
+    gamma: float
+    phi: float
 
 
-class EvolutionPlan(NamedTuple("EvolutionPlan", [("steps", int)])):
+class EvolutionPlan(checked("EvolutionPlan", [("steps", int)])):
     """Discrete evolution of ``steps`` kicks."""
 
     __slots__ = ()
@@ -172,50 +167,6 @@ def evolve_iid(
     for _ in range(plan.steps):
         out.append(out[-1] * step)
     return out
-
-
-class McEstimate(NamedTuple):
-    """Monte Carlo state estimate with the standard error of the coherence.
-
-    ``stderr`` is the larger of the sample standard errors of the real and
-    imaginary parts of the off-diagonal entry.
-    """
-
-    rho_est: DensityMatrix2
-    stderr: float
-
-    @classmethod
-    def from_phasors(
-        cls, rho0: DensityMatrix2, phasors, trials: int, seed: int, threads: int
-    ) -> list["McEstimate"]:
-        """Kicked-state estimates after 0, 1, ... kicks.
-
-        ``phasors(keys)`` yields each kick's factor e^{-i theta} per
-        trajectory, in kick order; a trajectory's coherence is ``rho0.b``
-        times their running product.
-        """
-        from . import montecarlo
-
-        sampler = lambda keys: (_running_products(rho0.b, len(keys), phasors(keys)), None)
-        points, _ = montecarlo.run(sampler, trials, seed, threads)
-        return [cls(DensityMatrix2(rho0.a, b, rho0.c), se) for b, se in points]
-
-
-def _running_products(b: complex, count: int, factors) -> Iterator[np.ndarray]:
-    """``b`` for each of ``count`` trajectories, then times each factor in turn.
-
-    The same array is updated in place after each factor.
-    """
-    import numpy as np
-    from . import rng
-
-    z = rng._empty(count, np.complex128)
-    z.fill(b)
-    yield z
-    for f in factors:
-        z *= f
-        del f  # its array is free for the next factor
-        yield z
 
 
 def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
@@ -277,8 +228,12 @@ def _kick_draws(keys: np.ndarray, steps: int, normal: bool) -> Iterator[np.ndarr
         del second  # and this one for the next draw
 
 
-def draw_charge(dist: KickDistribution, steps: int, trials: int) -> int:
-    """Raw 64-bit draws :func:`evolve_iid_mc` reads for ``trials`` curves: ceil(steps / 2) each."""
+def draw_charge(steps: int, trials: int) -> int:
+    """Raw 64-bit draws a kicked curve reads for ``trials`` trajectories of ``steps`` kicks.
+
+    Kicks 2j and 2j + 1 share raw slot j, so :func:`evolve_iid_mc` and
+    :func:`memory.evolve_memory_mc` read ceil(steps / 2) draws a trajectory.
+    """
     return trials * -(-steps // 2)
 
 
@@ -289,14 +244,18 @@ def evolve_iid_mc(
     trials: int,
     seed: int,
     threads: int = 1,
-) -> list[McEstimate]:
-    """Monte Carlo estimates after 0, 1, ..., ``plan.steps`` kicks, in one pass.
+) -> list[tuple[complex, float]]:
+    """Monte Carlo ``(b, stderr)`` after 0, 1, ..., ``plan.steps`` kicks, in one pass.
 
-    Deterministic for fixed (seed, trials) under any thread count:
-    trajectory t draws from the stream keyed by (seed, t) and block sums
-    are combined in a fixed order.
+    ``stderr`` is the larger of the standard errors of b's real and
+    imaginary parts; the populations stay ``rho0``'s.  Deterministic for
+    fixed (seed, trials) under any thread count: trajectory t draws from
+    the stream keyed by (seed, t) and block sums are combined in a fixed
+    order.
     """
     if isinstance(dist, ExponentialKicks) and math.isinf(dist.scale * math.log(2.0**-32)):
         raise ValueError("omega * tau1 is too large for Monte Carlo: its kick angles overflow")
+    from . import montecarlo
+
     phasors = lambda keys: _kick_phasors(dist, keys, plan.steps)
-    return McEstimate.from_phasors(rho0, phasors, trials, seed, threads)
+    return montecarlo.kicked_curve(rho0.b, phasors, trials, seed, threads)

@@ -25,7 +25,6 @@ import enum
 import math
 from typing import Callable, Iterator, NamedTuple
 
-from .kicks import McEstimate
 from .qubit import DensityMatrix2
 
 class SetLabel(enum.Enum):
@@ -234,11 +233,6 @@ def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.
         yield np.take(phasors, row, out=rng._empty(len(keys), np.complex128), mode="clip")
 
 
-def draw_charge(n: int, trials: int) -> int:
-    """Raw 64-bit draws :func:`evolve_memory_mc` reads for ``trials`` chains: one per two kicks."""
-    return trials * -(-n // 2)
-
-
 def evolve_memory_mc(
     rho0: DensityMatrix2,
     kern: MemoryKernel,
@@ -246,8 +240,8 @@ def evolve_memory_mc(
     trials: int,
     seed: int,
     threads: int = 1,
-) -> list[McEstimate]:
-    """Monte Carlo estimates after 0, 1, ..., n kicks over sampled chains, in one pass.
+) -> list[tuple[complex, float]]:
+    """Monte Carlo ``(b, stderr)`` after 0, 1, ..., n kicks over sampled chains, in one pass.
 
     Each chain starts in class A (initial angle 0); each step draws a
     kernel branch for the current class, rotates the coherence by
@@ -255,5 +249,7 @@ def evolve_memory_mc(
     converges to ``b * conj(f_k at class A)`` from
     :func:`coherence_recursion`.
     """
+    from . import montecarlo
+
     phasors = lambda keys: _chain_phasors(kern, keys, n)
-    return McEstimate.from_phasors(rho0, phasors, trials, seed, threads)
+    return montecarlo.kicked_curve(rho0.b, phasors, trials, seed, threads)

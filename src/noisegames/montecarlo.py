@@ -13,7 +13,8 @@ LeVeque, 1979), so estimates are bit-identical at any thread count.
 Two per-draw kernels serve the samplers: :func:`phasors` turns kick angles
 into e^{-i theta} and :func:`branch_index` picks a branch of a finite law
 straight from a raw 64-bit draw's 32-bit half, by the thresholds of
-:func:`draw_edges`.
+:func:`draw_edges`.  :func:`kicked_curve` runs both kick families' curves:
+each point a ``(b, stderr)`` pair of :func:`run`.
 """
 
 from __future__ import annotations
@@ -75,6 +76,26 @@ def phasors(theta: np.ndarray) -> np.ndarray:
     np.copyto(out.real, cosine)
     np.copyto(out.imag, s)
     return out
+
+
+def kicked_curve(b: complex, factors: Callable[[np.ndarray], Iterable[np.ndarray]], trials: int,
+                 seed: int, threads: int = 1) -> list[tuple[complex, float]]:
+    """Mean coherence and its standard error after 0, 1, ... kicks, in one pass.
+
+    ``factors(keys)`` yields each kick's phasor e^{-i theta} per
+    trajectory, in kick order; a trajectory's coherence is ``b`` times
+    their running product, one block-sized array updated in place.
+    """
+    def products(keys: np.ndarray) -> Iterator[np.ndarray]:
+        z = rng._empty(len(keys), np.complex128)
+        z.fill(b)
+        yield z
+        for f in factors(keys):
+            z *= f
+            del f  # its array is free for the next factor
+            yield z
+
+    return run(lambda keys: (products(keys), None), trials, seed, threads)[0]
 
 
 def draw_edges(weights: Sequence[float]) -> np.ndarray:

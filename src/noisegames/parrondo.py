@@ -21,6 +21,8 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
+from .qubit import checked
+
 
 def is_winning(k, L: int):
     """True where position k of Z_L lies in the closed interval [-pi/2, pi/2].
@@ -33,7 +35,7 @@ def is_winning(k, L: int):
     return (4 * k <= L) | (4 * k >= 3 * L)
 
 
-class RotationGame(NamedTuple("RotationGame", [("m", int)])):
+class RotationGame(checked("RotationGame", [("m", int)])):
     """Robot that rotates by 2*pi*j/m, j uniform on 0..m-1 (m odd)."""
 
     __slots__ = ()
@@ -47,7 +49,7 @@ class RotationGame(NamedTuple("RotationGame", [("m", int)])):
         return super().__new__(cls, m)
 
 
-class CombinedGame(NamedTuple("CombinedGame", [("games", tuple)])):
+class CombinedGame(checked("CombinedGame", [("games", tuple)])):
     """Uniform random mixture of rotation games, played on Z_lcm(moduli)."""
 
     __slots__ = ()

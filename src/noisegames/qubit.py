@@ -2,7 +2,9 @@
 
 :class:`DensityMatrix2` is the 2x2 Hermitian matrix
 ``((a, b), (conj(b), c))`` with unit trace; ``abs(b)`` is the coherence.
-Its constructor checks that the matrix is a valid state.
+Its constructor checks that the matrix is a valid state, where a state
+enters from outside (the CLI's initial state, a library caller's).  Every
+record that checks its fields builds on :func:`checked`.
 """
 
 from __future__ import annotations
@@ -14,11 +16,22 @@ from typing import NamedTuple
 ATOL_STATE = 1e-12
 
 
+def checked(typename: str, fields: list[tuple[str, type]]) -> type:
+    """The named-tuple base of a record that checks its fields in ``__new__``.
+
+    Its ``_make``, which ``_replace`` calls, builds with ``cls(*iterable)``,
+    so neither gives a record that the checks would refuse.
+    """
+    base = NamedTuple(typename, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
 def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
-class DensityMatrix2(NamedTuple("DensityMatrix2", [("a", float), ("b", complex), ("c", float)])):
+class DensityMatrix2(checked("DensityMatrix2", [("a", float), ("b", complex), ("c", float)])):
     """Qubit state ``((a, b), (conj(b), c))``: populations a, c; coherence b."""
 
     __slots__ = ()

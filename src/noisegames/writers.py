@@ -70,8 +70,8 @@ def json_text(value, pad: str = "\n") -> str:
 def _json_rows(rows, pad: str) -> str | None:
     """``rows``, dicts that share one nonempty set of ``str`` keys, as
     :func:`json_text` writes list items at ``pad``, from one row template;
-    else None.  A column of finite floats, ints or strs is formatted inline,
-    any other leaf by leaf.
+    else None.  A column of finite floats or ints is formatted inline, any
+    other leaf by leaf.
     """
     first = rows[0]
     if (set(map(type, rows)) != {dict} or set(map(type, first)) != {str}
@@ -87,8 +87,6 @@ def _json_rows(rows, pad: str) -> str | None:
             spec = "%r"
         elif kinds == {int}:
             spec = "%d"
-        elif kinds == {str}:
-            column = list(map(_encode_str, column))
         else:
             column = [json_text(v, inner) for v in column]
         fields.append(inner + _encode_str(key).replace("%", "%%") + ": " + spec)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from noisegames import cli, dissipative, grover, kicks, memory, parrondo, rng, writers
+from noisegames import cli, dissipative, grover, kicks, memory, parrondo, qubit, rng, writers
 
 
 def run_cli(argv):
@@ -338,14 +338,39 @@ class TestExitCodes:
         assert len(env["results"]["curve"]) == cli.CURVE_MAX_STEPS + 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [["iid", "--mu=0.5"], ["iid", "--mu=0.1", "--trials=2"],
+         ["iid", "--dist=delta", "--angles=0.5", "--trials=2"]],
+        ids=["gaussian-exact", "gaussian-mc", "delta-mc"],
+    )
+    def test_long_noiseless_curves_print_their_coherences(self, argv):
+        # over 2^16 rounded products a pure state's |b| drifts past |b0| by
+        # more than a state check's tolerance; the curve is printed as computed
+        steps = cli.CURVE_MAX_STEPS
+        env = run_json([*argv, f"--steps={steps}"])
+        rho0 = cli._initial_state({"a0": 0.5, "b0_re": 0.5, "b0_im": 0.0})
+        dist = (kicks.DeltaMixture.uniform([0.5]) if "--dist=delta" in argv
+                else kicks.GaussianKicks(float(argv[1].split("=")[1]), 0.0))
+        bs = kicks.evolve_iid(rho0, dist, kicks.EvolutionPlan(steps))
+        curve, final = env["results"]["curve"], env["results"]["final"]
+        assert [row["analytic_coherence"] for row in curve] == [abs(b) for b in bs]
+        assert final == {"a": 0.5, "b_re": bs[-1].real, "b_im": bs[-1].imag,
+                         "coherence": abs(bs[-1])}
+        mc = [row["coherence"] for row in curve]
+        if env["diagnostics"]["mc"]:  # every trajectory takes the same kicks
+            assert all(row["mc_stderr"] == 0.0 for row in curve)
+        assert abs(max(mc) - 0.5) < 1e-11
+        assert max(mc) ** 2 > 0.25 + qubit.ATOL_STATE  # a state the checks would refuse
+
+    @pytest.mark.parametrize(
         "argv, charge",
         [
             (["iid", "--steps", "4096", "--trials", str(2**21 + 1)],
-             kicks.draw_charge(kicks.GaussianKicks(0.0, 0.0), 4096, 2**21 + 1)),
+             kicks.draw_charge(4096, 2**21 + 1)),
             (["iid", "--steps", "1", "--trials", str(cli.MC_MAX_DRAWS + 1)],
-             kicks.draw_charge(kicks.GaussianKicks(0.0, 0.0), 1, cli.MC_MAX_DRAWS + 1)),
+             kicks.draw_charge(1, cli.MC_MAX_DRAWS + 1)),
             (["memory", "--steps", "20", "--trials", str(cli.MC_MAX_DRAWS // 10 + 1)],
-             memory.draw_charge(20, cli.MC_MAX_DRAWS // 10 + 1)),
+             kicks.draw_charge(20, cli.MC_MAX_DRAWS // 10 + 1)),
         ],
         ids=["iid-4096x2e21", "iid-odd-past-bound", "memory-20-past-bound"],
     )
@@ -359,10 +384,8 @@ class TestExitCodes:
         assert run_cli([*argv, "--exact"])[0] == 0
 
     def test_draw_bound_admits_curves_past_two_to_the_28_kicks(self):
-        gaussian = kicks.GaussianKicks(0.0, 0.0)
         for steps, trials in ((2000, 200_000), (1999, 200_000), (20, 20_000_000)):
-            assert kicks.draw_charge(gaussian, steps, trials) <= cli.MC_MAX_DRAWS
-            assert memory.draw_charge(steps, trials) <= cli.MC_MAX_DRAWS
+            assert kicks.draw_charge(steps, trials) <= cli.MC_MAX_DRAWS
 
     def test_adaptive_draw_bound_admits_n10(self, monkeypatch):
         counted = count_draws(monkeypatch)
@@ -406,28 +429,26 @@ class TestExitCodes:
 _TWO_BLOCKS = 70_000  # trials or rounds: two blocks, split between threads at --threads 2
 
 
-_GAUSSIAN = (["iid", "--sigma2=0.5"], kicks.GaussianKicks(0.0, 0.5))
-_EXPONENTIAL = (["iid", "--dist=exponential"], kicks.ExponentialKicks(1.0, 1.0))
-_DELTA = (["iid", "--dist=delta", "--angles=0,1"], kicks.DeltaMixture.uniform((0.0, 1.0)))
+_GAUSSIAN = ["iid", "--sigma2=0.5"]
+_EXPONENTIAL = ["iid", "--dist=exponential"]
+_DELTA = ["iid", "--dist=delta", "--angles=0,1"]
 
 
 def _iid_case(law, steps: int, name: str):
-    argv, dist = law
-    charge = kicks.draw_charge(dist, steps, _TWO_BLOCKS)
-    return pytest.param([*argv, f"--steps={steps}"], charge, 0, id=name)
+    charge = kicks.draw_charge(steps, _TWO_BLOCKS)
+    return pytest.param([*law, f"--steps={steps}"], charge, 0, id=name)
 
 
 def _memory_case(steps: int, name: str):
-    charge = memory.draw_charge(steps, _TWO_BLOCKS)
+    charge = kicks.draw_charge(steps, _TWO_BLOCKS)
     return pytest.param(["memory", f"--steps={steps}"], charge, 0, id=name)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 20])
 def test_kick_families_charge_one_draw_per_two_kicks(steps):
-    # stream layout 6: each raw draw serves two kicks, and a dissipative trial reads one
-    for _, dist in (_GAUSSIAN, _EXPONENTIAL, _DELTA):
-        assert kicks.draw_charge(dist, steps, 7) == 7 * ((steps + 1) // 2)
-    assert memory.draw_charge(steps, 7) == 7 * ((steps + 1) // 2)
+    # stream layout 6: each raw draw serves two kicks of an iid or memory
+    # curve, whatever the law, and a dissipative trial reads one
+    assert kicks.draw_charge(steps, 7) == 7 * ((steps + 1) // 2)
     assert dissipative.draw_charge(7) == 7
 
 
@@ -496,7 +517,7 @@ class TestZScores:
         rho0 = cli._initial_state({"a0": 0.5, "b0_re": 0.3, "b0_im": 0.25})
         estimates = memory.evolve_memory_mc(rho0, kern, 3, 1000, 3)
         for n in range(1, 4):
-            b, se = estimates[n].rho_est.b, estimates[n].stderr
+            b, se = estimates[n]
             assert env["diagnostics"]["z_re"][n] == (b.real - exact[n].real) / se
             assert env["diagnostics"]["z_im"][n] == (b.imag - exact[n].imag) / se
 

@@ -47,9 +47,8 @@ def test_iid_curve_matches_per_point_estimator(name, threads):
     dist = DISTS[name]
     curve = evolve_iid_mc(RHO0, dist, EvolutionPlan(STEPS), TRIALS, SEED, threads)
     assert len(curve) == STEPS + 1
-    for k, est in enumerate(curve):
-        mean, stderr = iid_mc_point(RHO0.b, dist, k, TRIALS, SEED, threads)
-        assert (est.rho_est.b, est.stderr) == (mean, stderr), k
+    for k, point in enumerate(curve):
+        assert point == iid_mc_point(RHO0.b, dist, k, TRIALS, SEED, threads), k
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -58,9 +57,8 @@ def test_memory_curve_matches_per_point_estimator(variant, threads):
     kern = kernel(variant, 1e-3)
     curve = evolve_memory_mc(RHO0, kern, STEPS, TRIALS, SEED, threads)
     assert len(curve) == STEPS + 1
-    for k, est in enumerate(curve):
-        mean, stderr = memory_mc_point(RHO0.b, kern, k, TRIALS, SEED, threads)
-        assert (est.rho_est.b, est.stderr) == (mean, stderr), k
+    for k, point in enumerate(curve):
+        assert point == memory_mc_point(RHO0.b, kern, k, TRIALS, SEED, threads), k
 
 
 def test_constant_samples_have_zero_stderr():

@@ -1,10 +1,13 @@
 """The package's records: read-only, equal and hashed by value, and checked when built.
 
 Every record is a named tuple.  One that checks or coerces its fields does
-so in ``__new__``, so no record exists that its checks would refuse.
+so in ``__new__``, and builds on ``qubit.checked``, whose ``_make`` (and so
+``_replace``) goes through ``__new__``: no record exists that its checks
+would refuse.
 """
 
 import math
+import re
 
 import pytest
 
@@ -18,7 +21,6 @@ from noisegames.kicks import (
     EvolutionPlan,
     ExponentialKicks,
     GaussianKicks,
-    McEstimate,
 )
 from noisegames.memory import CoherenceTrace, KernelBranch, KernelVariant, SetLabel
 from noisegames.parrondo import CombinedGame, GameStats, RotationGame, SimulatedStats, Spectrum
@@ -40,7 +42,6 @@ _SAMPLES = {
     GaussianKicks: lambda: GaussianKicks(0.3, 1),
     DecayFactor: lambda: DecayFactor(1, 0.25),
     EvolutionPlan: lambda: EvolutionPlan(12),
-    McEstimate: lambda: McEstimate(DensityMatrix2(0.5, 0.25j, 0.5), 0.125),
     KernelBranch: lambda: KernelBranch(0.5, 0.001, SetLabel.SET_B),
     memory.MemoryKernel: lambda: memory.kernel(KernelVariant.COMBINED, 1e-3),
     CoherenceTrace: lambda: CoherenceTrace(((0.5 + 0.5j, 0.25j),), None),
@@ -69,7 +70,7 @@ def test_every_record_has_a_sample():
     assert _records() == set(_SAMPLES)
     exported = {v for v in vars(noisegames).values()
                 if isinstance(v, type) and issubclass(v, tuple)}
-    assert len(exported) == 19 and exported <= set(_SAMPLES)
+    assert len(exported) == 18 and exported <= set(_SAMPLES)
 
 
 @pytest.mark.parametrize("cls", list(_SAMPLES), ids=lambda cls: cls.__name__)
@@ -115,7 +116,6 @@ def test_constructors_coerce_their_fields():
     assert DeltaMixture([[1, 0], (0, 2)]).pairs == ((1.0, 0.0),)  # weight 0 is dropped
     assert [type(v) for v in ExponentialKicks(2, 1)] == [float, float]
     assert [type(v) for v in GaussianKicks(0, 1)] == [float, float]
-    assert [type(v) for v in DecayFactor(1, 0)] == [float, float]
     assert type(EvolutionPlan(3.0).steps) is int
     assert type(RotationGame(7.0).m) is int
     assert CombinedGame(g for g in [RotationGame(3)]).games == (RotationGame(3),)
@@ -151,8 +151,6 @@ _NAN, _INF = math.nan, math.inf
         (lambda: ExponentialKicks(1e200, 1e200), "omega * tau1 must be finite and positive"),
         (lambda: GaussianKicks(_INF, 0), "mu and sigma2 must be finite"),
         (lambda: GaussianKicks(0, -1), "sigma2 must be nonnegative"),
-        (lambda: DecayFactor(1.5, 0), "gamma must lie in [0, 1]"),
-        (lambda: DecayFactor(_NAN, 0), "gamma must lie in [0, 1]"),
         (lambda: EvolutionPlan(-1), "steps must be a nonnegative integer"),
         (lambda: EvolutionPlan(2.5), "steps must be a nonnegative integer"),
         (lambda: RotationGame(2.5), "modulus must be an integer"),
@@ -165,3 +163,38 @@ def test_checking_records_refuse_bad_fields(build, message):
     with pytest.raises(ValueError) as refused:
         build()
     assert str(refused.value) == message
+
+
+# Per checking record: fields its checks refuse, the message, and a field to
+# replace with a refused value.
+_REFUSED = {
+    DensityMatrix2: ((2.0, 5j, -1.0), "populations must be nonnegative", {"b": 0.6}),
+    NoiseScales: ((-1.0, 0.0), "noise scales must be finite and nonnegative", {"lambda_pd": _INF}),
+    GameConfig: ((0, 99), "n_qubits must lie in [1, 60]", {"n_qubits": 61}),
+    FixedHorizon: ((-1,), "horizon must be a nonnegative integer", {"m": -1}),
+    AdaptiveTracking: ((0.5,), "k_star must be a nonnegative integer", {"k_star": -1}),
+    DeltaMixture: ((((0.5, 0.0), (0.6, 1.0)),), "weights must sum to 1 within 1e-12",
+                   {"pairs": ((0.0, 0.0),)}),
+    ExponentialKicks: ((0.0, 1.0), "omega * tau1 must be finite and positive", {"tau1": -1.0}),
+    GaussianKicks: ((0.0, -1.0), "sigma2 must be nonnegative", {"mu": _NAN}),
+    EvolutionPlan: ((2.5,), "steps must be a nonnegative integer", {"steps": -1}),
+    RotationGame: ((4,), "modulus must be odd and positive", {"m": 2.5}),
+    CombinedGame: (((),), "need at least one game", {"games": []}),
+}
+
+
+def test_every_checking_record_is_refused_below():
+    # a record checks its fields exactly when it subclasses its named-tuple base
+    assert {cls for cls in _records() if cls.__bases__ != (tuple,)} == set(_REFUSED)
+
+
+@pytest.mark.parametrize("cls", list(_REFUSED), ids=lambda cls: cls.__name__)
+def test_make_and_replace_run_the_checks(cls):
+    fields, message, replaced = _REFUSED[cls]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        cls._make(fields)
+    with pytest.raises(ValueError):
+        _SAMPLES[cls]()._replace(**replaced)
+    sample = _SAMPLES[cls]()
+    assert cls._make(sample) == sample and type(cls._make(sample)) is cls
+    assert sample._replace() == sample

@@ -25,17 +25,24 @@ branch picks take the binary search on both halves), and after them the
 CSV of each subcommand that has one (``iid`` and ``memory`` curves of
 3,000 steps, the wheel of ``parrondo --moduli 19,23`` and a ``grover``
 curve longer than one ``writers.CHUNK_ROWS`` chunk), each to stdout and
-to an ``--out`` file, and last ``grover`` Monte Carlo runs of 7 and 5
+to an ``--out`` file, then ``grover`` Monte Carlo runs of 7 and 5
 blocks, more than a window of 2 blocks per pool thread holds, at
-``--threads`` 1, 2 and 3, and last, at ``--threads`` 1, inputs refused by
+``--threads`` 1, 2 and 3, then, at ``--threads`` 1, inputs refused by
 every check of a record's constructor that a CLI input can reach (the
 state, the noise scales, the search instance and both stopping rules,
 each kick law and the wheel's moduli), whose bytes are the exit code and
-the message.
+the message, then noiseless ``iid`` curves of ``cli.CURVE_MAX_STEPS``
+kicks, whose pure state's |b| drifts past |b0| by rounding (Gaussian at
+mu 0.5 on the exact route, at mu 0.1 and a one-angle delta law by Monte
+Carlo), at ``--threads`` 1 and 2, and last a ``--config`` round trip per
+subcommand: a Monte Carlo run's ``inputs`` echo, written to a file, run
+again with ``--config`` at ``--threads`` 1 and 2.
 Each line is ``<exit code> <sha256> <argv>``, where the hash covers what
-the run printed to stdout and to stderr and the file it wrote with
-``--out``.  Two checkouts give every invocation the same exit code and the
-same output bytes exactly when their ledgers are equal::
+the run printed to stdout and to stderr and the files it wrote with
+``--out`` or read with ``--config``; a round trip's line ends with
+``# inputs of`` the argv whose echo it read.  Two checkouts give every
+invocation the same exit code and the same output bytes exactly when
+their ledgers are equal::
 
     python3 tools/byte_ledger.py > ledger.txt    # in each checkout
     diff ledger_a.txt ledger_b.txt
@@ -49,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -209,13 +217,48 @@ def refusal_argvs() -> list[list[str]]:
     return [argv + ["--threads=1"] for argv in runs]
 
 
-def entry(argv: list[str]) -> str:
-    """One ledger line for ``argv``, run in a fresh temporary directory."""
+def long_curve_argvs() -> list[list[str]]:
+    """Noiseless ``iid`` curves of ``cli.CURVE_MAX_STEPS`` kicks, at 1 and 2 threads."""
+    steps = f"--steps={cli.CURVE_MAX_STEPS}"
+    runs = [["iid", "--mu=0.5", steps], ["iid", "--mu=0.1", steps, "--trials=2"],
+            ["iid", "--dist=delta", "--angles=0.5", steps, "--trials=2"]]
+    return [argv + [f"--threads={threads}"] for argv in runs for threads in (1, 2)]
+
+
+# One Monte Carlo run per subcommand, whose ``inputs`` echo is read back from CONFIG.
+CONFIG = "inputs.json"
+CONFIG_SOURCES = [
+    ["iid", "--dist=delta", "--angles=0.3,-1,2", "--weights=0.5,0.3,0.2", "--steps=5",
+     "--trials=1000", "--seed=9"],
+    ["memory", "--variant=pure-b", "--epsilon=0.1", "--steps=5", "--trials=1000", "--seed=9"],
+    ["dissipative", "--p=0.3", "--a0=0.3", "--b0-re=0.2", "--b0-im=0.35", "--trials=1000",
+     "--seed=9"],
+    ["parrondo", "--moduli=3,7", "--trials=10000", "--seed=9"],
+    ["grover", "--n-qubits=6", "--strategy=adaptive", "--trials=1000", "--seed=9"],
+]
+
+
+def config_runs() -> list[tuple[list[str], list[str]]]:
+    """(argv, source): each source's echo run again from ``--config``, at 1 and 2 threads."""
+    return [([source[0], f"--config={CONFIG}", f"--threads={threads}"], source)
+            for source in CONFIG_SOURCES for threads in (1, 2)]
+
+
+def entry(argv: list[str], source: list[str] | None = None) -> str:
+    """One ledger line for ``argv``, run in a fresh temporary directory.
+
+    With ``source``, that run's ``inputs`` echo is first written to
+    ``CONFIG`` there, and the line ends with ``# inputs of`` its argv.
+    """
     out, err = io.StringIO(), io.StringIO()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            if source is not None:
+                echo = io.StringIO()
+                assert cli.run(source, stdout=echo) == 0, source
+                Path(CONFIG).write_text(json.dumps(json.loads(echo.getvalue())["inputs"]))
             with contextlib.redirect_stderr(err):
                 code = cli.run(argv, stdout=out)
             digest = hashlib.sha256(out.getvalue().encode())
@@ -224,14 +267,17 @@ def entry(argv: list[str]) -> str:
                 digest.update(b"\0" + name.encode() + b"\0" + Path(name).read_bytes())
         finally:
             os.chdir(here)
-    return f"{code} {digest.hexdigest()} {shlex.join(argv)}"
+    line = f"{code} {digest.hexdigest()} {shlex.join(argv)}"
+    return line if source is None else f"{line}  # inputs of {shlex.join(source)}"
 
 
 def main() -> None:
     for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wheel_argvs(),
                  *dissipative_argvs(), *curve_argvs(), *search_argvs(), *halves_argvs(),
-                 *csv_argvs(), *window_argvs(), *refusal_argvs()]:
+                 *csv_argvs(), *window_argvs(), *refusal_argvs(), *long_curve_argvs()]:
         print(entry(argv), flush=True)
+    for argv, source in config_runs():
+        print(entry(argv, source), flush=True)
 
 
 if __name__ == "__main__":
