@@ -28,7 +28,7 @@ import sys
 from contextlib import nullcontext
 from typing import NamedTuple
 
-from . import __version__, dissipative, grover, kicks, memory, parrondo, writers
+from . import __version__, writers
 from .qubit import DensityMatrix2, coherence
 
 
@@ -189,7 +189,7 @@ def _state_entries(rho: DensityMatrix2) -> dict:
     return {"a": rho.a, "b_re": rho.b.real, "b_im": rho.b.imag, "c": rho.c}
 
 
-def _rates(stats: parrondo.GameStats) -> dict:
+def _rates(stats) -> dict:
     """A wheel game's exact win probability and net rate, as fractions and floats."""
     return {
         "win_prob": stats.win_prob,
@@ -219,6 +219,8 @@ def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
 # (values the echo must show instead of the resolved ones, results,
 # diagnostics, and the CSV header, row format and a function returning the
 # row columns, or None).  The rows are formatted only when the CSV is written.
+# A handler imports its family where it starts, so importing the CLI and
+# building its parser load no family module and a run loads only its own.
 
 
 def _limit_draws(draws: int) -> None:
@@ -229,6 +231,8 @@ def _limit_draws(draws: int) -> None:
 
 
 def _cmd_iid(v: dict, threads: int):
+    from . import kicks
+
     rho0 = _initial_state(v)
     derived = {}
     if v["dist"] == "delta":
@@ -270,11 +274,15 @@ def _cmd_iid(v: dict, threads: int):
 
 
 def _cmd_memory(v: dict, threads: int):
+    from . import memory
+
     rho0 = _initial_state(v)
     steps = v["steps"]
     kern = memory.kernel(memory.KernelVariant(v["variant"]), v["epsilon"])
     run_mc = v["trials"] > 0 and not v["exact"]
     if run_mc:
+        from . import kicks
+
         _limit_draws(kicks.draw_charge(steps, v["trials"]))
     trace = memory.coherence_recursion(kern, steps)
     estimates, diagnostics = [], {"mc": False}
@@ -298,6 +306,8 @@ def _cmd_memory(v: dict, threads: int):
 
 
 def _cmd_dissipative(v: dict, threads: int):
+    from . import dissipative
+
     rho0 = _initial_state(v)
     p, trials = v["p"], v["trials"]
     scales = dissipative.NoiseScales(v["lambda_ad"], v["lambda_pd"])
@@ -329,6 +339,8 @@ def _cmd_dissipative(v: dict, threads: int):
 
 
 def _cmd_parrondo(v: dict, threads: int):
+    from . import parrondo
+
     moduli, rounds = v["moduli"], v["trials"]
     if not moduli:
         raise ValueError("need at least one modulus")
@@ -364,6 +376,8 @@ def _cmd_parrondo(v: dict, threads: int):
 
 
 def _cmd_grover(v: dict, threads: int):
+    from . import grover
+
     config = grover.GameConfig(v["n_qubits"], v["target"])
     best_k = grover.optimal_k(config)
     rule_k = grover.quarter_pi_k(config)
@@ -432,8 +446,7 @@ _COMMANDS = {
     )),
     "memory": (_cmd_memory, "correlated phase kicks over two angle classes", (
         *_COMMON,
-        _Param("variant", str, "combined",
-               choices=tuple(k.value for k in memory.KernelVariant)),
+        _Param("variant", str, "combined", choices=("pure-a", "pure-b", "combined")),
         _Param("epsilon", float, 1e-3),
         _Param("steps", int, 20, lo=1, hi=CURVE_MAX_STEPS),
         *_STATE,

@@ -23,6 +23,7 @@ onto the same stream.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -73,24 +74,25 @@ class _BlockArrays:
     _FREE_REFS = _free_refs()
 
     def __init__(self):
-        self._buffers: list[np.ndarray] = []
+        self._buffers: list[np.ndarray] = []  # in increasing size
+        self._itemsizes: dict = {}  # dtype argument -> its item size
 
     def empty(self, shape, dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        nbytes = (shape if isinstance(shape, int) else math.prod(shape)) * dtype.itemsize
-        best = largest = None
+        itemsize = self._itemsizes.get(dtype)
+        if itemsize is None:
+            itemsize = self._itemsizes[dtype] = np.dtype(dtype).itemsize
+        nbytes = (shape if isinstance(shape, int) else math.prod(shape)) * itemsize
+        largest = None
         for b in self._buffers:
             if sys.getrefcount(b) == self._FREE_REFS:
-                if nbytes <= len(b) and (best is None or len(b) < len(best)):
-                    best = b
-                if largest is None or len(b) > len(largest):
-                    largest = b
-        if best is None:
-            if largest is not None:
-                self._buffers = [b for b in self._buffers if b is not largest]
-            best = np.empty(nbytes, dtype=np.uint8)
-            self._buffers.append(best)
-        return best[:nbytes].view(dtype).reshape(shape)
+                if nbytes <= len(b):  # the smallest free one that fits
+                    return np.ndarray(shape, dtype, b)
+                largest = b  # the last free one seen is the largest
+        if largest is not None:
+            self._buffers = [b for b in self._buffers if b is not largest]
+        best = np.empty(nbytes, dtype=np.uint8)
+        bisect.insort(self._buffers, best, key=len)
+        return np.ndarray(shape, dtype, best)
 
 
 # .arrays: the set of the run_blocks call that runs a block on this thread,

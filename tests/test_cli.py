@@ -1173,16 +1173,106 @@ def test_cold_start_loads_no_dataclasses_or_fractions():
     assert proc.returncode == 0, proc.stderr
 
 
+_FAMILIES = ("dissipative", "grover", "kicks", "memory", "parrondo")
+_LAYERS = (*_FAMILIES, "qubit", "montecarlo", "rng")
+
+
 def test_package_binds_drawing_layers_once_numpy_is_loaded():
     # code that walks the package's layers, such as a tracer wrapping each
-    # module's functions, finds rng and montecarlo when numpy came first
-    proc = _run_blocking((), """
+    # module's functions, finds every layer and every export bound at import
+    # when numpy came first
+    proc = _run_blocking((), f"""
         import numpy
         import noisegames
-        assert noisegames.rng is sys.modules["noisegames.rng"]
-        assert noisegames.montecarlo is sys.modules["noisegames.montecarlo"]
+        for layer in {_LAYERS!r}:
+            assert getattr(noisegames, layer) is sys.modules[f"noisegames.{{layer}}"], layer
+        for name, layer in noisegames._EXPORTS.items():
+            module = sys.modules[f"noisegames.{{layer}}"]
+            assert vars(noisegames)[name] is getattr(module, name), name
         """)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_each_run_loads_only_its_own_family():
+    # Importing the CLI and building its parser load no family module and no
+    # numpy module.  A run then loads its subcommand's family alone, or none
+    # when argparse stops it first; each run's new modules are unloaded
+    # after it, so the next one starts from the same cold start.  Every
+    # export then imports from the package and is listed by dir().
+    proc = _run_blocking((), f"""
+        import contextlib, io
+        import noisegames
+        from noisegames import cli
+        cli.build_parser()
+        lazy = {{f"noisegames.{{m}}" for m in {_FAMILIES!r} + ("rng", "montecarlo")}}
+        assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))
+
+        def ours():
+            return {{m for m in sys.modules if m.startswith("noisegames.")}}
+
+        for argv in {_EXACT_ARGVS!r}:
+            before = ours()
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    cli.build_parser(argv[0]).parse_args(argv)
+                    want = {{"noisegames." + {{"iid": "kicks"}}.get(argv[0], argv[0])}}
+                except SystemExit:
+                    want = set()
+                cli.run(argv, stdout=sink)
+            new = ours() - before
+            assert new == want, (argv, new)
+            for name in new:
+                del sys.modules[name]
+                delattr(noisegames, name.rpartition(".")[2])
+        for name in noisegames._EXPORTS:
+            exec(f"from noisegames import {{name}}")
+            assert name in dir(noisegames), name
+        """)
+    assert proc.returncode == 0, proc.stderr
+
+
+# One small Monte Carlo run per subcommand, at --threads 1 and 2.
+_MC_ARGVS = [
+    argv + [f"--threads={threads}"]
+    for argv in (
+        ["iid", "--dist=delta", "--angles=-1,0,1", "--steps=3", "--trials=300", "--seed=3"],
+        ["iid", "--mu=0.2", "--sigma2=0.5", "--steps=4", "--trials=300", "--seed=4"],
+        ["memory", "--epsilon=0.1", "--steps=4", "--trials=300", "--seed=5"],
+        ["dissipative", "--trials=300", "--seed=6"],
+        ["parrondo", "--moduli=3,7", "--trials=3000", "--seed=7"],
+        ["grover", "--n-qubits=5", "--strategy=adaptive", "--trials=300", "--seed=8"],
+    )
+    for threads in (1, 2)
+]
+
+
+def test_lazy_runs_print_the_bytes_of_eager_ones():
+    # A fresh interpreter that imports the CLI before numpy loads each family
+    # at its first run; it prints what the same runs print here, where numpy
+    # came first and the package bound every family at import.
+    proc = _run_blocking((), f"""
+        import contextlib, io, json
+        from noisegames import cli
+        assert "numpy" not in sys.modules
+        outputs = []
+        for argv in {_MC_ARGVS!r}:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(argv, stdout=out)
+            outputs.append([code, out.getvalue(), err.getvalue()])
+        print(json.dumps(outputs))
+        """)
+    assert proc.returncode == 0, proc.stderr
+    want = _outputs(_MC_ARGVS)
+    assert all(code == 0 for code, _, _ in want)
+    assert json.loads(proc.stdout) == want
+
+
+def test_variant_choices_are_the_kernel_variants():
+    # the parser lists them literally, so building it imports no memory module
+    (variant,) = [p for p in cli._COMMANDS["memory"][2] if p.key == "variant"]
+    assert variant.choices == tuple(k.value for k in memory.KernelVariant)
 
 
 def _parsed(parser, argv, capsys):

@@ -68,7 +68,7 @@ def _records():
 
 def test_every_record_has_a_sample():
     assert _records() == set(_SAMPLES)
-    exported = {v for v in vars(noisegames).values()
+    exported = {v for v in (getattr(noisegames, name) for name in noisegames.__all__)
                 if isinstance(v, type) and issubclass(v, tuple)}
     assert len(exported) == 18 and exported <= set(_SAMPLES)
 

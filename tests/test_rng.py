@@ -273,6 +273,25 @@ def test_blocks_of_a_thread_reuse_one_buffer(monkeypatch):
     assert len(addresses) == 4 and len(set(addresses)) == 1
 
 
+def test_block_arrays_hand_out_the_smallest_free_buffer_that_fits():
+    # a buffer is busy while any array views it; when no free one fits, the
+    # largest free one is replaced by one of the asked size
+    arrays = rng._BlockArrays()
+    sizes = lambda: sorted(len(b) for b in arrays._buffers)
+    buffer = lambda nbytes: next(b for b in arrays._buffers if len(b) == nbytes)
+    big = arrays.empty(8, np.float64)
+    small = arrays.empty((2, 1), np.complex64)
+    assert (small.shape, small.dtype, sizes()) == ((2, 1), np.complex64, [16, 64])
+    tail = small[1:]
+    del big, small
+    one = arrays.empty(1, np.uint8)  # the 16-byte buffer is busy through tail
+    assert one.base is buffer(64)
+    del one, tail
+    assert arrays.empty(3, np.int16).base is buffer(16)
+    huge = arrays.empty(100, np.float64)
+    assert sizes() == [16, 800] and huge.base is buffer(800)
+
+
 @pytest.mark.parametrize("threads", [1, 8])
 def test_arrays_handed_out_of_a_block_stay_its_own(threads, monkeypatch):
     def worker(start, count):

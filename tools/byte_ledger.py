@@ -49,6 +49,10 @@ their ledgers are equal::
 
 Every invocation runs in this process against the ``src`` of the checkout
 that holds this file; ``--out`` paths are written in a temporary directory.
+The CLI is imported before numpy, so the package binds no family module
+at import and each run loads its own family on first use, as a cold
+``noisegames`` command does; the script stops at start-up if a family
+module is already loaded after that import.
 """
 
 from __future__ import annotations
@@ -67,6 +71,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from noisegames import cli  # noqa: E402
+
+_FAMILIES = ("dissipative", "grover", "kicks", "memory", "parrondo")
+_EAGER = [name for name in (f"noisegames.{f}" for f in _FAMILIES) if name in sys.modules]
+if _EAGER:
+    sys.exit(f"family modules loaded with the CLI, not at their first run: {', '.join(_EAGER)}")
+
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2026, 77)
