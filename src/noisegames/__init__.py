@@ -8,12 +8,14 @@ Each export loads its module on first access: ``_EXPORTS`` maps every
 exported name to its module, and the module ``__getattr__`` (PEP 562)
 imports that module and binds the name here.  So importing the package or
 the CLI loads no family module (``kicks``, ``memory``, ``dissipative``,
-``parrondo``, ``grover``), and a CLI run loads only its own.  Only the
-Monte Carlo routes use numpy: the families import it, and the numpy
-modules ``rng`` and ``montecarlo``, inside the functions that draw.  When
-numpy is already loaded, the package imports every family, ``montecarlo``
-and ``rng`` and binds every export at import, so code that walks the
-package's layers finds them all.
+``parrondo``, ``grover``), no ``qubit`` and no subcommand handler, and a
+CLI run loads only its own family and its own command module,
+``noisegames.commands.<subcommand>``.  Only the Monte Carlo routes use
+numpy: the families import it, and the numpy modules ``rng`` and
+``montecarlo``, inside the functions that draw.  When numpy is already
+loaded, the package imports every family, ``montecarlo`` and ``rng`` and
+binds every export at import, so code that walks the package's layers
+finds them all.
 """
 
 import importlib

@@ -14,22 +14,27 @@ Exit codes: 0 success, 2 invalid parameters or usage, 1 runtime failure,
 Every subcommand parameter is declared once, as a :class:`_Param` in that
 subcommand's table: the table builds its flag, reads it from ``--config``
 and writes it into the ``inputs`` echo, so the echo is a valid config.
+
+This module holds only what every run uses: the limits, the parameter
+tables and the parser, the config and echo plumbing, and :func:`run`.  A
+run imports the handler of its own subcommand, ``run`` in
+``noisegames.commands.<name>``, after its arguments parse, and the
+``json`` package only to read a ``--config`` file; the envelope is written
+by :mod:`noisegames.writers`.  An unreadable config file is an invalid
+input (exit 2); failing to write ``--out`` is a runtime failure (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
-import json
-import math
-import operator
 import os
 import sys
 from contextlib import nullcontext
 from typing import NamedTuple
 
 from . import __version__, writers
-from .qubit import DensityMatrix2, coherence
 
 
 # A CSV is formatted and written writers.CHUNK_ROWS rows at a time, so its
@@ -180,256 +185,10 @@ def _echo(command: str, table: tuple, values: dict, derived: dict) -> dict:
     return inputs
 
 
-def _initial_state(v: dict) -> DensityMatrix2:
-    return DensityMatrix2(v["a0"], complex(v["b0_re"], v["b0_im"]), 1.0 - v["a0"])
-
-
-def _state_entries(rho: DensityMatrix2) -> dict:
-    """A state's entries as the envelope prints them."""
-    return {"a": rho.a, "b_re": rho.b.real, "b_im": rho.b.imag, "c": rho.c}
-
-
-def _rates(stats) -> dict:
-    """A wheel game's exact win probability and net rate, as fractions and floats."""
-    return {
-        "win_prob": stats.win_prob,
-        "win_prob_float": float(stats.win_prob),
-        "net_rate": stats.net_rate,
-        "net_rate_float": float(stats.net_rate),
-    }
-
-
-def _mc_diagnostics(exact: list[complex], estimates: list) -> dict:
-    """Each curve point's (MC - exact) / stderr, real and imaginary parts; None at stderr 0."""
-    diffs = [(b_mc - b, se) for b, (b_mc, se) in zip(exact, estimates)]
-    return {"mc": True, "z_re": [d.real / se if se else None for d, se in diffs],
-            "z_im": [d.imag / se if se else None for d, se in diffs]}
-
-
-def _curve(analytic: list[float], estimates: list) -> tuple[list[dict], tuple]:
-    """Curve rows n = 0, 1, ... (Monte Carlo where estimated) and their CSV form."""
-    curve = [{"n": n, "analytic_coherence": a, "coherence": a} for n, a in enumerate(analytic)]
-    for row, (b, se) in zip(curve, estimates):
-        row["coherence"], row["mc_stderr"] = abs(b), se
-    columns = lambda: (range(len(curve)), map(operator.itemgetter("coherence"), curve), analytic)
-    return curve, ("n,coherence,analytic_coherence", "%d,%r,%r", columns)
-
-
-# Each handler takes the resolved parameters and the thread count and returns
-# (values the echo must show instead of the resolved ones, results,
-# diagnostics, and the CSV header, row format and a function returning the
-# row columns, or None).  The rows are formatted only when the CSV is written.
-# A handler imports its family where it starts, so importing the CLI and
-# building its parser load no family module and a run loads only its own.
-
-
-def _limit_draws(draws: int) -> None:
-    """Refuse a Monte Carlo run charged more than ``MC_MAX_DRAWS`` draws."""
-    if draws > MC_MAX_DRAWS:
-        raise ValueError(f"the Monte Carlo run needs {draws} draws; "
-                         f"a run is limited to {MC_MAX_DRAWS}")
-
-
-def _cmd_iid(v: dict, threads: int):
-    from . import kicks
-
-    rho0 = _initial_state(v)
-    derived = {}
-    if v["dist"] == "delta":
-        if not v["angles"]:
-            raise ValueError("delta mixture needs --angles")
-        if v["weights"] is None:
-            dist = kicks.DeltaMixture.uniform(v["angles"])
-        elif len(v["weights"]) != len(v["angles"]):
-            raise ValueError(
-                f"--weights has {len(v['weights'])} values but --angles has {len(v['angles'])}"
-            )
-        else:
-            dist = kicks.DeltaMixture(tuple(zip(v["weights"], v["angles"])))
-        derived = {"angles": list(dist.angles), "weights": list(dist.weights)}
-    elif v["dist"] == "gaussian":
-        dist = kicks.GaussianKicks(v["mu"], v["sigma2"])
-    else:
-        dist = kicks.ExponentialKicks(v["omega"], v["tau1"])
-
-    run_mc = v["trials"] > 0 and not v["exact"]
-    if run_mc:
-        _limit_draws(kicks.draw_charge(v["steps"], v["trials"]))
-    factor = kicks.char_function(dist)
-    plan = kicks.EvolutionPlan(v["steps"])
-    bs = kicks.evolve_iid(rho0, dist, plan)
-    estimates = []
-    if run_mc:
-        estimates = kicks.evolve_iid_mc(rho0, dist, plan, v["trials"], v["seed"], threads)
-    # the curve starts at coherence(rho0), abs(bs[0]) bit for bit, as memory's does
-    curve, csv_data = _curve([coherence(rho0), *map(abs, bs[1:])], estimates)
-
-    results = {
-        "gamma": factor.gamma,
-        "phi": factor.phi,
-        "final": {"a": rho0.a, "b_re": bs[-1].real, "b_im": bs[-1].imag, "coherence": abs(bs[-1])},
-        "curve": curve,
-    }
-    return derived, results, _mc_diagnostics(bs, estimates) if run_mc else {"mc": False}, csv_data
-
-
-def _cmd_memory(v: dict, threads: int):
-    from . import memory
-
-    rho0 = _initial_state(v)
-    steps = v["steps"]
-    kern = memory.kernel(memory.KernelVariant(v["variant"]), v["epsilon"])
-    run_mc = v["trials"] > 0 and not v["exact"]
-    if run_mc:
-        from . import kicks
-
-        _limit_draws(kicks.draw_charge(steps, v["trials"]))
-    trace = memory.coherence_recursion(kern, steps)
-    estimates, diagnostics = [], {"mc": False}
-    if run_mc:
-        estimates = memory.evolve_memory_mc(rho0, kern, steps, v["trials"], v["seed"], threads)
-        exact = [rho0.b] + [rho0.b * fa.conjugate() for fa, _ in trace.values]
-        diagnostics = _mc_diagnostics(exact, estimates)
-    c0 = coherence(rho0)
-    analytic = [c0] + [c0 * abs(fa) for fa, _ in trace.values]
-    curve, csv_data = _curve(analytic, estimates)
-
-    results = {
-        "decay_per_step": trace.decay_per_step,
-        "final_f0_re": trace.final_a.real,
-        "final_f0_im": trace.final_a.imag,
-        "final_feps_re": trace.final_b.real,
-        "final_feps_im": trace.final_b.imag,
-        "curve": curve,
-    }
-    return {}, results, diagnostics, csv_data
-
-
-def _cmd_dissipative(v: dict, threads: int):
-    from . import dissipative
-
-    rho0 = _initial_state(v)
-    p, trials = v["p"], v["trials"]
-    scales = dissipative.NoiseScales(v["lambda_ad"], v["lambda_pd"])
-    first = dissipative.averaged_channel_first_order(rho0, p, scales)
-    times = dissipative.relaxation_times(p, scales, v["tau0"])
-    # noiseless: no relaxation to bound, as t1 and t2 are inf
-    noiseless = scales.lambda_ad == scales.lambda_pd == 0.0
-    p_max = None if noiseless else dissipative.max_mixing_probability(scales)
-    results = {
-        "first_order": _state_entries(first),
-        "p_max": p_max,
-        "t1": times.t1,
-        "t2": times.t2,
-        "t1_over_half_t2": (
-            times.t1 / (times.t2 / 2.0)
-            if math.isfinite(times.t1) and math.isfinite(times.t2)
-            else None
-        ),
-    }
-    diagnostics: dict = {"mc": trials > 0}
-    if trials > 0:
-        _limit_draws(dissipative.draw_charge(trials))
-        mc = dissipative.averaged_channel_mc(rho0, p, scales, trials, v["seed"], threads)
-        results["mc"] = _state_entries(mc.rho_avg)
-        diagnostics["stderr_pop"] = mc.stderr_pop
-        diagnostics["stderr_coh"] = mc.stderr_coh
-        diagnostics["clamp_fraction"] = mc.clamp_fraction
-    return {}, results, diagnostics, None
-
-
-def _cmd_parrondo(v: dict, threads: int):
-    from . import parrondo
-
-    moduli, rounds = v["moduli"], v["trials"]
-    if not moduli:
-        raise ValueError("need at least one modulus")
-    for L in itertools.accumulate(moduli, math.lcm):  # ends at lcm(moduli), or past the bound
-        if len(moduli) * L > MAX_WHEEL_SLOTS:
-            raise ValueError(f"a wheel is limited to {MAX_WHEEL_SLOTS} slots (games * lcm(moduli))")
-    run_sim = rounds > 0 and not v["exact"]
-    if run_sim:
-        _limit_draws(parrondo.draw_charge(rounds))
-    games = [parrondo.RotationGame(m) for m in moduli]
-    combined = parrondo.CombinedGame(tuple(games))
-    spectrum = parrondo.spectrum(combined)
-    stats = parrondo.exact_rate(combined)
-    alone = {g: _rates(parrondo.exact_rate(parrondo.CombinedGame((g,)))) for g in set(games)}
-    results = {"games": [{"modulus": g.m, **alone[g]} for g in games], **_rates(stats),
-               "support_size": stats.support_size}
-    diagnostics = {
-        "reducible_warning": not combined.pairwise_coprime(),
-        "spectral_gap": spectrum.spectral_gap,
-        "power_iteration_residual": spectrum.residual,
-    }
-    if run_sim:
-        sim = parrondo.simulate(combined, rounds, v["seed"], threads)
-        results["simulation"] = {
-            "rounds": sim.rounds,
-            "wins": sim.wins,
-            "win_prob": sim.win_prob,
-            "net_rate": sim.net_rate,
-        }
-    columns = lambda: (range(L), itertools.repeat(L),
-                       map(parrondo.is_winning, range(L), itertools.repeat(L)))
-    return {}, results, diagnostics, ("position,probability,winning", "%d,1/%d,%d", columns)
-
-
-def _cmd_grover(v: dict, threads: int):
-    from . import grover
-
-    config = grover.GameConfig(v["n_qubits"], v["target"])
-    best_k = grover.optimal_k(config)
-    rule_k = grover.quarter_pi_k(config)
-    results = {
-        "size": config.size,
-        "pure_game_payoff": grover.pure_game_payoff(config),
-        "optimal_k": best_k,
-        "optimal_success": grover.success_closed_form(best_k, config),
-        "quarter_pi_k": rule_k,
-        "quarter_pi_success": grover.success_closed_form(rule_k, config),
-    }
-    diagnostics: dict = {"mc": v["trials"] > 0}
-
-    derived = {}
-    if v["strategy"] == "fixed":
-        if v["m"] is None:
-            raise ValueError("fixed strategy needs --m")
-        strategy: grover.Strategy = grover.FixedHorizon(v["m"])
-    elif v["strategy"] == "adaptive":
-        derived["k_star"] = best_k if v["k_star"] is None else v["k_star"]
-        strategy = grover.AdaptiveTracking(derived["k_star"])
-    else:
-        strategy = grover.FixedHorizon(4 * rule_k)  # the quarter-pi horizon
-
-    if v["trials"] > 0:
-        _limit_draws(grover.draw_charge(strategy, v["trials"]))
-        outcome = grover.evaluate_strategy(strategy, config, v["trials"], v["seed"], threads)
-        results["strategy_eval"] = {
-            "win_prob": outcome.win_prob,
-            "stderr": outcome.stderr,
-            "reduced_length_histogram": outcome.reduced_length_histogram,
-        }
-        if outcome.stopping_time_histogram is not None:
-            results["strategy_eval"]["stopping_time_histogram"] = outcome.stopping_time_histogram
-            diagnostics["censored"] = outcome.censored
-
-    ks = range(math.ceil(math.pi * math.sqrt(config.size) / 2.0) + 1)
-
-    def columns():
-        if len(ks) > CSV_MAX_ROWS:
-            raise ValueError(
-                f"the success curve at n_qubits = {config.n_qubits} has {len(ks)} rows; "
-                f"CSV output is limited to {CSV_MAX_ROWS} (n_qubits <= 42)"
-            )
-        return ks, grover.success_curve(ks, config)
-
-    return derived, results, diagnostics, ("k,success_prob", "%d,%r", columns)
-
-
-# subcommand -> (handler, help, parameter table)
+# subcommand -> (help, parameter table); its handler is ``run`` in
+# noisegames.commands.<subcommand>
 _COMMANDS = {
-    "iid": (_cmd_iid, "independent identically distributed phase kicks", (
+    "iid": ("independent identically distributed phase kicks", (
         *_COMMON,
         _Param("dist", str, "gaussian", choices=("delta", "gaussian", "exponential")),
         _Param("angles", float, many=True, when=("dist", "delta"),
@@ -444,7 +203,7 @@ _COMMANDS = {
         *_STATE,
         _EXACT,
     )),
-    "memory": (_cmd_memory, "correlated phase kicks over two angle classes", (
+    "memory": ("correlated phase kicks over two angle classes", (
         *_COMMON,
         _Param("variant", str, "combined", choices=("pure-a", "pure-b", "combined")),
         _Param("epsilon", float, 1e-3),
@@ -452,7 +211,7 @@ _COMMANDS = {
         *_STATE,
         _EXACT,
     )),
-    "dissipative": (_cmd_dissipative, "damping/dephasing channel with noisy parameters", (
+    "dissipative": ("damping/dephasing channel with noisy parameters", (
         *_COMMON,
         _Param("p", float, 0.5),
         _Param("lambda_ad", float, 1e-4),
@@ -460,12 +219,12 @@ _COMMANDS = {
         _Param("tau0", float, 1.0),
         *_STATE,
     )),
-    "parrondo": (_cmd_parrondo, "wheel-rotation games and their combination", (
+    "parrondo": ("wheel-rotation games and their combination", (
         *_COMMON,
         _Param("moduli", int, "3,7", many=True, help="comma-separated odd moduli"),
         _EXACT,
     )),
-    "grover": (_cmd_grover, "random-operator search game", (
+    "grover": ("random-operator search game", (
         *_COMMON,
         _Param("n_qubits", int, 4),
         _Param("target", int, 0),
@@ -489,7 +248,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     usage = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=usage)
     for name in names:
-        help_text, table = _COMMANDS[name][1:]
+        help_text, table = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         # run control: never read from a config file and never echoed
         p.add_argument("--threads", type=int, default=None, help="worker threads")
@@ -516,19 +275,26 @@ def run(argv: list[str], stdout=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    handler, _, table = _COMMANDS[args.command]
+    table = _COMMANDS[args.command][1]
     try:
         config = {}
         if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
+            import json
+
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ValueError(f"cannot read config {args.config}: {exc}") from None
+            config = json.loads(text)
             if not isinstance(config, dict):
                 raise ValueError("config file must contain a JSON object")
         threads = 1 if args.threads is None else args.threads
         if not 1 <= threads <= MAX_THREADS:
             raise ValueError(f"threads must be between 1 and {MAX_THREADS}")
         values = _resolve(args.command, table, args, config)
-        derived, results, diagnostics, csv = handler(values, threads)
+        command = importlib.import_module(f".commands.{args.command}", __package__)
+        derived, results, diagnostics, csv = command.run(values, threads)
         if args.format == "csv":
             if csv is None:
                 raise ValueError(f"no CSV curve defined for {args.command!r}")
@@ -554,6 +320,16 @@ def run(argv: list[str], stdout=None) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def __getattr__(name: str):
+    # the benchmark's tracer test reads ``cli.coherence``; qubit is imported
+    # only when it is read, so a cold start does not load it
+    if name == "coherence":
+        from .qubit import coherence
+
+        return coherence
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main() -> None:

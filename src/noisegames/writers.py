@@ -12,14 +12,15 @@ template.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from typing import Iterator
 
-CHUNK_ROWS = 4096
+# json.encoder's own C string encoder, taken from the accelerator module so
+# that the cold start does not load the json package
+from _json import encode_basestring_ascii as _encode_str
 
-_encode_str = json.encoder.encode_basestring_ascii
+CHUNK_ROWS = 4096
 
 
 def json_text(value, pad: str = "\n") -> str:

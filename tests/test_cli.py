@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import random
 import shlex
 import struct
@@ -17,7 +19,10 @@ import numpy as np
 import pytest
 
 import _oracles
-from noisegames import cli, dissipative, grover, kicks, memory, parrondo, qubit, rng, writers
+from noisegames import (
+    cli, commands, dissipative, grover, kicks, memory, parrondo, qubit, rng, writers,
+)
+from noisegames.commands import grover as grover_command
 
 
 def run_cli(argv):
@@ -190,6 +195,16 @@ class TestExitCodes:
             code, text = run_cli(flag + [repr(below)] + mc)
             assert code == 0 and capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_config_is_refused(self, name, tmp_path, monkeypatch, capsys):
+        # an invalid input like a malformed config, so exit 2, where a failed
+        # write of --out is a runtime failure
+        monkeypatch.chdir(tmp_path)
+        code, text = run_cli(["iid", f"--config={name}"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {name}: [Errno ")
+        assert run_cli(["iid", f"--out={tmp_path}"])[0] == 1
+
     def test_csv_unavailable_for_dissipative(self):
         code, _ = run_cli(["dissipative", "--format", "csv"])
         assert code == 2
@@ -348,7 +363,7 @@ class TestExitCodes:
         # more than a state check's tolerance; the curve is printed as computed
         steps = cli.CURVE_MAX_STEPS
         env = run_json([*argv, f"--steps={steps}"])
-        rho0 = cli._initial_state({"a0": 0.5, "b0_re": 0.5, "b0_im": 0.0})
+        rho0 = commands._initial_state({"a0": 0.5, "b0_re": 0.5, "b0_im": 0.0})
         dist = (kicks.DeltaMixture.uniform([0.5]) if "--dist=delta" in argv
                 else kicks.GaussianKicks(float(argv[1].split("=")[1]), 0.0))
         bs = kicks.evolve_iid(rho0, dist, kicks.EvolutionPlan(steps))
@@ -413,7 +428,7 @@ class TestExitCodes:
         # 3,294,200 rows, and only the first chunk of them is formatted here
         values = {"n_qubits": 42, "target": 0, "strategy": "quarter-pi", "m": None,
                   "k_star": None, "trials": 0, "seed": 0}
-        _, _, _, (header, fmt, columns) = cli._cmd_grover(values, 1)
+        _, _, _, (header, fmt, columns) = grover_command.run(values, 1)
         ks, probs = columns()
         assert len(ks) == 3_294_200 <= cli.CSV_MAX_ROWS and header == "k,success_prob"
         chunk = next(writers.row_chunks("\n" + fmt, (ks, probs)))
@@ -514,7 +529,7 @@ class TestZScores:
                         "--b0-re=0.3", "--b0-im=0.25"])
         b0, kern = complex(0.3, 0.25), memory.kernel(memory.KernelVariant.COMBINED, 0.1)
         exact = [b0] + [b0 * fa.conjugate() for fa, _ in memory.coherence_recursion(kern, 3).values]
-        rho0 = cli._initial_state({"a0": 0.5, "b0_re": 0.3, "b0_im": 0.25})
+        rho0 = commands._initial_state({"a0": 0.5, "b0_re": 0.3, "b0_im": 0.25})
         estimates = memory.evolve_memory_mc(rho0, kern, 3, 1000, 3)
         for n in range(1, 4):
             b, se = estimates[n]
@@ -1194,17 +1209,20 @@ def test_package_binds_drawing_layers_once_numpy_is_loaded():
 
 
 def test_each_run_loads_only_its_own_family():
-    # Importing the CLI and building its parser load no family module and no
-    # numpy module.  A run then loads its subcommand's family alone, or none
-    # when argparse stops it first; each run's new modules are unloaded
-    # after it, so the next one starts from the same cold start.  Every
-    # export then imports from the package and is listed by dir().
+    # Importing the CLI and building its parser load no family module, no
+    # qubit, no handler and no numpy module.  A run then loads its
+    # subcommand's family, qubit, the handlers' package and its own handler
+    # alone, or none when argparse stops it first; each run's new modules
+    # are unloaded after it, so the next one starts from the same cold
+    # start.  Every export then imports from the package and is listed by
+    # dir().
     proc = _run_blocking((), f"""
         import contextlib, io
         import noisegames
         from noisegames import cli
         cli.build_parser()
-        lazy = {{f"noisegames.{{m}}" for m in {_FAMILIES!r} + ("rng", "montecarlo")}}
+        lazy = {{f"noisegames.{{m}}"
+                 for m in {_FAMILIES!r} + ("rng", "montecarlo", "qubit", "commands")}}
         assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))
 
         def ours():
@@ -1216,20 +1234,65 @@ def test_each_run_loads_only_its_own_family():
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 try:
                     cli.build_parser(argv[0]).parse_args(argv)
-                    want = {{"noisegames." + {{"iid": "kicks"}}.get(argv[0], argv[0])}}
+                    family = {{"iid": "kicks"}}.get(argv[0], argv[0])
+                    want = {{f"noisegames.{{family}}", "noisegames.qubit", "noisegames.commands",
+                             f"noisegames.commands.{{argv[0]}}"}}
                 except SystemExit:
                     want = set()
                 cli.run(argv, stdout=sink)
             new = ours() - before
             assert new == want, (argv, new)
-            for name in new:
+            for name in sorted(new, reverse=True):  # a handler before its package
+                parent, _, child = name.rpartition(".")
                 del sys.modules[name]
-                delattr(noisegames, name.rpartition(".")[2])
+                delattr(sys.modules[parent], child)
         for name in noisegames._EXPORTS:
             exec(f"from noisegames import {{name}}")
             assert name in dir(noisegames), name
         """)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_start_loads_no_json():
+    # writers takes json's C string encoder from _json, and the CLI imports
+    # json only to read a --config file: importing the CLI and building its
+    # parser load these three of the package's modules and no json module,
+    # no run that draws nothing loads json, and a --config run does.
+    proc = _run_blocking((), f"""
+        import contextlib, io, os, tempfile
+        from noisegames import cli
+        cli.build_parser()
+
+        def loaded(top):
+            return sorted(m for m in sys.modules if m.partition(".")[0] == top)
+
+        ours = loaded("noisegames")
+        assert ours == ["noisegames", "noisegames.cli", "noisegames.writers"], ours
+        assert loaded("json") == [], loaded("json")
+        for argv in {_EXACT_ARGVS!r}:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                cli.run(argv, stdout=sink)
+            assert loaded("json") == [], (argv, loaded("json"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                fh.write('{{"steps": 2, "exact": true}}')
+            assert cli.run(["iid", f"--config={{path}}"], stdout=io.StringIO()) == 0
+        assert "json" in loaded("json")
+        """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_writer_uses_the_json_encoders_string_function():
+    assert writers._encode_str is json.encoder.encode_basestring_ascii
+
+
+def test_every_subcommand_has_its_handler_module():
+    handlers = {m.name for m in pkgutil.iter_modules(commands.__path__)}
+    assert handlers == set(cli._COMMANDS)
+    for name in cli._COMMANDS:
+        assert callable(importlib.import_module(f"noisegames.commands.{name}").run), name
 
 
 # One small Monte Carlo run per subcommand, at --threads 1 and 2.
@@ -1271,7 +1334,7 @@ def test_lazy_runs_print_the_bytes_of_eager_ones():
 
 def test_variant_choices_are_the_kernel_variants():
     # the parser lists them literally, so building it imports no memory module
-    (variant,) = [p for p in cli._COMMANDS["memory"][2] if p.key == "variant"]
+    (variant,) = [p for p in cli._COMMANDS["memory"][1] if p.key == "variant"]
     assert variant.choices == tuple(k.value for k in memory.KernelVariant)
 
 

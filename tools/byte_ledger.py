@@ -37,27 +37,39 @@ mu 0.5 on the exact route, at mu 0.1 and a one-angle delta law by Monte
 Carlo), at ``--threads`` 1 and 2, and last a ``--config`` round trip per
 subcommand: a Monte Carlo run's ``inputs`` echo, written to a file, run
 again with ``--config`` at ``--threads`` 1 and 2.
+The refused inputs include two ``--config`` files that cannot be read:
+a missing file and the run's own (temporary) working directory.
 Each line is ``<exit code> <sha256> <argv>``, where the hash covers what
 the run printed to stdout and to stderr and the files it wrote with
 ``--out`` or read with ``--config``; a round trip's line ends with
-``# inputs of`` the argv whose echo it read.  Two checkouts give every
-invocation the same exit code and the same output bytes exactly when
-their ledgers are equal::
+``# inputs of`` the argv whose echo it read.  A header of ``#`` lines
+comes first: the numpy and Python versions and the SIMD features that
+``np.show_runtime()`` reports, as the bytes are promised for one numpy
+build.  Two checkouts give every invocation the same exit code and the
+same output bytes exactly when their ledgers are equal.  The ledger of
+this checkout is committed as ``byte_ledger.txt`` beside this file::
 
-    python3 tools/byte_ledger.py > ledger.txt    # in each checkout
-    diff ledger_a.txt ledger_b.txt
+    python3 tools/byte_ledger.py > tools/byte_ledger.txt    # write it
+    python3 tools/byte_ledger.py --check                    # compare a rerun
+
+``--check`` reruns the ledger, prints the lines in which it differs from
+the committed one and exits 1 if any do; it also exits 1, saying so, when
+the header differs, as a ledger made on another build is no reference.
 
 Every invocation runs in this process against the ``src`` of the checkout
 that holds this file; ``--out`` paths are written in a temporary directory.
 The CLI is imported before numpy, so the package binds no family module
-at import and each run loads its own family on first use, as a cold
-``noisegames`` command does; the script stops at start-up if a family
-module is already loaded after that import.
+at import and each run loads its own family and its own handler
+(``noisegames.commands.<subcommand>``) on first use, as a cold
+``noisegames`` command does; the script stops at start-up if a family or
+handler module is already loaded after that import.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -72,10 +84,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from noisegames import cli  # noqa: E402
 
-_FAMILIES = ("dissipative", "grover", "kicks", "memory", "parrondo")
-_EAGER = [name for name in (f"noisegames.{f}" for f in _FAMILIES) if name in sys.modules]
+_LAZY = ("dissipative", "grover", "kicks", "memory", "parrondo", "commands")
+_EAGER = sorted(name for name in sys.modules
+                if name in {f"noisegames.{m}" for m in _LAZY}
+                or name.startswith("noisegames.commands."))
 if _EAGER:
-    sys.exit(f"family modules loaded with the CLI, not at their first run: {', '.join(_EAGER)}")
+    sys.exit(f"modules loaded with the CLI, not at their first run: {', '.join(_EAGER)}")
 
 from workloads import WORKLOADS  # noqa: E402
 
@@ -223,6 +237,8 @@ def refusal_argvs() -> list[list[str]]:
         ["iid", "--dist=delta", "--angles=0,1", "--weights=0,0"],
         ["parrondo", "--moduli=4"],
         ["parrondo", "--moduli=3,-7"],
+        ["iid", "--config=missing.json"],
+        ["iid", "--config=."],  # the run's working directory
     ]
     return [argv + ["--threads=1"] for argv in runs]
 
@@ -254,6 +270,42 @@ def config_runs() -> list[tuple[list[str], list[str]]]:
             for source in CONFIG_SOURCES for threads in (1, 2)]
 
 
+LEDGER = Path(__file__).with_name("byte_ledger.txt")
+
+
+def invocations() -> list[tuple[list[str], list[str] | None]]:
+    """(argv, source) of each ledger line, in order; ``source`` as :func:`entry` takes it."""
+    argvs = [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wheel_argvs(),
+             *dissipative_argvs(), *curve_argvs(), *search_argvs(), *halves_argvs(),
+             *csv_argvs(), *window_argvs(), *refusal_argvs(), *long_curve_argvs()]
+    return [(argv, None) for argv in argvs] + config_runs()
+
+
+def label(argv: list[str], source: list[str] | None = None) -> str:
+    """A ledger line's text after its hash."""
+    return shlex.join(argv) + ("" if source is None else f"  # inputs of {shlex.join(source)}")
+
+
+def header() -> list[str]:
+    """The build the bytes were made on: numpy, Python and SIMD, as ``np.show_runtime()``."""
+    import platform
+
+    import numpy as np
+    from numpy._core._multiarray_umath import (
+        __cpu_baseline__, __cpu_dispatch__, __cpu_features__,
+    )
+
+    found = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    missing = [f for f in __cpu_dispatch__ if not __cpu_features__[f]]
+    return [
+        f"# numpy {np.__version__}",
+        f"# python {platform.python_implementation()} {platform.python_version()}",
+        f"# simd baseline: {' '.join(__cpu_baseline__)}",
+        f"# simd found: {' '.join(found)}",
+        f"# simd not found: {' '.join(missing) or '-'}",
+    ]
+
+
 def entry(argv: list[str], source: list[str] | None = None) -> str:
     """One ledger line for ``argv``, run in a fresh temporary directory.
 
@@ -277,16 +329,35 @@ def entry(argv: list[str], source: list[str] | None = None) -> str:
                 digest.update(b"\0" + name.encode() + b"\0" + Path(name).read_bytes())
         finally:
             os.chdir(here)
-    line = f"{code} {digest.hexdigest()} {shlex.join(argv)}"
-    return line if source is None else f"{line}  # inputs of {shlex.join(source)}"
+    return f"{code} {digest.hexdigest()} {label(argv, source)}"
+
+
+def check() -> int:
+    """Rerun the ledger against ``LEDGER``; print what differs and return the exit code."""
+    want = LEDGER.read_text(encoding="utf-8").splitlines()
+    build = header()
+    got = [*build, *(entry(argv, source) for argv, source in invocations())]
+    diff = list(difflib.unified_diff(want, got, LEDGER.name, "this run", lineterm="", n=0))
+    sys.stdout.writelines(line + "\n" for line in diff)
+    if [line for line in want if line.startswith("#")] != build:
+        print(f"{LEDGER.name} was made on another build (see its header), so it is no "
+              "reference for the bytes here", file=sys.stderr)
+        return 1
+    if diff:
+        print(f"{LEDGER.name}: the bytes differ", file=sys.stderr)
+        return 1
+    print(f"{LEDGER.name}: {len(got) - len(build)} lines match", file=sys.stderr)
+    return 0
 
 
 def main() -> None:
-    for argv in [*bench_argvs(), *readme_argvs(), *branch_argvs(), *wheel_argvs(),
-                 *dissipative_argvs(), *curve_argvs(), *search_argvs(), *halves_argvs(),
-                 *csv_argvs(), *window_argvs(), *refusal_argvs(), *long_curve_argvs()]:
-        print(entry(argv), flush=True)
-    for argv, source in config_runs():
+    parser = argparse.ArgumentParser(description="Print the CLI's byte ledger.")
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare a rerun with the committed {LEDGER.name}")
+    if parser.parse_args().check:
+        sys.exit(check())
+    print(*header(), sep="\n", flush=True)
+    for argv, source in invocations():
         print(entry(argv, source), flush=True)
 
 
