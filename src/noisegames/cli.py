@@ -55,7 +55,7 @@ CURVE_MAX_STEPS = 1 << 16
 # dissipative trial, so such a run at the bound takes 35 s to 3 minutes.  An
 # adaptive search costs 125-180 ns a charged draw (1,024 trials at n = 20,
 # 16,000,000 draws, took 2.0-2.9 s), so 9-13 minutes at the bound.  More is
-# refused before the first draw.  A curve's Python cost, 45-75 us per step of
+# refused before the first draw.  A curve's Python cost, 25-60 us per step of
 # a block, needs no term of its own: as steps <= CURVE_MAX_STEPS,
 # blocks * steps <= 2^17 + 2^16.
 MC_MAX_DRAWS = 1 << 32

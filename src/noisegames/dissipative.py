@@ -9,7 +9,8 @@ populations by ``1 - p*sqrt(4*lambda_ad/pi)`` per step and the coherence by
 ``p*(1 - sqrt(lambda_ad/pi)) + (1-p)*e^{-lambda_pd}`` to first order in
 lambda_ad.  The mixing probability compatible with relaxation no faster
 than dephasing is ``(1 - e^{-lambda_pd}) / (1 - e^{-lambda_pd} +
-sqrt(lambda_ad/pi))``.
+sqrt(lambda_ad/pi))``.  A sampled trial's theta and alpha are the
+Box-Muller pair :func:`rng.slot_normal` returns for its raw slot 0.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def averaged_channel_mc(
     first-order averaged matrix: E[alpha] = sqrt(4*lambda_ad/pi),
     E[sqrt(1-alpha)] = 1 - sqrt(lambda_ad/pi) + O(lambda_ad) and
     E[e^{-i theta}] = e^{-lambda_pd}.  theta takes the cosine and alpha the
-    sine of the Box-Muller pair of each trajectory's raw slot 0, two
-    independent standard normals; the phasor comes from
+    sine of the pair :func:`rng.slot_normal` returns for each trajectory's
+    raw slot 0, two independent standard normals; the phasor comes from
     :func:`montecarlo.phasors`.  Each block works in place on its draws and
     yields the population before it builds the coherence, so it holds at
     most six block-sized float arrays at once: theta, alpha, the complex
@@ -104,8 +105,7 @@ def averaged_channel_mc(
         yield b_out
 
     def sampler(keys: np.ndarray):
-        alpha = rng._empty(len(keys))
-        theta = rng.slot_normal(keys, 0, sine=alpha)
+        theta, alpha = rng.slot_normal(keys, 0)
         theta *= sd_theta
         alpha *= sd_x
         np.abs(alpha, out=alpha)

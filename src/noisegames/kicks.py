@@ -19,12 +19,13 @@ integrals.  Each route returns the whole coherence curve over 0..n kicks:
 Trajectories are averaged by the Monte Carlo engine of
 :mod:`noisegames.montecarlo`, which shifts each block by its own first
 trajectory; kicks 2j and 2j + 1 of trajectory t read the two halves of
-its raw slot j (a Gaussian law that slot's Box-Muller pair), so a curve
-is one pass over the trajectories and no other.  A trajectory's coherence
-after k kicks is b times the running product of its kicks' phasors
-e^{-i theta}, one complex multiply per kick: a delta mixture looks each
-phasor up in a table built once, and the continuous laws build theirs
-with :func:`montecarlo.phasors`, from one ``tan`` per kick.
+its raw slot j (a Gaussian law that slot's Box-Muller pair) through
+:func:`montecarlo.kick_draws`, so a curve is one pass over the
+trajectories and no other.  A trajectory's coherence after k kicks is b
+times the running product of its kicks' phasors e^{-i theta}, one complex
+multiply per kick: a delta mixture looks each phasor up in a table built
+once, and the continuous laws build theirs with
+:func:`montecarlo.phasors`, from one ``tan`` per kick.
 """
 
 from __future__ import annotations
@@ -172,28 +173,31 @@ def evolve_iid(
 def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Iterator[np.ndarray]:
     """Phasor e^{-i theta} of kicks 0, ..., ``steps`` - 1 of each trajectory, in turn.
 
-    A delta mixture picks each kick's angle (:func:`montecarlo.branch_indices`)
+    A delta mixture picks each kick's angle (:func:`montecarlo.branch_pair`)
     and looks its phasor up in a table built once.  The other laws build
-    theta in place from :func:`_kick_draws`, as mu + sigma * z or as
-    -scale * ln((half + 1) * 2^-32), for :func:`montecarlo.phasors`.
+    theta in place, as mu + sigma * z from :func:`rng.slot_normal` or as
+    -scale * ln((half + 1) * 2^-32) from :func:`rng.slot_halves`, for
+    :func:`montecarlo.phasors`.
     """
     import numpy as np
     from . import montecarlo, rng
 
     if isinstance(dist, DeltaMixture):
-        edges = montecarlo.draw_edges(dist.weights)
+        pair = montecarlo.branch_pair(montecarlo.draw_edges(dist.weights))
         table = np.exp(-1j * np.asarray(dist.angles, dtype=np.float64))
         # every index is in range; "clip" only spares numpy a buffered copy
         kick = lambda i: np.take(table, i, out=rng._empty(len(keys), np.complex128), mode="clip")
-        return map(kick, montecarlo.branch_indices(edges, keys, steps))
+        return map(kick, montecarlo.kick_draws(keys, steps, pair))
     if isinstance(dist, GaussianKicks):
-        sigma = math.sqrt(dist.sigma2)
+        pair, sigma = rng.slot_normal, math.sqrt(dist.sigma2)
 
         def angle(theta: np.ndarray) -> np.ndarray:
             theta *= sigma
             theta += dist.mu
             return theta
     elif isinstance(dist, ExponentialKicks):
+        pair = rng.slot_halves
+
         def angle(theta: np.ndarray) -> np.ndarray:
             theta += 1.0
             theta *= 2.0**-32
@@ -202,37 +206,15 @@ def _kick_phasors(dist: KickDistribution, keys: np.ndarray, steps: int) -> Itera
             return theta
     else:
         raise TypeError(f"unsupported kick distribution: {type(dist).__name__}")
-    draws = _kick_draws(keys, steps, normal=isinstance(dist, GaussianKicks))
-    return map(montecarlo.phasors, map(angle, draws))
-
-
-def _kick_draws(keys: np.ndarray, steps: int, normal: bool) -> Iterator[np.ndarray]:
-    """The float64 draw of kicks 0, ..., ``steps`` - 1 of each trajectory, in turn.
-
-    Kicks 2j and 2j + 1 read raw slot j: its high and low 32 bits, or with
-    ``normal`` its Box-Muller pair's cosine and sine; an odd step count
-    computes no sine for its last kick, and the cosine's bytes do not change.
-    """
-    from . import rng
-
-    for k in range(0, steps, 2):
-        if normal:
-            second = rng._empty(len(keys)) if k + 1 < steps else None
-            first = rng.slot_normal(keys, k // 2, sine=second)
-        else:
-            first, second = rng.slot_halves(keys, k // 2)
-        yield first
-        del first  # its array is free for the next kick
-        if k + 1 < steps:
-            yield second
-        del second  # and this one for the next draw
+    return map(montecarlo.phasors, map(angle, montecarlo.kick_draws(keys, steps, pair)))
 
 
 def draw_charge(steps: int, trials: int) -> int:
     """Raw 64-bit draws a kicked curve reads for ``trials`` trajectories of ``steps`` kicks.
 
-    Kicks 2j and 2j + 1 share raw slot j, so :func:`evolve_iid_mc` and
-    :func:`memory.evolve_memory_mc` read ceil(steps / 2) draws a trajectory.
+    Kicks 2j and 2j + 1 share raw slot j (:func:`montecarlo.kick_draws`), so
+    :func:`evolve_iid_mc` and :func:`memory.evolve_memory_mc` read
+    ceil(steps / 2) draws a trajectory.
     """
     return trials * -(-steps // 2)
 

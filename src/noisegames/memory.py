@@ -14,7 +14,8 @@ numbers per step, tracked by :func:`coherence_recursion` in one pass that
 also yields the sustained decay rate.  Sampled chains go through the same
 Monte Carlo engine as IID kicks: :func:`evolve_memory_mc` returns the
 whole curve in one pass, and carries each chain's coherence as the same
-running product of kick phasors, looked up in a per-branch table.
+running product of kick phasors, looked up in a per-branch table, and
+draws its branch picks through the same loop as delta kicks.
 """
 
 from __future__ import annotations
@@ -196,16 +197,14 @@ def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.
     Chains start in class A (initial angle 0); kicks 2j and 2j + 1 pick by
     the two halves of the chain's own raw slot j.  Both classes' thresholds
     (:func:`montecarlo.draw_edges`) are merged once into one sorted set of
-    ``width - 1`` edges, so :func:`montecarlo.branch_indices` makes one pick
-    a kick, for every chain in either class.  Row ``interval + width *
-    (chain in class B)`` of two tables built once holds the branch's phasor
-    and its destination class's ``width * (class is B)``.
+    ``width - 1`` edges, so :func:`montecarlo.branch_pair` makes one pick a
+    kick, for every chain in either class.  Row ``interval + width * (chain
+    in class B)`` of two tables built once holds the branch's phasor and its
+    destination class's ``width * (class is B)``.
     """
     import numpy as np
     from . import montecarlo, rng
 
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     edges = [
         montecarlo.draw_edges([br.weight for br in kern.branches(label)]).tolist()
         for label in SetLabel
@@ -225,8 +224,8 @@ def _chain_phasors(kern: MemoryKernel, keys: np.ndarray, n: int) -> Iterator[np.
     )
     offset = np.zeros(len(keys), dtype=np.intp)
     row = rng._empty(len(keys), np.intp)
-    thresholds = np.array(merged, dtype=np.uint64)
-    for index in montecarlo.branch_indices(thresholds, keys, n):
+    pair = montecarlo.branch_pair(np.array(merged, dtype=np.uint64))
+    for index in montecarlo.kick_draws(keys, n, pair):
         np.add(index, offset, out=row)
         # every row is in range; "clip" only spares numpy a buffered copy
         np.take(to_offset, row, out=offset, mode="clip")
@@ -247,8 +246,10 @@ def evolve_memory_mc(
     kernel branch for the current class, rotates the coherence by
     e^{-i theta}, and moves to the branch's destination class.  Point k
     converges to ``b * conj(f_k at class A)`` from
-    :func:`coherence_recursion`.
+    :func:`coherence_recursion`.  A negative n is refused before any draw.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     from . import montecarlo
 
     phasors = lambda keys: _chain_phasors(kern, keys, n)

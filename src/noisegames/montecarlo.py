@@ -14,7 +14,9 @@ Two per-draw kernels serve the samplers: :func:`phasors` turns kick angles
 into e^{-i theta} and :func:`branch_index` picks a branch of a finite law
 straight from a raw 64-bit draw's 32-bit half, by the thresholds of
 :func:`draw_edges`.  :func:`kicked_curve` runs both kick families' curves:
-each point a ``(b, stderr)`` pair of :func:`run`.
+each point a ``(b, stderr)`` pair of :func:`run`.  Every kicked law draws
+through :func:`kick_draws`, the one loop that maps kicks 2j and 2j + 1 to
+raw slot j; a finite law (delta kicks, memory chains) by :func:`branch_pair`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ Part = tuple[float, float, float]
 # (count, real part, imaginary part)
 Moments = tuple[int, Part, Part]
 Sampler = Callable[[np.ndarray], tuple[Iterable[np.ndarray], Any]]
+Pair = Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
 
 
 # Up to 255 edges (256 branches) the count fits in uint8 and beats the
@@ -128,16 +131,31 @@ def branch_index(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     return index
 
 
-def branch_indices(edges: np.ndarray, keys: np.ndarray, kicks: int) -> Iterator[np.ndarray]:
-    """:func:`branch_index` of kicks 0, ..., ``kicks`` - 1 of each key: x, then x << 32, a draw x."""
-    for j in range(0, kicks, 2):
-        x = rng.slot_u64(keys, j // 2, 1)[0]
-        pair = [branch_index(edges, x)]
-        if j + 1 < kicks:
-            x <<= np.uint64(32)
-            pair.append(branch_index(edges, x))
-        del x  # both picked: its buffer is free while the kicks are used
-        yield from pair
+def branch_pair(edges: np.ndarray) -> Pair:
+    """A finite law's :func:`kick_draws` pair: :func:`branch_index` of raw draw x and of x << 32."""
+    def pair(keys: np.ndarray, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        x = rng.slot_u64(keys, slot, 1)[0]
+        high = branch_index(edges, x)
+        x <<= np.uint64(32)
+        return high, branch_index(edges, x)
+
+    return pair
+
+
+def kick_draws(keys: np.ndarray, steps: int, pair: Pair) -> Iterator[np.ndarray]:
+    """The draw of kicks 0, ..., ``steps`` - 1 of each trajectory, in turn.
+
+    Kicks 2j and 2j + 1 take the two arrays of ``pair(keys, j)``, which
+    draws raw slot j alone (stream layout 6); an odd step count computes
+    its last pair whole and drops the second array.
+    """
+    for k in range(0, steps, 2):
+        first, second = pair(keys, k // 2)
+        yield first
+        del first  # its array is free for the next kick
+        if k + 1 < steps:
+            yield second
+        del second  # and this one for the next pair
 
 
 def _part_moments(part: np.ndarray, w: np.ndarray) -> Part:

@@ -5,12 +5,12 @@ All randomness in this package reduces to a single pure function of
 Stream ``i`` under master seed ``s`` is the SplitMix64 sequence started at
 key ``stream_keys(s, i, 1)[0]``; draw slot ``d`` of that stream is
 ``mix(key + (d + 1) * GOLDEN)``.  Every draw is addressed by its slot
-(:func:`slot_u64` and the 32-bit halves and normals built on it); no stream
-carries a cursor or other hidden state, so any partition of trajectories
-into blocks or threads reproduces results bit for bit.  Draws come in runs
-of consecutive slots, as a wheel-game walk reads its rounds; a single slot
-is a run of one.  Keys and slot offsets are both counters built from one
-table (:func:`_counters`).
+(:func:`slot_u64`, and the 32-bit halves and Box-Muller pair of one slot
+built on it); no stream carries a cursor or other hidden state, so any
+partition of trajectories into blocks or threads reproduces results bit
+for bit.  Draws come in runs of consecutive slots, as a wheel-game walk
+reads its rounds; a single slot is a run of one.  Keys and slot offsets
+are both counters built from one table (:func:`_counters`).
 
 :func:`run_blocks` folds Monte Carlo blocks in block order as they finish;
 each of its threads draws and computes every block in one set of arrays
@@ -197,18 +197,16 @@ def slot_halves(keys: np.ndarray, slot: int) -> tuple[np.ndarray, np.ndarray]:
     return h.view(np.float64), x.view(np.float64)
 
 
-def slot_normal(keys: np.ndarray, slot: int, sine: np.ndarray | None = None) -> np.ndarray:
-    """One standard normal per key via Box-Muller, R * cos(2*pi*u2), from raw slot ``slot``.
+def slot_normal(keys: np.ndarray, slot: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's Box-Muller pair, R * cos(2*pi*u2) and R * sin(2*pi*u2), from raw slot ``slot``.
 
     The slot's halves give u1 = (h + 1) * 2^-32 and u2 = l * 2^-32, so
     R = sqrt(-2 ln u1) <= sqrt(64 ln 2).  The cosine is ``(1 - t^2) /
-    (1 + t^2)`` with ``t = tan(pi*u2)``, since numpy 2.4 has an AVX-512
-    kernel for float64 ``tan`` but none for ``cos`` (README); the result
-    stays within 4 eps * R of ``R * np.cos(2*pi*u2)``.  When ``sine`` is
-    given, the pair's other normal, R * sin(2*pi*u2) = R * 2t / (1 + t^2),
-    is written into it from the same t, R and denominator; the cosine's
-    bytes do not depend on it.
+    (1 + t^2)`` and the sine ``2t / (1 + t^2)`` with ``t = tan(pi*u2)``,
+    since numpy 2.4 has an AVX-512 kernel for float64 ``tan`` but none for
+    ``cos`` or ``sin`` (README); each stays within 4 eps * R of numpy's.
     """
+    sine = _empty(len(keys))  # asked for first, so it may take a smaller buffer
     r, t = slot_halves(keys, slot)
     r += 1.0
     r *= 2.0**-32
@@ -217,17 +215,15 @@ def slot_normal(keys: np.ndarray, slot: int, sine: np.ndarray | None = None) -> 
     np.sqrt(r, out=r)
     t *= np.pi * 2.0**-32
     np.tan(t, out=t)
-    if sine is not None:
-        np.multiply(t, 2.0, out=sine)
+    np.multiply(t, 2.0, out=sine)
     np.multiply(t, t, out=t)
     denominator = np.add(t, 1.0, out=_empty(len(t)))
     np.subtract(1.0, t, out=t)
     t /= denominator
-    if sine is not None:
-        sine /= denominator
-        sine *= r
+    sine /= denominator
+    sine *= r
     r *= t
-    return r
+    return r, sine
 
 
 def _usable_cpus() -> int:

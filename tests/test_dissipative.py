@@ -129,8 +129,7 @@ class TestAveragedMc:
         res = averaged_channel_mc(DensityMatrix2(0.0, 0.0, 1.0), 1.0, scales, n, seed)
         monkeypatch.undo()
         assert seen["slots"] == {0}
-        sine = np.empty(n)
-        cosine = rng.slot_normal(rng.stream_keys(seed, 0, n), 0, sine=sine)
+        cosine, sine = rng.slot_normal(rng.stream_keys(seed, 0, n), 0)
         theta = cosine * math.sqrt(2.0 * scales.lambda_pd)
         alpha = np.minimum(np.abs(sine * math.sqrt(2.0 * scales.lambda_ad)), 1.0)
         (got_theta,), (got_alpha, _) = seen["theta"], seen["points"]

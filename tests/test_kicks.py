@@ -25,6 +25,7 @@ from noisegames.kicks import (
     evolve_iid,
     evolve_iid_mc,
 )
+from noisegames.memory import KernelVariant, evolve_memory_mc, kernel
 from noisegames.qubit import DensityMatrix2, plus_state
 
 UNIFORM_TRIPLE = DeltaMixture.uniform([-math.pi / 2, 0.0, math.pi / 2])
@@ -175,11 +176,10 @@ class TestGaussianPairs:
     @pytest.mark.parametrize("steps", [1, 4, 5])
     def test_kicks_read_cosine_then_sine(self, steps):
         keys = rng.stream_keys(21, 0, 1000)
-        got = [z.copy() for z in kicks._kick_draws(keys, steps, normal=True)]
+        got = [z.copy() for z in montecarlo.kick_draws(keys, steps, rng.slot_normal)]
         assert len(got) == steps
         for k, z in enumerate(got):
-            sine = np.empty(len(keys))
-            cosine = rng.slot_normal(keys, k // 2, sine=sine)
+            cosine, sine = rng.slot_normal(keys, k // 2)
             assert z.tobytes() == (sine if k % 2 else cosine).tobytes(), k
 
     @pytest.mark.parametrize("steps", [6, 7])
@@ -203,7 +203,7 @@ class TestStreamLayout6:
     @pytest.mark.parametrize("steps", [1, 2, 5])
     def test_exponential_kicks_read_the_halves(self, steps):
         keys = rng.stream_keys(22, 0, 1000)
-        got = [half.tobytes() for half in kicks._kick_draws(keys, steps, normal=False)]
+        got = [half.tobytes() for half in montecarlo.kick_draws(keys, steps, rng.slot_halves)]
         assert got == [kick_half(keys, s).astype(np.float64).tobytes() for s in range(steps)]
 
     @pytest.mark.parametrize("branches", [3, 300])  # the count and the binary-search paths
@@ -214,11 +214,42 @@ class TestStreamLayout6:
         cum = np.cumsum(weights)
         cum[-1] = 1.0
         edges = montecarlo.draw_edges(weights)
-        got = list(montecarlo.branch_indices(edges, keys, steps))
+        got = list(montecarlo.kick_draws(keys, steps, montecarlo.branch_pair(edges)))
         assert len(got) == steps
         for s, index in enumerate(got):
             want = np.searchsorted(cum, kick_uniform(keys, s), side="right")
             assert index.tolist() == want.tolist(), s
+
+
+def _iid_run(dist):
+    return lambda steps, trials: evolve_iid_mc(plus_state(), dist, EvolutionPlan(steps), trials, 5)
+
+
+def _memory_run(variant):
+    return lambda steps, trials: evolve_memory_mc(plus_state(), kernel(variant, 0.1), steps, trials, 5)
+
+
+KICKED_RUNS = {
+    "gaussian": _iid_run(GaussianKicks(0.2, 0.3)),
+    "exponential": _iid_run(ExponentialKicks(0.7, 0.5)),
+    "delta-3": _iid_run(DeltaMixture.uniform([-1.0, 0.0, 1.0])),
+    # 299 edges: the binary-search path of montecarlo.branch_index
+    "delta-300": _iid_run(DeltaMixture.uniform(np.linspace(-3.0, 3.0, 300))),
+    **{f"memory-{v.value}": _memory_run(v) for v in KernelVariant},
+}
+
+
+@pytest.mark.parametrize("steps", range(6))
+@pytest.mark.parametrize("law", KICKED_RUNS)
+def test_kicked_curve_draws_its_charge(law, steps, monkeypatch):
+    # every kicked law reads raw slots through montecarlo.kick_draws, so its
+    # draws, counted at rng._draw, are the shared charge, odd steps included
+    drawn = []
+    draw = rng._draw
+    monkeypatch.setattr(rng, "_draw", lambda *a: drawn.append(a[2].size) or draw(*a))
+    trials = 1000
+    assert len(KICKED_RUNS[law](steps, trials)) == steps + 1
+    assert sum(drawn) == kicks.draw_charge(steps, trials)
 
 
 class TestNamedConstructions:

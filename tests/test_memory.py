@@ -237,7 +237,9 @@ class TestMonteCarlo:
         got = [p.tobytes() for p in memory._chain_phasors(kern, keys, 6)]
         assert got == [p.tobytes() for p in chain_phasors(kern, keys, 6)]
 
-    def test_one_branch_pick_per_kick(self, monkeypatch):
+    def test_two_branch_picks_per_draw(self, monkeypatch):
+        # kicks 2j and 2j + 1 pick from raw draw j's two halves; an odd n
+        # picks its last draw's second branch too and drops it
         calls = []
         pick = montecarlo.branch_index
 
@@ -248,7 +250,18 @@ class TestMonteCarlo:
         monkeypatch.setattr(montecarlo, "branch_index", counted)
         keys = rng.stream_keys(8, 0, 100)
         assert len(list(memory._chain_phasors(kernel(KernelVariant.COMBINED, 0.1), keys, 5))) == 5
-        assert len(calls) == 5
+        assert len(calls) == 2 * 3
+
+    def test_negative_n_is_refused_before_any_block(self, monkeypatch):
+        called = []
+        draw, run_blocks = rng._draw, rng.run_blocks
+        monkeypatch.setattr(rng, "_draw", lambda *a: called.append("_draw") or draw(*a))
+        monkeypatch.setattr(
+            rng, "run_blocks", lambda *a, **k: called.append("run_blocks") or run_blocks(*a, **k)
+        )
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            evolve_memory_mc(plus_state(), kernel(KernelVariant.COMBINED, 0.1), -1, 100, seed=3)
+        assert called == []
 
     def test_populations_untouched(self):
         # kicks act on the coherence alone: the curve is of rho0.b's (b, stderr)

@@ -108,7 +108,7 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch):
     def worker(start, count):
         workers.add(threading.get_ident())
         keys = rng.stream_keys(3, start, count)
-        return rng.slot_normal(keys, 0).tobytes()
+        return [z.tobytes() for z in rng.slot_normal(keys, 0)]
 
     monkeypatch.setattr(rng, "BLOCK_SIZE", 1 << 14)
     serial = listed(300_000, worker, threads=1)
@@ -221,12 +221,9 @@ def test_normal_is_box_muller_cosine():
     radius = np.sqrt(-2.0 * np.log((high + 1.0) * 2.0**-32))
     angle = 2.0 * np.pi * (low * 2.0**-32)
     assert radius.max() <= math.sqrt(64.0 * math.log(2.0))
-    z = rng.slot_normal(keys, 3)
+    z, sine = rng.slot_normal(keys, 3)
     eps = np.finfo(np.float64).eps
     assert np.all(np.abs(z - radius * np.cos(angle)) <= 4 * eps * radius)
-    sine = np.empty(len(keys))
-    paired = rng.slot_normal(keys, 3, sine=sine)
-    assert paired.tobytes() == z.tobytes()  # the sine leaves the cosine's bytes alone
     assert np.all(np.abs(sine - radius * np.sin(angle)) <= 4 * eps * radius)
 
 
@@ -242,8 +239,7 @@ def test_normal_pair_reads_its_raw_slot_alone(slot, monkeypatch):
         return draw(keys, first, out, t)
 
     monkeypatch.setattr(rng, "_draw", spy)
-    sine = np.empty(len(keys))
-    cosine = rng.slot_normal(keys, slot, sine=sine)
+    cosine, sine = rng.slot_normal(keys, slot)
     monkeypatch.undo()
     assert read == [(slot, 1)]
     want_cosine, want_sine = box_muller_pair(keys, slot)
@@ -253,8 +249,7 @@ def test_normal_pair_reads_its_raw_slot_alone(slot, monkeypatch):
 
 def test_pair_normals_are_standard_and_uncorrelated():
     keys = rng.stream_keys(9, 0, 200_000)
-    sine = np.empty(len(keys))
-    cosine = rng.slot_normal(keys, 5, sine=sine)
+    cosine, sine = rng.slot_normal(keys, 5)
     for z in (cosine, sine):
         assert abs(z.mean()) < 0.01 and abs(z.var() - 1.0) < 0.02
         assert stats.kstest(z, "norm").pvalue > 0.001

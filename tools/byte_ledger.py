@@ -13,7 +13,7 @@ through a window of 2 per pool thread, at ``--threads`` 1, 2 and 16, then
 two-block ``dissipative`` Monte Carlo runs over a grid of mixing
 probabilities and noise scales, and one from a complex coherence, at ``--threads`` 1 and 2,
 then two-block Gaussian ``iid`` curves of 1 and 3 steps (a last kick
-without its pair's sine) and an exponential curve, at ``--threads`` 1 and
+whose pair's sine is dropped) and an exponential curve, at ``--threads`` 1 and
 2, then ``grover`` Monte Carlo runs at ``--threads`` 1 and 2 (fixed
 horizons of 0 to 1,000 letters, quarter-pi horizons at 1, 6, 16 and 40
 qubits, and adaptive tracking at the optimal ``--k-star`` and at one that
