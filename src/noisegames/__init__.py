@@ -27,8 +27,8 @@ _EXPORTS = {name: module for module, names in {
     "dissipative": "AveragedChannelResult NoiseScales RelaxationTimes averaged_channel_first_order"
                    " averaged_channel_mc max_mixing_probability relaxation_times",
     "grover": "AdaptiveTracking FixedHorizon GameConfig StrategyOutcome evaluate_strategy"
-              " fixed_horizon_length_law fixed_horizon_win_prob optimal_k pure_game_payoff"
-              " quarter_pi_k reduce_word success_closed_form",
+              " fixed_horizon_win_prob optimal_k pure_game_payoff quarter_pi_k reduce_word"
+              " success_closed_form",
     "kicks": "DecayFactor DeltaMixture EvolutionPlan ExponentialKicks GaussianKicks"
              " char_function evolve_iid evolve_iid_mc",
     "memory": "CoherenceTrace KernelVariant MemoryKernel SetLabel coherence_recursion"

@@ -67,7 +67,7 @@ MC_MAX_DRAWS = 1 << 32
 MAX_WHEEL_SLOTS = 1 << 20
 
 # Each worker thread of a Monte Carlo run holds one set of block-sized arrays,
-# 3 to 4.5 MiB by family (README), and up to 2 blocks' results waiting to be
+# 1 to 4.5 MiB by family (README), and up to 2 blocks' results waiting to be
 # folded; --threads above MAX_THREADS is refused before any thread starts.
 MAX_THREADS = 64
 

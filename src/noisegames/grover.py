@@ -15,7 +15,7 @@ y = 1 (B fixes it).  A word carries 1 to y, and its reduced length is
 y - 1 for y > 0 and -y for y < 0.  After t random letters
 y = 1 + 2 * (-1)^t * d, where d counts the A's at even slots minus those
 at odd slots, so the Monte Carlo needs only that count, and the length
-law after m fair letters is binomial (:func:`fixed_horizon_length_law`).
+law after m fair letters is binomial (:func:`fixed_horizon_win_prob` sums it).
 Letter t of a trial is bit ``t % 64`` of its raw draw at slot ``t // 64``
 (1 for A): one 64-bit draw carries 64 letters, and a bit's position has
 the parity of its letter's slot, so the binomial count behind that law is
@@ -259,31 +259,24 @@ def _score(lengths: np.ndarray, config: GameConfig) -> tuple[np.ndarray, dict[in
     return payoff, dict(zip(distinct, counts[seen].tolist()))
 
 
-def fixed_horizon_length_law(m: int) -> dict[int, Fraction]:
-    """Exact law of the reduced-word length after m fair letters, in O(m).
+def fixed_horizon_win_prob(m: int, config: GameConfig) -> float:
+    """Exact win probability of stopping after m random letters, in O(m) terms.
 
-    K = (A's at even slots) + (B's at odd slots) is Bin(m, 1/2), and the
-    signed count d = K - floor(m/2) gives the length
-    ``_reduced_length(d, m)`` with probability C(m, K) / 2^m.
+    It sums the binomial law of the reduced length: K = (A's at even
+    slots) + (B's at odd slots) is Bin(m, 1/2), and the signed count
+    d = K - floor(m/2) gives the length ``_reduced_length(d, m)`` with
+    probability C(m, K) / 2^m, an integer quotient rounded once.  Each
+    probability times the closed-form payoff of its length is a term, and
+    ``math.fsum`` adds the m + 1 terms.
     """
-    from fractions import Fraction
-
     import numpy as np
 
     m = FixedHorizon(m).m
-    law = {}
-    c = 1
-    for k, s in enumerate(_reduced_length(np.arange(m + 1) - m // 2, m).tolist()):
-        law[s] = Fraction(c, 2**m)
-        c = c * (m - k) // (k + 1)
-    return law
-
-
-def fixed_horizon_win_prob(m: int, config: GameConfig) -> float:
-    """Exact win probability of stopping after m random letters."""
-    law = fixed_horizon_length_law(m)
-    payoff = success_curve((s // 2 for s in law), config)
-    return math.fsum(float(p) * w for p, w in zip(law.values(), payoff))
+    lengths = _reduced_length(np.arange(m + 1) - m // 2, m).tolist()
+    payoff = success_curve((s // 2 for s in lengths), config)
+    binomials = itertools.accumulate(range(m), lambda c, k: c * (m - k) // (k + 1), initial=1)
+    total = 1 << m
+    return math.fsum(c / total * w for c, w in zip(binomials, payoff))
 
 
 def fixed_horizon_draws(m: int) -> int:

@@ -40,11 +40,12 @@ package's kick laws).
 """
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -73,23 +74,28 @@ def textbook_grover_matrix(n_qubits: int, target: int) -> np.ndarray:
     return diffusion @ oracle
 
 
-def reduced_length_distribution(m: int) -> dict[int, Fraction]:
-    """Exact law of the reduced-word length after m fair letters.
+def reduced_length_distributions() -> Iterator[dict[int, Fraction]]:
+    """Exact laws of the reduced-word length after 0, 1, 2, ... fair letters.
 
     The length does a random walk: up or down with probability 1/2 from
     positive lengths, up (letter A) or stay (letter B, absorbed by the
-    start state) from zero.
+    start state) from zero.  Each law is one step of the walk from the last.
     """
     half = Fraction(1, 2)
     probs = {0: Fraction(1)}
-    for _ in range(m):
+    while True:
+        yield probs
         nxt: dict[int, Fraction] = {}
         for s, p in probs.items():
             down = s - 1 if s > 0 else 0
             nxt[down] = nxt.get(down, Fraction(0)) + p * half
             nxt[s + 1] = nxt.get(s + 1, Fraction(0)) + p * half
         probs = nxt
-    return probs
+
+
+def reduced_length_distribution(m: int) -> dict[int, Fraction]:
+    """Exact law of the reduced-word length after m fair letters."""
+    return next(itertools.islice(reduced_length_distributions(), m, None))
 
 
 def expected_fixed_horizon_win(m: int, n_qubits: int) -> float:

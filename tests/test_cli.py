@@ -503,6 +503,52 @@ def test_runs_read_what_they_are_charged(argv, charge, unread, threads, monkeypa
     assert run_cli(argv)[0] == 0
 
 
+_HALF, _ONE = 512, 1024  # KiB: one block of float64, of complex128
+_300_ANGLES = ",".join(f"{0.01 * j - 1.2:.2f}" for j in range(300))
+
+
+@pytest.mark.parametrize(
+    "argv, sizes",
+    [
+        pytest.param(_GAUSSIAN, [_HALF] * 3 + [_ONE] * 3, id="iid-gaussian"),
+        pytest.param(_EXPONENTIAL, [_HALF] * 3 + [_ONE] * 3, id="iid-exponential"),
+        pytest.param(["iid", "--dist=delta", "--angles=0.3,-1,2"], [_HALF] * 2 + [_ONE] * 2,
+                     id="iid-delta-3"),
+        pytest.param(["iid", "--dist=delta", f"--angles={_300_ANGLES}"], [_HALF] * 2 + [_ONE] * 2,
+                     id="iid-delta-300"),
+        pytest.param(["memory", "--epsilon=0.1"], [_HALF] * 2 + [_ONE] * 3, id="memory"),
+        pytest.param(["dissipative"], [_HALF] * 3 + [_ONE] * 2, id="dissipative"),
+        pytest.param(["parrondo", "--moduli=3,7"], [_HALF] * 2, id="parrondo"),
+        pytest.param(["grover", "--n-qubits=16"], [_HALF] * 6, id="grover-quarter-pi"),
+        # groups of 1,024 active trials hold 8 KiB arrays
+        pytest.param(["grover", "--n-qubits=6", "--strategy=adaptive"], [8] * 3 + [_HALF] * 3,
+                     id="grover-adaptive"),
+    ],
+)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_block_sets_hold_each_familys_buffers(argv, sizes, threads, monkeypatch):
+    """Each pool thread's ``rng._BlockArrays`` set keeps the same buffers, in KiB.
+
+    A set grows to as many buffers as a block holds arrays at once, so the
+    order in which a sampler asks for its arrays decides what a thread
+    keeps: ``slot_normal`` asking for its sine after its halves gives
+    ``dissipative`` a third 1 MiB buffer.  Two full blocks give a thread
+    one or two blocks, and a set is the same after either.
+    """
+    sets = []
+    init = rng._BlockArrays.__init__
+
+    def spy(self):
+        init(self)
+        sets.append(self)
+
+    monkeypatch.setattr(rng._BlockArrays, "__init__", spy)
+    argv = [*argv, f"--trials={2 * rng.BLOCK_SIZE}", "--seed=3", f"--threads={threads}"]
+    assert run_cli(argv)[0] == 0
+    assert 1 <= len(sets) <= threads
+    assert [sorted(len(b) >> 10 for b in s._buffers) for s in sets] == [sizes] * len(sets)
+
+
 _Z_RUNS = {
     "delta": ["iid", "--dist=delta", "--angles=0.3,-1,2", "--weights=0.5,0.3,0.2"],
     "gaussian": ["iid", "--mu=0.2", "--sigma2=0.3"],

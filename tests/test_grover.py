@@ -19,6 +19,7 @@ from _oracles import (
     grover_iterate,
     optimal_k_by_scan,
     reduced_length_distribution,
+    reduced_length_distributions,
     textbook_grover_matrix,
     uniform_2d,
     uniform_state,
@@ -34,7 +35,6 @@ from noisegames.grover import (
     GameConfig,
     _reduced_length,
     evaluate_strategy,
-    fixed_horizon_length_law,
     fixed_horizon_win_prob,
     optimal_k,
     pure_game_payoff,
@@ -368,7 +368,7 @@ class TestTrialPayoffs:
 
     def test_exact_fixed_horizon_sums_the_closed_form(self):
         c = GameConfig(6)
-        law = fixed_horizon_length_law(28)
+        law = reduced_length_distribution(28)
         assert 12 in law and 13 in law
         want = math.fsum(float(p) * success_closed_form(s // 2, c) for s, p in law.items())
         assert fixed_horizon_win_prob(28, c) == want
@@ -435,9 +435,21 @@ class TestSignedLetterCount:
             walk = walk_reduced_length(walk, np.array([letter == "A"]))
         assert closed == len(reduce_word(word)) == int(walk[0])
 
-    def test_length_law_is_the_rational_dp(self):
-        for m in range(80):
-            assert fixed_horizon_length_law(m) == reduced_length_distribution(m)
+    def test_win_prob_sums_the_rational_dp_law(self):
+        # bit for bit: each term's probability is the DP law's, rounded once
+        for m, law in zip(range(80), reduced_length_distributions()):
+            for n in (1, 3, 8):
+                c = GameConfig(n)
+                want = math.fsum(float(p) * success_closed_form(s // 2, c) for s, p in law.items())
+                assert fixed_horizon_win_prob(m, c) == want, (m, n)
+
+    @pytest.mark.parametrize("n, want", [
+        (16, "0x1.8f8db6a7353f2p-7"), (20, "0x1.9164214bbe428p-9"), (24, "0x1.91d913b240914p-11"),
+    ], ids=["16", "20", "24"])
+    def test_win_prob_at_quarter_pi_horizons(self, n, want):
+        # the rational law's values; n = 24 is a horizon of m = 12,868 letters
+        c = GameConfig(n)
+        assert fixed_horizon_win_prob(4 * quarter_pi_k(c), c).hex() == want
 
     def test_win_prob_is_the_dp_expectation(self):
         for m, n in ((0, 3), (1, 3), (17, 4), (28, 6), (101, 8)):
